@@ -22,6 +22,7 @@ from .scalars import (
     root_of_unity,
     zero,
 )
+from .linalg import InvalidInput
 from .pairs import (
     BraidedPair,
     Decomposition,

@@ -15,8 +15,9 @@ most rank+1 coordinates).
 
 from .braids import apply_elt, sigma_pass, t1_apply, t_shuffle
 from .linalg import Echelon, decode_word
-from .scalars import INFINITE, ONE, one, order
+from .scalars import INFINITE, ONE
 from . import pairs as _pairs
+from . import rank2 as _rank2
 
 
 class HilbertResult:
@@ -265,8 +266,9 @@ def adjoint(bp, i, vec, n):
 def nilpotency_order(bp, i, j, probe_depth=8):
     """Nilpotency order of the adjoint of x_i on x_j for a diagonal pair.
 
-    Computes the closed-form value r + 1, with r = min{t, N(q_ii) - 1} for
-    t the least nonnegative integer with q_ii^t q_ij q_ji = 1, and confirms
+    Takes the closed-form value r + 1 from
+    ``rank2.nilpotency_order_formula``, with r = min{t, N(q_ii) - 1} for t
+    the least nonnegative integer with q_ii^t q_ij q_ji = 1, and confirms
     it by direct adjoint iteration (zero in the Nichols algebra is a plain
     vector test, since the graded components sit inside the tensor
     coalgebra).  A mismatch raises, signalling an engine bug.  When the
@@ -278,21 +280,7 @@ def nilpotency_order(bp, i, j, probe_depth=8):
         raise ValueError("nilpotency order formula needs a diagonal pair")
     if i == j:
         raise ValueError("need two distinct basis indices")
-    n_ii = order(q[i][i])
-    prod = q[i][j] * q[j][i]
-    t = None
-    bound = 1 if n_ii == INFINITE else int(n_ii)
-    p = one()
-    for k in range(bound):
-        if p * prod == one():
-            t = k
-            break
-        p = p * q[i][i]
-    if t is None:
-        r = INFINITE if n_ii == INFINITE else n_ii - 1
-    else:
-        r = t if n_ii == INFINITE else min(t, n_ii - 1)
-    formula = r + 1
+    formula = _rank2.nilpotency_order_formula(q, i, j)
     limit = probe_depth if formula == INFINITE else int(formula)
     z = {j: ONE}
     direct = None

@@ -331,19 +331,22 @@ def t1_apply(bp, vec, n):
     return total
 
 
-def symmetrizer_apply(bp, n, vec):
-    """Apply the degree-n quantum symmetrizer via the iterated factorization
-    S^k = T_(1,k-1) (id (x) S^(k-1)): O(n^2) crossing passes instead of n!
+def symmetrizer_apply(bp, n, vec, k=None):
+    """Apply the degree-k quantum symmetrizer to the first k of n tensor
+    slots (k defaults to n), via the iterated factorization
+    S^j = T_(1,j-1) (id (x) S^(j-1)): O(k^2) crossing passes instead of k!
     words."""
+    if k is None:
+        k = n
     d = bp.dim
     cmap = bp.cmap
     cur = dict(vec)
-    for k in range(2, n + 1):
-        offset = n - k  # leading slots are inert while S^k builds up
+    for j in range(2, k + 1):
+        offset = k - j  # leading slots are inert while S^j builds up
         total = dict(cur)
         run = cur
-        for j in range(1, k):
-            run = sigma_pass(cmap, d, n, run, offset + j)
+        for i in range(1, j):
+            run = sigma_pass(cmap, d, n, run, offset + i)
             vec_add_into(total, run)
         cur = total
     return cur

@@ -7,14 +7,15 @@ across runs; scalars print in the num[/den]:exp term syntax.
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
-from . import __version__, algebra, fileio, identities, pairs, quandles, rank2
-from .linalg import decode_word
+from . import (__version__, algebra, braids, fileio, identities, pairs,
+               quandles, rank2)
+from .linalg import InvalidInput, decode_word
 from .scalars import INFINITE, format_scalar, integer, root_of_unity
 
 EXIT_PARSE = 2
@@ -65,18 +66,15 @@ def load_input_pair(args):
         if not name:
             raise CliError("need --builtin or --file", EXIT_PARSE)
         return _builtin_pair(name, args)
-    except CliError:
-        raise
-    except (OSError, ValueError, IndexError) as exc:
-        code = EXIT_INVALID if _is_math_error(exc) else EXIT_PARSE
-        raise CliError(str(exc), code)
+    except (OSError, ValueError) as exc:
+        raise _input_error(exc)
 
 
-def _is_math_error(exc):
-    text = str(exc)
-    return ("braid equation" in text or "axiom" in text
-            or "not invertible" in text or "group-like" in text
-            or "multiplicative" in text)
+def _input_error(exc):
+    """The CLI error for a failed load: exit 3 when the input parsed but is
+    mathematically invalid, exit 2 when it could not be read or parsed."""
+    code = EXIT_INVALID if isinstance(exc, InvalidInput) else EXIT_PARSE
+    return CliError(str(exc), code)
 
 
 def _builtin_pair(name, args):
@@ -122,13 +120,14 @@ def _need_scalar(args, field):
 
 def cmd_hilbert(args):
     bp = load_input_pair(args)
-    cached = _cache_lookup(bp, args.max_degree)
+    path = _cache_path(_cache_key(bp, args.max_degree))
+    cached = _cache_lookup(path)
     if cached is not None:
         dims, total, finite = cached
     else:
         res = algebra.hilbert(bp, args.max_degree)
         dims, total, finite = res.dims, res.total, res.finite
-        _cache_store(bp, args.max_degree, dims, total, finite)
+        _cache_store(path, dims, total, finite)
     print("dims:", " ".join(str(v) for v in dims))
     print("total:", total if total is not None else "unknown")
     print("finite:", "yes" if finite else "unknown")
@@ -218,12 +217,8 @@ def _load_crossed_set(args):
         if name == "zmod3":
             return quandles.zmod3_crossed_set()
         raise CliError(f"unknown crossed set {name!r}", EXIT_PARSE)
-    except CliError:
-        raise
     except (OSError, ValueError) as exc:
-        code = EXIT_INVALID if "axiom" in str(exc) or "bijection" in str(exc) \
-            else EXIT_PARSE
-        raise CliError(str(exc), code)
+        raise _input_error(exc)
 
 
 def cmd_verify(args):
@@ -231,19 +226,9 @@ def cmd_verify(args):
                                       max_order=args.max_order,
                                       seed=args.seed)
     checks = identities.all_identities(args.max_n)
-
-    def run(item):
-        name, lhs, rhs = item
-        from .braids import verify_identity
-        return name, verify_identity(lhs, rhs, suite)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(run, checks))
-    else:
-        results = [run(item) for item in checks]
     failures = 0
-    for name, report in results:
+    for name, lhs, rhs in checks:
+        report = braids.verify_identity(lhs, rhs, suite)
         if report.ok:
             print(f"PASS {name}")
         else:
@@ -253,7 +238,7 @@ def cmd_verify(args):
             print(f"  basis index: {report.basis_word}")
             print(f"  lhs: {report.lhs_value}")
             print(f"  rhs: {report.rhs_value}")
-    print(f"result: {len(results) - failures}/{len(results)} identities hold")
+    print(f"result: {len(checks) - failures}/{len(checks)} identities hold")
     return 0 if failures == 0 else 1
 
 
@@ -261,11 +246,14 @@ def cmd_verify(args):
 # optional on-disk memo for hilbert results
 
 def _cache_key(bp, max_degree):
+    """Hash of the braiding, the cutoff and the source of every module of
+    the package, so an entry never outlives the code that computed it."""
+    pkg = os.path.dirname(os.path.abspath(__file__))
     src = []
-    for mod in (algebra, pairs):
-        path = mod.__file__
-        with open(path, "rb") as fh:
-            src.append(hashlib.sha256(fh.read()).hexdigest())
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                src.append((name, hashlib.sha256(fh.read()).hexdigest()))
     body = repr((sorted((p, [(kl, c.key()) for kl, c in col]
                          ) for p, col in enumerate(bp.cmap)),
                  bp.dim, max_degree, __version__, src))
@@ -273,15 +261,19 @@ def _cache_key(bp, max_degree):
 
 
 def _cache_path(key):
+    """The entry file for ``key``, or None when NICHOLS_CACHE_DIR is unset
+    or cannot be created; the CLI then runs without the cache."""
     root = os.environ.get("NICHOLS_CACHE_DIR")
     if not root:
         return None
-    os.makedirs(root, exist_ok=True)
+    try:
+        os.makedirs(root, exist_ok=True)
+    except OSError:
+        return None
     return os.path.join(root, key + ".json")
 
 
-def _cache_lookup(bp, max_degree):
-    path = _cache_path(_cache_key(bp, max_degree))
+def _cache_lookup(path):
     if not path or not os.path.exists(path):
         return None
     try:
@@ -292,12 +284,19 @@ def _cache_lookup(bp, max_degree):
         return None
 
 
-def _cache_store(bp, max_degree, dims, total, finite):
-    path = _cache_path(_cache_key(bp, max_degree))
+def _cache_store(path, dims, total, finite):
+    """Write the entry whole or not at all: a reader sees the old file or
+    the new one, and an unwritable directory only costs the cache."""
     if not path:
         return
-    with open(path, "w") as fh:
-        json.dump({"dims": dims, "total": total, "finite": finite}, fh)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump({"dims": dims, "total": total, "finite": finite}, fh)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +316,6 @@ def build_parser():
         p.add_argument("--q", help="scalar parameter (INT or zM[^E])")
         p.add_argument("--alpha", help="scalar parameter for v4")
         p.add_argument("--orders", help="comma list of diagonal orders for qls")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("hilbert", help="graded dimensions and finiteness")
     add_pair_flags(p)
@@ -346,7 +344,6 @@ def build_parser():
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--max-order", type=int, default=12)
     p.add_argument("--seed", type=int, default=20240)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_verify)
     return top
 
@@ -367,8 +364,8 @@ def _validate_options(args):
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
 
-    for name in ("max_degree", "degree", "modulus", "threads", "count",
-                 "max_order", "max_n"):
+    for name in ("max_degree", "degree", "modulus", "count", "max_order",
+                 "max_n"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             bail(f"{name.replace('_', '-')} must be nonnegative")
@@ -376,8 +373,6 @@ def _validate_options(args):
         bail("relations start in degree 2")
     if getattr(args, "modulus", None) is not None and args.modulus < 2:
         bail("modulus must be at least 2")
-    if getattr(args, "threads", None) is not None and args.threads < 1:
-        bail("threads must be positive")
 
 
 if __name__ == "__main__":

@@ -21,11 +21,34 @@ def _lines(text):
     return out
 
 
-def _expect(line, key):
+def _rows(lines, start, count):
+    """Lines start .. start + count - 1; a file that ends before them is a
+    parse error, not an IndexError."""
+    if count < 0:
+        raise ValueError(f"expected a nonnegative count, found {count}")
+    rows = lines[start:start + count]
+    if len(rows) < count:
+        raise ValueError(f"file ends early: expected {count} lines from "
+                         f"content line {start + 1}, found {len(rows)}")
+    return rows
+
+
+def _expect(lines, i, key):
+    """The values after ``key`` on content line i."""
+    line = _rows(lines, i, 1)[0]
     parts = line.split()
-    if parts[0] != key:
-        raise ValueError(f"expected {key!r}, found {line!r}")
+    if parts[0] != key or len(parts) < 2:
+        raise ValueError(f"expected {key!r} and a value, found {line!r}")
     return parts[1:]
+
+
+def _int_table(lines, start, size):
+    """A size x size integer table on the lines from ``start``."""
+    table = [[int(v) for v in line.split()]
+             for line in _rows(lines, start, size)]
+    if any(len(row) != size for row in table):
+        raise ValueError(f"table rows need {size} entries each")
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -67,41 +90,42 @@ def dump_pair(bp):
 
 def load_pair(text):
     lines = _lines(text)
-    kind = _expect(lines[0], "kind")[0]
-    conductor = int(_expect(lines[1], "conductor")[0])
-    dim = int(_expect(lines[2], "dim")[0])
+    kind = _expect(lines, 0, "kind")[0]
+    conductor = int(_expect(lines, 1, "conductor")[0])
+    dim = int(_expect(lines, 2, "dim")[0])
     body = lines[3:]
+
+    def scalar_field(i, name):
+        return parse_scalar(_expect(body, i, name)[0], conductor)
+
     if kind == "diagonal":
-        if body[0] != "matrix":
+        if _rows(body, 0, 1)[0] != "matrix":
             raise ValueError("diagonal pair needs a matrix block")
         rows = [[parse_scalar(tok, conductor) for tok in line.split()]
-                for line in body[1:1 + dim]]
+                for line in _rows(body, 1, dim)]
         return _pairs.diagonal(rows)
     if kind == "v3":
-        return _pairs.v3(parse_scalar(_expect(body[0], "q")[0], conductor))
+        return _pairs.v3(scalar_field(0, "q"))
     if kind == "v4":
-        return _pairs.v4(parse_scalar(_expect(body[0], "q")[0], conductor),
-                         parse_scalar(_expect(body[1], "alpha")[0], conductor))
+        return _pairs.v4(scalar_field(0, "q"), scalar_field(1, "alpha"))
     if kind == "two_by_two":
-        vals = [parse_scalar(_expect(body[i], name)[0], conductor)
-                for i, name in enumerate(
-                    ("q1", "q2", "eta1", "eta2", "beta1", "beta2"))]
+        vals = [scalar_field(i, name) for i, name in enumerate(
+            ("q1", "q2", "eta1", "eta2", "beta1", "beta2"))]
         return _pairs.two_by_two(*vals)
     if kind == "cocycle":
-        size = int(_expect(body[0], "size")[0])
-        table = [[int(v) for v in body[1 + i].split()] for i in range(size)]
-        modulus = int(_expect(body[1 + size], "modulus")[0])
-        expo = [[int(v) for v in body[2 + size + i].split()]
-                for i in range(size)]
+        size = int(_expect(body, 0, "size")[0])
+        table = _int_table(body, 1, size)
+        modulus = int(_expect(body, 1 + size, "modulus")[0])
+        expo = _int_table(body, 2 + size, size)
         xset = _quandles.CrossedSet(table)
         return _pairs.from_cocycle(xset, _quandles.Cochain2(modulus, expo))
     if kind == "matrix":
-        if body[0] != "matrix":
+        if _rows(body, 0, 1)[0] != "matrix":
             raise ValueError("matrix pair needs a matrix block")
         n = dim * dim
         cmap = [[] for _ in range(n)]
-        for r in range(n):
-            toks = body[1 + r].split()
+        for r, line in enumerate(_rows(body, 1, n)):
+            toks = line.split()
             if len(toks) != n:
                 raise ValueError("matrix block has the wrong width")
             for c, tok in enumerate(toks):
@@ -124,9 +148,8 @@ def dump_crossed_set(xset):
 
 def load_crossed_set(text):
     lines = _lines(text)
-    size = int(_expect(lines[0], "size")[0])
-    table = [[int(v) for v in lines[1 + i].split()] for i in range(size)]
-    return _quandles.CrossedSet(table)
+    size = int(_expect(lines, 0, "size")[0])
+    return _quandles.CrossedSet(_int_table(lines, 1, size))
 
 
 def dump_cochain(cochain):
@@ -138,7 +161,7 @@ def dump_cochain(cochain):
 
 def load_cochain(text):
     lines = _lines(text)
-    modulus = int(_expect(lines[0], "modulus")[0])
+    modulus = int(_expect(lines, 0, "modulus")[0])
     expo = [[int(v) for v in line.split()] for line in lines[1:]]
     return _quandles.Cochain2(modulus, expo)
 
@@ -152,6 +175,5 @@ def dump_group(group):
 
 def load_group(text):
     lines = _lines(text)
-    order = int(_expect(lines[0], "order")[0])
-    table = [[int(v) for v in lines[1 + i].split()] for i in range(order)]
-    return _groups.FiniteGroup(table)
+    order = int(_expect(lines, 0, "order")[0])
+    return _groups.FiniteGroup(_int_table(lines, 1, order))

@@ -13,15 +13,15 @@ strands.
 
 import random
 
-from .braids import GroupAlgElt, d_elt, r_elt, u_elt
+from .braids import GroupAlgElt, d_elt, r_elt, symmetrizer_apply, u_elt
 from .scalars import root_of_unity
 from . import pairs as _pairs
 
 
 class Product:
     """A product of operator factors, rightmost acting first.  A factor is
-    a GroupAlgElt or the marker ("sym", k, offset) for the degree-k
-    symmetrizer acting after ``offset`` inert leading strands."""
+    a GroupAlgElt, or an int k for the degree-k symmetrizer acting on the
+    first k strands."""
 
     __slots__ = ("strands", "factors")
 
@@ -32,34 +32,11 @@ class Product:
     def apply(self, bp, vec, n):
         cur = vec
         for f in reversed(self.factors):
-            if isinstance(f, tuple):
-                _, k, offset = f
-                cur = _sym_block_apply(bp, cur, n, k, offset)
+            if isinstance(f, int):
+                cur = symmetrizer_apply(bp, n, cur, f)
             else:
                 cur = f.apply(bp, cur, n)
         return cur
-
-
-def _sym_block_apply(bp, vec, n, k, offset):
-    """Apply id^offset (x) S^k (x) id^(n-k-offset) through the quadratic
-    recursion; the sub-symmetrizer of degree j sits on the last j strands
-    of the block."""
-    if k <= 1:
-        return dict(vec)
-    from .braids import sigma_pass
-    from .linalg import vec_add_into
-    d = bp.dim
-    cmap = bp.cmap
-    cur = dict(vec)
-    for j in range(2, k + 1):
-        start = offset + k - j
-        total = dict(cur)
-        run = cur
-        for i in range(1, j):
-            run = sigma_pass(cmap, d, n, run, start + i)
-            vec_add_into(total, run)
-        cur = total
-    return cur
 
 
 def _gen(strands, j):
@@ -100,8 +77,8 @@ def identity_family(n):
     # the symmetrizer factorization producing the Serre-type relations
     e = GroupAlgElt.unit(s)
     binomials = [e - u_elt(s, n, k) for k in range(1, n + 1)]
-    lhs = Product(s, [("sym", s, 0)] + binomials)
-    rhs = Product(s, [r_elt(s, n, 1), ("sym", n, 0)])
+    lhs = Product(s, [s] + binomials)
+    rhs = Product(s, [r_elt(s, n, 1), n])
     out.append((f"symmetrizer_factorization n={n}", lhs, rhs))
     return out
 

@@ -11,6 +11,13 @@ import heapq
 from .scalars import ONE
 
 
+class InvalidInput(ValueError):
+    """Input that parses but is mathematically invalid: a map that fails
+    the braid equation, a braiding that is not invertible, group-like
+    actions that do not match the braiding, or a table that fails a
+    crossed-set axiom."""
+
+
 def encode_word(word, d):
     """Base-d integer key of a word, leftmost letter most significant."""
     out = 0
@@ -254,37 +261,37 @@ def smith_normal_form(mat, rows, cols, want_right=False):
     def diagonalize():
         t = 0
         while t < limit:
+            # pivot on an entry of least absolute value in the remaining
+            # block, so the multiples added to other rows and columns stay
+            # small; a unit cannot be beaten
             pi = pj = -1
+            best = 0
             for i in range(t, rows):
                 for j in range(t, cols):
-                    if a[i][j]:
-                        pi, pj = i, j
-                        break
-                if pi >= 0:
+                    x = abs(a[i][j])
+                    if x and (not best or x < best):
+                        pi, pj, best = i, j, x
+                        if x == 1:
+                            break
+                if best == 1:
                     break
             if pi < 0:
                 break
             row_swap(t, pi)
             col_swap(t, pj)
-            while True:
-                for i in range(t + 1, rows):
-                    if a[i][t]:
-                        q = a[i][t] // a[t][t]
-                        row_add(i, t, -q)
-                        if a[i][t]:  # nonzero remainder: smaller pivot found
-                            row_swap(t, i)
-                for j in range(t + 1, cols):
-                    if a[t][j]:
-                        q = a[t][j] // a[t][t]
-                        col_add(j, t, -q)
-                        if a[t][j]:
-                            col_swap(t, j)
-                if (all(a[i][t] == 0 for i in range(t + 1, rows))
-                        and all(a[t][j] == 0 for j in range(t + 1, cols))):
-                    break
-            if a[t][t] < 0:
-                row_neg(t)
-            t += 1
+            p = a[t][t]
+            for i in range(t + 1, rows):
+                if a[i][t]:
+                    row_add(i, t, -(a[i][t] // p))
+            for j in range(t + 1, cols):
+                if a[t][j]:
+                    col_add(j, t, -(a[t][j] // p))
+            # a nonzero remainder is a smaller pivot for the next round
+            if (all(a[i][t] == 0 for i in range(t + 1, rows))
+                    and all(a[t][j] == 0 for j in range(t + 1, cols))):
+                if p < 0:
+                    row_neg(t)
+                t += 1
         return t
 
     t = diagonalize()

@@ -14,7 +14,7 @@ equivalent to the dual-map condition.
 
 from math import gcd as _gcd
 
-from .linalg import invert_square
+from .linalg import InvalidInput, invert_square
 from .scalars import ONE, Cyc, one, zero
 from . import braids
 from . import groups as _groups
@@ -46,12 +46,12 @@ class BraidedPair:
         if validate:
             diag = check(self)
             if not diag["braid_equation"]:
-                raise ValueError(
+                raise InvalidInput(
                     f"braid equation fails at basis tensor {diag['braid_failure']}")
             if not diag["invertible"]:
-                raise ValueError("braiding is not invertible")
+                raise InvalidInput("braiding is not invertible")
             if not diag["grouplikes_consistent"]:
-                raise ValueError("group-like actions do not match the braiding")
+                raise InvalidInput("group-like actions do not match the braiding")
 
     @staticmethod
     def _freeze(dim, cmap):
@@ -195,7 +195,7 @@ def diagonal(q):
             raise ValueError("matrix must be square")
         for v in row:
             if v.is_zero():
-                raise ValueError("diagonal braiding entries must be nonzero")
+                raise InvalidInput("diagonal braiding entries must be nonzero")
     grouplikes = []
     for i in range(d):
         g = [[zero()] * d for _ in range(d)]
@@ -332,8 +332,8 @@ def from_cocycle(xset, cocycle):
         return BraidedPair(n, _grouplike_cmap(n, grouplikes), grouplikes,
                            kind="cocycle",
                            params={"xset": xset, "cocycle": cocycle})
-    except ValueError as exc:
-        raise ValueError(f"cochain does not braid this crossed set: {exc}")
+    except InvalidInput as exc:
+        raise InvalidInput(f"cochain does not braid this crossed set: {exc}")
 
 
 def induced_yd(group, g, chi):

@@ -13,7 +13,7 @@ every m of interest); it is not materialized as a single object here.
 from itertools import product as _product
 from math import gcd
 
-from .linalg import smith_normal_form
+from .linalg import InvalidInput, encode_word, smith_normal_form
 from .scalars import root_of_unity
 
 
@@ -26,13 +26,15 @@ class CrossedSet:
 
     def __init__(self, table, name="crossed set", validate=True):
         table = tuple(tuple(row) for row in table)
+        if not table:
+            raise ValueError("crossed sets need at least one element")
         self.size = len(table)
         self.table = table
         self.name = name
         if validate:
             ok, why = check_crossed_set(table)
             if not ok:
-                raise ValueError(why)
+                raise InvalidInput(why)
 
     def act(self, i, j):
         return self.table[i][j]
@@ -158,16 +160,9 @@ def delta_matrix(xset, n):
             omitted = xs[:i] + xs[i + 1:]
             acted = xs[:i] + tuple(act(xs[i], y) for y in xs[i + 1:])
             sign = 1 if i % 2 == 0 else -1
-            row[_index(omitted, size)] += sign
-            row[_index(acted, size)] -= sign
+            row[encode_word(omitted, size)] += sign
+            row[encode_word(acted, size)] -= sign
     return mat
-
-
-def _index(word, size):
-    out = 0
-    for x in word:
-        out = out * size + x
-    return out
 
 
 def pi0(xset):

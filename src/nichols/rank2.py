@@ -25,15 +25,7 @@ def nilpotency_order_formula(q, i, j):
     diagonal scalar matrix q: r + 1 with r = min{t, N(q_ii) - 1} and t the
     least nonnegative integer with q_ii^t q_ij q_ji = 1."""
     n_ii = order(q[i][i])
-    prod = q[i][j] * q[j][i]
-    t = None
-    bound = 1 if n_ii == INFINITE else int(n_ii)
-    p = one()
-    for k in range(bound):
-        if p * prod == one():
-            t = k
-            break
-        p = p * q[i][i]
+    t = _least_t(q, i, j)
     if t is None:
         return INFINITE if n_ii == INFINITE else int(n_ii)
     if n_ii == INFINITE:
@@ -97,14 +89,9 @@ def analyze(q):
         return Rank2Analysis(q=q, N1=n1, N2=n2, t=0, r=0, M=[], bound=qls,
                              verdict="QLS", condition=None,
                              hypothesis_order2=None, warning=None)
-    # r from the adjoint of x_2 acting on x_1
+    # r + 1 is the nilpotency order of the adjoint of x_2 acting on x_1
     t = _least_t(q, 1, 0)
-    if n2 == INFINITE:
-        r = t if t is not None else INFINITE
-    elif t is None:
-        r = int(n2) - 1
-    else:
-        r = min(t, int(n2) - 1)
+    r = nilpotency_order_formula(q, 1, 0) - 1
     warning = None
     if n1 == INFINITE:
         warning = "N(q_11) is infinite; the lower bound is not defined"

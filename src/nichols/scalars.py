@@ -579,6 +579,8 @@ def parse_scalar(token, m):
             raise ValueError(f"bad scalar token {token!r}")
         if "/" in frac:
             num, den = frac.split("/")
+            if int(den) == 0:
+                raise ValueError(f"zero denominator in {token!r}")
             terms.append((int(num), int(den), int(exp)))
         else:
             terms.append((int(frac), 1, int(exp)))

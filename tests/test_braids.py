@@ -186,6 +186,12 @@ def test_symmetrizer_apply_against_brute_force():
                 brute = apply_elt(bp, sym, vec, n)
                 fast = symmetrizer_apply(bp, n, vec)
                 assert brute == fast
+            # S^k on the first k slots, the identity on the other n - k
+            for k in range(1, n):
+                sym_k = block(symmetrizer(k), GroupAlgElt.unit(n - k))
+                vec = {rng.randrange(d ** n): integer(rng.randint(1, 5))}
+                assert (symmetrizer_apply(bp, n, vec, k)
+                        == apply_elt(bp, sym_k, vec, n))
 
 
 def test_t1_apply_matches_formal_sum():

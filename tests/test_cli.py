@@ -1,7 +1,9 @@
 import os
+import shutil
 
 import pytest
 
+from nichols import cli
 from nichols.cli import main
 from nichols.fileio import dump_pair
 from nichols.scalars import integer, root_of_unity
@@ -59,6 +61,23 @@ def test_parse_failure_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, "hilbert", "--file", str(bad),
                        "--max-degree", "3")
     assert code == 2
+    short = tmp_path / "short.bp"
+    short.write_text("kind v3\nconductor 1\ndim 3\n")
+    code, _, err = run(capsys, "hilbert", "--file", str(short),
+                       "--max-degree", "3")
+    assert code == 2
+    # truncated and empty crossed sets: one-line errors, no traceback
+    for name, text in (("short.xs", "size 3\n0 2 1\n2 1 0\n"),
+                       ("empty.xs", "size 0\n")):
+        path = tmp_path / name
+        path.write_text(text)
+        code, _, err = run(capsys, "quandle", "h2", "--file", str(path),
+                           "--modulus", "6")
+        assert code == 2 and err.startswith("error: ")
+    for name in ("dihedral0", "trivial0", "dihedral-3"):
+        code, _, err = run(capsys, "quandle", "h2", "--builtin", name,
+                           "--modulus", "6")
+        assert code == 2 and err.startswith("error: ")
 
 
 def test_invalid_math_exit_code(tmp_path, capsys):
@@ -79,6 +98,23 @@ def test_invalid_math_exit_code(tmp_path, capsys):
                        "--max-degree", "2")
     assert code == 3
     assert "braid equation" in err
+    # q = 0 makes the braiding singular, and so does a zero diagonal entry
+    code, _, err = run(capsys, "hilbert", "--builtin", "v3", "--q", "0",
+                       "--max-degree", "2")
+    assert code == 3
+    zero = tmp_path / "zero.bp"
+    zero.write_text("kind diagonal\nconductor 1\ndim 2\nmatrix\n"
+                    "-1 0\n1 -1\n")
+    code, _, err = run(capsys, "hilbert", "--file", str(zero),
+                       "--max-degree", "2")
+    assert code == 3
+    # a table whose only failing axiom is self-distributivity
+    xs = tmp_path / "notsd.xs"
+    xs.write_text("size 4\n0 1 3 2\n0 1 3 2\n1 3 2 0\n1 2 0 3\n")
+    code, _, err = run(capsys, "quandle", "h2", "--file", str(xs),
+                       "--modulus", "6")
+    assert code == 3
+    assert "self-distributivity" in err
 
 
 def test_relations_output(capsys):
@@ -122,11 +158,16 @@ def test_verify_small(capsys):
     assert "FAIL" not in out
 
 
-def test_verify_threads_match(capsys):
-    code, single, _ = run(capsys, "verify", "--max-n", "2", "--count", "2")
-    code, threaded, _ = run(capsys, "verify", "--max-n", "2", "--count", "2",
-                            "--threads", "3")
-    assert single == threaded
+def test_threads_is_a_usage_error(capsys):
+    for argv in (["hilbert", "--builtin", "v3", "--q", "-1",
+                  "--max-degree", "2"],
+                 ["relations", "--builtin", "v3", "--q", "-1",
+                  "--degree", "2"],
+                 ["rank2", "--builtin", "c4-a2"],
+                 ["verify", "--max-n", "1"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--threads", "2"])
+        assert info.value.code == 2
 
 
 def test_hilbert_cache(tmp_path, capsys, monkeypatch):
@@ -134,9 +175,32 @@ def test_hilbert_cache(tmp_path, capsys, monkeypatch):
     args = ("hilbert", "--builtin", "v3", "--q", "-1", "--max-degree", "6")
     _, first, _ = run(capsys, *args)
     cached = list((tmp_path / "cache").iterdir())
-    assert cached
+    assert [p.suffix for p in cached] == [".json"]
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+def test_cache_key_covers_every_module(tmp_path, monkeypatch):
+    pkg = tmp_path / "nichols"
+    shutil.copytree(os.path.dirname(cli.__file__), pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    bp = pairs.v3(integer(-1))
+    key = cli._cache_key(bp, 6)
+    monkeypatch.setattr(cli, "__file__", str(pkg / "cli.py"))
+    assert cli._cache_key(bp, 6) == key
+    with open(pkg / "quandles.py", "a") as fh:
+        fh.write("# edited\n")
+    assert cli._cache_key(bp, 6) != key
+
+
+def test_unwritable_cache_dir_is_skipped(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("NICHOLS_CACHE_DIR", str(blocker / "cache"))
+    code, out, _ = run(capsys, "hilbert", "--builtin", "v3", "--q", "-1",
+                       "--max-degree", "6")
+    assert code == 0
+    assert "total: 12" in out
 
 
 def test_v4_builtin(capsys):

@@ -86,6 +86,13 @@ def test_smith_normal_form_examples():
     assert smith_normal_form([[0, 0], [0, 0]], 2, 2) == []
     # divisibility chain is enforced
     assert smith_normal_form([[2, 0], [0, 3]], 2, 2) == [1, 6]
+    # pivoting on the first nonzero entry grew these entries without bound
+    # (no answer within minutes); factors checked against sympy
+    mat = [[30, 0, 0, -13, 0, 0, 0], [0, 14, 8, 0, 0, 0, 0],
+           [20, 0, -30, 0, -19, 0, 28], [0, 0, -24, 26, 14, 0, 0],
+           [0, 0, 21, 0, -26, 0, -16], [-26, 6, 23, 26, 0, 0, 0],
+           [3, 0, 0, 0, 0, 0, 0]]
+    assert smith_normal_form(mat, 7, 7) == [1, 1, 1, 1, 2, 104]
 
 
 def test_smith_normal_form_randomized():

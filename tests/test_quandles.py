@@ -1,9 +1,10 @@
 import random
+import time
 
 import pytest
 
-from nichols.groups import symmetric
-from nichols.linalg import invert_square
+from nichols.groups import conjugacy_classes, symmetric
+from nichols.linalg import InvalidInput, invert_square
 from nichols.scalars import integer, one, root_of_unity, zero
 from nichols.quandles import (
     Cochain2,
@@ -44,8 +45,11 @@ def test_axioms():
     assert not ok and "i|>i" in why
     ok, why = check_crossed_set([[0, 0], [1, 1]])
     assert not ok and "bijection" in why
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         CrossedSet([[1, 0], [1, 0]])
+    with pytest.raises(ValueError) as info:
+        CrossedSet([])
+    assert not isinstance(info.value, InvalidInput)
 
 
 def test_conjugation_crossed_sets():
@@ -64,6 +68,34 @@ def test_conjugation_crossed_sets():
     assert cyc.size == 2
     # the two three-cycles centralize each other
     assert cyc.table == ((0, 1), (0, 1))
+
+
+# The S4 class of 3-cycles under a relabelling of its eight elements.
+# Pivoting on the first nonzero entry let the entries of the Smith normal
+# form grow without bound on this table: h2 ran for minutes, against a
+# fraction of a second for the labels ``conjugation_crossed_set`` gives.
+RELABELLED_S4_3_CYCLES = [
+    [0, 5, 3, 6, 4, 7, 2, 1],
+    [7, 1, 6, 3, 2, 0, 4, 5],
+    [1, 5, 2, 6, 3, 0, 4, 7],
+    [5, 1, 4, 3, 6, 7, 2, 0],
+    [0, 7, 6, 2, 4, 1, 3, 5],
+    [1, 7, 4, 2, 3, 5, 6, 0],
+    [7, 0, 3, 4, 2, 5, 6, 1],
+    [5, 0, 2, 4, 6, 1, 3, 7],
+]
+
+
+def test_h2_of_relabelled_table_within_budget():
+    s4 = symmetric(4)
+    three_cycles = next(c for c in conjugacy_classes(s4) if len(c) == 8)
+    canonical = conjugation_crossed_set(s4, [three_cycles[0]])
+    t0 = time.time()
+    factors = h2(CrossedSet(RELABELLED_S4_3_CYCLES), 12).factors
+    elapsed = time.time() - t0
+    assert factors == [2, 2, 12, 12, 12, 12]
+    assert factors == h2(canonical, 12).factors
+    assert elapsed < 5.0, f"h2 of the relabelled table took {elapsed:.1f}s"
 
 
 def test_delta_examples():

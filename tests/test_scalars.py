@@ -181,6 +181,8 @@ def test_text_terms_roundtrip():
         assert parse_scalar(format_scalar(v), m) == v
     assert parse_scalar("-1", 4) == integer(-1)
     assert format_scalar(zero()) == "0:0"
+    with pytest.raises(ValueError):  # not ZeroDivisionError
+        parse_scalar("1/0:0", 4)
 
 
 def test_coeffs_view():
