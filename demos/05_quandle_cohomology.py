@@ -1,8 +1,9 @@
 """Crossed sets, their cochain complex, and braidings from 2-cocycles.
 
 Multiplicative cochains valued in roots of unity become integer exponent
-tables, the differentials become integer matrices, and cohomology over a
-finite cyclic coefficient group is a Smith-normal-form computation.
+tables and the differentials become integer matrices.  Cohomology over a
+finite cyclic coefficient group Z/m comes from the integer Smith normal
+forms of two differentials via the universal coefficient theorem.
 """
 
 from nichols.quandles import (

@@ -263,7 +263,11 @@ def adjoint(bp, i, vec, n):
     return left
 
 
-def nilpotency_order(bp, i, j, probe_depth=8):
+# adjoint steps probed when the formula says the order is infinite
+PROBE_DEPTH = 8
+
+
+def nilpotency_order(bp, i, j):
     """Nilpotency order of the adjoint of x_i on x_j for a diagonal pair.
 
     Takes the closed-form value r + 1 from
@@ -273,7 +277,7 @@ def nilpotency_order(bp, i, j, probe_depth=8):
     vector test, since the graded components sit inside the tensor
     coalgebra).  A mismatch raises, signalling an engine bug.  When the
     formula value is infinite the direct iteration only probes
-    ``probe_depth`` steps.
+    ``PROBE_DEPTH`` steps.
     """
     q = _pairs.is_diagonal(bp)
     if q is None:
@@ -281,7 +285,7 @@ def nilpotency_order(bp, i, j, probe_depth=8):
     if i == j:
         raise ValueError("need two distinct basis indices")
     formula = _rank2.nilpotency_order_formula(q, i, j)
-    limit = probe_depth if formula == INFINITE else int(formula)
+    limit = PROBE_DEPTH if formula == INFINITE else int(formula)
     z = {j: ONE}
     direct = None
     for k in range(1, limit + 1):

@@ -157,7 +157,13 @@ def cmd_rank2(args):
     q = pairs.is_diagonal(bp)
     if q is None or bp.dim != 2:
         raise CliError("rank2 analysis needs a 2x2 diagonal pair", EXIT_INVALID)
-    res = rank2.analyze(q)
+    try:
+        res = rank2.analyze(q)
+        a = rank2.cartan(res.q)
+    except InvalidInput as exc:
+        raise CliError(str(exc), EXIT_INVALID)
+    except ValueError:
+        a = None  # an adjoint of infinite nilpotency order
     print("matrix:", " / ".join(" ".join(format_scalar(v) for v in row)
                                 for row in res.q))
     print("conductor:", bp.conductor)
@@ -171,12 +177,11 @@ def cmd_rank2(args):
         res.hypothesis_order2])
     print("verdict:", res.verdict)
     print("condition:", res.condition if res.condition else "-")
-    try:
-        a = rank2.cartan(res.q)
+    if a is None:
+        print("cartan: undefined")
+    else:
         print("cartan:", " / ".join(" ".join(str(v) for v in row) for row in a))
         print("finite_cartan:", "yes" if rank2.finite_cartan_rank2(a) else "no")
-    except ValueError:
-        print("cartan: undefined")
     if res.warning:
         print("warning:", res.warning)
     return 0
@@ -274,14 +279,25 @@ def _cache_path(key):
 
 
 def _cache_lookup(path):
+    """The cached (dims, total, finite), or None on a miss.  Only an entry
+    of the shape ``_cache_store`` writes is a hit; anything else is
+    recomputed and overwritten."""
     if not path or not os.path.exists(path):
         return None
     try:
         with open(path) as fh:
             data = json.load(fh)
-        return data["dims"], data["total"], data["finite"]
-    except (OSError, KeyError, json.JSONDecodeError):
+    except (OSError, ValueError):
         return None
+    if not isinstance(data, dict):
+        return None
+    dims, total, finite = (data.get("dims"), data.get("total"),
+                           data.get("finite"))
+    if (isinstance(dims, list) and all(type(v) is int for v in dims)
+            and (total is None or type(total) is int)
+            and (finite is True or finite is None)):
+        return dims, total, finite
+    return None
 
 
 def _cache_store(path, dims, total, finite):

@@ -14,8 +14,9 @@ from .scalars import ONE
 class InvalidInput(ValueError):
     """Input that parses but is mathematically invalid: a map that fails
     the braid equation, a braiding that is not invertible, group-like
-    actions that do not match the braiding, or a table that fails a
-    crossed-set axiom."""
+    actions that do not match the braiding, a table that fails a
+    crossed-set axiom, or a diagonal entry that is neither 1 nor a root of
+    unity where a nilpotency order is asked for."""
 
 
 def encode_word(word, d):
@@ -209,41 +210,22 @@ def invert_square(columns, n):
 # ---------------------------------------------------------------------------
 # integer Smith normal form
 
-def smith_normal_form(mat, rows, cols, want_right=False):
-    """Diagonalize an integer matrix with unimodular row/column operations.
+def smith_normal_form(mat, rows, cols):
+    """Invariant factors of an integer matrix.
 
     ``mat`` is a list of ``rows`` lists of length ``cols``; it is copied.
-    Returns ``diag`` (the nonnegative invariant factors d1 | d2 | ...).
-    With ``want_right`` also returns ``(V, V_inv)``: unimodular matrices
-    with U * A * V = D for some unimodular U, and V_inv = V^-1.
+    Returns the nonzero invariant factors d1 | d2 | ..., all positive,
+    found by unimodular row and column operations.
     """
     a = [list(r) for r in mat]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    vinv = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
     def col_swap(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def col_add(dst, src, k):
-        # col dst += k * col src ; inverse op on vinv rows
         for r in a:
             r[dst] += k * r[src]
-        for r in v:
-            r[dst] += k * r[src]
-        for idx in range(cols):
-            vinv[src][idx] -= k * vinv[dst][idx]
-
-    def col_neg(i):
-        for r in a:
-            r[i] = -r[i]
-        for r in v:
-            r[i] = -r[i]
-        for idx in range(cols):
-            vinv[i][idx] = -vinv[i][idx]
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -306,7 +288,4 @@ def smith_normal_form(mat, rows, cols, want_right=False):
             break
         col_add(bad, bad + 1, 1)
         t = diagonalize()
-    diag = [a[i][i] for i in range(t)]
-    if want_right:
-        return diag, v, vinv
-    return diag
+    return [a[i][i] for i in range(t)]

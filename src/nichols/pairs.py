@@ -187,7 +187,12 @@ def _grouplike_cmap(dim, grouplikes):
 
 
 def diagonal(q):
-    """Diagonal braiding from a d x d matrix of nonzero roots of unity."""
+    """Diagonal braiding from a d x d matrix of nonzero scalars.
+
+    Any nonzero scalars build a pair, but nilpotency orders (``rank2``,
+    ``algebra.nilpotency_order``) need every diagonal entry to be 1 or a
+    root of unity, as it is for braidings over finite groups.
+    """
     d = len(q)
     q = [[_scalar(v) for v in row] for row in q]
     for row in q:

@@ -2,12 +2,14 @@
 cohomology over finite cyclic coefficient groups.
 
 Cochains X^n -> (roots of unity) are written additively as exponent tables
-modulo m, so the differentials become integer matrices and cohomology is a
-Smith-normal-form computation.  Coefficients are fixed to Z/m: computable,
-and nothing is lost for braidings of finite group type, whose cocycle
-values are roots of unity.  Cohomology with all units as coefficients is
-the directed union of these finite-cyclic answers (compute over Z/m for
-every m of interest); it is not materialized as a single object here.
+modulo m, so the differentials become integer matrices.  H^n over Z/m
+comes from the integer Smith normal forms of delta^n and delta^(n-1) via
+the universal coefficient theorem.  Coefficients are fixed to Z/m:
+computable, and nothing is lost for braidings of finite group type, whose
+cocycle values are roots of unity.  Cohomology with all units as
+coefficients is the directed union of these finite-cyclic answers
+(compute over Z/m for every m of interest); it is not materialized as a
+single object here.
 """
 
 from itertools import product as _product
@@ -209,57 +211,30 @@ class CohomologyGroup:
 
 
 def cohomology(xset, n, modulus):
-    """H^n(X; Z/m) as invariant factors, via Smith normal form.
+    """H^n(X; Z/m) as invariant factors, by the universal coefficient theorem.
 
-    The kernel of delta^n mod m is the integer lattice V diag(g) Z^a with
-    g_i = m / gcd(d_i, m) along the diagonalization of delta^n; the
-    cohomology is its quotient by the image of delta^(n-1) together with
-    m Z^a, presented in lattice coordinates and diagonalized again.
+    The integer cochain groups are free, so H^n(X; Z/m) is
+    H^n(X; Z) (x) Z/m plus Tor(H^(n+1)(X; Z), Z/m).  With a_i the invariant
+    factors of delta^n and b_i those of delta^(n-1), H^n(X; Z) is
+    Z^(|X|^n - #a - #b) plus the Z/b_i, and the torsion of H^(n+1)(X; Z) is
+    the sum of the Z/a_i; both functors send Z/k to Z/gcd(k, m).
     """
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
     a_mat = delta_matrix(xset, n)
-    rows_a = len(a_mat)
-    cols_a = len(a_mat[0])
-    diag, v, vinv = smith_normal_form(a_mat, rows_a, cols_a, want_right=True)
-    g = [modulus // gcd(d, modulus) for d in diag]
-    g += [1] * (cols_a - len(g))
-    if n == 0:
-        b_cols = []
-    else:
+    cols = len(a_mat[0])
+    a = smith_normal_form(a_mat, len(a_mat), cols)
+    b = []
+    if n > 0:
         b_mat = delta_matrix(xset, n - 1)
-        b_cols = [[b_mat[i][j] for i in range(cols_a)]
-                  for j in range(len(b_mat[0]))]
-    # relation lattice: columns of delta^(n-1) and m * identity, expressed
-    # in the kernel-lattice coordinates diag(g)^-1 V^-1 (integrality is
-    # guaranteed because both kinds of columns lie in the kernel mod m)
-    rel_cols = b_cols + [[modulus if i == j else 0 for i in range(cols_a)]
-                         for j in range(cols_a)]
-    pres = []
-    for col in rel_cols:
-        coords = []
-        for i in range(cols_a):
-            s = 0
-            row = vinv[i]
-            for j in range(cols_a):
-                if col[j]:
-                    s += row[j] * col[j]
-            if s % g[i]:
-                raise AssertionError("relation column escaped the kernel lattice")
-            coords.append(s // g[i])
-        pres.append(coords)
-    # presentation matrix: rows = lattice coordinates, columns = relations
-    mat = [[pres[j][i] for j in range(len(pres))] for i in range(cols_a)]
-    factors = smith_normal_form(mat, cols_a, len(pres))
-    if len(factors) != cols_a:
-        raise AssertionError("presentation is not full rank")
-    out = []
-    for f in factors:
-        if modulus % f:
-            raise AssertionError("invariant factor does not divide the modulus")
-        if f != 1:
-            out.append(f)
-    return CohomologyGroup(sorted(out))
+        b = smith_normal_form(b_mat, len(b_mat), len(b_mat[0]))
+    orders = [modulus] * (cols - len(a) - len(b))
+    orders += [g for g in (gcd(k, modulus) for k in b + a) if g > 1]
+    size = len(orders)
+    diag = [[k if i == j else 0 for j in range(size)]
+            for i, k in enumerate(orders)]
+    return CohomologyGroup(f for f in smith_normal_form(diag, size, size)
+                           if f > 1)
 
 
 def h1(xset, modulus):

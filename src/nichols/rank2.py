@@ -10,6 +10,7 @@ nilpotency order two.  A convenience wrapper tries both orientations,
 since concrete examples swap bases freely.
 """
 
+from .linalg import InvalidInput
 from .scalars import INFINITE, Cyc, integer, one, order
 
 
@@ -34,8 +35,16 @@ def nilpotency_order_formula(q, i, j):
 
 
 def _least_t(q, i, j):
-    """Least t >= 0 with q_ii^t q_ij q_ji = 1, or None."""
+    """Least t >= 0 with q_ii^t q_ij q_ji = 1, or None.
+
+    Exact when q_ii is a root of unity or 1 (then only t = 0 can work).
+    The search runs up to N(q_ii), so any other q_ii raises InvalidInput;
+    braidings over finite groups have roots of unity on the diagonal.
+    """
     n_ii = order(q[i][i])
+    if n_ii == INFINITE and q[i][i] != one():
+        raise InvalidInput(f"q[{i}][{i}] is neither 1 nor a root of unity; "
+                           "nilpotency orders need roots of unity")
     prod = q[i][j] * q[j][i]
     bound = 1 if n_ii == INFINITE else int(n_ii)
     p = one()

@@ -469,15 +469,6 @@ def order(q):
 # ---------------------------------------------------------------------------
 # q-numbers, evaluated from integer polynomials (they all lie in Z[q])
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 _gauss_cache = {}
 
 

@@ -15,7 +15,7 @@ from nichols.algebra import (
     relations,
 )
 from nichols.braids import apply_elt, symmetrizer
-from nichols.linalg import Echelon, decode_word, encode_word
+from nichols.linalg import Echelon, InvalidInput, decode_word, encode_word
 from nichols.scalars import (
     INFINITE,
     ONE,
@@ -23,6 +23,7 @@ from nichols.scalars import (
     one,
     order,
     q_factorial,
+    rational,
     root_of_unity,
     zero,
 )
@@ -329,6 +330,11 @@ def test_nilpotency_orders():
     assert nilpotency_order(free, 0, 1) == INFINITE
     with pytest.raises(ValueError):
         nilpotency_order(pairs.v3(integer(-1)), 0, 1)
+    # q_11 = 2 is not a root of unity: the adjoint of x_0 kills x_1 at step
+    # 2, which no bounded search for t can see, so the input is refused
+    with pytest.raises(InvalidInput):
+        nilpotency_order(pairs.diagonal(
+            [[integer(2), one()], [rational(1, 2), integer(-1)]]), 0, 1)
 
 
 def test_graded_dims_satisfy_power_lower_bound():

@@ -1,3 +1,4 @@
+import json
 import os
 import shutil
 
@@ -6,7 +7,7 @@ import pytest
 from nichols import cli
 from nichols.cli import main
 from nichols.fileio import dump_pair
-from nichols.scalars import integer, root_of_unity
+from nichols.scalars import integer, rational, root_of_unity
 from nichols import pairs
 
 
@@ -140,6 +141,18 @@ def test_rank2_output(capsys):
     assert code == 3
 
 
+def test_rank2_rejects_non_root_diagonal_entries(capsys, tmp_path):
+    half = rational(1, 2)
+    for q in ([[integer(-1), integer(1)], [half, integer(2)]],
+              [[integer(2), integer(1)], [half, integer(-1)]]):
+        path = tmp_path / "q.bp"
+        path.write_text(dump_pair(pairs.diagonal(q)))
+        code, out, err = run(capsys, "rank2", "--file", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_quandle_output(capsys):
     code, out, _ = run(capsys, "quandle", "h2", "--builtin", "dihedral3",
                        "--modulus", "6")
@@ -178,6 +191,13 @@ def test_hilbert_cache(tmp_path, capsys, monkeypatch):
     assert [p.suffix for p in cached] == [".json"]
     _, second, _ = run(capsys, *args)
     assert first == second
+    # an entry of another shape is a miss: recomputed and overwritten
+    for corrupt in ("[]", '{"dims": 5, "total": 1, "finite": true}'):
+        cached[0].write_text(corrupt)
+        code, again, err = run(capsys, *args)
+        assert code == 0 and err == ""
+        assert again == first
+        assert json.loads(cached[0].read_text())["dims"] == [1, 3, 4, 3, 1, 0]
 
 
 def test_cache_key_covers_every_module(tmp_path, monkeypatch):

@@ -98,6 +98,38 @@ def test_h2_of_relabelled_table_within_budget():
     assert elapsed < 5.0, f"h2 of the relabelled table took {elapsed:.1f}s"
 
 
+# Full factor lists the cohomology must keep: H^2(dihedral K; Z/2K) for
+# K = 3..12 and H^2 of the four non-trivial S4 classes mod 12 (in the order
+# ``conjugacy_classes`` lists them), as recorded at the seed commit, plus
+# H^0 and H^1 of dihedral4 mod 12.
+DIHEDRAL_H2 = {3: [6], 4: [2, 2, 8, 8, 8, 8], 5: [10], 6: [12, 12, 12, 12],
+               7: [14], 8: [2, 2, 16, 16, 16, 16], 9: [18],
+               10: [20, 20, 20, 20], 11: [22], 12: [2, 2, 24, 24, 24, 24]}
+S4_H2_MOD12 = [[2, 12], [2, 2, 12, 12, 12, 12], [12] * 9, [4, 12]]
+
+
+def _s4_class(idx):
+    s4 = symmetric(4)
+    classes = [c for c in conjugacy_classes(s4) if len(c) > 1]
+    return conjugation_crossed_set(s4, [classes[idx][0]])
+
+
+PINNED = (
+    [(f"h2-dihedral{k}", lambda k=k: dihedral_crossed_set(k), 2, 2 * k, f)
+     for k, f in DIHEDRAL_H2.items()]
+    + [(f"h2-s4-class{i + 1}", lambda i=i: _s4_class(i), 2, 12, f)
+       for i, f in enumerate(S4_H2_MOD12)]
+    + [("h0-dihedral4", lambda: dihedral_crossed_set(4), 0, 12, [12]),
+       ("h1-dihedral4", lambda: dihedral_crossed_set(4), 1, 12, [12, 12])])
+
+
+@pytest.mark.parametrize("make,n,modulus,factors",
+                         [case[1:] for case in PINNED],
+                         ids=[case[0] for case in PINNED])
+def test_cohomology_pinned_answers(make, n, modulus, factors):
+    assert cohomology(make(), n, modulus).factors == factors
+
+
 def test_delta_examples():
     xs = zmod3_crossed_set()
     d0 = delta_matrix(xs, 0)

@@ -4,8 +4,9 @@ import random
 import pytest
 
 from nichols.algebra import GradedComputation, adjoint, hilbert, multiply
-from nichols.linalg import Echelon
-from nichols.scalars import INFINITE, ONE, integer, one, order, root_of_unity
+from nichols.linalg import Echelon, InvalidInput
+from nichols.scalars import (INFINITE, ONE, integer, one, order, rational,
+                             root_of_unity)
 from nichols.rank2 import (
     analyze,
     analyze_best,
@@ -142,6 +143,23 @@ def test_nilpotency_formula_values():
     w = root_of_unity(3, 1)
     qls = [[w, w], [w ** -1, w]]
     assert nilpotency_order_formula(qls, 0, 1) == 1
+
+
+def test_non_root_diagonal_entry_is_invalid():
+    # q_22 = 2: the least t with 2^t (1/2) = 1 is 1, which a search bounded
+    # by N(q_22) never reaches, so the formula refuses instead of answering
+    q = [[integer(-1), one()], [rational(1, 2), integer(2)]]
+    with pytest.raises(InvalidInput):
+        nilpotency_order_formula(q, 1, 0)
+    with pytest.raises(InvalidInput):
+        analyze(q)
+    with pytest.raises(InvalidInput):
+        cartan([[integer(2), one()], [rational(1, 2), integer(-1)]])
+    # q_ii = 1 stays exact: t = 0 or no t at all
+    assert nilpotency_order_formula([[one(), one()], [one(), integer(2)]],
+                                    0, 1) == 1
+    assert nilpotency_order_formula([[one(), integer(2)], [one(), one()]],
+                                    0, 1) == INFINITE
 
 
 def test_r_of_and_screen():
