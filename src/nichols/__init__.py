@@ -3,10 +3,11 @@
 The package builds braided pairs of finite group type (diagonal matrices,
 crossed-set cocycle braidings, induced modules over finite groups, and the
 hand-picked three- and four-dimensional families), computes the graded
-components of their Nichols algebras inside the tensor coalgebra, extracts
-relation bases and skew derivations, analyses rank-2 diagonal braidings
-through adjoint nilpotency orders, and computes crossed-set cohomology over
-finite cyclic coefficients.  All arithmetic is exact, over cyclotomic fields.
+components of their Nichols algebras through their skew derivations (with
+tensor-coalgebra coordinates on request), extracts relation bases,
+analyses rank-2 diagonal braidings through adjoint nilpotency orders, and
+computes crossed-set cohomology over finite cyclic coefficients.  All
+arithmetic is exact, over cyclotomic fields.
 """
 
 from .scalars import (

@@ -1,20 +1,50 @@
-"""Graded components of the Nichols algebra of a braided pair, inside the
-tensor coalgebra: bases, Hilbert series, symmetrizer kernels, relation
-bases, skew derivations, shuffle multiplication, and the braided adjoint.
+"""Graded components of the Nichols algebra of a braided pair: bases,
+Hilbert series, symmetrizer kernels, relation bases, skew derivations,
+shuffle multiplication, and the braided adjoint.
 
-The degree-n component is the image of the quantum symmetrizer.  It is
-never materialized as a d^n x d^n matrix: since the algebra is generated
-in degree one, the component is spanned by T_(1,n-1)(x_i (x) b) over the
-degree-(n-1) basis vectors b, which costs d * dim bases of sparse vectors
-per degree.  Symmetrizer kernels come from the row space instead: the
-transpose of the degree-n symmetrizer is the degree-n symmetrizer of the
-transposed braiding, so the kernel falls out of the reduced echelon basis
-computed for that pair, and stays sparse (each kernel vector touches at
-most rank+1 coordinates).
+The degree-n component B_n sits in the tensor coalgebra as the image of
+the quantum symmetrizer, but the engine stores it through its skew
+derivations.  For y a basis letter, d_y strips a last tensor letter y, and
+u = sum_y d_y(u) (x) x_y, so in positive degree Phi(u) = (d_y u)_y is an
+exact, injective image of u in B_(n-1)^d: an element of positive degree
+vanishes in the Nichols algebra iff every d_y kills it
+(Andruskiewitsch-Schneider, Pointed Hopf algebras, MSRI Publ. 43, 2002).
+Degree n is an echelon basis of Phi-vectors, the value of d_y being
+written in the basis of B_(n-1) at key y * dim(n-1) + b; that basis is
+the reduced echelon rows of degree n-1, and the coordinates of any
+element are its entries at their pivot keys.
+
+The algebra is generated in degree one, so B_n is spanned by the products
+x_i . e_b over the basis e_b of B_(n-1), and the skew Leibniz rule gives
+
+    d_y(x_i . u) = x_i . d_y(u) + beta_(i,y)(u),
+
+where c(x_i (x) u) = sum_y beta_(i,y)(u) (x) x_y is x_i crossed over all
+of u.  When degree n+1 is asked for, degree n gets the left
+multiplications L_i: B_(n-1) -> B_n and the crossings beta_(i,y): B_n ->
+B_n as dim-by-dim coordinate maps, which replace those of degree n-1 (the
+top degree needs only its rank); the crossings follow from the braiding C
+one degree down,
+
+    d_k beta_(i,y)(u) = sum_(w,z) C[(w,z) -> (k,y)] beta_(i,w)(d_z u),
+
+and maps that vanish identically are not stored, so a braiding of group
+type, where beta_(i,y) = 0 for y != i, carries d maps instead of d^2.
+
+Tensor coordinates are built only on request (``degree_basis``,
+``kernel_basis``), from u = sum_y d_y(u) (x) x_y.  Symmetrizer kernels come
+from the row space: the transpose of the degree-n symmetrizer is the
+degree-n symmetrizer of the transposed braiding, so the kernel falls out
+of the reduced echelon basis of the transposed pair's component in tensor
+coordinates, and stays sparse (each kernel vector touches at most rank+1
+coordinates).
 """
 
+from collections import namedtuple
+from time import perf_counter
+
 from .braids import apply_elt, sigma_pass, t1_apply, t_shuffle
-from .linalg import Echelon, decode_word
+from .linalg import Echelon, decode_word, vec_add_into
 from .scalars import INFINITE, ONE
 from . import pairs as _pairs
 from . import rank2 as _rank2
@@ -32,12 +62,32 @@ class HilbertResult:
         return f"HilbertResult(dims={self.dims}, total={self.total}, finite={self.finite})"
 
 
-class GradedComputation:
-    """Per-degree echelon bases of the graded components, with caches for
-    the transposed pair (row spaces), kernels, and relation bases.
+class DegreeStats(namedtuple(
+        "DegreeStats", "degree candidates rank nonzeros seconds")):
+    """What computing one degree cost: the candidates inserted, the rank
+    they reached, the nonzeros of the rows as inserted and the seconds
+    taken (degree 0 is given, not computed, and costs nothing)."""
 
-    Treat instances as single-writer: all public functions taking a cache
-    mutate only the one they are given.
+    __slots__ = ()
+
+
+def _apply(cols, vec):
+    """A coordinate map (``cols[b]`` the sparse image of basis vector b)
+    applied to a sparse coordinate vector."""
+    out = {}
+    for b, s in vec.items():
+        vec_add_into(out, cols[b], None if s.is_one() else s)
+    return out
+
+
+class GradedComputation:
+    """Per-degree echelon bases of the graded components in derivation
+    coordinates, with caches for tensor coordinates, the transposed pair
+    (row spaces), kernels, and relation bases.
+
+    ``stats[n]`` records the cost of degree n.  Treat instances as
+    single-writer: all public functions taking a cache mutate only the one
+    they are given.
     """
 
     def __init__(self, bp):
@@ -45,13 +95,26 @@ class GradedComputation:
         ech0 = Echelon()
         ech0.insert({0: ONE})
         self.bases = [ech0]
+        self.stats = [DegreeStats(0, 0, 1, 1, 0.0)]
+        # candidate Phi-vectors x_i . e_b of the newest degree, [i][b]
+        self._cands = None
+        # the last prepared degree n, all the next degree needs: d_z of
+        # each basis vector, [b][z]; the maps L_i: B_(n-1) -> B_n as [i][c];
+        # the nonzero crossings beta_(i,y) on B_n as {(i, y): [b]}.  Degree
+        # 0 has no derivatives and the crossing c(x_i (x) 1) = 1 (x) x_i.
+        self._derivs = [{}]
+        self._left = None
+        self._betas = {(i, i): [{0: ONE}] for i in range(bp.dim)}
+        # tensor coordinates of the basis of each degree, built on request
+        self._tensor = [[{0: ONE}]]
         self._transposed = None
         self.kernels = {}
         self.relation_bases = {}
         self.leading_words = {}
 
     def basis(self, n):
-        """Echelon basis of the degree-n component (computed on demand)."""
+        """Echelon basis of the degree-n component in derivation
+        coordinates (computed on demand)."""
         while len(self.bases) <= n:
             self._extend()
         return self.bases[n]
@@ -60,22 +123,103 @@ class GradedComputation:
         return self.basis(n).rank
 
     def _extend(self):
+        t0 = perf_counter()
         n = len(self.bases)
+        d = self.bp.dim
+        if n > 1:
+            self._prepare(n - 1)
+        derivs, left, betas = self._derivs, self._left, self._betas
+        size = len(derivs)
+        cands = []
+        for i in range(d):
+            row = []
+            for b in range(size):
+                vec = {}
+                for y in range(d):
+                    low = derivs[b].get(y)
+                    part = _apply(left[i], low) if low else {}
+                    cross = betas.get((i, y))
+                    if cross:
+                        vec_add_into(part, cross[b])
+                    shift = y * size
+                    for c, s in part.items():
+                        vec[shift + c] = s
+                row.append(vec)
+            cands.append(row)
+        self._cands = cands
+        # sparsest first: less fill while eliminating, about half the time
+        # on wide components
+        ech = Echelon()
+        for vec in sorted((v for row in cands for v in row), key=len):
+            ech.insert(vec)
+        self.bases.append(ech)
+        nonzeros = sum(len(r) for r in ech.rows.values())
+        self.stats.append(DegreeStats(n, d * size, ech.rank, nonzeros,
+                                      perf_counter() - t0))
+
+    def _prepare(self, n):
+        """Fix the basis of the newest degree n as its reduced echelon rows
+        and derive its derivatives, left multiplications and crossings."""
         bp = self.bp
         d = bp.dim
-        prev = self.bases[n - 1]
+        ech = self.bases[n].rref()
+        pivots = ech.pivots()
+        index = {p: b for b, p in enumerate(pivots)}
+        size = len(self._derivs)
+        derivs = []
+        for p in pivots:
+            split = {}
+            for k, s in ech.rows[p].items():
+                split.setdefault(k // size, {})[k % size] = s
+            derivs.append(split)
+        left = [[{index[k]: s for k, s in v.items() if k in index}
+                 for v in row] for row in self._cands]
+        self._cands = None
+        # Phi-vectors of beta_(i,y)(e_b), kept at pivot keys only
+        betas = {}
+        for (i, w), cross in self._betas.items():
+            for b, split in enumerate(derivs):
+                for z, low in split.items():
+                    img = _apply(cross, low)
+                    for ky, s in bp.cmap[w * d + z]:
+                        k, y = divmod(ky, d)
+                        shift = k * size
+                        part = {index[shift + c]: t for c, t in img.items()
+                                if shift + c in index}
+                        if part:
+                            cols = betas.setdefault((i, y),
+                                                    [{} for _ in derivs])
+                            vec_add_into(cols[b], part, s)
+        self._betas = {key: cols for key, cols in betas.items() if any(cols)}
+        self._derivs, self._left = derivs, left
+
+    def _tensor_basis(self, n):
+        """The basis vectors of degree n (the reduced echelon rows) in
+        tensor coordinates, from u = sum_y d_y(u) (x) x_y."""
+        while len(self._tensor) <= n:
+            m = len(self._tensor)
+            d = self.bp.dim
+            low = self._tensor[m - 1]
+            size = len(low)
+            ech = self.basis(m).rref()
+            out = []
+            for p in ech.pivots():
+                vec = {}
+                for k, s in ech.rows[p].items():
+                    y, c = divmod(k, size)
+                    tail = {w * d + y: t for w, t in low[c].items()}
+                    vec_add_into(vec, tail, None if s.is_one() else s)
+                out.append(vec)
+            self._tensor.append(out)
+        return self._tensor[n]
+
+    def tensor_echelon(self, n):
+        """Reduced echelon basis of the degree-n component in tensor
+        coordinates."""
         ech = Echelon()
-        if prev.rank:
-            shift = d ** (n - 1)
-            cands = []
-            for row in prev.rows.values():
-                for i in range(d):
-                    base = i * shift
-                    cands.append({base + w: c for w, c in row.items()})
-            cands.sort(key=min)
-            for vec in cands:
-                ech.insert(t1_apply(bp, vec, n))
-        self.bases.append(ech)
+        for vec in self._tensor_basis(n):
+            ech.insert(vec)
+        return ech.rref()
 
     def transposed(self):
         if self._transposed is None:
@@ -84,12 +228,10 @@ class GradedComputation:
 
 
 def degree_basis(bp, n, cache=None):
-    """Canonical reduced-echelon basis of the degree-n component, as a list
-    of sparse vectors in increasing pivot order."""
+    """Canonical reduced-echelon basis of the degree-n component in tensor
+    coordinates, as a list of sparse vectors in increasing pivot order."""
     cache = cache or GradedComputation(bp)
-    ech = cache.basis(n)
-    ech.rref()
-    return ech.sorted_rows()
+    return cache.tensor_echelon(n).sorted_rows()
 
 
 def hilbert(bp, max_degree, cache=None):
@@ -117,7 +259,7 @@ def kernel_basis(bp, n, cache=None):
     cache = cache or GradedComputation(bp)
     got = cache.kernels.get(n)
     if got is None:
-        ech = cache.transposed().basis(n)
+        ech = cache.transposed().tensor_echelon(n)
         got = ech.nullspace(range(bp.dim ** n))
         cache.kernels[n] = got
     return got

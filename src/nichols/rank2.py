@@ -34,17 +34,23 @@ def nilpotency_order_formula(q, i, j):
     return int(min(t, n_ii - 1)) + 1
 
 
-def _least_t(q, i, j):
-    """Least t >= 0 with q_ii^t q_ij q_ji = 1, or None.
-
-    Exact when q_ii is a root of unity or 1 (then only t = 0 can work).
-    The search runs up to N(q_ii), so any other q_ii raises InvalidInput;
-    braidings over finite groups have roots of unity on the diagonal.
-    """
+def _require_root(q, i):
+    """N(q_ii), raising InvalidInput unless q_ii is 1 or a root of unity;
+    braidings over finite groups have roots of unity on the diagonal."""
     n_ii = order(q[i][i])
     if n_ii == INFINITE and q[i][i] != one():
         raise InvalidInput(f"q[{i}][{i}] is neither 1 nor a root of unity; "
                            "nilpotency orders need roots of unity")
+    return n_ii
+
+
+def _least_t(q, i, j):
+    """Least t >= 0 with q_ii^t q_ij q_ji = 1, or None.
+
+    Exact when q_ii is a root of unity or 1 (then only t = 0 can work).
+    The search runs up to N(q_ii), so any other q_ii raises InvalidInput.
+    """
+    n_ii = _require_root(q, i)
     prod = q[i][j] * q[j][i]
     bound = 1 if n_ii == INFINITE else int(n_ii)
     p = one()
@@ -88,11 +94,13 @@ class Rank2Analysis:
 
 
 def analyze(q):
-    """Full rank-2 analysis of a 2 x 2 diagonal braiding matrix."""
+    """Full rank-2 analysis of a 2 x 2 diagonal braiding matrix.  Raises
+    InvalidInput for a diagonal entry that is neither 1 nor a root of
+    unity, as ``cartan`` does."""
     q = _scalar_matrix(q)
     if len(q) != 2 or any(len(row) != 2 for row in q):
         raise ValueError("analyze needs a 2 x 2 matrix")
-    n1, n2 = order(q[0][0]), order(q[1][1])
+    n1, n2 = _require_root(q, 0), _require_root(q, 1)
     qls = is_qls(q)
     if qls is not None:
         return Rank2Analysis(q=q, N1=n1, N2=n2, t=0, r=0, M=[], bound=qls,

@@ -395,4 +395,5 @@ def test_criterion_14_oracle_equivalence():
                 ech.insert(apply_elt(bp, sym, {word: ONE}, n))
             assert cache.dim(n) == ech.rank, (bp, n)
     report(14, time.time() - t0, 300.0,
-           "image iteration equals brute-force symmetrizer ranks to degree 4")
+           "derivation-coordinate engine equals brute-force symmetrizer "
+           "ranks to degree 4")

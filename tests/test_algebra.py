@@ -363,11 +363,34 @@ def test_transpose_has_the_same_graded_dimensions():
             assert a.dim(n) == b.dim(n)
 
 
+def test_stats_record_each_computed_degree():
+    bp = pairs.v3(integer(-1))
+    cache = GradedComputation(bp)
+    cache.dim(3)
+    # the newest degree is not reduced further, so its count is current
+    assert cache.stats[3].nonzeros == sum(
+        len(r) for r in cache.bases[3].rows.values()) > 0
+    hilbert(bp, 8, cache)
+    stats = cache.stats
+    assert [s.degree for s in stats] == list(range(6))
+    assert [s.rank for s in stats] == [1, 3, 4, 3, 1, 0]
+    # d * dim(n - 1) products x_i . e_b per degree
+    assert [s.candidates for s in stats] == [0, 3, 9, 12, 9, 3]
+    # a row has its pivot and at most d * dim(n - 1) derivation coordinates
+    assert all(s.rank <= s.nonzeros <= s.rank * s.candidates
+               for s in stats[1:])
+    assert all(s.seconds >= 0 for s in stats)
+    cache.dim(4)
+    assert len(cache.stats) == 6
+
+
 def test_derivation_lands_in_lower_component():
     for bp in (pairs.v3(integer(-1)), pairs.v4(integer(-1), integer(1))):
         cache = GradedComputation(bp)
         for n in (2, 3, 4):
-            lower = cache.basis(n - 1)
+            lower = Echelon()
+            for row in degree_basis(bp, n - 1, cache):
+                lower.insert(row)
             for row in degree_basis(bp, n, cache):
                 for y in range(bp.dim):
                     img = derivation(bp, y, row, n)

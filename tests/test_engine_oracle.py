@@ -1,0 +1,149 @@
+"""The derivation-coordinate engine against the image iteration it
+replaced, kept here as an oracle: B_n is the span of T_(1,n-1)(x_i (x) b)
+over a tensor-coordinate basis of B_(n-1), one ``t1_apply`` per candidate.
+"""
+
+import time
+
+import pytest
+
+from nichols import pairs
+from nichols.algebra import (
+    GradedComputation,
+    degree_basis,
+    hilbert,
+    kernel_basis,
+    new_leading_words,
+    relations,
+)
+from nichols.braids import t1_apply
+from nichols.linalg import Echelon
+from nichols.scalars import ONE, format_scalar, integer, root_of_unity
+
+MINUS, PLUS = integer(-1), integer(1)
+
+
+def image_iteration(bp, top):
+    """Tensor-coordinate echelon bases of B_0, ..., B_top."""
+    d = bp.dim
+    ech = Echelon()
+    ech.insert({0: ONE})
+    out = [ech]
+    for n in range(1, top + 1):
+        shift = d ** (n - 1)
+        cands = [{i * shift + w: c for w, c in row.items()}
+                 for row in out[-1].rows.values() for i in range(d)]
+        ech = Echelon()
+        for vec in sorted(cands, key=min):
+            ech.insert(t1_apply(bp, vec, n))
+        out.append(ech)
+    return out
+
+
+def text(rows):
+    """Rows as the CLI prints them: sorted keys, scalar tokens."""
+    return [[(k, format_scalar(c)) for k, c in sorted(row.items())]
+            for row in rows]
+
+
+def qls(orders):
+    d = len(orders)
+    return pairs.diagonal([[root_of_unity(orders[i], 1) if i == j else PLUS
+                            for j in range(d)] for i in range(d)])
+
+
+def v4_m1_p1():
+    return pairs.v4(MINUS, PLUS)
+
+
+def ms_d4():
+    return pairs.two_by_two(MINUS, MINUS, PLUS, PLUS, PLUS, PLUS)
+
+
+def c6_b2():
+    w = root_of_unity(3, 1)
+    return pairs.diagonal([[MINUS, w], [MINUS, w]])
+
+
+def v4_m1_m1():
+    return pairs.v4(MINUS, MINUS)
+
+
+def v3_z3():
+    return pairs.v3(root_of_unity(3, 1))
+
+
+def v3_z6():
+    return pairs.v3(root_of_unity(6, 1))
+
+
+def transposed(build):
+    return lambda: pairs.transpose(build())
+
+
+# name, pair, oracle degree, kernel and relation degree (None: no check);
+# the degrees keep the whole oracle side near 3 s
+DIFFERENTIAL = [
+    ("v4_m1_p1", v4_m1_p1, 7, 6),
+    ("ms-d4", ms_d4, 7, None),
+    ("c6-b2", c6_b2, 11, None),
+    ("qls-444", lambda: qls((4, 4, 4)), 7, None),
+    ("qls-345", lambda: qls((3, 4, 5)), 7, None),
+    ("qls-555", lambda: qls((5, 5, 5)), 7, None),
+    ("v3-z3", v3_z3, 5, 5),
+    ("v3-z6", v3_z6, 5, 5),
+    ("v4_m1_m1", v4_m1_m1, 5, 4),
+    ("T-v4_m1_p1", transposed(v4_m1_p1), 7, None),
+    ("T-v3-z3", transposed(v3_z3), 5, None),
+    ("T-v3-z6", transposed(v3_z6), 5, None),
+    ("T-v4_m1_m1", transposed(v4_m1_m1), 5, None),
+]
+
+
+@pytest.mark.parametrize("name,build,top,ktop", DIFFERENTIAL,
+                         ids=[c[0] for c in DIFFERENTIAL])
+def test_engine_matches_image_iteration(name, build, top, ktop):
+    bp = build()
+    cache = GradedComputation(bp)
+    oracle = image_iteration(bp, top)
+    for n, ech in enumerate(oracle):
+        assert cache.dim(n) == ech.rank, (name, n)
+        assert text(degree_basis(bp, n, cache)) == text(
+            ech.rref().sorted_rows()), (name, n)
+    if ktop is None:
+        return
+    # the oracle's kernels feed the same relation code, so relations and
+    # leading words differ only if the kernels do
+    d = bp.dim
+    oracle_cache = GradedComputation(bp)
+    transposed_oracle = image_iteration(pairs.transpose(bp), ktop)
+    for n in range(2, ktop + 1):
+        kernel = transposed_oracle[n].nullspace(range(d ** n))
+        oracle_cache.kernels[n] = kernel
+        assert text(kernel_basis(bp, n, cache)) == text(kernel), (name, n)
+    for n in range(2, ktop + 1):
+        assert text(relations(bp, n, cache)) == text(
+            relations(bp, n, oracle_cache)), (name, n)
+        assert new_leading_words(bp, n, cache) == new_leading_words(
+            bp, n, oracle_cache), (name, n)
+
+
+# the full dims of the benchmark panel, at its degrees
+PANEL = [
+    (v4_m1_p1, 12, [1, 4, 8, 11, 12, 12, 11, 8, 4, 1, 0]),
+    (ms_d4, 10, [1, 4, 8, 12, 14, 12, 8, 4, 1, 0]),
+    (c6_b2, 12, [1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1, 0]),
+    (lambda: qls((4, 4, 4)), 10, [1, 3, 6, 10, 12, 12, 10, 6, 3, 1, 0]),
+    (lambda: qls((3, 4, 5)), 11, [1, 3, 6, 9, 11, 11, 9, 6, 3, 1, 0]),
+    (lambda: qls((5, 5, 5)), 10, [1, 3, 6, 10, 15, 18, 19, 18, 15, 10, 6]),
+    (v3_z3, 6, [1, 3, 9, 21, 50, 111, 245]),
+    (v3_z6, 6, [1, 3, 7, 15, 31, 63, 121]),
+    (v4_m1_m1, 6, [1, 4, 12, 36, 104, 292, 802]),
+]
+
+
+def test_panel_dims_at_bench_degrees():
+    t0 = time.time()
+    for build, degree, dims in PANEL:
+        assert hilbert(build(), degree).dims == dims
+    assert time.time() - t0 < 60.0

@@ -162,6 +162,17 @@ def test_non_root_diagonal_entry_is_invalid():
                                     0, 1) == INFINITE
 
 
+def test_analyze_rejects_non_root_diagonal_entries():
+    # refused up front, also on the QLS shortcut and on the N(q_11)-infinite
+    # early return, which never reach the formula, as cartan refuses them
+    for q in ([[integer(2), one()], [one(), integer(2)]],
+              [[integer(2), one()], [integer(3), integer(-1)]]):
+        with pytest.raises(InvalidInput):
+            analyze(q)
+        with pytest.raises(InvalidInput):
+            cartan(q)
+
+
 def test_r_of_and_screen():
     assert r_of(8) == 3
     assert abs(r_of(12) - math.log2(12)) < 1e-12
