@@ -45,7 +45,7 @@ from time import perf_counter
 
 from .braids import apply_elt, sigma_pass, t1_apply, t_shuffle
 from .linalg import Echelon, decode_word, vec_add_into
-from .scalars import INFINITE, ONE
+from .scalars import INFINITE, MINUS_ONE, ONE
 from . import pairs as _pairs
 from . import rank2 as _rank2
 
@@ -347,17 +347,8 @@ def derivation(bp, y, vec, n):
     if n < 1:
         raise ValueError("derivations act on positive degrees")
     d = bp.dim
-    out = {}
-    for w, c in vec.items():
-        if w % d == y:
-            key = w // d
-            cur = out.get(key)
-            t = c if cur is None else cur + c
-            if t:
-                out[key] = t
-            elif cur is not None:
-                del out[key]
-    return out
+    # w -> w // d is injective on the words ending in y: nothing accumulates
+    return {w // d: c for w, c in vec.items() if w % d == y}
 
 
 def multiply(bp, a, b, i, j):
@@ -395,13 +386,7 @@ def adjoint(bp, i, vec, n):
     for k in range(1, n + 1):
         crossed = sigma_pass(bp.cmap, d, n + 1, crossed, k)
     right = apply_elt(bp, t_shuffle(n, 1), crossed, n + 1)
-    for w, c in right.items():
-        cur = left.get(w)
-        t = -c if cur is None else cur - c
-        if t:
-            left[w] = t
-        elif cur is not None:
-            del left[w]
+    vec_add_into(left, right, MINUS_ONE)
     return left
 
 

@@ -131,13 +131,7 @@ class GroupAlgElt:
     def __add__(self, other):
         self._check(other)
         terms = dict(self.terms)
-        for w, c in other.terms.items():
-            cur = terms.get(w)
-            t = c if cur is None else cur + c
-            if t:
-                terms[w] = t
-            elif cur is not None:
-                del terms[w]
+        vec_add_into(terms, other.terms)
         return GroupAlgElt(self.strands, terms)
 
     def __sub__(self, other):
@@ -151,15 +145,8 @@ class GroupAlgElt:
             self._check(other)
             terms = {}
             for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    w = w1 + w2
-                    c = c1 * c2
-                    cur = terms.get(w)
-                    t = c if cur is None else cur + c
-                    if t:
-                        terms[w] = t
-                    elif cur is not None:
-                        del terms[w]
+                vec_add_into(terms, {w1 + w2: c2 for w2, c2
+                                     in other.terms.items()}, c1)
             return GroupAlgElt(self.strands, terms)
         return GroupAlgElt(self.strands,
                            {w: c * other for w, c in self.terms.items()})
@@ -280,6 +267,9 @@ def sigma_pass(cmap, d, n, terms, k):
     for w, c in terms.items():
         pair = (w // shift) % dd
         base = w - pair * shift
+        # inline rather than vec_add_into: this is the inner loop of
+        # apply_elt (verify) and of pair validation, where one call per
+        # term costs time
         for kl, s in cmap[pair]:
             t = c * s
             if not t:

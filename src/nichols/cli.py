@@ -132,7 +132,8 @@ def cmd_hilbert(args):
     print("total:", total if total is not None else "unknown")
     print("finite:", "yes" if finite else "unknown")
     if args.require_finite and not finite:
-        return EXIT_NO_VERDICT
+        raise CliError(f"no finiteness verdict up to degree {args.max_degree}",
+                       EXIT_NO_VERDICT)
     return 0
 
 
@@ -380,11 +381,12 @@ def _validate_options(args):
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
 
-    for name in ("max_degree", "degree", "modulus", "count", "max_order",
-                 "max_n"):
+    for name in ("max_degree", "degree", "modulus", "count", "max_n"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             bail(f"{name.replace('_', '-')} must be nonnegative")
+    if getattr(args, "max_order", None) is not None and args.max_order < 1:
+        bail("max-order must be at least 1")
     if getattr(args, "degree", None) is not None and args.degree < 2:
         bail("relations start in degree 2")
     if getattr(args, "modulus", None) is not None and args.modulus < 2:

@@ -20,6 +20,8 @@ class FiniteGroup:
         n = len(table)
         if any(len(row) != n for row in table):
             raise ValueError("multiplication table must be square")
+        if any(not 0 <= v < n for row in table for v in row):
+            raise ValueError(f"table entries must lie in 0..{n - 1}")
         self.order = n
         self.table = table
         self.name = name

@@ -105,6 +105,8 @@ class Echelon:
                 out[k] = c
                 continue
             nc = -c
+            # inline rather than vec_add_into: this is the inner loop of
+            # elimination, and new keys must also enter the heap
             for u, s in row.items():
                 if u == k:
                     continue

@@ -14,8 +14,8 @@ equivalent to the dual-map condition.
 
 from math import gcd as _gcd
 
-from .linalg import InvalidInput, invert_square
-from .scalars import ONE, Cyc, one, zero
+from .linalg import InvalidInput, invert_square, vec_add_into
+from .scalars import ONE, as_matrix, as_scalar, one, zero
 from . import braids
 from . import groups as _groups
 
@@ -194,7 +194,7 @@ def diagonal(q):
     root of unity, as it is for braidings over finite groups.
     """
     d = len(q)
-    q = [[_scalar(v) for v in row] for row in q]
+    q = as_matrix(q)
     for row in q:
         if len(row) != d:
             raise ValueError("matrix must be square")
@@ -211,19 +211,10 @@ def diagonal(q):
                        kind="diagonal", params={"q": q})
 
 
-def _scalar(v):
-    if isinstance(v, Cyc):
-        return v
-    from .scalars import integer
-    if isinstance(v, int):
-        return integer(v)
-    raise TypeError(f"expected a scalar, got {v!r}")
-
-
 def v3(q):
     """The three-dimensional pair with basis indexed by Z/3 and braiding
     c(x_i (x) x_j) = q x_(-i-j) (x) x_i."""
-    q = _scalar(q)
+    q = as_scalar(q)
     d = 3
     grouplikes = []
     for i in range(d):
@@ -249,8 +240,8 @@ def v4(q, alpha):
     """The four-dimensional family V_(4,q,alpha): c(x_a (x) x_b) =
     (t_a . x_b) (x) x_a with the monomial actions t_a . x_b = q alpha^e x_c
     tabulated in _V4_TABLE."""
-    q = _scalar(q)
-    alpha = _scalar(alpha)
+    q = as_scalar(q)
+    alpha = as_scalar(alpha)
     if alpha != one() and alpha != -one():
         raise ValueError("alpha must be 1 or -1")
     d = 4
@@ -270,9 +261,9 @@ def two_by_two(q1, q2, eta1, eta2, beta1, beta2):
     group: basis (x1, x1', x2, x2'), block matrices
     [[q_i, eta_i q_i], [eta_i q_i, q_i]] and the eight cross formulas, with
     alpha_i = beta_i^2 (the square root is the caller's explicit choice)."""
-    q1, q2 = _scalar(q1), _scalar(q2)
-    eta1, eta2 = _scalar(eta1), _scalar(eta2)
-    beta1, beta2 = _scalar(beta1), _scalar(beta2)
+    q1, q2 = as_scalar(q1), as_scalar(q2)
+    eta1, eta2 = as_scalar(eta1), as_scalar(eta2)
+    beta1, beta2 = as_scalar(beta1), as_scalar(beta2)
     for eta in (eta1, eta2):
         if eta != one() and eta != -one():
             raise ValueError("eta must be 1 or -1")
@@ -311,7 +302,7 @@ def two_by_two_z_basis(beta1, beta2):
     """Change-of-basis matrix to the eigenvector basis z_eps = beta1 x1 +
     eps x1', z'_eps = beta2 x2 + eps x2', ordered as the two blocks
     (z_+, z'_-, z_-, z'_+); columns express the new basis in the old."""
-    beta1, beta2 = _scalar(beta1), _scalar(beta2)
+    beta1, beta2 = as_scalar(beta1), as_scalar(beta2)
     z = zero()
     e = one()
     return [
@@ -395,11 +386,11 @@ def direct_sum(a, b, cross_ab, cross_ba):
     d = da + db
 
     def expand(entry, size):
-        if isinstance(entry, Cyc) or isinstance(entry, int):
-            s = _scalar(entry)
-            return [[s if i == j else zero() for j in range(size)]
-                    for i in range(size)]
-        return [[_scalar(v) for v in row] for row in entry]
+        if isinstance(entry, (list, tuple)):
+            return as_matrix(entry)
+        s = as_scalar(entry)
+        return [[s if i == j else zero() for j in range(size)]
+                for i in range(size)]
 
     cross_ab = [expand(e, db) for e in cross_ab]
     cross_ba = [expand(e, da) for e in cross_ba]
@@ -449,58 +440,26 @@ def change_basis(bp, p_matrix):
     type in the new basis, else dropped.
     """
     d = bp.dim
-    cols = {j: {i: _scalar(p_matrix[i][j]) for i in range(d)
-                if _scalar(p_matrix[i][j])} for j in range(d)}
+    p_matrix = as_matrix(p_matrix)
+    cols = {j: {i: p_matrix[i][j] for i in range(d) if p_matrix[i][j]}
+            for j in range(d)}
     inv = invert_square(cols, d)
 
-    def p_entry(i, j):
-        return cols.get(j, {}).get(i, zero())
-
-    def pinv_entry(i, j):
-        return inv.get(j, {}).get(i, zero())
+    def tensor_col(m, k, l):
+        # column (k, l) of M (x) M, for M given by its sparse columns
+        return {u * d + v: mu * mv for u, mu in sorted(m.get(k, {}).items())
+                for v, mv in sorted(m.get(l, {}).items())}
 
     cmap = [[] for _ in range(d * d)]
     for i in range(d):
         for j in range(d):
             # image of y_i (x) y_j: push forward, braid, pull back
             acc = {}
-            for a in range(d):
-                pa = p_entry(a, i)
-                if not pa:
-                    continue
-                for b in range(d):
-                    pb = p_entry(b, j)
-                    if not pb:
-                        continue
-                    for kl, c in bp.cmap[a * d + b]:
-                        cur = acc.get(kl)
-                        t = pa * pb * c
-                        if cur is not None:
-                            t = cur + t
-                        if t:
-                            acc[kl] = t
-                        elif cur is not None:
-                            del acc[kl]
+            for ab, s in tensor_col(cols, i, j).items():
+                vec_add_into(acc, dict(bp.cmap[ab]), s)
             out = {}
             for kl, c in acc.items():
-                k, l = divmod(kl, d)
-                for u in range(d):
-                    pu = pinv_entry(u, k)
-                    if not pu:
-                        continue
-                    for v in range(d):
-                        pv = pinv_entry(v, l)
-                        if not pv:
-                            continue
-                        key = u * d + v
-                        cur = out.get(key)
-                        t = pu * pv * c
-                        if cur is not None:
-                            t = cur + t
-                        if t:
-                            out[key] = t
-                        elif cur is not None:
-                            del out[key]
+                vec_add_into(out, tensor_col(inv, *divmod(kl, d)), c)
             cmap[i * d + j] = list(out.items())
     grouplikes = _detect_grouplikes(d, cmap)
     return BraidedPair(d, cmap, grouplikes, kind="matrix",

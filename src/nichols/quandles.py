@@ -110,6 +110,8 @@ class Cochain2:
     __slots__ = ("modulus", "exponents")
 
     def __init__(self, modulus, exponents):
+        if modulus < 1:
+            raise ValueError("cochain modulus must be positive")
         self.modulus = modulus
         self.exponents = tuple(tuple(v % modulus for v in row)
                                for row in exponents)

@@ -11,14 +11,7 @@ since concrete examples swap bases freely.
 """
 
 from .linalg import InvalidInput
-from .scalars import INFINITE, Cyc, integer, one, order
-
-
-def _scalar_matrix(q):
-    out = []
-    for row in q:
-        out.append([v if isinstance(v, Cyc) else integer(v) for v in row])
-    return out
+from .scalars import INFINITE, as_matrix, integer, one, order
 
 
 def nilpotency_order_formula(q, i, j):
@@ -64,7 +57,7 @@ def _least_t(q, i, j):
 def is_qls(q):
     """If the matrix is a quantum linear space (all opposite off-diagonal
     products equal one), the dimension prod N(q_ii); else None."""
-    q = _scalar_matrix(q)
+    q = as_matrix(q)
     d = len(q)
     for i in range(d):
         for j in range(d):
@@ -97,7 +90,7 @@ def analyze(q):
     """Full rank-2 analysis of a 2 x 2 diagonal braiding matrix.  Raises
     InvalidInput for a diagonal entry that is neither 1 nor a root of
     unity, as ``cartan`` does."""
-    q = _scalar_matrix(q)
+    q = as_matrix(q)
     if len(q) != 2 or any(len(row) != 2 for row in q):
         raise ValueError("analyze needs a 2 x 2 matrix")
     n1, n2 = _require_root(q, 0), _require_root(q, 1)
@@ -171,7 +164,7 @@ def analyze_best(q):
     """Run the analysis in both basis orientations and keep the stronger
     verdict.  Returns (analysis, swapped)."""
     first = analyze(q)
-    q = _scalar_matrix(q)
+    q = as_matrix(q)
     swapped_q = [[q[1][1], q[1][0]], [q[0][1], q[0][0]]]
     second = analyze(swapped_q)
     if _VERDICT_RANK[second.verdict] > _VERDICT_RANK[first.verdict]:
@@ -182,7 +175,7 @@ def analyze_best(q):
 def cartan(q):
     """The generalized Cartan matrix a_ii = 2, a_ij = 1 - d_ij with d_ij the
     nilpotency order of the adjoint of x_i on x_j."""
-    q = _scalar_matrix(q)
+    q = as_matrix(q)
     d = len(q)
     a = [[2] * d for _ in range(d)]
     for i in range(d):

@@ -6,7 +6,10 @@ coefficient vector has length phi(m) and is stored as a tuple of integers
 over a single positive denominator, normalized so the gcd of all entries
 and the denominator is 1.  Working modulo the cyclotomic polynomial (not
 x^m - 1) keeps the structure a field, so ranks and kernels downstream are
-well defined.
+well defined.  All arithmetic is on these integer vectors: an inverse is
+the product of the other Galois conjugates divided by the rational norm,
+and ``Fraction`` appears only at the boundary (``Cyc(m, coeffs)``,
+``.coeffs`` and the coercion of plain numbers).
 
 Values with different conductors mix freely: binary operations embed both
 sides into the lcm conductor.  Zero and rational constants are shrunk to
@@ -78,46 +81,6 @@ def _powers(m, upto):
     return rows
 
 
-def _trim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a, b):
-    # over Fractions; b trimmed and nonzero
-    a = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while len(_trim(a)) >= len(b):
-        d = len(a) - len(b)
-        c = a[-1] / b[-1]
-        q[d] = c
-        for i, v in enumerate(b):
-            a[d + i] -= c * v
-    _trim(q)
-    return q, a
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] -= v
-    return _trim(out)
-
-
-def _poly_mul_frac(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
-
-
 _embed_cache = {}
 
 
@@ -164,7 +127,10 @@ def _align(a, b):
 
 
 def _normalize(m, num, den):
-    if den < 0:
+    """The canonical Cyc (num/den) at conductor m; num is any sequence."""
+    if den <= 0:
+        if not den:
+            raise ZeroDivisionError("zero denominator")
         den = -den
         num = [-v for v in num]
     g = den
@@ -197,6 +163,19 @@ def _coerce(x):
     if isinstance(x, Fraction):
         return _normalize(1, [x.numerator], x.denominator)
     return NotImplemented
+
+
+def as_scalar(x):
+    """x as a Cyc; an int, a Fraction or a Cyc, else a TypeError."""
+    c = _coerce(x)
+    if c is NotImplemented:
+        raise TypeError(f"expected an int, a Fraction or a Cyc, got {x!r}")
+    return c
+
+
+def as_matrix(rows):
+    """A matrix given row by row, every entry through ``as_scalar``."""
+    return [[as_scalar(v) for v in row] for row in rows]
 
 
 class Cyc:
@@ -331,25 +310,24 @@ class Cyc:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         if self.m == 1:
             return _normalize(1, [self.den], self.num[0])
-        # extended euclid in Q[x] against the cyclotomic polynomial, which is
-        # irreducible, so the gcd is a nonzero constant
-        phi = [Fraction(c) for c in cyclotomic(self.m)]
-        f = [Fraction(v, self.den) for v in self.num]
-        _trim(f)
-        r0, r1 = phi, f
-        s0, s1 = [], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul_frac(q, s1))
-        c = r1[0]
-        inv = [s / c for s in s1]
-        k = euler_phi(self.m)
-        inv = inv + [Fraction(0)] * (k - len(inv))
-        den = 1
-        for v in inv:
-            den = den * v.denominator // gcd(den, v.denominator)
-        return _normalize(self.m, [int(v * den) for v in inv[:k]], den)
+        # a * prod_(sigma != 1) sigma(a) = N(a) is rational, so the inverse
+        # is the product of the other conjugates over the norm; sigma_b
+        # sends zeta^e to zeta^(b e), read off the reduction table
+        m = self.m
+        k = len(self.num)
+        rows = _powers(m, m)
+        conj = ONE
+        for b in range(2, m):
+            if gcd(b, m) == 1:
+                vec = [0] * k
+                for e, v in enumerate(self.num):
+                    if v:
+                        row = rows[b * e % m]
+                        for i in range(k):
+                            vec[i] += v * row[i]
+                conj = conj * _normalize(m, vec, self.den)
+        norm = self * conj
+        return conj * _normalize(1, (norm.den,), norm.num[0])
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -397,13 +375,9 @@ class Cyc:
         return "Cyc(" + " + ".join(parts) + ")"
 
 
-def _fast(m, num, den):
-    return _normalize(m, list(num), den)
-
-
-ZERO = _fast(1, (0,), 1)
-ONE = _fast(1, (1,), 1)
-MINUS_ONE = _fast(1, (-1,), 1)
+ZERO = _normalize(1, (0,), 1)
+ONE = _normalize(1, (1,), 1)
+MINUS_ONE = _normalize(1, (-1,), 1)
 
 
 def zero():
@@ -416,11 +390,11 @@ def one():
 
 def integer(n):
     """The rational integer n as a Cyc."""
-    return _fast(1, (n,), 1)
+    return _normalize(1, (n,), 1)
 
 
 def rational(p, q=1):
-    return _fast(1, (p,), q)
+    return _normalize(1, (p,), q)
 
 
 def root_of_unity(m, e):
@@ -448,7 +422,7 @@ def root_of_unity(m, e):
     row = _powers(m0, max(euler_phi(m0), p + 1))[p]
     if sign < 0:
         row = [-v for v in row]
-    return _normalize(m0, list(row), 1)
+    return _normalize(m0, row, 1)
 
 
 def order(q):
@@ -533,11 +507,11 @@ def from_terms(m, terms):
     k = euler_phi(m)
     acc = ZERO
     for num, den, e in terms:
-        if e >= k:
+        if not 0 <= e < k:
             raise ValueError(f"exponent {e} out of range for conductor {m}")
         vec = [0] * k
         vec[e] = num
-        acc = acc + _fast(m, vec, den)
+        acc = acc + _normalize(m, vec, den)
     return acc
 
 

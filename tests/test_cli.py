@@ -32,6 +32,14 @@ def test_hilbert_is_deterministic(capsys):
     assert "total: 16" in first
 
 
+def test_no_verdict_writes_one_error_line(capsys):
+    code, out, err = run(capsys, "hilbert", "--builtin", "v3", "--q", "1",
+                         "--max-degree", "3", "--require-finite")
+    assert code == 4
+    assert out.splitlines()[-1] == "finite: unknown"
+    assert err == "error: no finiteness verdict up to degree 3\n"
+
+
 def test_hilbert_require_finite_exit_code(capsys):
     code, out, _ = run(capsys, "hilbert", "--builtin", "qls", "--orders", "0",
                        "--max-degree", "3")
@@ -79,6 +87,13 @@ def test_parse_failure_exit_codes(capsys, tmp_path):
         code, _, err = run(capsys, "quandle", "h2", "--builtin", name,
                            "--modulus", "6")
         assert code == 2 and err.startswith("error: ")
+    # verify draws orders from 1..max-order, so it needs max-order >= 1
+    for value in ("0", "-1"):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--max-n", "1", "--max-order", value])
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert err == "error: max-order must be at least 1\n"
 
 
 def test_invalid_math_exit_code(tmp_path, capsys):

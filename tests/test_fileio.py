@@ -75,3 +75,17 @@ def test_group_roundtrip():
     assert back.table == g.table
     with pytest.raises(ValueError):
         load_group("order 2\n0 1\n1 1\n")
+
+
+def test_out_of_range_numbers_are_value_errors():
+    # a zero cochain modulus once escaped as ZeroDivisionError, and a group
+    # table entry past the order as IndexError
+    with pytest.raises(ValueError):
+        load_cochain("modulus 0\n0 0\n0 0\n")
+    text = dump_pair(pairs.from_cocycle(
+        dihedral_crossed_set(3),
+        Cochain2.constant(dihedral_crossed_set(3), 4, 1)))
+    with pytest.raises(ValueError):
+        load_pair(text.replace("modulus 4", "modulus 0"))
+    with pytest.raises(ValueError):
+        load_group("order 3\n0 1 2\n1 9 0\n2 0 1\n")

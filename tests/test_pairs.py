@@ -236,3 +236,17 @@ def test_grouplike_metadata_matches_braiding():
     bp = pairs.induced_yd(s3, three, cyclic_character(s3, three, w))
     for i in range(bp.dim):
         assert braiding_of(bp, i, i) == {(i, i): w}
+
+
+def test_scalar_arguments_share_one_coercion():
+    # ints, Fractions and Cyc values build the same pair; anything else is
+    # a TypeError that names the value
+    from fractions import Fraction
+    from nichols.scalars import rational
+    a = pairs.diagonal([[Fraction(-1), Fraction(1, 2)], [2, -1]])
+    b = pairs.diagonal([[integer(-1), rational(1, 2)], [integer(2), -1]])
+    assert a.cmap == b.cmap
+    with pytest.raises(TypeError, match="1.5"):
+        pairs.v3(1.5)
+    with pytest.raises(TypeError, match="'x'"):
+        pairs.change_basis(pairs.v3(-1), [[1, 0, 0], [0, 1, 0], [0, 0, "x"]])

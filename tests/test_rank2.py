@@ -241,3 +241,15 @@ def test_pbw_monomials_are_independent():
                 assert ech.insert(v) is not None, "monomials are dependent"
             total += len(vecs)
         assert total == res.bound
+
+
+def test_fraction_entries_are_scalars():
+    # a Fraction goes through the same coercion as in pairs: q_11 = 1/2 is
+    # not a root of unity, so the analysis refuses it as invalid input
+    from fractions import Fraction
+    with pytest.raises(InvalidInput):
+        analyze([[Fraction(1, 2), 1], [1, -1]])
+    res = analyze([[Fraction(-1), 1], [1, Fraction(-1)]])
+    assert res.verdict == "QLS" and res.bound == 4
+    with pytest.raises(TypeError, match="0.5"):
+        is_qls([[0.5, 1], [1, -1]])

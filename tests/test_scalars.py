@@ -189,3 +189,50 @@ def test_coeffs_view():
     v = root_of_unity(4, 1) + rational(1, 2)
     assert v.coeffs == (Fraction(1, 2), Fraction(1))
     assert len(zero().coeffs) == euler_phi(1)
+
+
+def test_zero_denominator_is_an_error():
+    with pytest.raises(ZeroDivisionError):
+        rational(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        from_terms(4, [(1, 0, 1)])
+
+
+def test_negative_exponent_is_refused():
+    # "1:-1" once indexed the coefficient vector from its end: zeta_4
+    with pytest.raises(ValueError):
+        parse_scalar("1:-1", 4)
+    with pytest.raises(ValueError):
+        from_terms(4, [(1, 1, -1)])
+
+
+def test_field_arithmetic_against_sympy():
+    # products, sums and inverses modulo Phi_m, each against sympy's own
+    # polynomial arithmetic; m = 2 mod 4 is built directly at that conductor
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(60)
+
+    def poly(c, m):
+        return sympy.Poly.from_list(
+            [sympy.Rational(v.numerator, v.denominator)
+             for v in reversed(c.embed(m).coeffs)], x, domain=sympy.QQ)
+
+    def rand_cyc(m):
+        while True:
+            c = Cyc(m, [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                        if rng.random() < 0.7 else 0
+                        for _ in range(euler_phi(m))])
+            if c:
+                return c
+
+    conductors = [60, 6, 10, 3, 4, 5, 7, 8, 9, 12, 15, 20, 24, 30, 36, 45]
+    conductors += rng.sample(range(2, 61), 8)
+    for m in conductors:
+        phi = sympy.Poly(sympy.cyclotomic_poly(m, x), x, domain=sympy.QQ)
+        for _ in range(3):
+            a, b = rand_cyc(m), rand_cyc(m)
+            assert poly(a * b, m) == (poly(a, m) * poly(b, m)).rem(phi)
+            assert poly(a + b, m) == (poly(a, m) + poly(b, m)).rem(phi)
+        # sympy's extended Euclid dominates the cost: one inverse each
+        assert poly(a.inverse(), m) == poly(a, m).invert(phi)
