@@ -43,7 +43,7 @@ coordinates).
 from collections import namedtuple
 from time import perf_counter
 
-from .braids import apply_elt, sigma_pass, t1_apply, t_shuffle
+from .braids import apply_elt, sweep, t_shuffle
 from .linalg import Echelon, decode_word, vec_add_into
 from .scalars import INFINITE, MINUS_ONE, ONE
 from . import pairs as _pairs
@@ -377,15 +377,19 @@ def multiply(bp, a, b, i, j):
 def adjoint(bp, i, vec, n):
     """Braided adjoint of the degree-one primitive x_i on a degree-n
     element: x_i v - m(c(x_i (x) v)), the braiding moving x_i across all
-    n slots before multiplying."""
+    n slots before multiplying.
+
+    One sweep of crossings at slots 1..n moves x_i to the right end: its
+    running sum is the product x_i v = T_(1,n)(x_i (x) v), and its last
+    result is c(x_i (x) v).  A second sweep of that result at slots n..1
+    sums the lifts e, s_n, s_(n-1) s_n, ..., s_1 ... s_n, which is
+    T_(n,1), the product in the other order.  So the adjoint costs 2n
+    crossing passes.
+    """
     d = bp.dim
-    shift = d ** n
-    pre = {i * shift + w: c for w, c in vec.items()}
-    left = t1_apply(bp, pre, n + 1)
-    crossed = pre
-    for k in range(1, n + 1):
-        crossed = sigma_pass(bp.cmap, d, n + 1, crossed, k)
-    right = apply_elt(bp, t_shuffle(n, 1), crossed, n + 1)
+    pre = {i * d ** n + w: c for w, c in vec.items()}
+    left, crossed = sweep(bp.cmap, d, n + 1, pre, range(1, n + 1))
+    right = sweep(bp.cmap, d, n + 1, crossed, range(n, 0, -1))[0]
     vec_add_into(left, right, MINUS_ONE)
     return left
 

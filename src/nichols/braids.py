@@ -305,20 +305,24 @@ def apply_elt(bp, elt, vec, n):
     return total
 
 
+def sweep(cmap, d, n, vec, slots):
+    """Cross at each of ``slots`` in turn.  Returns the running sum of
+    ``vec`` and every intermediate result, and the last result."""
+    total = dict(vec)
+    cur = vec
+    for k in slots:
+        cur = sigma_pass(cmap, d, n, cur, k)
+        vec_add_into(total, cur)
+    return total, cur
+
+
 def t1_apply(bp, vec, n):
     """Apply T_(1,n-1), the (1,n-1) coalgebra multiplication, in O(n) passes.
 
     The inverse-(1,n-1)-shuffle lifts are e, s1, s2 s1, ..., s(n-1)...s1,
-    so cumulative crossing passes produce all summands.
+    so one sweep over slots 1..n-1 produces all summands.
     """
-    d = bp.dim
-    cmap = bp.cmap
-    total = dict(vec)
-    cur = vec
-    for k in range(1, n):
-        cur = sigma_pass(cmap, d, n, cur, k)
-        vec_add_into(total, cur)
-    return total
+    return sweep(bp.cmap, bp.dim, n, vec, range(1, n))[0]
 
 
 def symmetrizer_apply(bp, n, vec, k=None):
@@ -328,17 +332,10 @@ def symmetrizer_apply(bp, n, vec, k=None):
     words."""
     if k is None:
         k = n
-    d = bp.dim
-    cmap = bp.cmap
     cur = dict(vec)
     for j in range(2, k + 1):
         offset = k - j  # leading slots are inert while S^j builds up
-        total = dict(cur)
-        run = cur
-        for i in range(1, j):
-            run = sigma_pass(cmap, d, n, run, offset + i)
-            vec_add_into(total, run)
-        cur = total
+        cur = sweep(bp.cmap, bp.dim, n, cur, range(offset + 1, offset + j))[0]
     return cur
 
 

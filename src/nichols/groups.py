@@ -7,7 +7,7 @@ Groups here are desk scale (at most a few hundred elements); everything is
 validated on construction and computed by direct enumeration.
 """
 
-from .scalars import Cyc, one, zero
+from .scalars import as_scalar, one, zero
 
 
 class FiniteGroup:
@@ -112,7 +112,7 @@ def conjugacy_classes(group):
     for g in group.elements():
         if g in seen:
             continue
-        cls = sorted({group.conj(x, g) for x in group.elements()})
+        cls = conjugacy_class(group, g)
         seen.update(cls)
         classes.append(cls)
     return classes
@@ -207,18 +207,20 @@ class InducedDatum:
 
 
 def _as_matrix(value):
-    if isinstance(value, Cyc):
-        return ((value,),)
-    return tuple(tuple(row) for row in value)
+    """A character value or a matrix, as tuple rows of Cyc."""
+    if isinstance(value, (list, tuple)):
+        return tuple(tuple(as_scalar(v) for v in row) for row in value)
+    return ((as_scalar(value),),)
 
 
 def induced_datum(group, g, chi):
     """Validate a representation of the centralizer of g and package the
     induction data.
 
-    ``chi`` maps each centralizer element to a Cyc (a character) or to a
-    square matrix of Cyc (an explicit matrix representation); it must be a
-    homomorphism on the centralizer.
+    ``chi`` maps each centralizer element to a scalar (a character) or to
+    a square matrix of scalars (an explicit matrix representation); ints,
+    Fractions and Cyc are accepted.  It must be a homomorphism on the
+    centralizer.
     """
     cent = centralizer(group, g)
     rho = {h: _as_matrix(chi[h]) for h in cent}

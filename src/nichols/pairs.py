@@ -10,6 +10,13 @@ standard basis of the triple tensor power, invertibility, and consistency
 of any attached group-like actions; rigidity is taken as invertibility of
 the braiding, which for group-type pairs with invertible group-likes is
 equivalent to the dual-map condition.
+
+Diagonal, ``v3``, ``v4``, ``two_by_two`` and cocycle pairs are crossed-set
+braidings c(x_i (x) x_j) = f(i, j) x_(i |> j) (x) x_i (Andruskiewitsch-
+Grana, From racks to pointed Hopf algebras, Adv. Math. 178, 2003).  Each
+of these constructors supplies only its table of i |> j and its values
+f(i, j); one function, shared with ``quandles.braidings_check``, builds
+the cmap, and the monomial group-likes are read off that cmap.
 """
 
 from math import gcd as _gcd
@@ -186,8 +193,26 @@ def _grouplike_cmap(dim, grouplikes):
     return cmap
 
 
+def _crossed_cmap(table, values):
+    """The crossed-set braiding c(x_i (x) x_j) = f(i, j) x_(i |> j) (x) x_i
+    as a cmap, from ``table[i][j] = i |> j`` and ``values[i][j] = f(i, j)``."""
+    d = len(table)
+    return [[(table[i][j] * d + i, values[i][j])]
+            for i in range(d) for j in range(d)]
+
+
+def _crossed_pair(table, values, kind, params):
+    """The validated pair of a crossed-set braiding, with its group-likes
+    (monomial matrices) read off the cmap."""
+    d = len(table)
+    cmap = _crossed_cmap(table, values)
+    return BraidedPair(d, cmap, _detect_grouplikes(d, cmap), kind=kind,
+                       params=params)
+
+
 def diagonal(q):
-    """Diagonal braiding from a d x d matrix of nonzero scalars.
+    """Diagonal braiding from a d x d matrix of nonzero scalars: the
+    crossed-set braiding of the trivial table i |> j = j.
 
     Any nonzero scalars build a pair, but nilpotency orders (``rank2``,
     ``algebra.nilpotency_order``) need every diagonal entry to be 1 or a
@@ -201,29 +226,15 @@ def diagonal(q):
         for v in row:
             if v.is_zero():
                 raise InvalidInput("diagonal braiding entries must be nonzero")
-    grouplikes = []
-    for i in range(d):
-        g = [[zero()] * d for _ in range(d)]
-        for j in range(d):
-            g[j][j] = q[i][j]
-        grouplikes.append(g)
-    return BraidedPair(d, _grouplike_cmap(d, grouplikes), grouplikes,
-                       kind="diagonal", params={"q": q})
+    return _crossed_pair([range(d)] * d, q, "diagonal", {"q": q})
 
 
 def v3(q):
     """The three-dimensional pair with basis indexed by Z/3 and braiding
     c(x_i (x) x_j) = q x_(-i-j) (x) x_i."""
     q = as_scalar(q)
-    d = 3
-    grouplikes = []
-    for i in range(d):
-        g = [[zero()] * d for _ in range(d)]
-        for j in range(d):
-            g[(-i - j) % 3][j] = q
-        grouplikes.append(g)
-    return BraidedPair(d, _grouplike_cmap(d, grouplikes), grouplikes,
-                       kind="v3", params={"q": q})
+    table = [[(-i - j) % 3 for j in range(3)] for i in range(3)]
+    return _crossed_pair(table, [[q] * 3] * 3, "v3", {"q": q})
 
 
 # the four permutation actions t_a of the irreducible four-dimensional
@@ -244,16 +255,11 @@ def v4(q, alpha):
     alpha = as_scalar(alpha)
     if alpha != one() and alpha != -one():
         raise ValueError("alpha must be 1 or -1")
-    d = 4
-    grouplikes = []
-    for a in range(d):
-        g = [[zero()] * d for _ in range(d)]
-        for b in range(d):
-            target, takes_alpha = _V4_TABLE[a][b]
-            g[target][b] = q * alpha if takes_alpha else q
-        grouplikes.append(g)
-    return BraidedPair(d, _grouplike_cmap(d, grouplikes), grouplikes,
-                       kind="v4", params={"q": q, "alpha": alpha})
+    qa = q * alpha
+    table = [[target for target, _ in row] for row in _V4_TABLE]
+    values = [[qa if takes_alpha else q for _, takes_alpha in row]
+              for row in _V4_TABLE]
+    return _crossed_pair(table, values, "v4", {"q": q, "alpha": alpha})
 
 
 def two_by_two(q1, q2, eta1, eta2, beta1, beta2):
@@ -268,34 +274,17 @@ def two_by_two(q1, q2, eta1, eta2, beta1, beta2):
         if eta != one() and eta != -one():
             raise ValueError("eta must be 1 or -1")
     a1, a2 = beta1 * beta1, beta2 * beta2
-    d = 4
-    z = zero()
-
-    def gl(rows):
-        return [list(r) for r in rows]
-
-    # basis order: 0 = x1, 1 = x1', 2 = x2, 3 = x2'
-    g0 = gl([[q1, z, z, z],
-             [z, eta1 * q1, z, z],
-             [z, z, z, a2],
-             [z, z, one(), z]])
-    g1 = gl([[eta1 * q1, z, z, z],
-             [z, q1, z, z],
-             [z, z, z, eta2 * a2],
-             [z, z, eta2, z]])
-    g2 = gl([[z, a1, z, z],
-             [one(), z, z, z],
-             [z, z, q2, z],
-             [z, z, z, eta2 * q2]])
-    g3 = gl([[z, eta1 * a1, z, z],
-             [eta1, z, z, z],
-             [z, z, eta2 * q2, z],
-             [z, z, z, q2]])
-    grouplikes = [g0, g1, g2, g3]
-    return BraidedPair(d, _grouplike_cmap(d, grouplikes), grouplikes,
-                       kind="two_by_two",
-                       params={"q1": q1, "q2": q2, "eta1": eta1, "eta2": eta2,
-                               "beta1": beta1, "beta2": beta2})
+    e1q1, e2q2 = eta1 * q1, eta2 * q2
+    # basis order: 0 = x1, 1 = x1', 2 = x2, 3 = x2'; the x1's fix their own
+    # block and swap the other, the x2's the reverse
+    table = [[0, 1, 3, 2]] * 2 + [[1, 0, 2, 3]] * 2
+    values = [[q1, e1q1, one(), a2],
+              [e1q1, q1, eta2, eta2 * a2],
+              [one(), a1, q2, e2q2],
+              [eta1, eta1 * a1, e2q2, q2]]
+    return _crossed_pair(table, values, "two_by_two",
+                         {"q1": q1, "q2": q2, "eta1": eta1, "eta2": eta2,
+                          "beta1": beta1, "beta2": beta2})
 
 
 def two_by_two_z_basis(beta1, beta2):
@@ -318,16 +307,10 @@ def from_cocycle(xset, cocycle):
     crossed set, for a two-cochain f whose braiding solves the braid
     equation (constants and all two-cocycles do)."""
     n = xset.size
-    grouplikes = []
-    for i in range(n):
-        g = [[zero()] * n for _ in range(n)]
-        for j in range(n):
-            g[xset.act(i, j)][j] = cocycle.value(i, j)
-        grouplikes.append(g)
+    values = [[cocycle.value(i, j) for j in range(n)] for i in range(n)]
     try:
-        return BraidedPair(n, _grouplike_cmap(n, grouplikes), grouplikes,
-                           kind="cocycle",
-                           params={"xset": xset, "cocycle": cocycle})
+        return _crossed_pair(xset.table, values, "cocycle",
+                             {"xset": xset, "cocycle": cocycle})
     except InvalidInput as exc:
         raise InvalidInput(f"cochain does not braid this crossed set: {exc}")
 

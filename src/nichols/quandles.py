@@ -251,13 +251,10 @@ def h2(xset, modulus):
 def braidings_check(xset, cochain):
     """Whether the cochain's braiding solves the braid equation, tested
     exhaustively on the triple tensor power of the spanned vector space."""
-    from .pairs import braid_equation_holds
+    from .pairs import _crossed_cmap, braid_equation_holds
     n = xset.size
-    cmap = []
-    for i in range(n):
-        for j in range(n):
-            cmap.append([(xset.act(i, j) * n + i, cochain.value(i, j))])
-    return braid_equation_holds(n, cmap) is None
+    values = [[cochain.value(i, j) for j in range(n)] for i in range(n)]
+    return braid_equation_holds(n, _crossed_cmap(xset.table, values)) is None
 
 
 def grouplike_closure(xset, cochain):

@@ -207,12 +207,9 @@ def r_of(n):
 
 
 def smallest_prime_factor(n):
-    for p in range(2, n + 1):
-        if p * p > n:
-            return n
-        if n % p == 0:
-            return p
-    raise ValueError("need n >= 2")
+    if n < 2:
+        raise ValueError("need n >= 2")
+    return prime_signature(n)[0][0]
 
 
 def prime_signature(n):

@@ -14,8 +14,10 @@ from nichols.algebra import (
     nilpotency_order,
     relations,
 )
-from nichols.braids import apply_elt, symmetrizer
-from nichols.linalg import Echelon, InvalidInput, decode_word, encode_word
+from nichols.braids import (apply_elt, sigma_pass, symmetrizer, t1_apply,
+                            t_shuffle)
+from nichols.linalg import (Echelon, InvalidInput, decode_word, encode_word,
+                            vec_add_into)
 from nichols.scalars import (
     INFINITE,
     ONE,
@@ -290,6 +292,38 @@ def test_adjoint_examples():
     # the adjoint of x on itself dies instantly at q = -1
     line = pairs.diagonal([[integer(-1)]])
     assert adjoint(line, 0, {0: ONE}, 1) == {}
+
+
+def _adjoint_oracle(bp, i, vec, n):
+    """x_i v - m(c(x_i (x) v)) through the formal sum of T_(n,1)."""
+    d = bp.dim
+    pre = {i * d ** n + w: c for w, c in vec.items()}
+    left = t1_apply(bp, pre, n + 1)
+    crossed = pre
+    for k in range(1, n + 1):
+        crossed = sigma_pass(bp.cmap, d, n + 1, crossed, k)
+    right = apply_elt(bp, t_shuffle(n, 1), crossed, n + 1)
+    vec_add_into(left, right, integer(-1))
+    return left
+
+
+def test_adjoint_matches_the_formal_sum_oracle():
+    w = root_of_unity(3, 1)
+    panel = [
+        pairs.v3(integer(-1)),
+        pairs.v3(w),
+        pairs.v4(integer(-1), one()),
+        pairs.two_by_two(integer(-1), integer(-1), one(), one(), one(), one()),
+        pairs.diagonal([[integer(-1), root_of_unity(4, 1)], [w, w]]),
+    ]
+    for bp in panel:
+        for i in range(bp.dim):
+            for j in range(bp.dim):
+                z = {j: ONE}
+                for deg in (1, 2, 3):
+                    want = _adjoint_oracle(bp, i, z, deg)
+                    z = adjoint(bp, i, z, deg)
+                    assert z == want
 
 
 def test_adjoint_derivation_ladder():

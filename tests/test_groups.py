@@ -15,6 +15,7 @@ from nichols.groups import (
     symmetric,
 )
 from nichols.scalars import integer, one, root_of_unity
+from nichols import pairs
 
 
 def test_builtins_are_groups():
@@ -57,6 +58,14 @@ def test_centralizer_and_classes():
     d4 = dihedral(4)
     sizes = sorted(len(c) for c in conjugacy_classes(d4))
     assert sizes == [1, 1, 2, 2, 2]  # center of order two
+
+    # the classes partition the group, listed by their least elements
+    s4 = symmetric(4)
+    classes = conjugacy_classes(s4)
+    assert sorted(x for c in classes for x in c) == list(s4.elements())
+    assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+    assert all(c == conjugacy_class(s4, c[0]) for c in classes)
+    assert sorted(len(c) for c in classes) == [1, 3, 6, 6, 8]
 
 
 def test_f_g_map_examples():
@@ -107,6 +116,12 @@ def test_induced_datum():
     c4 = cyclic(4)
     datum = induced_datum(c4, 1, cyclic_character(c4, 1, root_of_unity(4, 1)))
     assert datum.class_size == 1
+    # plain ints go through the scalar coercion, as in every pair constructor
+    datum = induced_datum(c4, 1, cyclic_character(c4, 1, -1))
+    assert datum.rho[1] == ((integer(-1),),)
+    assert datum.rho[2] == ((one(),),)
+    bp = pairs.induced_yd(c4, 1, cyclic_character(c4, 1, -1))
+    assert bp.cmap == pairs.diagonal([[-1]]).cmap
     # non-multiplicative data is rejected
     bad = {x: one() for x in c4.elements()}
     bad[1] = integer(-1)
@@ -135,6 +150,8 @@ def test_matrix_representation_accepted():
     rho = {0: ((one(), z), (z, one())), 1: ((z, one()), (one(), z))}
     datum = induced_datum(c2, 1, rho)
     assert datum.degree == 2
+    assert induced_datum(c2, 1, {0: [[1, 0], [0, 1]],
+                                 1: [[0, 1], [1, 0]]}).rho == datum.rho
     bad = {0: ((one(), z), (z, one())), 1: ((z, one()), (minus, z))}
     with pytest.raises(ValueError):
         induced_datum(c2, 1, bad)

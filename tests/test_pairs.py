@@ -114,11 +114,44 @@ def test_from_cocycle_matches_v3():
     f = quandles.Cochain2.constant(xset, 2, 1)
     bp = pairs.from_cocycle(xset, f)
     assert bp.cmap == pairs.v3(integer(-1)).cmap
+    xset = quandles.dihedral_crossed_set(3)
+    for m in (1, 2, 3, 4, 6, 9, 12):
+        for e in range(m):
+            f = quandles.Cochain2.constant(xset, m, e)
+            assert (pairs.v3(root_of_unity(m, e)).cmap
+                    == pairs.from_cocycle(xset, f).cmap)
     flip = pairs.from_cocycle(quandles.trivial_crossed_set(2),
                               quandles.Cochain2.constant(
                                   quandles.trivial_crossed_set(2), 2, 0))
     assert braiding_of(flip, 0, 1) == {(1, 0): one()}
     assert braiding_of(flip, 1, 0) == {(0, 1): one()}
+
+
+def test_two_by_two_is_a_crossed_set_braiding():
+    table = [[0, 1, 3, 2]] * 2 + [[1, 0, 2, 3]] * 2
+    quandles.CrossedSet(table)  # validates the crossed-set axioms
+    bp = pairs.two_by_two(integer(-1), integer(-1), one(), one(), one(), one())
+    for i in range(4):
+        for j in range(4):
+            assert list(braiding_of(bp, i, j)) == [(table[i][j], i)]
+
+
+def test_v4_is_a_cocycle_on_the_tetrahedral_crossed_set():
+    from math import lcm
+    table = [[target for target, _ in row] for row in pairs._V4_TABLE]
+    xset = quandles.CrossedSet(table, name="tetrahedral")  # validates it
+    for m in (1, 2, 3, 4, 5, 6, 8, 12):  # 82 cases
+        big = lcm(m, 2)
+        for e in range(m):
+            for alpha in (1, -1):
+                shift = big // 2 if alpha == -1 else 0
+                f = quandles.Cochain2(big, [
+                    [e * big // m + (shift if takes_alpha else 0)
+                     for _, takes_alpha in row] for row in pairs._V4_TABLE])
+                bp = pairs.from_cocycle(xset, f)
+                v4 = pairs.v4(root_of_unity(m, e), alpha)
+                assert bp.cmap == v4.cmap
+                assert bp.grouplikes == v4.grouplikes
 
 
 def test_from_cocycle_rejects_non_braidings():

@@ -177,6 +177,11 @@ def test_r_of_and_screen():
     assert r_of(8) == 3
     assert abs(r_of(12) - math.log2(12)) < 1e-12
     assert smallest_prime_factor(35) == 5
+    assert [smallest_prime_factor(n) for n in (2, 3, 4, 9, 49, 97, 1001)] \
+        == [2, 3, 2, 3, 7, 97, 7]
+    for n in (1, 0, -4):
+        with pytest.raises(ValueError):
+            smallest_prime_factor(n)
     assert prime_signature(12) == [(2, 2), (3, 1)]
     # dimension p^3 forces at most three primitive generators
     assert screen(8, 3, 3)
