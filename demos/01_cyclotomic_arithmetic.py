@@ -27,8 +27,11 @@ print("order(w*i) =", order(z))
 # the sum of the two primitive cube roots is -1
 print("w + w^2 =", format_scalar(w + w * w))
 
-# multiplicative orders follow the convention that 1 has infinite order
-print("order(1) =", order(one()), "   order(-1) =", order(integer(-1)))
+# multiplicative orders follow the convention that 1 has infinite order,
+# which order() reports as None
+n1 = order(one())
+print("order(1) =", "inf" if n1 is None else n1,
+      "   order(-1) =", order(integer(-1)))
 
 # q-numbers evaluate integer polynomials, never ratios, so root-of-unity
 # degenerations are exact: the q-factorial (3)_w! vanishes because the

@@ -12,7 +12,6 @@ arithmetic is exact, over cyclotomic fields.
 
 from .scalars import (
     Cyc,
-    INFINITE,
     integer,
     one,
     order,

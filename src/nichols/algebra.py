@@ -45,18 +45,24 @@ from time import perf_counter
 
 from .braids import apply_elt, sweep, t_shuffle
 from .linalg import Echelon, decode_word, vec_add_into
-from .scalars import INFINITE, MINUS_ONE, ONE
+from .scalars import MINUS_ONE, ONE
 from . import pairs as _pairs
 from . import rank2 as _rank2
 
 
 class HilbertResult:
-    __slots__ = ("dims", "total", "finite")
+    """Graded dimensions up to a cutoff, and the total when a zero
+    component certified finiteness (else None)."""
 
-    def __init__(self, dims, total, finite):
+    __slots__ = ("dims", "total")
+
+    def __init__(self, dims, total):
         self.dims = dims
         self.total = total
-        self.finite = finite
+
+    @property
+    def finite(self):
+        return self.total is not None
 
     def __repr__(self):
         return f"HilbertResult(dims={self.dims}, total={self.total}, finite={self.finite})"
@@ -246,8 +252,8 @@ def hilbert(bp, max_degree, cache=None):
     for n in range(max_degree + 1):
         dims.append(cache.dim(n))
         if dims[-1] == 0:
-            return HilbertResult(dims, sum(dims), True)
-    return HilbertResult(dims, None, None)
+            return HilbertResult(dims, sum(dims))
+    return HilbertResult(dims, None)
 
 
 def kernel_basis(bp, n, cache=None):
@@ -408,7 +414,7 @@ def nilpotency_order(bp, i, j):
     vector test, since the graded components sit inside the tensor
     coalgebra).  A mismatch raises, signalling an engine bug.  When the
     formula value is infinite the direct iteration only probes
-    ``PROBE_DEPTH`` steps.
+    ``PROBE_DEPTH`` steps, and the result is None.
     """
     q = _pairs.is_diagonal(bp)
     if q is None:
@@ -416,7 +422,7 @@ def nilpotency_order(bp, i, j):
     if i == j:
         raise ValueError("need two distinct basis indices")
     formula = _rank2.nilpotency_order_formula(q, i, j)
-    limit = PROBE_DEPTH if formula == INFINITE else int(formula)
+    limit = PROBE_DEPTH if formula is None else formula
     z = {j: ONE}
     direct = None
     for k in range(1, limit + 1):
@@ -424,12 +430,12 @@ def nilpotency_order(bp, i, j):
         if not z:
             direct = k
             break
-    if formula == INFINITE:
+    if formula is None:
         if direct is not None:
             raise RuntimeError(
                 f"adjoint vanished at step {direct} but the formula says infinite")
-        return INFINITE
+        return None
     if direct != formula:
         raise RuntimeError(
             f"direct adjoint iteration gives {direct}, formula gives {formula}")
-    return int(formula)
+    return formula

@@ -16,7 +16,7 @@ import sys
 from . import (__version__, algebra, braids, fileio, identities, pairs,
                quandles, rank2)
 from .linalg import InvalidInput, decode_word
-from .scalars import INFINITE, format_scalar, integer, root_of_unity
+from .scalars import format_scalar, integer, root_of_unity
 
 EXIT_PARSE = 2
 EXIT_INVALID = 3
@@ -120,18 +120,18 @@ def _need_scalar(args, field):
 
 def cmd_hilbert(args):
     bp = load_input_pair(args)
-    path = _cache_path(_cache_key(bp, args.max_degree))
+    path = _cache_path(bp, args.max_degree)
     cached = _cache_lookup(path)
     if cached is not None:
-        dims, total, finite = cached
+        dims, total = cached
     else:
         res = algebra.hilbert(bp, args.max_degree)
-        dims, total, finite = res.dims, res.total, res.finite
-        _cache_store(path, dims, total, finite)
+        dims, total = res.dims, res.total
+        _cache_store(path, dims, total)
     print("dims:", " ".join(str(v) for v in dims))
     print("total:", total if total is not None else "unknown")
-    print("finite:", "yes" if finite else "unknown")
-    if args.require_finite and not finite:
+    print("finite:", "yes" if total is not None else "unknown")
+    if args.require_finite and total is None:
         raise CliError(f"no finiteness verdict up to degree {args.max_degree}",
                        EXIT_NO_VERDICT)
     return 0
@@ -189,9 +189,7 @@ def cmd_rank2(args):
 
 
 def _fmt_order(v):
-    if v == INFINITE:
-        return "infinite"
-    return str(int(v)) if v is not None else "-"
+    return "infinite" if v is None else str(v)
 
 
 def cmd_quandle(args):
@@ -266,9 +264,10 @@ def _cache_key(bp, max_degree):
     return hashlib.sha256(body.encode()).hexdigest()
 
 
-def _cache_path(key):
-    """The entry file for ``key``, or None when NICHOLS_CACHE_DIR is unset
-    or cannot be created; the CLI then runs without the cache."""
+def _cache_path(bp, max_degree):
+    """The entry file for the pair and cutoff, or None when
+    NICHOLS_CACHE_DIR is unset or cannot be created; the CLI then runs
+    without the cache, and without hashing the package sources."""
     root = os.environ.get("NICHOLS_CACHE_DIR")
     if not root:
         return None
@@ -276,11 +275,11 @@ def _cache_path(key):
         os.makedirs(root, exist_ok=True)
     except OSError:
         return None
-    return os.path.join(root, key + ".json")
+    return os.path.join(root, _cache_key(bp, max_degree) + ".json")
 
 
 def _cache_lookup(path):
-    """The cached (dims, total, finite), or None on a miss.  Only an entry
+    """The cached (dims, total), or None on a miss.  Only an entry
     of the shape ``_cache_store`` writes is a hit; anything else is
     recomputed and overwritten."""
     if not path or not os.path.exists(path):
@@ -292,16 +291,14 @@ def _cache_lookup(path):
         return None
     if not isinstance(data, dict):
         return None
-    dims, total, finite = (data.get("dims"), data.get("total"),
-                           data.get("finite"))
+    dims, total = data.get("dims"), data.get("total")
     if (isinstance(dims, list) and all(type(v) is int for v in dims)
-            and (total is None or type(total) is int)
-            and (finite is True or finite is None)):
-        return dims, total, finite
+            and (total is None or type(total) is int)):
+        return dims, total
     return None
 
 
-def _cache_store(path, dims, total, finite):
+def _cache_store(path, dims, total):
     """Write the entry whole or not at all: a reader sees the old file or
     the new one, and an unwritable directory only costs the cache."""
     if not path:
@@ -309,7 +306,7 @@ def _cache_store(path, dims, total, finite):
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            json.dump({"dims": dims, "total": total, "finite": finite}, fh)
+            json.dump({"dims": dims, "total": total}, fh)
         os.replace(tmp, path)
     except OSError:
         with contextlib.suppress(OSError):

@@ -15,7 +15,7 @@ class FiniteGroup:
 
     __slots__ = ("order", "table", "identity", "name", "_inverses")
 
-    def __init__(self, table, name="group", validate=True):
+    def __init__(self, table, name="group"):
         table = tuple(tuple(row) for row in table)
         n = len(table)
         if any(len(row) != n for row in table):
@@ -42,12 +42,11 @@ class FiniteGroup:
             if inverses[x] is None:
                 raise ValueError(f"element {x} has no inverse")
         self._inverses = tuple(inverses)
-        if validate:
-            for x in range(n):
-                for y in range(n):
-                    for z in range(n):
-                        if table[table[x][y]][z] != table[x][table[y][z]]:
-                            raise ValueError("multiplication is not associative")
+        for x in range(n):
+            for y in range(n):
+                for z in range(n):
+                    if table[table[x][y]][z] != table[x][table[y][z]]:
+                        raise ValueError("multiplication is not associative")
 
     def mul(self, x, y):
         return self.table[x][y]

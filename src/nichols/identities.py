@@ -90,9 +90,9 @@ def all_identities(max_n):
     return out
 
 
-def standard_suite(count=10, max_order=12, seed=20240, dim=2):
-    """Deterministic suite of random diagonal braided pairs with entries of
-    bounded multiplicative order.
+def standard_suite(count=10, max_order=12, seed=20240):
+    """Deterministic suite of random 2 x 2 diagonal braided pairs with
+    entries of bounded multiplicative order.
 
     Each pair draws all of its entries from a single conductor m <= the
     order bound, so the pair's scalars stay in one small cyclotomic field;
@@ -103,7 +103,7 @@ def standard_suite(count=10, max_order=12, seed=20240, dim=2):
     suite = []
     while len(suite) < count:
         m = rng.randint(1, max_order)
-        q = [[root_of_unity(m, rng.randrange(m)) for _ in range(dim)]
-             for _ in range(dim)]
+        q = [[root_of_unity(m, rng.randrange(m)) for _ in range(2)]
+             for _ in range(2)]
         suite.append(_pairs.diagonal(q))
     return suite

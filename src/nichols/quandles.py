@@ -12,7 +12,7 @@ coefficients is the directed union of these finite-cyclic answers
 single object here.
 """
 
-from itertools import product as _product
+from itertools import groupby, product as _product
 from math import gcd
 
 from .linalg import InvalidInput, encode_word, smith_normal_form
@@ -26,17 +26,16 @@ class CrossedSet:
 
     __slots__ = ("size", "table", "name")
 
-    def __init__(self, table, name="crossed set", validate=True):
+    def __init__(self, table, name="crossed set"):
         table = tuple(tuple(row) for row in table)
         if not table:
             raise ValueError("crossed sets need at least one element")
         self.size = len(table)
         self.table = table
         self.name = name
-        if validate:
-            ok, why = check_crossed_set(table)
-            if not ok:
-                raise InvalidInput(why)
+        ok, why = check_crossed_set(table)
+        if not ok:
+            raise InvalidInput(why)
 
     def act(self, i, j):
         return self.table[i][j]
@@ -79,16 +78,15 @@ def trivial_crossed_set(n):
 
 
 def dihedral_crossed_set(n):
-    """Z/n with i |> j = 2i - j = -i - j ... the involutory quandle of the
-    dihedral group; for n = 3 this is the class of transpositions."""
+    """Z/n with i |> j = 2i - j, the involutory quandle of the dihedral
+    group; for n = 3 this is the class of transpositions."""
     return CrossedSet([[(2 * i - j) % n for j in range(n)] for i in range(n)],
                       name=f"dihedral{n}")
 
 
 def zmod3_crossed_set():
-    """Z/3 with i |> j = -i - j; isomorphic to dihedral3 (2i = -i mod 3)."""
-    return CrossedSet([[(-i - j) % 3 for j in range(3)] for i in range(3)],
-                      name="zmod3")
+    """Z/3 with i |> j = -i - j, which is dihedral3 since 2i = -i mod 3."""
+    return CrossedSet(dihedral_crossed_set(3).table, name="zmod3")
 
 
 def conjugation_crossed_set(group, classes):
@@ -125,27 +123,22 @@ class Cochain2:
         return root_of_unity(self.modulus, self.exponents[i][j])
 
     def is_cocycle(self, xset):
-        m = self.modulus
-        e = self.exponents
-        act = xset.act
-        for x0 in range(xset.size):
-            for x1 in range(xset.size):
-                for x2 in range(xset.size):
-                    # additive delta^2: e(x1,x2) - e(x0|>x1, x0|>x2)
-                    #                 - e(x0,x2) + e(x0, x1|>x2)
-                    v = (e[x1][x2] - e[act(x0, x1)][act(x0, x2)]
-                         - e[x0][x2] + e[x0][act(x1, x2)])
-                    if v % m:
-                        return False
+        """Whether delta^2 kills the exponent table, one row at a time."""
+        flat = [v for row in self.exponents for v in row]
+        for _, terms in groupby(_coboundary_terms(xset, 2),
+                                key=lambda term: term[0]):
+            if sum(sign * flat[col] for _, col, sign in terms) % self.modulus:
+                return False
         return True
 
     def __repr__(self):
         return f"Cochain2(mod={self.modulus}, table={self.exponents})"
 
 
-def delta_matrix(xset, n):
-    """The integer matrix of the n-th differential on exponent tables:
-    rows indexed by X^(n+1), columns by X^n, both in lexicographic order.
+def _coboundary_terms(xset, n):
+    """The terms (row, column, sign) of delta^n on exponent tables, rows
+    indexed by X^(n+1) and columns by X^n, both in lexicographic order;
+    the terms of each row come together.
 
     The multiplicative formula contributes, for each i < n, the cochain
     argument with x_i omitted (sign (-1)^i) and the argument with x_i
@@ -153,19 +146,22 @@ def delta_matrix(xset, n):
     """
     size = xset.size
     act = xset.act
-    rows = size ** (n + 1)
-    cols = size ** n if n > 0 else 1
-    mat = [[0] * cols for _ in range(rows)]
-    if n == 0:
-        return mat  # the zero map: constants have trivial differential
     for r, xs in enumerate(_product(range(size), repeat=n + 1)):
-        row = mat[r]
         for i in range(n):
-            omitted = xs[:i] + xs[i + 1:]
-            acted = xs[:i] + tuple(act(xs[i], y) for y in xs[i + 1:])
             sign = 1 if i % 2 == 0 else -1
-            row[encode_word(omitted, size)] += sign
-            row[encode_word(acted, size)] -= sign
+            yield r, encode_word(xs[:i] + xs[i + 1:], size), sign
+            acted = xs[:i] + tuple(act(xs[i], y) for y in xs[i + 1:])
+            yield r, encode_word(acted, size), -sign
+
+
+def delta_matrix(xset, n):
+    """The integer matrix of the n-th differential on exponent tables:
+    rows indexed by X^(n+1), columns by X^n, both in lexicographic order.
+    For n = 0 it is the zero map: constants have trivial differential."""
+    size = xset.size
+    mat = [[0] * size ** n for _ in range(size ** (n + 1))]
+    for r, col, sign in _coboundary_terms(xset, n):
+        mat[r][col] += sign
     return mat
 
 

@@ -11,27 +11,26 @@ since concrete examples swap bases freely.
 """
 
 from .linalg import InvalidInput
-from .scalars import INFINITE, as_matrix, integer, one, order
+from .scalars import as_matrix, integer, one, order
 
 
 def nilpotency_order_formula(q, i, j):
     """Closed-form nilpotency order of the adjoint of x_i on x_j for the
     diagonal scalar matrix q: r + 1 with r = min{t, N(q_ii) - 1} and t the
-    least nonnegative integer with q_ii^t q_ij q_ji = 1."""
+    least nonnegative integer with q_ii^t q_ij q_ji = 1.  None when it is
+    infinite: there is no such t and N(q_ii) is infinite."""
     n_ii = order(q[i][i])
     t = _least_t(q, i, j)
     if t is None:
-        return INFINITE if n_ii == INFINITE else int(n_ii)
-    if n_ii == INFINITE:
-        return t + 1
-    return int(min(t, n_ii - 1)) + 1
+        return n_ii
+    return t + 1 if n_ii is None else min(t, n_ii - 1) + 1
 
 
 def _require_root(q, i):
     """N(q_ii), raising InvalidInput unless q_ii is 1 or a root of unity;
     braidings over finite groups have roots of unity on the diagonal."""
     n_ii = order(q[i][i])
-    if n_ii == INFINITE and q[i][i] != one():
+    if n_ii is None and q[i][i] != one():
         raise InvalidInput(f"q[{i}][{i}] is neither 1 nor a root of unity; "
                            "nilpotency orders need roots of unity")
     return n_ii
@@ -45,34 +44,52 @@ def _least_t(q, i, j):
     """
     n_ii = _require_root(q, i)
     prod = q[i][j] * q[j][i]
-    bound = 1 if n_ii == INFINITE else int(n_ii)
     p = one()
-    for k in range(bound):
+    for k in range(1 if n_ii is None else n_ii):
         if p * prod == one():
             return k
         p = p * q[i][i]
     return None
 
 
-def is_qls(q):
-    """If the matrix is a quantum linear space (all opposite off-diagonal
-    products equal one), the dimension prod N(q_ii); else None."""
-    q = as_matrix(q)
+def _opposite_products_trivial(q):
+    """The quantum linear space shape: q_ij q_ji = 1 for all i != j."""
     d = len(q)
-    for i in range(d):
-        for j in range(d):
-            if i != j and q[i][j] * q[j][i] != one():
-                return None
+    return all(q[i][j] * q[j][i] == one()
+               for i in range(d) for j in range(i + 1, d))
+
+
+def _product(factors):
+    """The product of orders, or None (infinite) when any factor is None."""
     total = 1
-    for i in range(d):
-        n = order(q[i][i])
-        if n == INFINITE:
-            return INFINITE
-        total *= int(n)
+    for f in factors:
+        if f is None:
+            return None
+        total *= f
     return total
 
 
+def is_qls(q):
+    """The dimension prod N(q_ii) of a quantum linear space (all opposite
+    off-diagonal products equal one) whose diagonal orders are all finite;
+    None for any other matrix."""
+    q = as_matrix(q)
+    if not _opposite_products_trivial(q):
+        return None
+    return _product(order(q[i][i]) for i in range(len(q)))
+
+
 class Rank2Analysis:
+    """The rank-2 invariants of a diagonal braiding.
+
+    N1, N2 are the diagonal orders, r + 1 the nilpotency order of the
+    adjoint of x_2 on x_1, M the ladder orders M_1..M_r, and bound the
+    product N1 N2 M_1 ... M_r.  None means infinite for N1, N2, r, bound
+    and each entry of M; for t it means there is no such t, for M itself
+    that the ladder was not computed, and for hypothesis_order2 that the
+    hypothesis was not asked.
+    """
+
     __slots__ = ("q", "N1", "N2", "t", "r", "M", "bound", "verdict",
                  "condition", "hypothesis_order2", "warning")
 
@@ -94,42 +111,26 @@ def analyze(q):
     if len(q) != 2 or any(len(row) != 2 for row in q):
         raise ValueError("analyze needs a 2 x 2 matrix")
     n1, n2 = _require_root(q, 0), _require_root(q, 1)
-    qls = is_qls(q)
-    if qls is not None:
-        return Rank2Analysis(q=q, N1=n1, N2=n2, t=0, r=0, M=[], bound=qls,
-                             verdict="QLS", condition=None,
-                             hypothesis_order2=None, warning=None)
+    if _opposite_products_trivial(q):
+        return Rank2Analysis(q=q, N1=n1, N2=n2, t=0, r=0, M=[],
+                             bound=_product((n1, n2)), verdict="QLS")
     # r + 1 is the nilpotency order of the adjoint of x_2 acting on x_1
     t = _least_t(q, 1, 0)
-    r = nilpotency_order_formula(q, 1, 0) - 1
-    warning = None
-    if n1 == INFINITE:
-        warning = "N(q_11) is infinite; the lower bound is not defined"
-        return Rank2Analysis(q=q, N1=n1, N2=n2, t=t, r=r, M=None,
-                             bound=INFINITE, verdict="bound_only",
-                             condition=None, hypothesis_order2=None,
-                             warning=warning)
-    if r == INFINITE:
-        return Rank2Analysis(q=q, N1=n1, N2=n2, t=t, r=r, M=None,
-                             bound=INFINITE, verdict="bound_only",
-                             condition=None, hypothesis_order2=None,
-                             warning="adjoint ladder never terminates")
+    r = nilpotency_order_formula(q, 1, 0)
+    r = None if r is None else r - 1
+    if n1 is None or r is None:
+        warning = ("N(q_11) is infinite; the lower bound is not defined"
+                   if n1 is None else "adjoint ladder never terminates")
+        return Rank2Analysis(q=q, N1=n1, N2=n2, t=t, r=r,
+                             verdict="bound_only", warning=warning)
     prod = q[0][1] * q[1][0]
-    ms = []
-    bound = int(n1) * (int(n2) if n2 != INFINITE else 0)
-    if n2 == INFINITE:
-        bound = INFINITE
-    for i in range(1, r + 1):
-        m = order(q[0][0] * prod ** i * q[1][1] ** (i * i))
-        ms.append(m)
-        if m == INFINITE or bound == INFINITE:
-            bound = INFINITE
-        else:
-            bound *= int(m)
+    ms = [order(q[0][0] * prod ** i * q[1][1] ** (i * i))
+          for i in range(1, r + 1)]
+    bound = _product([n1, n2] + ms)
     hyp = nilpotency_order_formula(q, 0, 1) == 2
     verdict = "bound_only"
     condition = None
-    if hyp and bound != INFINITE:
+    if hyp and bound is not None:
         if r == 1:
             verdict = "A2_equality"
         elif r == 2:
@@ -147,7 +148,7 @@ def analyze(q):
                            else "r2_conditional_fails")
     return Rank2Analysis(q=q, N1=n1, N2=n2, t=t, r=r, M=ms, bound=bound,
                          verdict=verdict, condition=condition,
-                         hypothesis_order2=hyp, warning=warning)
+                         hypothesis_order2=hyp)
 
 
 _VERDICT_RANK = {
@@ -182,7 +183,7 @@ def cartan(q):
         for j in range(d):
             if i != j:
                 dij = nilpotency_order_formula(q, i, j)
-                if dij == INFINITE:
+                if dij is None:
                     raise ValueError(
                         f"adjoint of x_{i} on x_{j} has infinite nilpotency order")
                 a[i][j] = 1 - dij
@@ -195,15 +196,13 @@ def finite_cartan_rank2(a):
 
 
 def r_of(n):
-    """log base (smallest prime factor of n) of n, as a float for display.
-
-    All decisions should go through ``screen``, which compares exactly.
-    """
-    if n <= 1:
-        raise ValueError("need n >= 2")
+    """r(n): the largest d with p^d <= n, for p the smallest prime factor
+    of n.  Integer arithmetic only."""
     p = smallest_prime_factor(n)
-    import math
-    return math.log(n, p)
+    d, power = 0, p
+    while power <= n:
+        d, power = d + 1, power * p
+    return d
 
 
 def smallest_prime_factor(n):
@@ -234,13 +233,7 @@ def screen(n, d, theta):
     """Necessary conditions for an n-dimensional Nichols algebra: the space
     of primitives has dimension d <= r(n) and at most sum of prime
     multiplicities many irreducible summands.  Integer arithmetic only."""
-    if n <= 1:
-        raise ValueError("need n >= 2")
-    p1 = smallest_prime_factor(n)
-    if p1 ** d > n:
-        return False
-    total_mult = sum(v for _, v in prime_signature(n))
-    return theta <= total_mult
+    return d <= r_of(n) and theta <= sum(v for _, v in prime_signature(n))
 
 
 def csgr_screen(deg_rho, q):

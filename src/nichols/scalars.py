@@ -20,8 +20,6 @@ a single-integer fast path.
 from fractions import Fraction
 from math import gcd
 
-INFINITE = float("inf")
-
 
 # ---------------------------------------------------------------------------
 # cyclotomic polynomial tables
@@ -426,10 +424,12 @@ def root_of_unity(m, e):
 
 
 def order(q):
-    """N(q): the multiplicative order of q; INFINITE for q = 1 or a non-root."""
+    """N(q): the multiplicative order of q as an int, or None when it is
+    infinite.  Following the convention N(1) = infinity, None is returned
+    for q = 1 as well as for 0 and for any q that is not a root of unity."""
     q = _coerce(q)
     if q.is_zero() or q.is_one():
-        return INFINITE
+        return None
     # torsion of Q(zeta_m)* is the group of lcm(2, m)-th roots of unity
     bound = q.m if q.m % 2 == 0 else 2 * q.m
     p = q
@@ -437,7 +437,7 @@ def order(q):
         if p.is_one():
             return k
         p = p * q
-    return INFINITE
+    return None
 
 
 # ---------------------------------------------------------------------------

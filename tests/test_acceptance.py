@@ -6,9 +6,6 @@ its runtime budget.
 
 import random
 import time
-from math import comb
-
-import pytest
 
 from nichols.algebra import (
     GradedComputation,
@@ -23,7 +20,7 @@ from nichols.algebra import (
 from nichols.braids import apply_elt, sigma_pass, symmetrizer, verify_identity
 from nichols.identities import all_identities, standard_suite
 from nichols.linalg import Echelon, encode_word
-from nichols.scalars import INFINITE, ONE, integer, one, order, root_of_unity
+from nichols.scalars import ONE, integer, one, order, root_of_unity
 from nichols.rank2 import analyze, cartan, is_qls
 from nichols import pairs, quandles
 

@@ -175,7 +175,7 @@ def test_apply_diagonal_examples():
 
 def test_symmetrizer_apply_against_brute_force():
     rng = random.Random(31)
-    suite = standard_suite(count=3, max_order=8, seed=17, dim=2)
+    suite = standard_suite(count=3, max_order=8, seed=17)
     suite.append(pairs.v3(integer(-1)))
     for bp in suite:
         d = bp.dim

@@ -156,6 +156,28 @@ def test_rank2_output(capsys):
     assert code == 3
 
 
+def test_rank2_prints_infinite_orders(capsys, tmp_path):
+    # an order without a finite value prints as "infinite", a missing t as
+    # "none" and a ladder that was not computed as "-"
+    code, out, _ = run(capsys, "rank2", "--builtin", "qls", "--orders", "1,3")
+    assert code == 0
+    assert out.splitlines()[2:8] == ["N1: infinite", "N2: 3", "t: 0", "r: 0",
+                                     "M: -", "bound: infinite"]
+    z3, z12 = root_of_unity(3, 1), root_of_unity(12, 1)
+    path = tmp_path / "q.bp"
+    path.write_text(dump_pair(pairs.diagonal([[integer(1), z3],
+                                              [integer(1), integer(-1)]])))
+    code, out, _ = run(capsys, "rank2", "--file", str(path))
+    assert code == 0
+    assert out.splitlines()[2:8] == ["N1: infinite", "N2: 2", "t: none",
+                                     "r: 1", "M: -", "bound: infinite"]
+    path.write_text(dump_pair(pairs.diagonal([[integer(-1), z12],
+                                              [integer(1), z3]])))
+    code, out, _ = run(capsys, "rank2", "--file", str(path))
+    assert "M: 3 infinite 2 6 infinite infinite 6 2 infinite 3 2" in out
+    assert "bound: infinite" in out
+
+
 def test_rank2_rejects_non_root_diagonal_entries(capsys, tmp_path):
     half = rational(1, 2)
     for q in ([[integer(-1), integer(1)], [half, integer(2)]],
@@ -207,12 +229,26 @@ def test_hilbert_cache(tmp_path, capsys, monkeypatch):
     _, second, _ = run(capsys, *args)
     assert first == second
     # an entry of another shape is a miss: recomputed and overwritten
-    for corrupt in ("[]", '{"dims": 5, "total": 1, "finite": true}'):
+    for corrupt in ("[]", '{"dims": 5, "total": 1}'):
         cached[0].write_text(corrupt)
         code, again, err = run(capsys, *args)
         assert code == 0 and err == ""
         assert again == first
         assert json.loads(cached[0].read_text())["dims"] == [1, 3, 4, 3, 1, 0]
+
+
+def test_cache_key_only_when_the_cache_is_on(capsys, monkeypatch):
+    # without NICHOLS_CACHE_DIR the package sources are never hashed
+    monkeypatch.delenv("NICHOLS_CACHE_DIR", raising=False)
+
+    def refuse(*args):
+        raise AssertionError("cache key computed with the cache off")
+
+    monkeypatch.setattr(cli, "_cache_key", refuse)
+    code, out, _ = run(capsys, "hilbert", "--builtin", "v3", "--q", "-1",
+                       "--max-degree", "6")
+    assert code == 0
+    assert "total: 12" in out
 
 
 def test_cache_key_covers_every_module(tmp_path, monkeypatch):

@@ -10,7 +10,7 @@ from nichols.linalg import (
     invert_square,
     smith_normal_form,
 )
-from nichols.scalars import Cyc, integer, one, rational, root_of_unity, zero
+from nichols.scalars import integer, one, root_of_unity, zero
 
 
 def test_word_encoding_roundtrip():

@@ -4,8 +4,8 @@ import time
 import pytest
 
 from nichols.groups import conjugacy_classes, symmetric
-from nichols.linalg import InvalidInput, invert_square
-from nichols.scalars import integer, one, root_of_unity, zero
+from nichols.linalg import InvalidInput
+from nichols.scalars import one, zero
 from nichols.quandles import (
     Cochain2,
     CrossedSet,

@@ -1,12 +1,8 @@
-import math
-import random
-
 import pytest
 
-from nichols.algebra import GradedComputation, adjoint, hilbert, multiply
+from nichols.algebra import GradedComputation, adjoint, multiply
 from nichols.linalg import Echelon, InvalidInput
-from nichols.scalars import (INFINITE, ONE, integer, one, order, rational,
-                             root_of_unity)
+from nichols.scalars import ONE, integer, one, rational, root_of_unity
 from nichols.rank2 import (
     analyze,
     analyze_best,
@@ -36,7 +32,7 @@ def test_is_qls():
     w = root_of_unity(3, 1)
     q9 = root_of_unity(9, 1)
     assert is_qls([[w, q9], [q9 ** -1, q9]]) == 27
-    assert is_qls([[one()]]) == INFINITE
+    assert is_qls([[one()]]) is None
 
 
 def test_analyze_c4():
@@ -68,7 +64,7 @@ def test_analyze_qls_and_degenerate():
     res = analyze([[one(), root_of_unity(3, 1)],
                    [root_of_unity(3, 1), integer(-1)]])
     assert res.verdict == "bound_only"
-    assert res.bound == INFINITE
+    assert res.bound is None
     assert res.warning
 
 
@@ -108,7 +104,7 @@ def test_infinite_ladder_is_flagged():
     z12 = root_of_unity(12, 1)
     mat = [[integer(-1), z12], [one(), root_of_unity(3, 1)]]
     res = analyze(mat)
-    assert res.bound == INFINITE
+    assert res.bound is None
     assert res.verdict == "bound_only"
 
 
@@ -159,7 +155,7 @@ def test_non_root_diagonal_entry_is_invalid():
     assert nilpotency_order_formula([[one(), one()], [one(), integer(2)]],
                                     0, 1) == 1
     assert nilpotency_order_formula([[one(), integer(2)], [one(), one()]],
-                                    0, 1) == INFINITE
+                                    0, 1) is None
 
 
 def test_analyze_rejects_non_root_diagonal_entries():
@@ -175,7 +171,7 @@ def test_analyze_rejects_non_root_diagonal_entries():
 
 def test_r_of_and_screen():
     assert r_of(8) == 3
-    assert abs(r_of(12) - math.log2(12)) < 1e-12
+    assert r_of(12) == 3
     assert smallest_prime_factor(35) == 5
     assert [smallest_prime_factor(n) for n in (2, 3, 4, 9, 49, 97, 1001)] \
         == [2, 3, 2, 3, 7, 97, 7]
@@ -193,6 +189,26 @@ def test_r_of_and_screen():
     assert not screen(12, 1, 4)
     with pytest.raises(ValueError):
         r_of(1)
+
+
+def test_r_of_is_exact_at_prime_powers():
+    # r(p^k) = k, also at 125 and 243 where log(n, p) in floating point
+    # gives 3.0000000000000004 and 4.999999999999999
+    for p in (2, 3, 5, 7):
+        for k in range(1, 8):
+            assert r_of(p ** k) == k
+    assert type(r_of(243)) is int
+    # the defining inequalities p^r <= n < p^(r+1), p the least prime
+    # factor, on every n up to 3000, so also just below each power
+    for n in range(2, 3001):
+        p, r = smallest_prime_factor(n), r_of(n)
+        assert p ** r <= n < p ** (r + 1)
+
+
+def test_screen_matches_r_of():
+    for n in range(2, 501):
+        for d in range(1, 11):
+            assert screen(n, d, 1) == (d <= r_of(n))
 
 
 def test_csgr_screen():
