@@ -1,8 +1,10 @@
-"""Braided pairs induced from finite group data.
+"""Braided pairs read off finite group data.
 
-A group element and a representation of its centralizer induce a braided
-vector space on the indexed conjugacy class; characters give monomial
-braidings, and sums of such modules assemble with explicit cross actions.
+A group element and a representation of its centralizer induce a
+Yetter-Drinfeld module on the indexed conjugacy class; characters give
+monomial braidings.  ``pairs.yd_module`` takes a list of such summands and
+braids their sum by c(v (x) w) = (deg v . w) (x) v, so the cross terms
+between summands come from the group as well.
 """
 
 from nichols.algebra import hilbert
@@ -15,7 +17,7 @@ from nichols.groups import (
     f_g_map,
     symmetric,
 )
-from nichols.scalars import format_scalar, integer, root_of_unity
+from nichols.scalars import format_scalar, root_of_unity
 from nichols import pairs
 
 s3 = symmetric(3)
@@ -29,7 +31,7 @@ three = next(g for g in s3.elements()
              and s3.mul(g, g) != s3.identity)
 print("centralizer size:", len(centralizer(s3, three)))
 w = root_of_unity(3, 1)
-bp = pairs.induced_yd(s3, three, cyclic_character(s3, three, w))
+bp = pairs.yd_module(s3, [(three, cyclic_character(s3, three, w))])
 print("induced pair:", bp, "diagonal matrix:",
       [[format_scalar(v) for v in row] for row in pairs.is_diagonal(bp)])
 
@@ -43,11 +45,12 @@ d4 = dihedral(4)
 print("dihedral group of order 8 has class sizes",
       sorted(len(c) for c in conjugacy_classes(d4)))
 
-# abelian case: two lines over the cyclic group of order four, glued with
-# explicit cross actions, give the sixteen-dimensional type-A2 algebra
+# abelian case: two lines over the cyclic group of order four, graded by
+# sigma^2 and sigma and acted on through one character chi(sigma) = i; the
+# group supplies the cross actions, and the sum is the sixteen-dimensional
+# type-A2 algebra
 c4 = cyclic(4)
 i = root_of_unity(4, 1)
-m1 = pairs.induced_yd(c4, 2, cyclic_character(c4, 1, i))  # group-like sigma^2
-m2 = pairs.induced_yd(c4, 1, cyclic_character(c4, 1, i))  # group-like sigma
-total = pairs.direct_sum(m1, m2, [integer(-1)], [i])
+chi = cyclic_character(c4, 1, i)
+total = pairs.yd_module(c4, [(2, chi), (1, chi)])
 print("glued pair dimension:", hilbert(total, 8).total)

@@ -1,10 +1,10 @@
 """Exact computation of Nichols algebras of braided vector spaces.
 
 The package builds braided pairs of finite group type (diagonal matrices,
-crossed-set cocycle braidings, induced modules over finite groups, and the
-hand-picked three- and four-dimensional families), computes the graded
-components of their Nichols algebras through their skew derivations (with
-tensor-coalgebra coordinates on request), extracts relation bases,
+crossed-set cocycle braidings, Yetter-Drinfeld modules over finite groups,
+and the hand-picked three- and four-dimensional families), computes the
+graded components of their Nichols algebras through their skew derivations
+(with tensor-coalgebra coordinates on request), extracts relation bases,
 analyses rank-2 diagonal braidings through adjoint nilpotency orders, and
 computes crossed-set cohomology over finite cyclic coefficients.  All
 arithmetic is exact, over cyclotomic fields.
@@ -32,13 +32,13 @@ from .pairs import (
     direct_sum,
     find_decomposition,
     from_cocycle,
-    induced_yd,
     is_diagonal,
     restrict,
     transpose,
     two_by_two,
     v3,
     v4,
+    yd_module,
 )
 from .algebra import (
     GradedComputation,

@@ -132,7 +132,8 @@ def load_pair(text):
                 v = parse_scalar(tok, conductor)
                 if v:
                     cmap[c].append((r, v))
-        return _pairs.BraidedPair(dim, cmap)
+        return _pairs.BraidedPair(dim, cmap,
+                                  _pairs._detect_grouplikes(dim, cmap))
     raise ValueError(f"unknown pair kind {kind!r}")
 
 

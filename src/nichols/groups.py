@@ -1,13 +1,13 @@
-"""Finite groups given by multiplication tables, and the data feeding
-induced Yetter-Drinfeld braidings: centralizers, conjugacy classes, coset
-representatives, the conjugation action on an indexed class, and induced
-module data.
+"""Finite groups given by multiplication tables, and the group data behind
+Yetter-Drinfeld braidings: centralizers, conjugacy classes, coset
+representatives, and the conjugation action on a class indexed by those
+representatives.  ``pairs.yd_module`` builds the braided pairs from them.
 
 Groups here are desk scale (at most a few hundred elements); everything is
 validated on construction and computed by direct enumeration.
 """
 
-from .scalars import as_scalar, one, zero
+from .scalars import one
 
 
 class FiniteGroup:
@@ -136,6 +136,22 @@ def coset_representatives(group, subgroup):
     return reps
 
 
+def _indexed_class(group, g):
+    """The class of g indexed through the deterministic coset
+    representatives h_j of its centralizer.
+
+    Returns ``(cent, reps, ts, pos)``: the centralizer, the h_j, the class
+    elements t_j = h_j g h_j^-1, and the position pos[t_j] = j.
+    """
+    cent = centralizer(group, g)
+    reps = coset_representatives(group, cent)
+    ts = [group.conj(h, g) for h in reps]
+    pos = {t: i for i, t in enumerate(ts)}
+    if len(pos) != len(ts):
+        raise RuntimeError("coset representatives do not index the class")
+    return cent, reps, ts, pos
+
+
 def f_g_map(group, g):
     """The conjugation action of the group on the indexed class of g.
 
@@ -144,12 +160,7 @@ def f_g_map(group, g):
     and perms[k][i] = j whenever k t_i k^-1 = t_j.  The map k -> perms[k]
     is verified to be a homomorphism.
     """
-    cent = centralizer(group, g)
-    reps = coset_representatives(group, cent)
-    ts = [group.conj(h, g) for h in reps]
-    pos = {t: i for i, t in enumerate(ts)}
-    if len(pos) != len(ts):
-        raise RuntimeError("coset representatives do not index the class")
+    _, _, ts, pos = _indexed_class(group, g)
     perms = []
     for k in group.elements():
         perms.append(tuple(pos[group.conj(k, t)] for t in ts))
@@ -184,74 +195,10 @@ def orbit_factorization(group, target, fmap, g):
     return n, m
 
 
-class InducedDatum:
-    """Everything needed to braid the module induced from a centralizer
-    representation: indexed class, coset representatives, and the
-    representation matrices."""
-
-    __slots__ = ("group", "g", "centralizer", "coset_reps", "ts", "rho", "degree")
-
-    def __init__(self, group, g, cent, reps, ts, rho, degree):
-        self.group = group
-        self.g = g
-        self.centralizer = cent
-        self.coset_reps = reps
-        self.ts = ts
-        self.rho = rho
-        self.degree = degree
-
-    @property
-    def class_size(self):
-        return len(self.coset_reps)
-
-
-def _as_matrix(value):
-    """A character value or a matrix, as tuple rows of Cyc."""
-    if isinstance(value, (list, tuple)):
-        return tuple(tuple(as_scalar(v) for v in row) for row in value)
-    return ((as_scalar(value),),)
-
-
-def induced_datum(group, g, chi):
-    """Validate a representation of the centralizer of g and package the
-    induction data.
-
-    ``chi`` maps each centralizer element to a scalar (a character) or to
-    a square matrix of scalars (an explicit matrix representation); ints,
-    Fractions and Cyc are accepted.  It must be a homomorphism on the
-    centralizer.
-    """
-    cent = centralizer(group, g)
-    rho = {h: _as_matrix(chi[h]) for h in cent}
-    degree = len(rho[group.identity])
-    ident = rho[group.identity]
-    for i in range(degree):
-        for j in range(degree):
-            want = one() if i == j else zero()
-            if ident[i][j] != want:
-                raise ValueError("representation does not send identity to identity")
-    for a in cent:
-        for b in cent:
-            ab = group.mul(a, b)
-            prod = _mat_mul(rho[a], rho[b])
-            if prod != rho[ab]:
-                raise ValueError("chi is not multiplicative on the centralizer")
-    reps = coset_representatives(group, cent)
-    ts = [group.conj(h, g) for h in reps]
-    if len(set(ts)) != len(ts) or sorted(ts) != conjugacy_class(group, g):
-        raise RuntimeError("representatives do not enumerate the class")
-    return InducedDatum(group, g, cent, reps, ts, rho, degree)
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n)), start=zero())
-                       for j in range(n)) for i in range(n))
-
-
 def cyclic_character(group, gen, value):
     """Character of the cyclic subgroup generated by ``gen`` sending gen to
-    ``value``; handy for building induced data over cyclic centralizers."""
+    ``value``; handy for ``pairs.yd_module`` summands over cyclic
+    centralizers."""
     out = {group.identity: one()}
     x, v = gen, value
     while x != group.identity:

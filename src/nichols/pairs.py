@@ -17,6 +17,13 @@ Grana, From racks to pointed Hopf algebras, Adv. Math. 178, 2003).  Each
 of these constructors supplies only its table of i |> j and its values
 f(i, j); one function, shared with ``quandles.braidings_check``, builds
 the cmap, and the monomial group-likes are read off that cmap.
+
+Modules over a finite group come from ``yd_module``: for summands
+M(g, rho), a class with a representation of its centralizer, it builds
+the action of each basis vector's degree on the whole sum and braids by
+c(v (x) w) = (deg v . w) (x) v, so the cross terms between summands come
+from the group too.  ``direct_sum`` with explicit cross actions is left
+for summands given by their group-likes alone, without a group.
 """
 
 from math import gcd as _gcd
@@ -306,8 +313,7 @@ def from_cocycle(xset, cocycle):
     """The braided pair c(i (x) j) = f(i, j) (i |> j) (x) i on the span of a
     crossed set, for a two-cochain f whose braiding solves the braid
     equation (constants and all two-cocycles do)."""
-    n = xset.size
-    values = [[cocycle.value(i, j) for j in range(n)] for i in range(n)]
+    values = cocycle.values(xset)
     try:
         return _crossed_pair(xset.table, values, "cocycle",
                              {"xset": xset, "cocycle": cocycle})
@@ -315,47 +321,82 @@ def from_cocycle(xset, cocycle):
         raise InvalidInput(f"cochain does not braid this crossed set: {exc}")
 
 
-def induced_yd(group, g, chi):
-    """The braided pair of the module induced from a centralizer
-    representation: basis z_(j,l) over coset representatives h_j and the
-    representation space, braiding c(z_(j,l) (x) z_(v,w)) =
-    (t_j . z_(v,w)) (x) z_(j,l)."""
-    datum = chi if isinstance(chi, _groups.InducedDatum) \
-        else _groups.induced_datum(group, g, chi)
-    s = datum.class_size
-    deg = datum.degree
-    d = s * deg
-    # action of t on basis: t h_v = h_u gamma with gamma in the centralizer
-    rep_index = {h: j for j, h in enumerate(datum.coset_reps)}
-    cent = set(datum.centralizer)
+def yd_module(group, summands):
+    """The Yetter-Drinfeld module V = M(g_1, rho_1) + ... + M(g_r, rho_r)
+    over a finite group, braided by c(v (x) w) = (deg v . w) (x) v, cross
+    terms between summands included.
 
-    def coset_of(x):
-        for u, h in enumerate(datum.coset_reps):
-            if group.mul(group.inv(h), x) in cent:
-                return u, group.mul(group.inv(h), x)
-        raise RuntimeError("element escaped its cosets")
+    ``summands`` lists pairs (g, chi), where chi maps each element of the
+    centralizer of g to a scalar (a character) or to a square matrix (a
+    representation rho); ints, Fractions and Cyc are accepted.  M(g, rho)
+    has basis z_(j,l) over the coset representatives h_j of the centralizer
+    and the basis e_l of rho, in that order, and z_(j,l) has degree
+    t_j = h_j g h_j^-1.  An element x acts by x . z_(v,w) =
+    sum_k rho(gamma)[k][w] z_(u,k), where x t_v x^-1 = t_u and
+    gamma = h_u^-1 x h_v lies in the centralizer.
+    """
+    summands = list(summands)
+    blocks = []
+    d = 0
+    for g, chi in summands:
+        cent, reps, ts, pos = _groups._indexed_class(group, g)
+        rho, deg = _centralizer_rep(group, cent, chi)
+        blocks.append((d, reps, ts, pos, rho, deg))
+        d += len(ts) * deg
 
-    grouplikes = []
-    for j in range(s):
-        t = datum.ts[j]
-        g_mat = [[zero()] * d for _ in range(d)]
-        for v in range(s):
-            u, gamma = coset_of(group.mul(t, datum.coset_reps[v]))
-            rho = datum.rho[gamma]
-            for w in range(deg):
+    def action(x):
+        mat = [[zero()] * d for _ in range(d)]
+        for off, reps, ts, pos, rho, deg in blocks:
+            for v, t in enumerate(ts):
+                u = pos[group.conj(x, t)]
+                gamma = group.mul(group.inv(reps[u]), group.mul(x, reps[v]))
                 for k in range(deg):
-                    c = rho[k][w]
-                    if c:
-                        g_mat[u * deg + k][v * deg + w] = c
-        for _ in range(deg):
-            grouplikes.append(g_mat)
+                    for w in range(deg):
+                        mat[off + u * deg + k][off + v * deg + w] = \
+                            rho[gamma][k][w]
+        return mat
+
+    grouplikes = [g_mat for _, _, ts, _, _, deg in blocks for t in ts
+                  for g_mat in [action(t)] * deg]
     return BraidedPair(d, _grouplike_cmap(d, grouplikes), grouplikes,
-                       kind="induced",
-                       params={"group": group, "g": g, "datum": datum})
+                       kind="yd_module",
+                       params={"group": group, "summands": summands})
+
+
+def _centralizer_rep(group, cent, chi):
+    """``chi`` on the centralizer as square matrices, checked to be a
+    representation: defined everywhere, the identity to the identity, and
+    multiplicative.  Returns the matrices and their size."""
+    rho = {}
+    for h in cent:
+        if h not in chi:
+            raise ValueError(f"chi has no value at centralizer element {h}")
+        value = chi[h]
+        rho[h] = as_matrix(value if isinstance(value, (list, tuple))
+                           else [[value]])
+    deg = len(rho[group.identity])
+    rng = range(deg)
+    if any(len(mat) != deg or any(len(row) != deg for row in mat)
+           for mat in rho.values()):
+        raise ValueError("chi needs square matrices of one size")
+    if rho[group.identity] != [[one() if i == j else zero() for j in rng]
+                               for i in rng]:
+        raise ValueError("chi does not send the identity to the identity")
+    for a in cent:
+        for b in cent:
+            prod = [[sum((rho[a][i][k] * rho[b][k][j] for k in rng),
+                         start=zero()) for j in rng] for i in rng]
+            if prod != rho[group.mul(a, b)]:
+                raise ValueError(
+                    "chi is not multiplicative on the centralizer")
+    return rho, deg
 
 
 def direct_sum(a, b, cross_ab, cross_ba):
-    """Braided pair on the concatenated basis of a and b.
+    """Braided pair on the concatenated basis of a and b, for summands
+    given by their group-likes alone, without a group: a sum of modules
+    over a finite group is ``yd_module``, which reads the cross terms off
+    the group.
 
     The cross braidings are not determined by the summands: ``cross_ab[i]``
     must give the action of the i-th group-like of a on the basis of b
@@ -379,25 +420,15 @@ def direct_sum(a, b, cross_ab, cross_ba):
     cross_ba = [expand(e, da) for e in cross_ba]
     if len(cross_ab) != da or len(cross_ba) != db:
         raise ValueError("need one cross action per basis vector")
-    grouplikes = []
-    for i in range(da):
-        g = [[zero()] * d for _ in range(d)]
-        for k in range(da):
-            for j in range(da):
-                g[k][j] = a.grouplikes[i][k][j]
-        for k in range(db):
-            for j in range(db):
-                g[da + k][da + j] = cross_ab[i][k][j]
-        grouplikes.append(g)
-    for i in range(db):
-        g = [[zero()] * d for _ in range(d)]
-        for k in range(da):
-            for j in range(da):
-                g[k][j] = cross_ba[i][k][j]
-        for k in range(db):
-            for j in range(db):
-                g[da + k][da + j] = b.grouplikes[i][k][j]
-        grouplikes.append(g)
+
+    def block_diagonal(top, bottom):
+        return ([list(row) + [zero()] * db for row in top]
+                + [[zero()] * da + list(row) for row in bottom])
+
+    grouplikes = [block_diagonal(g, c)
+                  for g, c in zip(a.grouplikes, cross_ab)]
+    grouplikes += [block_diagonal(c, g)
+                   for g, c in zip(b.grouplikes, cross_ba)]
     return BraidedPair(d, _grouplike_cmap(d, grouplikes), grouplikes,
                        kind="direct_sum", params={"left": a, "right": b})
 

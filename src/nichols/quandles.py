@@ -12,10 +12,10 @@ coefficients is the directed union of these finite-cyclic answers
 single object here.
 """
 
-from itertools import groupby, product as _product
+from functools import lru_cache
 from math import gcd
 
-from .linalg import InvalidInput, encode_word, smith_normal_form
+from .linalg import InvalidInput, smith_normal_form
 from .scalars import root_of_unity
 
 
@@ -113,6 +113,8 @@ class Cochain2:
         self.modulus = modulus
         self.exponents = tuple(tuple(v % modulus for v in row)
                                for row in exponents)
+        if any(len(row) != len(self.exponents) for row in self.exponents):
+            raise ValueError("cochain exponent table must be square")
 
     @classmethod
     def constant(cls, xset, modulus, exponent):
@@ -122,36 +124,60 @@ class Cochain2:
     def value(self, i, j):
         return root_of_unity(self.modulus, self.exponents[i][j])
 
+    def values(self, xset):
+        """The table of values f(i, j) on ``xset``, which must have the
+        cochain's size."""
+        self._require_size(xset)
+        n = xset.size
+        return [[self.value(i, j) for j in range(n)] for i in range(n)]
+
     def is_cocycle(self, xset):
-        """Whether delta^2 kills the exponent table, one row at a time."""
+        """Whether delta^2 kills the exponent table."""
+        self._require_size(xset)
         flat = [v for row in self.exponents for v in row]
-        for _, terms in groupby(_coboundary_terms(xset, 2),
-                                key=lambda term: term[0]):
-            if sum(sign * flat[col] for _, col, sign in terms) % self.modulus:
-                return False
-        return True
+        acc = [0] * xset.size ** 3
+        for sign, cols in _coboundary_columns(xset.table, 2):
+            acc = [a + sign * flat[c] for a, c in zip(acc, cols)]
+        return not any(a % self.modulus for a in acc)
+
+    def _require_size(self, xset):
+        if len(self.exponents) != xset.size:
+            raise ValueError(f"cochain on {len(self.exponents)} elements "
+                             f"does not fit {xset!r}")
 
     def __repr__(self):
         return f"Cochain2(mod={self.modulus}, table={self.exponents})"
 
 
-def _coboundary_terms(xset, n):
-    """The terms (row, column, sign) of delta^n on exponent tables, rows
-    indexed by X^(n+1) and columns by X^n, both in lexicographic order;
-    the terms of each row come together.
+@lru_cache(maxsize=8)
+def _coboundary_columns(table, n):
+    """The terms of delta^n on exponent tables as (sign, columns) pairs:
+    every row r (a word of X^(n+1), lexicographic) reads the cochain at
+    column columns[r] (a word of X^n) with that sign.
 
     The multiplicative formula contributes, for each i < n, the cochain
     argument with x_i omitted (sign (-1)^i) and the argument with x_i
-    acting on everything to its right (sign (-1)^(i+1)).
+    acting on everything to its right (sign (-1)^(i+1)).  Words are base-
+    |X| integers: with low = |X|^(n-i), row r splits as
+    (r // (low |X|), x_i, r % low), and acted[x][w] is x acting on every
+    letter of the word w of length n - i.  Cached per table, since a
+    sweep calls ``is_cocycle`` on many cochains over one crossed set.
     """
-    size = xset.size
-    act = xset.act
-    for r, xs in enumerate(_product(range(size), repeat=n + 1)):
-        for i in range(n):
-            sign = 1 if i % 2 == 0 else -1
-            yield r, encode_word(xs[:i] + xs[i + 1:], size), sign
-            acted = xs[:i] + tuple(act(xs[i], y) for y in xs[i + 1:])
-            yield r, encode_word(acted, size), -sign
+    size = len(table)
+    rows = range(size ** (n + 1))
+    acted = [[0] for _ in range(size)]
+    terms = []
+    for i in reversed(range(n)):
+        low = size ** (n - i)
+        acted = [[table[x][a] * (low // size) + w for a in range(size)
+                  for w in acted[x]] for x in range(size)]
+        sign = 1 if i % 2 == 0 else -1
+        terms.append((sign, tuple(r // (low * size) * low + r % low
+                                  for r in rows)))
+        terms.append((-sign, tuple(r // (low * size) * low
+                                   + acted[r // low % size][r % low]
+                                   for r in rows)))
+    return tuple(terms)
 
 
 def delta_matrix(xset, n):
@@ -160,8 +186,9 @@ def delta_matrix(xset, n):
     For n = 0 it is the zero map: constants have trivial differential."""
     size = xset.size
     mat = [[0] * size ** n for _ in range(size ** (n + 1))]
-    for r, col, sign in _coboundary_terms(xset, n):
-        mat[r][col] += sign
+    for sign, cols in _coboundary_columns(xset.table, n):
+        for row, col in zip(mat, cols):
+            row[col] += sign
     return mat
 
 
@@ -248,9 +275,8 @@ def braidings_check(xset, cochain):
     """Whether the cochain's braiding solves the braid equation, tested
     exhaustively on the triple tensor power of the spanned vector space."""
     from .pairs import _crossed_cmap, braid_equation_holds
-    n = xset.size
-    values = [[cochain.value(i, j) for j in range(n)] for i in range(n)]
-    return braid_equation_holds(n, _crossed_cmap(xset.table, values)) is None
+    cmap = _crossed_cmap(xset.table, cochain.values(xset))
+    return braid_equation_holds(xset.size, cmap) is None
 
 
 def grouplike_closure(xset, cochain):

@@ -10,7 +10,7 @@ from nichols.fileio import (
     load_group,
     load_pair,
 )
-from nichols.groups import dihedral
+from nichols.groups import cyclic, cyclic_character, dihedral
 from nichols.quandles import Cochain2, dihedral_crossed_set
 from nichols.scalars import integer, one, rational, root_of_unity
 from nichols import pairs
@@ -37,6 +37,24 @@ def test_pair_roundtrips():
     # a generic matrix pair goes through the full-matrix format
     text = roundtrip(pairs.transpose(pairs.v3(integer(-1))))
     assert text.splitlines()[0] == "kind matrix"
+
+
+def test_matrix_files_keep_group_type_data():
+    # a sum of Yetter-Drinfeld modules is written as a full matrix; reading
+    # it back recovers its group-likes, so direct_sum accepts it again
+    c4 = cyclic(4)
+    chi = cyclic_character(c4, 1, root_of_unity(4, 1))
+    bp = pairs.yd_module(c4, [(2, chi), (1, chi)])
+    text = roundtrip(bp)
+    assert text.splitlines()[0] == "kind matrix"
+    back = load_pair(text)
+    assert back.grouplikes == bp.grouplikes
+    line = pairs.diagonal([[-1]])
+    assert pairs.direct_sum(back, line, [1, 1], [1]).cmap \
+        == pairs.direct_sum(bp, line, [1, 1], [1]).cmap
+    # a braiding that is not of group type still loads, without group-likes
+    assert load_pair(dump_pair(pairs.change_basis(
+        pairs.v3(-1), [[1, 1, 0], [0, 1, 0], [0, 0, 1]]))).grouplikes is None
 
 
 def test_pair_file_is_commented_text():

@@ -10,7 +10,6 @@ from nichols.groups import (
     cyclic_character,
     dihedral,
     f_g_map,
-    induced_datum,
     orbit_factorization,
     symmetric,
 )
@@ -102,32 +101,31 @@ def test_orbit_factorization():
                             transposition)
 
 
-def test_induced_datum():
+def test_yd_module_centralizer_data():
     s3 = symmetric(3)
     three = next(g for g in s3.elements()
                  if g != s3.identity and s3.mul(g, s3.mul(g, g)) == s3.identity
                  and s3.mul(g, g) != s3.identity)
     w = root_of_unity(3, 1)
-    datum = induced_datum(s3, three, cyclic_character(s3, three, w))
-    assert datum.class_size == 2
-    assert datum.degree == 1
-    assert sorted(datum.ts) == conjugacy_class(s3, three)
+    # dimension = class size x degree
+    bp = pairs.yd_module(s3, [(three, cyclic_character(s3, three, w))])
+    assert bp.dim == len(conjugacy_class(s3, three)) == 2
     # abelian group: a single coset
     c4 = cyclic(4)
-    datum = induced_datum(c4, 1, cyclic_character(c4, 1, root_of_unity(4, 1)))
-    assert datum.class_size == 1
+    i = root_of_unity(4, 1)
+    bp = pairs.yd_module(c4, [(1, cyclic_character(c4, 1, i))])
+    assert bp.dim == 1
     # plain ints go through the scalar coercion, as in every pair constructor
-    datum = induced_datum(c4, 1, cyclic_character(c4, 1, -1))
-    assert datum.rho[1] == ((integer(-1),),)
-    assert datum.rho[2] == ((one(),),)
-    bp = pairs.induced_yd(c4, 1, cyclic_character(c4, 1, -1))
+    bp = pairs.yd_module(c4, [(1, cyclic_character(c4, 1, -1))])
     assert bp.cmap == pairs.diagonal([[-1]]).cmap
+    assert bp.cmap == pairs.yd_module(
+        c4, [(1, cyclic_character(c4, 1, integer(-1)))]).cmap
     # non-multiplicative data is rejected
     bad = {x: one() for x in c4.elements()}
     bad[1] = integer(-1)
     bad[2] = one()
-    with pytest.raises(ValueError):
-        induced_datum(c4, 1, bad)
+    with pytest.raises(ValueError, match="multiplicative"):
+        pairs.yd_module(c4, [(1, bad)])
 
 
 def test_coset_representatives_are_minimal():
@@ -143,15 +141,17 @@ def test_coset_representatives_are_minimal():
 
 def test_matrix_representation_accepted():
     # an explicit two-dimensional representation of the cyclic group of
-    # order two inside its own induced datum
+    # order two: one class element, so dimension 1 x 2
     c2 = cyclic(2)
     minus = integer(-1)
     z = integer(0)
     rho = {0: ((one(), z), (z, one())), 1: ((z, one()), (one(), z))}
-    datum = induced_datum(c2, 1, rho)
-    assert datum.degree == 2
-    assert induced_datum(c2, 1, {0: [[1, 0], [0, 1]],
-                                 1: [[0, 1], [1, 0]]}).rho == datum.rho
+    bp = pairs.yd_module(c2, [(1, rho)])
+    assert bp.dim == 2
+    # the generator swaps the two basis vectors
+    assert dict(bp.braiding_terms(0, 0)) == {(1, 0): one()}
+    assert pairs.yd_module(c2, [(1, {0: [[1, 0], [0, 1]],
+                                     1: [[0, 1], [1, 0]]})]).cmap == bp.cmap
     bad = {0: ((one(), z), (z, one())), 1: ((z, one()), (minus, z))}
     with pytest.raises(ValueError):
-        induced_datum(c2, 1, bad)
+        pairs.yd_module(c2, [(1, bad)])

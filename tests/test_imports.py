@@ -1,19 +1,23 @@
-"""Every imported name is used.
+"""Every imported name is used, and the package needs only the standard
+library.
 
 An AST scan of the package modules, the tests and the demos: a name bound
 by an import statement must appear as a name somewhere in the same module.
-``nichols/__init__.py`` is skipped, since its imports are re-exports.
+``nichols/__init__.py`` is skipped, since its imports are re-exports.  A
+second scan checks that every module of the package imports only the
+standard library and the package itself: it has no runtime dependencies.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "nichols").glob("*.py"))
 MODULES = sorted(
-    [p for p in (ROOT / "src" / "nichols").glob("*.py")
-     if p.name != "__init__.py"]
+    [p for p in PACKAGE if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py"))
     + list((ROOT / "demos").glob("*.py")))
 
@@ -46,3 +50,28 @@ def test_scan_finds_an_unused_import():
                          ids=[str(p.relative_to(ROOT)) for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def foreign_imports(source):
+    """Top-level modules imported by ``source`` that are neither in the
+    standard library nor the package itself (relative imports are)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return sorted(found - set(sys.stdlib_module_names) - {"nichols"})
+
+
+def test_scan_finds_a_foreign_import():
+    assert foreign_imports("import numpy.linalg\nimport os\n"
+                           "from sympy import Matrix\nfrom . import pairs\n"
+                           "from nichols.scalars import Cyc\n") \
+        == ["numpy", "sympy"]
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_package_imports_only_the_standard_library(path):
+    assert foreign_imports(path.read_text()) == []

@@ -3,8 +3,15 @@ import pytest
 from nichols.braids import sigma_pass
 from nichols.linalg import encode_word
 from nichols.scalars import ONE, integer, one, root_of_unity, zero
-from nichols import pairs, quandles
-from nichols.groups import cyclic, cyclic_character, symmetric
+from nichols import algebra, pairs, quandles
+from nichols.groups import (
+    centralizer,
+    conjugacy_class,
+    cyclic,
+    cyclic_character,
+    dihedral,
+    symmetric,
+)
 
 
 def braiding_of(bp, i, j):
@@ -184,21 +191,21 @@ def test_cocycle_diagonal_rigidity():
                 assert (f.exponents[i][i] - f.exponents[j][j]) % m == 0
 
 
-def test_induced_yd_one_dimensional_cases():
+def test_yd_module_one_dimensional_cases():
     c2 = cyclic(2)
     chi = cyclic_character(c2, 1, integer(-1))
-    bp = pairs.induced_yd(c2, 1, chi)
+    bp = pairs.yd_module(c2, [(1, chi)])
     assert bp.dim == 1
     assert braiding_of(bp, 0, 0) == {(0, 0): integer(-1)}
     c4 = cyclic(4)
     i = root_of_unity(4, 1)
     chi4 = cyclic_character(c4, 1, i)
-    bp4 = pairs.induced_yd(c4, 1, chi4)
+    bp4 = pairs.yd_module(c4, [(1, chi4)])
     assert bp4.dim == 1
     assert braiding_of(bp4, 0, 0) == {(0, 0): i}
 
 
-def test_induced_yd_s3_three_cycle():
+def test_yd_module_s3_three_cycle():
     s3 = symmetric(3)
     # pick a three-cycle and its centralizer character sending it to omega
     three = next(g for g in s3.elements()
@@ -206,7 +213,7 @@ def test_induced_yd_s3_three_cycle():
                  and s3.mul(g, g) != s3.identity)
     w = root_of_unity(3, 1)
     chi = cyclic_character(s3, three, w)
-    bp = pairs.induced_yd(s3, three, chi)
+    bp = pairs.yd_module(s3, [(three, chi)])
     assert bp.dim == 2
     # the two class elements commute, so the braiding is diagonal with
     # matrix [[w, w^2], [w^2, w]]
@@ -218,13 +225,13 @@ def test_induced_yd_s3_three_cycle():
 
 def test_direct_sum_c4_example():
     # the two one-dimensional summands over the cyclic group of order four:
-    # group-likes sigma and sigma^2, both acting through the same character
+    # group-likes sigma^2 and sigma, both acting through the same character
+    # chi(sigma) = i; the cross actions (sigma^2 on the second line by
+    # chi(sigma^2) = -1, sigma on the first by i) come from the group
     c4 = cyclic(4)
     i = root_of_unity(4, 1)
-    m1 = pairs.induced_yd(c4, 1, cyclic_character(c4, 1, i))   # chi(sigma) = i
-    m2 = pairs.induced_yd(c4, 2, cyclic_character(c4, 1, i))   # sigma^2, same chi
-    # cross actions: sigma^2 on m1 by chi(sigma^2) = -1, sigma on m2 by i
-    total = pairs.direct_sum(m2, m1, [integer(-1)], [i])
+    chi = cyclic_character(c4, 1, i)
+    total = pairs.yd_module(c4, [(2, chi), (1, chi)])
     q = pairs.is_diagonal(total)
     assert q is not None
     # rows are constant: the scalar depends on the acting group-like only
@@ -233,8 +240,53 @@ def test_direct_sum_c4_example():
     # braiding bookkeeping; all rank-2 invariants agree between the two
     flipped = pairs.is_diagonal(pairs.transpose(total))
     assert flipped == [[integer(-1), i], [integer(-1), i]]
+    # direct_sum is for pairs without group data, and needs group-likes
+    m1 = pairs.yd_module(c4, [(1, chi)])
     with pytest.raises(ValueError):
-        pairs.direct_sum(pairs.transpose(m1), m2, [i], [i * i])
+        pairs.direct_sum(pairs.transpose(m1), m1, [i], [i * i])
+
+
+def test_yd_module_e4_yardstick():
+    # the transpositions of S4 with a character of the centralizer
+    # C(t) = {1, t, a, ta} (Z/2 x Z/2) sending t to -1: the 576-dimensional
+    # Fomin-Kirillov algebra E4, equal to the constant cocycle -1 on the
+    # conjugation crossed set
+    s4 = symmetric(4)
+    t = next(x for x in s4.elements()
+             if s4.mul(x, x) == s4.identity
+             and len(conjugacy_class(s4, x)) == 6)
+    xset = quandles.conjugation_crossed_set(s4, [t])
+    want = algebra.hilbert(pairs.from_cocycle(
+        xset, quandles.Cochain2.constant(xset, 2, 1)), 13).dims
+    assert want == [1, 6, 19, 42, 71, 96, 106, 96, 71, 42, 19, 6, 1, 0]
+    for a in centralizer(s4, t):
+        if a in (s4.identity, t):
+            continue
+        chi = {s4.identity: 1, t: -1, a: 1, s4.mul(t, a): -1}
+        res = algebra.hilbert(pairs.yd_module(s4, [(t, chi)]), 13)
+        assert res.dims == want and res.total == 576
+
+
+def test_yd_module_d4_yardstick():
+    # two classes of reflections in the dihedral group of order eight
+    # (element 2a+b is r^a s^b): the 64-dimensional algebra of ms-d4
+    d4 = dihedral(4)
+    chi1 = {0: 1, 1: -1, 4: 1, 5: -1}
+    chi2 = {0: 1, 3: -1, 4: 1, 7: -1}
+    bp = pairs.yd_module(d4, [(1, chi1), (3, chi2)])
+    assert bp.dim == 4
+    want = algebra.hilbert(
+        pairs.two_by_two(-1, -1, 1, 1, 1, 1), 9).dims
+    assert want == [1, 4, 8, 12, 14, 12, 8, 4, 1, 0]
+    assert algebra.hilbert(bp, 9).dims == want
+
+
+def test_yd_module_rejects_a_character_missing_a_centralizer_element():
+    # the centralizer {0, 1, 4, 5} of the reflection s in the dihedral group
+    # of order eight is not cyclic, so the character of <s> misses 4 and 5
+    d4 = dihedral(4)
+    with pytest.raises(ValueError, match="element 4"):
+        pairs.yd_module(d4, [(1, cyclic_character(d4, 1, -1))])
 
 
 def test_find_decomposition():
@@ -266,7 +318,7 @@ def test_grouplike_metadata_matches_braiding():
                  if g != s3.identity and s3.mul(g, s3.mul(g, g)) == s3.identity
                  and s3.mul(g, g) != s3.identity)
     w = root_of_unity(3, 1)
-    bp = pairs.induced_yd(s3, three, cyclic_character(s3, three, w))
+    bp = pairs.yd_module(s3, [(three, cyclic_character(s3, three, w))])
     for i in range(bp.dim):
         assert braiding_of(bp, i, i) == {(i, i): w}
 

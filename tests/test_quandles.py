@@ -305,3 +305,25 @@ def test_is_cocycle_agrees_with_the_matrix_differential():
                 sum(row[k] * flat[k] for k in range(n * n)) % m == 0
                 for row in d2)
             assert f.is_cocycle(xs) == image_zero
+
+
+def test_cochain_tables_must_be_square():
+    # a ragged table once loaded and then raised IndexError in is_cocycle
+    with pytest.raises(ValueError, match="square"):
+        Cochain2(2, [[0, 1], [1]])
+    with pytest.raises(ValueError, match="square"):
+        Cochain2(2, [[0, 1, 0], [1, 0, 1]])
+
+
+def test_cochain_size_must_match_the_crossed_set():
+    # a 4 x 4 cochain once braided the corner of a 3-element set silently,
+    # and a 2 x 2 one raised IndexError
+    xs = dihedral_crossed_set(3)
+    for size in (2, 4):
+        f = Cochain2(2, [[1] * size for _ in range(size)])
+        with pytest.raises(ValueError, match="does not fit"):
+            pairs.from_cocycle(xs, f)
+        with pytest.raises(ValueError, match="does not fit"):
+            f.is_cocycle(xs)
+        with pytest.raises(ValueError, match="does not fit"):
+            braidings_check(xs, f)
