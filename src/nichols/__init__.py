@@ -51,6 +51,7 @@ from .algebra import (
     multiply,
     new_leading_words,
     nilpotency_order,
+    relation_count,
     relations,
 )
 from .quandles import (

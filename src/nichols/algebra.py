@@ -21,23 +21,36 @@ x_i . e_b over the basis e_b of B_(n-1), and the skew Leibniz rule gives
 
 where c(x_i (x) u) = sum_y beta_(i,y)(u) (x) x_y is x_i crossed over all
 of u.  When degree n+1 is asked for, degree n gets the left
-multiplications L_i: B_(n-1) -> B_n and the crossings beta_(i,y): B_n ->
-B_n as dim-by-dim coordinate maps, which replace those of degree n-1 (the
-top degree needs only its rank); the crossings follow from the braiding C
-one degree down,
+multiplications L_i: B_(n-1) -> B_n, kept for every degree, and the
+crossings beta_(i,y): B_n -> B_n, which replace those of degree n-1 (the
+top degree needs only its rank), all as dim-by-dim coordinate maps; the
+crossings follow from the braiding C one degree down,
 
     d_k beta_(i,y)(u) = sum_(w,z) C[(w,z) -> (k,y)] beta_(i,w)(d_z u),
 
 and maps that vanish identically are not stored, so a braiding of group
 type, where beta_(i,y) = 0 for y != i, carries d maps instead of d^2.
+The right multiplications R_j: B_(n-1) -> B_n come the same way, on
+request, from d_y(u . x_j) = delta_(y,j) u + sum C[(w,j) -> (k,y)]
+d_w(u) . x_k.
+
+Relations are counted in the same coordinates.  The dependencies among
+the candidates x_i . e_b of degree n-1 (the null space of the L_i) lift
+to the relation ideal J, the kernel of T(V) -> B(V), and span J_(n-1)
+modulo V (x) J_(n-2); pushed through the R_j they give the part of
+degree n that the ideal generated below n covers in V (x) B_(n-1), and
+what B_n leaves of the rest is the number r_n of new relations
+(``relation_count``).  Only a degree with r_n > 0 goes to tensor
+coordinates for the relation vectors.
 
 Tensor coordinates are built only on request (``degree_basis``,
-``kernel_basis``), from u = sum_y d_y(u) (x) x_y.  Symmetrizer kernels come
-from the row space: the transpose of the degree-n symmetrizer is the
-degree-n symmetrizer of the transposed braiding, so the kernel falls out
-of the reduced echelon basis of the transposed pair's component in tensor
-coordinates, and stays sparse (each kernel vector touches at most rank+1
-coordinates).
+``kernel_basis``, the relation vectors), from u = sum_y d_y(u) (x) x_y.
+Symmetrizer kernels come from the row space: the transpose of the
+degree-n symmetrizer is the degree-n symmetrizer of the transposed
+braiding, so the kernel falls out of the reduced echelon basis of the
+transposed pair's component in tensor coordinates, and stays sparse (each
+kernel vector touches at most rank+1 coordinates); the relation vectors
+reduce it modulo V . K + K . V, d^n words wide.
 """
 
 from collections import namedtuple
@@ -89,7 +102,7 @@ def _apply(cols, vec):
 class GradedComputation:
     """Per-degree echelon bases of the graded components in derivation
     coordinates, with caches for tensor coordinates, the transposed pair
-    (row spaces), kernels, and relation bases.
+    (row spaces), kernels, relation counts and relation bases.
 
     ``stats[n]`` records the cost of degree n.  Treat instances as
     single-writer: all public functions taking a cache mutate only the one
@@ -104,17 +117,21 @@ class GradedComputation:
         self.stats = [DegreeStats(0, 0, 1, 1, 0.0)]
         # candidate Phi-vectors x_i . e_b of the newest degree, [i][b]
         self._cands = None
-        # the last prepared degree n, all the next degree needs: d_z of
-        # each basis vector, [b][z]; the maps L_i: B_(n-1) -> B_n as [i][c];
-        # the nonzero crossings beta_(i,y) on B_n as {(i, y): [b]}.  Degree
-        # 0 has no derivatives and the crossing c(x_i (x) 1) = 1 (x) x_i.
+        # the last prepared degree n, all the next degree needs besides
+        # L_n: d_z of each basis vector, [b][z]; the nonzero crossings
+        # beta_(i,y) on B_n as {(i, y): [b]}.  Degree 0 has no derivatives
+        # and the crossing c(x_i (x) 1) = 1 (x) x_i.
         self._derivs = [{}]
-        self._left = None
         self._betas = {(i, i): [{0: ONE}] for i in range(bp.dim)}
+        # the maps L_i: B_(n-1) -> B_n as [i][c] at index n for every
+        # prepared degree n; the maps R_j, built on request, alike
+        self._lefts = [None]
+        self._rights = [None]
         # tensor coordinates of the basis of each degree, built on request
         self._tensor = [[{0: ONE}]]
         self._transposed = None
         self.kernels = {}
+        self.relation_counts = {}
         self.relation_bases = {}
         self.leading_words = {}
 
@@ -134,7 +151,7 @@ class GradedComputation:
         d = self.bp.dim
         if n > 1:
             self._prepare(n - 1)
-        derivs, left, betas = self._derivs, self._left, self._betas
+        derivs, left, betas = self._derivs, self._lefts[-1], self._betas
         size = len(derivs)
         cands = []
         for i in range(d):
@@ -168,16 +185,9 @@ class GradedComputation:
         and derive its derivatives, left multiplications and crossings."""
         bp = self.bp
         d = bp.dim
-        ech = self.bases[n].rref()
-        pivots = ech.pivots()
-        index = {p: b for b, p in enumerate(pivots)}
+        index = self._pivot_index(n)
         size = len(self._derivs)
-        derivs = []
-        for p in pivots:
-            split = {}
-            for k, s in ech.rows[p].items():
-                split.setdefault(k // size, {})[k % size] = s
-            derivs.append(split)
+        derivs = self._derivatives(n)
         left = [[{index[k]: s for k, s in v.items() if k in index}
                  for v in row] for row in self._cands]
         self._cands = None
@@ -197,7 +207,72 @@ class GradedComputation:
                                                     [{} for _ in derivs])
                             vec_add_into(cols[b], part, s)
         self._betas = {key: cols for key, cols in betas.items() if any(cols)}
-        self._derivs, self._left = derivs, left
+        self._derivs = derivs
+        self._lefts.append(left)
+
+    def _pivot_index(self, n):
+        """Position of each pivot key among the rows of degree n: the
+        coordinates of an element of B_n in the reduced echelon basis are
+        its entries at these keys."""
+        return {p: b for b, p in enumerate(self.bases[n].pivots())}
+
+    def _derivatives(self, n):
+        """d_z of each basis vector of degree n, as [b][z] sparse vectors
+        over the basis of degree n-1 (degree 0 has no derivatives)."""
+        ech = self.bases[n].rref()
+        if n == 0:
+            return [{}]
+        size = self.bases[n - 1].rank
+        derivs = []
+        for p in ech.pivots():
+            split = {}
+            for k, s in ech.rows[p].items():
+                split.setdefault(k // size, {})[k % size] = s
+            derivs.append(split)
+        return derivs
+
+    def left(self, n):
+        """The left multiplications L_i: B_(n-1) -> B_n, u -> x_i . u, as
+        [i][b] coordinate maps (made when degree n+1 is computed)."""
+        self.basis(n + 1)
+        return self._lefts[n]
+
+    def right(self, n):
+        """The right multiplications R_j: B_(n-1) -> B_n, u -> u . x_j, as
+        [j][b] coordinate maps, built one degree at a time from
+
+            d_y(u . x_j) = delta_(y,j) u
+                           + sum_(w,k) C[(w,j) -> (k,y)] d_w(u) . x_k,
+
+        the shuffle T_(m,1) = 1 + (T_(m-1,1) (x) id) c_(m,m+1) read through
+        d_y."""
+        d = self.bp.dim
+        cmap = self.bp.cmap
+        self.basis(n)
+        while len(self._rights) <= n:
+            m = len(self._rights)
+            lower = self._rights[m - 1]
+            size = self.bases[m - 1].rank
+            index = self._pivot_index(m)
+            maps = [[] for _ in range(d)]
+            for b, split in enumerate(self._derivatives(m - 1)):
+                # R_k(d_w e_b), shared by the letters j
+                images = {}
+                for j in range(d):
+                    vec = {j * size + b: ONE}
+                    for w, low in split.items():
+                        for ky, s in cmap[w * d + j]:
+                            k, y = divmod(ky, d)
+                            img = images.get((w, k))
+                            if img is None:
+                                img = images[w, k] = _apply(lower[k], low)
+                            shift = y * size
+                            vec_add_into(vec, {shift + c: t
+                                               for c, t in img.items()}, s)
+                    maps[j].append({index[key]: s for key, s in vec.items()
+                                    if key in index})
+            self._rights.append(maps)
+        return self._rights[n]
 
     def _tensor_basis(self, n):
         """The basis vectors of degree n (the reduced echelon rows) in
@@ -271,16 +346,83 @@ def kernel_basis(bp, n, cache=None):
     return got
 
 
+def relation_count(bp, n, cache=None):
+    """r_n, the number of new minimal relations in degree n, counted in
+    the candidate space V (x) B_(n-1) without tensor coordinates.
+
+    The dependencies D among the degree-(n-1) candidates x_i . e_b are the
+    null space of the maps L_i.  A dependency c lifts to an element of the
+    relation ideal J (the kernel of T(V) -> B(V)) in degree n-1, and
+    J_(n-1) is spanned by these lifts modulo V (x) J_(n-2).  So the image
+    of J_(n-1) (x) V in V (x) B_(n-1) = T_n / (V (x) J_(n-1)) is the span Q
+    of the vectors sum c_(i,b) x_i (x) (e_b . x_j), and the ideal generated
+    below degree n has codimension a_n = d * b_(n-1) - rank Q in degree n.
+    The new relations number r_n = a_n - b_n.
+    """
+    if n < 2:
+        raise ValueError("relations start in degree two")
+    cache = cache or GradedComputation(bp)
+    got = cache.relation_counts.get(n)
+    if got is not None:
+        return got
+    d = bp.dim
+    left = cache.left(n - 1)
+    size, width = cache.dim(n - 2), cache.dim(n - 1)
+    # the matrix whose column (i, b) is L_i(e_b), row by row
+    rows = {}
+    for i, cols in enumerate(left):
+        for b, col in enumerate(cols):
+            for c, s in col.items():
+                rows.setdefault(c, {})[i * size + b] = s
+    ech = Echelon()
+    for row in rows.values():
+        ech.insert(row)
+    right = cache.right(n - 1)
+    vecs = []
+    for dep in ech.nullspace(range(d * size)):
+        split = {}
+        for key, s in dep.items():
+            i, b = divmod(key, size)
+            split.setdefault(i, {})[b] = s
+        for maps in right:
+            vecs.append({i * width + c: t for i, part in split.items()
+                         for c, t in _apply(maps, part).items()})
+    image = Echelon()
+    for vec in sorted(vecs, key=len):
+        image.insert(vec)
+    got = d * width - image.rank - cache.dim(n)
+    cache.relation_counts[n] = got
+    return got
+
+
 def relations(bp, n, cache=None):
-    """Canonical echelon basis of the new degree-n relations: the kernel of
-    the degree-n symmetrizer modulo (V . K + K . V) for K the kernel one
-    degree down."""
+    """Canonical echelon basis of the new degree-n relations.
+
+    ``relation_count`` decides first how many there are; a degree without
+    new relations returns [] without leaving derivation coordinates.
+    Otherwise the basis is the kernel of the degree-n symmetrizer modulo
+    (V . K + K . V) for K the kernel one degree down, in tensor
+    coordinates, and its size must equal the count (a mismatch raises,
+    signalling an engine bug).
+    """
     if n < 2:
         raise ValueError("relations start in degree two")
     cache = cache or GradedComputation(bp)
     got = cache.relation_bases.get(n)
     if got is not None:
         return got
+    count = relation_count(bp, n, cache)
+    got = _tensor_relations(bp, n, cache) if count else []
+    if len(got) != count:
+        raise RuntimeError(f"the tensor ideal gives {len(got)} relations in "
+                           f"degree {n}, the count gives {count}")
+    cache.relation_bases[n] = got
+    return got
+
+
+def _tensor_relations(bp, n, cache):
+    """The new degree-n relations in tensor coordinates: the symmetrizer
+    kernel reduced modulo the ideal V . K + K . V, d^n words wide."""
     d = bp.dim
     ideal = Echelon()
     lower = kernel_basis(bp, n - 1, cache)
@@ -300,9 +442,7 @@ def relations(bp, n, cache=None):
         if residue:
             fresh.insert(residue)
     fresh.rref()
-    got = fresh.sorted_rows()
-    cache.relation_bases[n] = got
-    return got
+    return fresh.sorted_rows()
 
 
 def new_leading_words(bp, n, cache=None):

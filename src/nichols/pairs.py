@@ -339,6 +339,9 @@ def yd_module(group, summands):
     blocks = []
     d = 0
     for g, chi in summands:
+        if g not in group.elements():
+            raise ValueError(f"summand element {g!r} is not in the group "
+                             f"(elements 0..{group.order - 1})")
         cent, reps, ts, pos = _groups._indexed_class(group, g)
         rho, deg = _centralizer_rep(group, cent, chi)
         blocks.append((d, reps, ts, pos, rho, deg))
@@ -420,6 +423,12 @@ def direct_sum(a, b, cross_ab, cross_ba):
     cross_ba = [expand(e, da) for e in cross_ba]
     if len(cross_ab) != da or len(cross_ba) != db:
         raise ValueError("need one cross action per basis vector")
+    for name, crosses, size in (("cross_ab", cross_ab, db),
+                                ("cross_ba", cross_ba, da)):
+        for i, mat in enumerate(crosses):
+            if len(mat) != size or any(len(row) != size for row in mat):
+                raise ValueError(f"{name}[{i}] must be a {size} x {size} "
+                                 f"matrix")
 
     def block_diagonal(top, bottom):
         return ([list(row) + [zero()] * db for row in top]

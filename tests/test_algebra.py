@@ -167,6 +167,15 @@ def test_relations_v3():
         assert relations(bp, n, cache) == []
 
 
+def test_relations_raise_when_the_tensor_path_misses_the_count():
+    # a wrong count, planted in the cache, stands in for an engine bug
+    bp = pairs.v3(integer(-1))
+    cache = GradedComputation(bp)
+    cache.relation_counts[2] = 4
+    with pytest.raises(RuntimeError, match="the count gives 4"):
+        relations(bp, 2, cache)
+
+
 def test_relations_and_leading_words_v4():
     bp = pairs.v4(integer(-1), integer(1))
     cache = GradedComputation(bp)

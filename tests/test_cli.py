@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import time
 
 import pytest
 
@@ -8,7 +9,8 @@ from nichols import cli
 from nichols.cli import main
 from nichols.fileio import dump_pair
 from nichols.scalars import integer, rational, root_of_unity
-from nichols import pairs
+from nichols import pairs, quandles
+from nichols.groups import conjugacy_class, symmetric
 
 
 def run(capsys, *argv):
@@ -142,6 +144,25 @@ def test_relations_output(capsys):
     rels = [l for l in lines if l.startswith("rel:")]
     assert rels[0] == "rel: 1:0*0.0"
     assert rels[1] == "rel: 1:0*0.1 1:0*1.2 1:0*2.0"
+
+
+def test_relations_e4_degree_six_has_none(capsys, tmp_path):
+    # E4 from a dumped cocycle pair: degree 6 is counted, not reduced over
+    # the 6^6 tensor words (13.6 s and 88 MiB that way)
+    s4 = symmetric(4)
+    t = next(x for x in s4.elements()
+             if s4.mul(x, x) == s4.identity
+             and len(conjugacy_class(s4, x)) == 6)
+    xset = quandles.conjugation_crossed_set(s4, [t])
+    path = tmp_path / "e4.pair"
+    path.write_text(dump_pair(pairs.from_cocycle(
+        xset, quandles.Cochain2.constant(xset, 2, 1))))
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "relations", "--file", str(path),
+                       "--degree", "6")
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 0
+    assert out.splitlines() == ["degree: 6", "conductor: 1", "count: 0"]
 
 
 def test_rank2_output(capsys):

@@ -1,6 +1,9 @@
 """The derivation-coordinate engine against the image iteration it
 replaced, kept here as an oracle: B_n is the span of T_(1,n-1)(x_i (x) b)
 over a tensor-coordinate basis of B_(n-1), one ``t1_apply`` per candidate.
+Relations are checked against the tensor ideal reduction fed with the
+oracle's kernels, and the right multiplications against the
+tensor-coordinate product.
 """
 
 import time
@@ -10,14 +13,17 @@ import pytest
 from nichols import pairs
 from nichols.algebra import (
     GradedComputation,
+    _tensor_relations,
     degree_basis,
     hilbert,
     kernel_basis,
+    multiply,
     new_leading_words,
+    relation_count,
     relations,
 )
 from nichols.braids import t1_apply
-from nichols.linalg import Echelon
+from nichols.linalg import Echelon, vec_add_into
 from nichols.scalars import ONE, format_scalar, integer, root_of_unity
 
 MINUS, PLUS = integer(-1), integer(1)
@@ -81,22 +87,24 @@ def transposed(build):
     return lambda: pairs.transpose(build())
 
 
-# name, pair, oracle degree, kernel and relation degree (None: no check);
-# the degrees keep the whole oracle side near 3 s
+# name, pair, oracle degree, kernel and relation degree; the relation
+# degrees reach new relations above degree two (one in degree 5 of c6-b2,
+# two in degree 4 of ms-d4, three in degree 5 of qls-555, one in degree 6
+# of v4_m1_p1), and the whole oracle side takes about 6 s
 DIFFERENTIAL = [
     ("v4_m1_p1", v4_m1_p1, 7, 6),
-    ("ms-d4", ms_d4, 7, None),
-    ("c6-b2", c6_b2, 11, None),
-    ("qls-444", lambda: qls((4, 4, 4)), 7, None),
-    ("qls-345", lambda: qls((3, 4, 5)), 7, None),
-    ("qls-555", lambda: qls((5, 5, 5)), 7, None),
+    ("ms-d4", ms_d4, 7, 5),
+    ("c6-b2", c6_b2, 11, 7),
+    ("qls-444", lambda: qls((4, 4, 4)), 7, 5),
+    ("qls-345", lambda: qls((3, 4, 5)), 7, 5),
+    ("qls-555", lambda: qls((5, 5, 5)), 7, 5),
     ("v3-z3", v3_z3, 5, 5),
     ("v3-z6", v3_z6, 5, 5),
     ("v4_m1_m1", v4_m1_m1, 5, 4),
-    ("T-v4_m1_p1", transposed(v4_m1_p1), 7, None),
-    ("T-v3-z3", transposed(v3_z3), 5, None),
-    ("T-v3-z6", transposed(v3_z6), 5, None),
-    ("T-v4_m1_m1", transposed(v4_m1_m1), 5, None),
+    ("T-v4_m1_p1", transposed(v4_m1_p1), 7, 6),
+    ("T-v3-z3", transposed(v3_z3), 5, 4),
+    ("T-v3-z6", transposed(v3_z6), 5, 4),
+    ("T-v4_m1_m1", transposed(v4_m1_m1), 5, 4),
 ]
 
 
@@ -110,10 +118,8 @@ def test_engine_matches_image_iteration(name, build, top, ktop):
         assert cache.dim(n) == ech.rank, (name, n)
         assert text(degree_basis(bp, n, cache)) == text(
             ech.rref().sorted_rows()), (name, n)
-    if ktop is None:
-        return
-    # the oracle's kernels feed the same relation code, so relations and
-    # leading words differ only if the kernels do
+    # the oracle's kernels feed the tensor ideal reduction and the leading
+    # words; the engine's relations go through its count first
     d = bp.dim
     oracle_cache = GradedComputation(bp)
     transposed_oracle = image_iteration(pairs.transpose(bp), ktop)
@@ -122,10 +128,41 @@ def test_engine_matches_image_iteration(name, build, top, ktop):
         oracle_cache.kernels[n] = kernel
         assert text(kernel_basis(bp, n, cache)) == text(kernel), (name, n)
     for n in range(2, ktop + 1):
-        assert text(relations(bp, n, cache)) == text(
-            relations(bp, n, oracle_cache)), (name, n)
+        want = _tensor_relations(bp, n, oracle_cache)
+        assert relation_count(bp, n, cache) == len(want), (name, n)
+        assert text(relations(bp, n, cache)) == text(want), (name, n)
         assert new_leading_words(bp, n, cache) == new_leading_words(
             bp, n, oracle_cache), (name, n)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: pairs.v3(MINUS), v3_z3, v4_m1_p1, ms_d4, transposed(v3_z3)],
+    ids=["v3-m1", "v3-z3", "v4_m1_p1", "ms-d4", "T-v3-z3"])
+def test_right_multiplication_matches_tensor_product(build):
+    # e_b . x_j through the maps R_j against T_(m-1,1)(e_b (x) x_j) on the
+    # tensor-coordinate bases; the transposed pair crosses through general
+    # d^2 crossings
+    bp = build()
+    cache = GradedComputation(bp)
+    for m in range(1, 5):
+        maps = cache.right(m)
+        low, high = cache._tensor_basis(m - 1), cache._tensor_basis(m)
+        for j in range(bp.dim):
+            for b, vec in enumerate(low):
+                got = {}
+                for c, s in maps[j][b].items():
+                    vec_add_into(got, high[c], s)
+                assert got == multiply(bp, vec, {j: ONE}, m - 1, 1), (m, j, b)
+
+
+def test_finite_algebra_has_no_relations_above_its_top_degree():
+    # v3(-1) is 12-dimensional with top degree 4, and quadratic: its five
+    # relations are all in degree two
+    bp = pairs.v3(MINUS)
+    cache = GradedComputation(bp)
+    assert hilbert(bp, 7, cache).dims == [1, 3, 4, 3, 1, 0]
+    assert [relation_count(bp, n, cache) for n in range(2, 8)] == [
+        5, 0, 0, 0, 0, 0]
 
 
 # the full dims of the benchmark panel, at its degrees
