@@ -43,6 +43,14 @@ what B_n leaves of the rest is the number r_n of new relations
 (``relation_count``).  Only a degree with r_n > 0 goes to tensor
 coordinates for the relation vectors.
 
+The engine computes in one field.  Its scalars are elements of
+``scalars.field(m)`` at m = ``bp.conductor``, into which the braiding is
+embedded once; every basis, map, crossing, tensor vector, kernel and
+relation row inside is of that type, and only what a public function (or
+``GradedComputation.left``/``right``) returns is converted back to
+``Cyc``.  Transposing keeps the conductor, so the transposed pair's
+computation works in its parent's field.
+
 Tensor coordinates are built only on request (``degree_basis``,
 ``kernel_basis``, the relation vectors), from u = sum_y d_y(u) (x) x_y.
 Symmetrizer kernels come from the row space: the transpose of the
@@ -58,7 +66,7 @@ from time import perf_counter
 
 from .braids import apply_elt, sweep, t_shuffle
 from .linalg import Echelon, decode_word, vec_add_into
-from .scalars import MINUS_ONE, ONE
+from .scalars import MINUS_ONE, ONE, field as _field
 from . import pairs as _pairs
 from . import rank2 as _rank2
 
@@ -90,6 +98,11 @@ class DegreeStats(namedtuple(
     __slots__ = ()
 
 
+def _export(vec):
+    """A sparse vector of field elements as Cyc values, for the caller."""
+    return {k: c.to_cyc() for k, c in vec.items()}
+
+
 def _apply(cols, vec):
     """A coordinate map (``cols[b]`` the sparse image of basis vector b)
     applied to a sparse coordinate vector."""
@@ -104,6 +117,13 @@ class GradedComputation:
     coordinates, with caches for tensor coordinates, the transposed pair
     (row spaces), kernels, relation counts and relation bases.
 
+    Every scalar inside, the cached ``kernels`` included, is an element of
+    ``field``, the type of Q(zeta_m) at m = ``bp.conductor``
+    (``scalars.field``), into which the braiding is embedded once as
+    ``cmap``; what the public functions and ``left``/``right`` return is
+    converted back to ``Cyc``.  Transposing keeps the conductor, so the
+    transposed pair's computation shares its parent's field.
+
     ``stats[n]`` records the cost of degree n.  Treat instances as
     single-writer: all public functions taking a cache mutate only the one
     they are given.
@@ -111,8 +131,13 @@ class GradedComputation:
 
     def __init__(self, bp):
         self.bp = bp
+        self.field = _field(bp.conductor)
+        one = self.field.one
+        embed = self.field.from_cyc
+        self.cmap = tuple(tuple((kl, embed(c)) for kl, c in col)
+                          for col in bp.cmap)
         ech0 = Echelon()
-        ech0.insert({0: ONE})
+        ech0.insert({0: one})
         self.bases = [ech0]
         self.stats = [DegreeStats(0, 0, 1, 1, 0.0)]
         # candidate Phi-vectors x_i . e_b of the newest degree, [i][b]
@@ -122,13 +147,13 @@ class GradedComputation:
         # beta_(i,y) on B_n as {(i, y): [b]}.  Degree 0 has no derivatives
         # and the crossing c(x_i (x) 1) = 1 (x) x_i.
         self._derivs = [{}]
-        self._betas = {(i, i): [{0: ONE}] for i in range(bp.dim)}
+        self._betas = {(i, i): [{0: one}] for i in range(bp.dim)}
         # the maps L_i: B_(n-1) -> B_n as [i][c] at index n for every
         # prepared degree n; the maps R_j, built on request, alike
         self._lefts = [None]
         self._rights = [None]
         # tensor coordinates of the basis of each degree, built on request
-        self._tensor = [[{0: ONE}]]
+        self._tensor = [[{0: one}]]
         self._transposed = None
         self.kernels = {}
         self.relation_counts = {}
@@ -183,8 +208,7 @@ class GradedComputation:
     def _prepare(self, n):
         """Fix the basis of the newest degree n as its reduced echelon rows
         and derive its derivatives, left multiplications and crossings."""
-        bp = self.bp
-        d = bp.dim
+        d = self.bp.dim
         index = self._pivot_index(n)
         size = len(self._derivs)
         derivs = self._derivatives(n)
@@ -197,7 +221,7 @@ class GradedComputation:
             for b, split in enumerate(derivs):
                 for z, low in split.items():
                     img = _apply(cross, low)
-                    for ky, s in bp.cmap[w * d + z]:
+                    for ky, s in self.cmap[w * d + z]:
                         k, y = divmod(ky, d)
                         shift = k * size
                         part = {index[shift + c]: t for c, t in img.items()
@@ -234,12 +258,20 @@ class GradedComputation:
     def left(self, n):
         """The left multiplications L_i: B_(n-1) -> B_n, u -> x_i . u, as
         [i][b] coordinate maps (made when degree n+1 is computed)."""
-        self.basis(n + 1)
-        return self._lefts[n]
+        return [[_export(col) for col in maps] for maps in self._left(n)]
 
     def right(self, n):
         """The right multiplications R_j: B_(n-1) -> B_n, u -> u . x_j, as
-        [j][b] coordinate maps, built one degree at a time from
+        [j][b] coordinate maps."""
+        return [[_export(col) for col in maps] for maps in self._right(n)]
+
+    def _left(self, n):
+        """L_i in the field."""
+        self.basis(n + 1)
+        return self._lefts[n]
+
+    def _right(self, n):
+        """R_j in the field, built one degree at a time from
 
             d_y(u . x_j) = delta_(y,j) u
                            + sum_(w,k) C[(w,j) -> (k,y)] d_w(u) . x_k,
@@ -247,7 +279,8 @@ class GradedComputation:
         the shuffle T_(m,1) = 1 + (T_(m-1,1) (x) id) c_(m,m+1) read through
         d_y."""
         d = self.bp.dim
-        cmap = self.bp.cmap
+        cmap = self.cmap
+        one = self.field.one
         self.basis(n)
         while len(self._rights) <= n:
             m = len(self._rights)
@@ -259,7 +292,7 @@ class GradedComputation:
                 # R_k(d_w e_b), shared by the letters j
                 images = {}
                 for j in range(d):
-                    vec = {j * size + b: ONE}
+                    vec = {j * size + b: one}
                     for w, low in split.items():
                         for ky, s in cmap[w * d + j]:
                             k, y = divmod(ky, d)
@@ -276,7 +309,12 @@ class GradedComputation:
 
     def _tensor_basis(self, n):
         """The basis vectors of degree n (the reduced echelon rows) in
-        tensor coordinates, from u = sum_y d_y(u) (x) x_y."""
+        tensor coordinates, as Cyc vectors."""
+        return [_export(vec) for vec in self._tensor_rows(n)]
+
+    def _tensor_rows(self, n):
+        """The basis vectors of degree n in tensor coordinates, in the
+        field, from u = sum_y d_y(u) (x) x_y."""
         while len(self._tensor) <= n:
             m = len(self._tensor)
             d = self.bp.dim
@@ -294,11 +332,11 @@ class GradedComputation:
             self._tensor.append(out)
         return self._tensor[n]
 
-    def tensor_echelon(self, n):
+    def _tensor_echelon(self, n):
         """Reduced echelon basis of the degree-n component in tensor
         coordinates."""
         ech = Echelon()
-        for vec in self._tensor_basis(n):
+        for vec in self._tensor_rows(n):
             ech.insert(vec)
         return ech.rref()
 
@@ -307,12 +345,23 @@ class GradedComputation:
             self._transposed = GradedComputation(_pairs.transpose(self.bp))
         return self._transposed
 
+    def _kernel(self, n):
+        """The symmetrizer kernel of degree n in the field (``kernels``)."""
+        if n < 2:
+            return []
+        got = self.kernels.get(n)
+        if got is None:
+            ech = self.transposed()._tensor_echelon(n)
+            got = ech.nullspace(range(self.bp.dim ** n), self.field.one)
+            self.kernels[n] = got
+        return got
+
 
 def degree_basis(bp, n, cache=None):
     """Canonical reduced-echelon basis of the degree-n component in tensor
     coordinates, as a list of sparse vectors in increasing pivot order."""
     cache = cache or GradedComputation(bp)
-    return cache.tensor_echelon(n).sorted_rows()
+    return [_export(row) for row in cache._tensor_echelon(n).sorted_rows()]
 
 
 def hilbert(bp, max_degree, cache=None):
@@ -335,15 +384,8 @@ def kernel_basis(bp, n, cache=None):
     """Exact basis of the kernel of the degree-n symmetrizer on the tensor
     power, via the row space; in degree two the row space is that of
     1 + (transposed braiding) directly."""
-    if n < 2:
-        return []
     cache = cache or GradedComputation(bp)
-    got = cache.kernels.get(n)
-    if got is None:
-        ech = cache.transposed().tensor_echelon(n)
-        got = ech.nullspace(range(bp.dim ** n))
-        cache.kernels[n] = got
-    return got
+    return [_export(vec) for vec in cache._kernel(n)]
 
 
 def relation_count(bp, n, cache=None):
@@ -366,7 +408,7 @@ def relation_count(bp, n, cache=None):
     if got is not None:
         return got
     d = bp.dim
-    left = cache.left(n - 1)
+    left = cache._left(n - 1)
     size, width = cache.dim(n - 2), cache.dim(n - 1)
     # the matrix whose column (i, b) is L_i(e_b), row by row
     rows = {}
@@ -377,9 +419,9 @@ def relation_count(bp, n, cache=None):
     ech = Echelon()
     for row in rows.values():
         ech.insert(row)
-    right = cache.right(n - 1)
+    right = cache._right(n - 1)
     vecs = []
-    for dep in ech.nullspace(range(d * size)):
+    for dep in ech.nullspace(range(d * size), cache.field.one):
         split = {}
         for key, s in dep.items():
             i, b = divmod(key, size)
@@ -412,20 +454,23 @@ def relations(bp, n, cache=None):
     if got is not None:
         return got
     count = relation_count(bp, n, cache)
-    got = _tensor_relations(bp, n, cache) if count else []
-    if len(got) != count:
-        raise RuntimeError(f"the tensor ideal gives {len(got)} relations in "
+    rows = _tensor_relations(bp, n, cache) if count else []
+    if len(rows) != count:
+        raise RuntimeError(f"the tensor ideal gives {len(rows)} relations in "
                            f"degree {n}, the count gives {count}")
+    got = [_export(row) for row in rows]
     cache.relation_bases[n] = got
     return got
 
 
 def _tensor_relations(bp, n, cache):
     """The new degree-n relations in tensor coordinates: the symmetrizer
-    kernel reduced modulo the ideal V . K + K . V, d^n words wide."""
+    kernel reduced modulo the ideal V . K + K . V, d^n words wide, in the
+    scalars of the cached kernels (the field's, unless a caller stored
+    others in ``cache.kernels``)."""
     d = bp.dim
     ideal = Echelon()
-    lower = kernel_basis(bp, n - 1, cache)
+    lower = cache._kernel(n - 1)
     shift = d ** (n - 1)
     cands = []
     for k in lower:
@@ -437,7 +482,7 @@ def _tensor_relations(bp, n, cache):
     for vec in cands:
         ideal.insert(vec)
     fresh = Echelon()
-    for vec in kernel_basis(bp, n, cache):
+    for vec in cache._kernel(n):
         residue = ideal.reduce(vec)
         if residue:
             fresh.insert(residue)
@@ -468,7 +513,7 @@ def new_leading_words(bp, n, cache=None):
         return got
     d = bp.dim
     ech = Echelon()
-    for vec in sorted(kernel_basis(bp, n, cache), key=min):
+    for vec in sorted(cache._kernel(n), key=min):
         ech.insert(vec)
     lower = [w for m in range(2, n) for w in cache.leading_words[m]]
     new = []

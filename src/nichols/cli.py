@@ -378,12 +378,15 @@ def _validate_options(args):
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
 
-    for name in ("max_degree", "degree", "modulus", "count", "max_n"):
+    for name in ("max_degree", "degree", "modulus"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             bail(f"{name.replace('_', '-')} must be nonnegative")
-    if getattr(args, "max_order", None) is not None and args.max_order < 1:
-        bail("max-order must be at least 1")
+    # a verify run that checks no pair or no identity proves nothing
+    for name in ("count", "max_n", "max_order"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            bail(f"{name.replace('_', '-')} must be at least 1")
     if getattr(args, "degree", None) is not None and args.degree < 2:
         bail("relations start in degree 2")
     if getattr(args, "modulus", None) is not None and args.modulus < 2:

@@ -92,6 +92,8 @@ def load_pair(text):
     lines = _lines(text)
     kind = _expect(lines, 0, "kind")[0]
     conductor = int(_expect(lines, 1, "conductor")[0])
+    if conductor < 1:
+        raise ValueError(f"conductor must be positive, found {conductor}")
     dim = int(_expect(lines, 2, "dim")[0])
     body = lines[3:]
 

@@ -97,8 +97,11 @@ def standard_suite(count=10, max_order=12, seed=20240):
     Each pair draws all of its entries from a single conductor m <= the
     order bound, so the pair's scalars stay in one small cyclotomic field;
     mixing coprime conductors would square the coefficient length without
-    exercising anything new.
+    exercising anything new.  An empty suite would verify nothing, so
+    ``count`` must be at least 1.
     """
+    if count < 1:
+        raise ValueError(f"a suite needs at least one pair, got count {count}")
     rng = random.Random(seed)
     suite = []
     while len(suite) < count:

@@ -1,14 +1,17 @@
 """Sparse exact linear algebra over cyclotomic scalars, plus integer SNF.
 
-Vectors are dicts mapping integer keys to nonzero Cyc values.  Throughout
+Vectors are dicts mapping integer keys to nonzero scalars.  The code is
+generic over the scalar type: it needs only ``+``, ``-``, unary ``-``,
+``*``, truth, ``is_one`` and ``inverse``, so the same ``Echelon`` runs on
+``Cyc`` (the package's API type) and on the field type of a graded
+computation (``scalars.field``), never mixing the two.  It knows no unit
+of its own: a stored pivot is the pivot times its inverse.  Throughout
 the package a key encodes a word over the alphabet {0..d-1} in base d with
 the leftmost tensor factor most significant, so integer order on keys is
 lexicographic order on words.
 """
 
 import heapq
-
-from .scalars import ONE
 
 
 class InvalidInput(ValueError):
@@ -132,9 +135,8 @@ class Echelon:
             return None
         p = min(red)
         inv = red[p].inverse()
-        row = {u: c * inv for u, c in red.items()}
-        row[p] = ONE
-        self.rows[p] = row
+        # the pivot entry becomes the pivot times its inverse: the unit
+        self.rows[p] = {u: c * inv for u, c in red.items()}
         return p
 
     def contains(self, vec):
@@ -146,7 +148,7 @@ class Echelon:
             row = self.rows[p]
             tail = {u: c for u, c in row.items() if u != p}
             red = self.reduce(tail)
-            red[p] = ONE
+            red[p] = row[p]
             self.rows[p] = red
         return self
 
@@ -154,16 +156,24 @@ class Echelon:
         """Rows in increasing pivot order (call rref first for canonical form)."""
         return [self.rows[p] for p in sorted(self.rows)]
 
-    def nullspace(self, universe):
+    def nullspace(self, universe, one=None):
         """Basis of the orthogonal complement read off the RREF rows.
 
         ``universe`` iterates all coordinate keys of the ambient space.  For
         each non-pivot key f the vector e_f - sum_p row_p[f] e_p annihilates
         every row; together these span the kernel of the matrix whose row
-        space this echelon basis spans.
+        space this echelon basis spans.  ``one`` is the unit of the scalar
+        type, read off a stored pivot when omitted, so an echelon without
+        rows needs it.
         """
         self.rref()
         rows = self.rows
+        if one is None:
+            if not rows:
+                raise ValueError("the unit of an echelon without rows is "
+                                 "unknown")
+            p, row = next(iter(rows.items()))
+            one = row[p]
         # column index of the pivot rows
         cols = {}
         for p, row in rows.items():
@@ -174,7 +184,7 @@ class Echelon:
         for f in universe:
             if f in rows:
                 continue
-            vec = {f: ONE}
+            vec = {f: one}
             for p, c in cols.get(f, ()):
                 vec[p] = -c
             out.append(vec)
@@ -182,18 +192,26 @@ class Echelon:
 
 
 def invert_square(columns, n):
-    """Inverse of an n x n matrix given as dict ``columns[j] = {i: Cyc}``.
+    """Inverse of an n x n matrix given as dict ``columns[j] = {i: scalar}``.
 
     Returns the inverse in the same column-dict form.  Raises ValueError if
     the matrix is singular.
     """
-    # rows of [M | I]; augmented keys live at n + row index
+    # rows of [M | I]; augmented keys live at n + row index, and the unit
+    # is an entry times its inverse
     rows = [{} for _ in range(n)]
+    one = None
     for j, col in columns.items():
         for i, c in col.items():
             rows[i][j] = c
+            if one is None and c:
+                one = c * c.inverse()
+    if one is None:
+        if n:
+            raise ValueError("matrix is singular")
+        return {}
     for i in range(n):
-        rows[i][n + i] = ONE
+        rows[i][n + i] = one
     ech = Echelon()
     for r in rows:
         ech.insert(r)

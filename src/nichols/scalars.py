@@ -14,11 +14,25 @@ and ``Fraction`` appears only at the boundary (``Cyc(m, coeffs)``,
 Values with different conductors mix freely: binary operations embed both
 sides into the lcm conductor.  Zero and rational constants are shrunk to
 conductor 1 on construction, which keeps the common all-rational case on
-a single-integer fast path.
+a single-integer fast path.  ``Cyc`` is the type every public function
+takes and returns.
+
+A computation that stays in one field Q(zeta_m) does its arithmetic in
+that field's own element type, ``field(m)``: the same integer tuple over
+one denominator, but both operands of every operation are at conductor m,
+so no operation coerces, aligns conductors or shrinks constants
+(conductor 1 is ``Rational``, a plain (num, den) pair).  The graded engine
+(``algebra.GradedComputation``) embeds its braiding into
+``field(bp.conductor)`` once and converts back to ``Cyc`` only what it
+returns.  Both types multiply through one convolution-and-reduction
+routine (``_product``) and invert through one routine (``_inverse``: a
+rational multiple of a root of unity directly, anything else through its
+Galois norm).
 """
 
 from fractions import Fraction
 from math import gcd
+from operator import add as _add, neg as _neg
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +60,8 @@ def cyclotomic(m):
     """Integer coefficients of the m-th cyclotomic polynomial, constant first."""
     poly = _cyclotomic_cache.get(m)
     if poly is None:
+        if m < 1:
+            raise ValueError(f"conductor must be positive, got {m}")
         poly = [-1] + [0] * (m - 1) + [1]
         for d in range(1, m):
             if m % d == 0:
@@ -93,6 +109,99 @@ def _embedding(m, big):
         table = tuple(rows[i * step] for i in range(k))
         _embed_cache[key] = table
     return table
+
+
+_reduction_tables = {}
+
+
+def _table(m):
+    """The reduction rows that products and inverses at conductor m read:
+    x^e mod Phi_m for e < max(m, 2 phi(m) - 1), each as the pairs (index,
+    coefficient) of its nonzero entries."""
+    table = _reduction_tables.get(m)
+    if table is None:
+        rows = _powers(m, max(m, 2 * euler_phi(m) - 1))
+        table = tuple(tuple((i, r) for i, r in enumerate(row) if r)
+                      for row in rows)
+        _reduction_tables[m] = table
+    return table
+
+
+# ---------------------------------------------------------------------------
+# integer-vector arithmetic shared by Cyc and the field types
+
+def _product(a, b, table):
+    """a * b modulo Phi_m for integer coefficient vectors of length phi(m),
+    as a list; ``table`` is ``_table(m)``.  The one product of the package:
+    ``Cyc`` multiplies through it at a common conductor, and so do the
+    field types."""
+    k = len(a)
+    conv = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    conv[j] += x * y
+    out = conv[:k]
+    for e in range(k, 2 * k - 1):
+        c = conv[e]
+        if c:
+            for i, r in table[e]:
+                out[i] += c * r
+    return out
+
+
+_root_tables = {}
+
+
+def _roots(m):
+    """The exponent e of each m-th root of unity zeta^e, keyed by its
+    coefficient vector and by the negated vector (with -1 - e, so that
+    -zeta^e is read as -1 times zeta^e)."""
+    roots = _root_tables.get(m)
+    if roots is None:
+        rows = _powers(m, m)[:m]
+        # for even m, -zeta^e is the root zeta^(e + m/2): the update wins
+        roots = {tuple(-v for v in row): -1 - e for e, row in enumerate(rows)}
+        roots.update((row, e) for e, row in enumerate(rows))
+        _root_tables[m] = roots
+    return roots
+
+
+def _inverse(m, num, den):
+    """The inverse of the nonzero num/den at conductor m > 1 as an
+    unnormalized pair (integer vector, nonzero integer denominator).
+
+    A rational multiple c zeta^e of a root of unity inverts to
+    c^-1 zeta^(-e).  Otherwise a * prod_(sigma != 1) sigma(a) = N(a) is
+    rational, so the inverse is the product of the other Galois conjugates
+    over the norm; sigma_b sends zeta^e to zeta^(b e), read off the
+    reduction table.
+    """
+    table = _table(m)
+    k = len(num)
+    g = gcd(*num)
+    if not g:
+        raise ZeroDivisionError("inverse of zero cyclotomic number")
+    e = _roots(m).get(tuple([v // g for v in num]) if g != 1 else num)
+    if e is not None:
+        if e < 0:
+            e, g = -1 - e, -g
+        vec = [0] * k
+        for i, r in table[-e % m]:
+            vec[i] = den * r
+        return vec, g
+    support = [e for e, v in enumerate(num) if v]
+    conj = None
+    for b in range(2, m):
+        if gcd(b, m) == 1:
+            vec = [0] * k
+            for e in support:
+                v = num[e]
+                for i, r in table[b * e % m]:
+                    vec[i] += v * r
+            conj = vec if conj is None else _product(conj, vec, table)
+    return [den * v for v in conj], _product(num, conj, table)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -283,22 +392,7 @@ class Cyc:
             v = b.num[0]
             return _normalize(a.m, [x * v for x in a.num], a.den * b.den)
         m, na, da, nb, db = _align(a, b)
-        k = len(na)
-        conv = [0] * (2 * k - 1)
-        for i, x in enumerate(na):
-            if x:
-                for j, y in enumerate(nb):
-                    if y:
-                        conv[i + j] += x * y
-        out = conv[:k]
-        rows = _powers(m, 2 * k - 1)
-        for e in range(k, 2 * k - 1):
-            c = conv[e]
-            if c:
-                row = rows[e]
-                for i in range(k):
-                    out[i] += c * row[i]
-        return _normalize(m, out, da * db)
+        return _normalize(m, _product(na, nb, _table(m)), da * db)
 
     __rmul__ = __mul__
 
@@ -308,24 +402,8 @@ class Cyc:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         if self.m == 1:
             return _normalize(1, [self.den], self.num[0])
-        # a * prod_(sigma != 1) sigma(a) = N(a) is rational, so the inverse
-        # is the product of the other conjugates over the norm; sigma_b
-        # sends zeta^e to zeta^(b e), read off the reduction table
-        m = self.m
-        k = len(self.num)
-        rows = _powers(m, m)
-        conj = ONE
-        for b in range(2, m):
-            if gcd(b, m) == 1:
-                vec = [0] * k
-                for e, v in enumerate(self.num):
-                    if v:
-                        row = rows[b * e % m]
-                        for i in range(k):
-                            vec[i] += v * row[i]
-                conj = conj * _normalize(m, vec, self.den)
-        norm = self * conj
-        return conj * _normalize(1, (norm.den,), norm.num[0])
+        num, den = _inverse(self.m, self.num, self.den)
+        return _normalize(self.m, num, den)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -438,6 +516,223 @@ def order(q):
             return k
         p = p * q
     return None
+
+
+# ---------------------------------------------------------------------------
+# the field of one computation
+
+_new = object.__new__
+
+
+def _rational(num, den):
+    """The Rational num/den in lowest terms; den must be positive."""
+    if den != 1:
+        g = gcd(num, den)
+        if g != 1:
+            num //= g
+            den //= g
+    x = _new(Rational)
+    x.num = num
+    x.den = den
+    return x
+
+
+class Rational:
+    """An element of Q as a reduced (num, den) pair with den > 0: the field
+    type of conductor 1, where a coefficient vector would have length one.
+    Operands are of this type only: there is no coercion.
+    """
+
+    __slots__ = ("num", "den")
+
+    @staticmethod
+    def from_cyc(c):
+        if c.m != 1:
+            raise ValueError(f"{c!r} is not rational")
+        return _rational(c.num[0], c.den)
+
+    def to_cyc(self):
+        return _normalize(1, (self.num,), self.den)
+
+    # the two operations of elimination's inner loop build their result
+    # in place of calling _rational
+
+    def __add__(a, b):
+        if a.den == 1 == b.den:
+            x = _new(Rational)
+            x.num = a.num + b.num
+            x.den = 1
+            return x
+        return _rational(a.num * b.den + b.num * a.den, a.den * b.den)
+
+    def __sub__(a, b):
+        return a + -b
+
+    def __neg__(self):
+        x = _new(Rational)
+        x.num = -self.num
+        x.den = self.den
+        return x
+
+    def __mul__(a, b):
+        num = a.num * b.num
+        den = a.den * b.den
+        if den != 1:
+            g = gcd(num, den)
+            if g != 1:
+                num //= g
+                den //= g
+        x = _new(Rational)
+        x.num = num
+        x.den = den
+        return x
+
+    def __bool__(self):
+        return self.num != 0
+
+    def is_one(self):
+        return self.num == 1 and self.den == 1
+
+    def inverse(self):
+        if not self.num:
+            raise ZeroDivisionError("inverse of zero")
+        if self.num < 0:
+            return _rational(-self.den, -self.num)
+        return _rational(self.den, self.num)
+
+    def __eq__(self, other):
+        return self.num == other.num and self.den == other.den
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Rational({self.num}/{self.den})"
+
+
+Rational.one = _rational(1, 1)
+
+
+_field_types = {}
+
+
+def field(m):
+    """The element type of Q(zeta_m), in which a computation at conductor
+    m does its arithmetic.
+
+    An element is an integer tuple ``num`` of length phi(m) over one
+    positive denominator ``den``, gcd-normalized, in the power basis modulo
+    the m-th cyclotomic polynomial, as in ``Cyc``.  Both operands of an
+    operation are of the type, so there is no coercion, no conductor
+    alignment and no shrinking of constants.  ``from_cyc`` embeds a ``Cyc``
+    whose conductor divides m, ``to_cyc`` is the way back, and ``one`` is
+    the unit.  Products and inverses are ``Cyc``'s own routines
+    (``_product``, ``_inverse``).  Conductor 1 is ``Rational``.
+
+    The type is made once per conductor, like the reduction tables it
+    reads, and holds no values computed with it.
+    """
+    if m == 1:
+        return Rational
+    cls = _field_types.get(m)
+    if cls is None:
+        cls = _field_types[m] = _make_field(m)
+    return cls
+
+
+def _make_field(m):
+    """A new element type for Q(zeta_m), m > 1; see ``field``."""
+    k = euler_phi(m)
+    table = _table(m)
+
+    def make(num, den):
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = tuple([v // g for v in num])
+                den //= g
+        x = _new(Element)
+        x.num = num
+        x.den = den
+        return x
+
+    class Element:
+        __slots__ = ("num", "den")
+
+        @staticmethod
+        def from_cyc(c):
+            if c.m == m:
+                num = c.num
+            elif m % c.m:
+                raise ValueError(f"{c!r} does not lie in Q(zeta_{m})")
+            else:
+                num = tuple(_embed_vec(c, m))
+            return make(num, c.den)
+
+        def to_cyc(self):
+            return _normalize(m, self.num, self.den)
+
+        # as in Rational, the inner loop's sum of integral values and the
+        # product build their result in place of calling make
+
+        def __add__(a, b):
+            if a.den == 1 == b.den:
+                x = _new(Element)
+                x.num = tuple(map(_add, a.num, b.num))
+                x.den = 1
+                return x
+            if a.den == b.den:
+                return make(tuple(map(_add, a.num, b.num)), a.den)
+            g = gcd(a.den, b.den)
+            fa, fb = b.den // g, a.den // g
+            return make(tuple([x * fa + y * fb for x, y in zip(a.num, b.num)]),
+                        a.den * fa)
+
+        def __sub__(a, b):
+            return a + -b
+
+        def __neg__(self):
+            x = _new(Element)
+            x.num = tuple(map(_neg, self.num))
+            x.den = self.den
+            return x
+
+        def __mul__(a, b):
+            num = _product(a.num, b.num, table)
+            den = a.den * b.den
+            if den != 1:
+                g = gcd(den, *num)
+                if g != 1:
+                    num = [v // g for v in num]
+                    den //= g
+            x = _new(Element)
+            x.num = tuple(num)
+            x.den = den
+            return x
+
+        def __bool__(self):
+            return any(self.num)
+
+        def is_one(self):
+            return self.den == 1 and self.num == unit
+
+        def inverse(self):
+            num, den = _inverse(m, self.num, self.den)
+            if den < 0:
+                num, den = [-v for v in num], -den
+            return make(tuple(num), den)
+
+        def __eq__(self, other):
+            return self.num == other.num and self.den == other.den
+
+        __hash__ = None
+
+        def __repr__(self):
+            return f"{type(self).__name__}({self.to_cyc()!r})"
+
+    unit = (1,) + (0,) * (k - 1)
+    Element.__name__ = Element.__qualname__ = f"Field{m}"
+    Element.one = make(unit, 1)
+    return Element
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from nichols.braids import (apply_elt, sigma_pass, symmetrizer, t1_apply,
 from nichols.linalg import Echelon, InvalidInput, encode_word, vec_add_into
 from nichols.scalars import (
     ONE,
+    Cyc,
     integer,
     one,
     order,
@@ -466,3 +467,34 @@ def test_palindrome_for_finite_cases():
         assert res.finite
         dims = res.dims[:-1]
         assert dims == dims[::-1]
+
+
+def _qls_345():
+    return pairs.diagonal([[root_of_unity(n, 1) if i == j else integer(1)
+                            for j, _ in enumerate((3, 4, 5))]
+                           for i, n in enumerate((3, 4, 5))])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: pairs.v3(root_of_unity(3, 1)),
+    _qls_345,
+    lambda: pairs.transpose(pairs.v4(integer(-1), integer(1)))],
+    ids=["v3-z3", "qls-345", "T-v4_m1_p1"])
+def test_engine_returns_cyc_at_its_boundary(build):
+    # the engine computes in its own field type; everything it hands out
+    # is converted back to Cyc
+    bp = build()
+    cache = GradedComputation(bp)
+    vectors = {
+        "degree_basis": [v for n in range(4)
+                         for v in degree_basis(bp, n, cache)],
+        "kernel_basis": [v for n in (2, 3)
+                         for v in kernel_basis(bp, n, cache)],
+        "relations": [v for n in (2, 3) for v in relations(bp, n, cache)],
+        "left": [v for n in (1, 2) for maps in cache.left(n) for v in maps],
+        "right": [v for n in (1, 2) for maps in cache.right(n) for v in maps],
+    }
+    for name, vecs in vectors.items():
+        values = [c for vec in vecs for c in vec.values()]
+        assert values, name
+        assert all(type(c) is Cyc for c in values), name

@@ -8,6 +8,7 @@ import pytest
 from nichols import cli
 from nichols.cli import main
 from nichols.fileio import dump_pair
+from nichols.identities import standard_suite
 from nichols.scalars import integer, rational, root_of_unity
 from nichols import pairs, quandles
 from nichols.groups import conjugacy_class, symmetric
@@ -96,6 +97,35 @@ def test_parse_failure_exit_codes(capsys, tmp_path):
         err = capsys.readouterr().err
         assert info.value.code == 2
         assert err == "error: max-order must be at least 1\n"
+
+
+def test_verify_must_check_a_pair_and_an_identity(capsys):
+    # --count 0 once printed PASS for every identity having checked no
+    # pair, and --max-n 0 reported 0/0 identities holding
+    for flag in ("--count", "--max-n"):
+        for value in ("0", "-1"):
+            with pytest.raises(SystemExit) as info:
+                main(["verify", flag, value])
+            out, err = capsys.readouterr()
+            assert info.value.code == 2
+            assert out == ""
+            assert err == f"error: {flag[2:]} must be at least 1\n"
+    with pytest.raises(ValueError):
+        standard_suite(count=0)
+
+
+def test_non_positive_conductor_is_a_parse_error(tmp_path, capsys):
+    # the scalars are rational, so the file once ran at conductor 0 or -3
+    for conductor in ("0", "-3"):
+        path = tmp_path / f"c{conductor}.bp"
+        path.write_text(f"kind diagonal\nconductor {conductor}\ndim 1\n"
+                        "matrix\n-1\n")
+        code, out, err = run(capsys, "hilbert", "--file", str(path),
+                             "--max-degree", "3")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: conductor must be positive, found "
+                       f"{conductor}\n")
 
 
 def test_invalid_math_exit_code(tmp_path, capsys):

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nichols.linalg import Echelon
 from nichols.scalars import (
     Cyc,
     cyclotomic,
     euler_phi,
+    field,
     format_scalar,
     from_terms,
     gaussian_poly,
@@ -190,6 +193,19 @@ def test_coeffs_view():
     assert len(zero().coeffs) == euler_phi(1)
 
 
+def test_non_positive_conductor_is_refused():
+    # cyclotomic(0) once returned x - 1, so Cyc(0, [5]) constructed
+    for m in (0, -3):
+        with pytest.raises(ValueError):
+            cyclotomic(m)
+        with pytest.raises(ValueError):
+            Cyc(m, [5])
+        with pytest.raises(ValueError):
+            from_terms(m, [(5, 1, 0)])
+        with pytest.raises(ValueError):
+            field(m)
+
+
 def test_zero_denominator_is_an_error():
     with pytest.raises(ZeroDivisionError):
         rational(1, 0)
@@ -235,3 +251,70 @@ def test_field_arithmetic_against_sympy():
             assert poly(a + b, m) == (poly(a, m) + poly(b, m)).rem(phi)
         # sympy's extended Euclid dominates the cost: one inverse each
         assert poly(a.inverse(), m) == poly(a, m).invert(phi)
+
+
+# ---------------------------------------------------------------------------
+# the field type of a computation against Cyc
+
+FIELD_CONDUCTORS = (1, 3, 4, 5, 8, 12, 15, 60)
+DIFFERENTIAL = settings(derandomize=True, deadline=None, max_examples=40,
+                        database=None)
+
+
+@st.composite
+def values_in(draw, m):
+    """A Cyc in Q(zeta_m): half the time a rational multiple of a root of
+    unity (the inverse shortcut), else sparse random coefficients at a
+    divisor of m, embedded by ``from_cyc``."""
+    if draw(st.booleans()):
+        c = rational(draw(st.integers(-4, 4)), draw(st.integers(1, 4)))
+        return c * root_of_unity(m, draw(st.integers(0, m - 1)))
+    q = draw(st.sampled_from([q for q in range(1, m + 1) if m % q == 0]))
+    return Cyc(q, [Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 3)))
+                   if draw(st.booleans()) else 0
+                   for _ in range(euler_phi(q))])
+
+
+@pytest.mark.parametrize("m", FIELD_CONDUCTORS)
+@DIFFERENTIAL
+@given(data=st.data())
+def test_field_arithmetic_matches_cyc(m, data):
+    F = field(m)
+    a, b = data.draw(values_in(m)), data.draw(values_in(m))
+    fa, fb = F.from_cyc(a), F.from_cyc(b)
+    assert fa.to_cyc() == a and F.from_cyc(fa.to_cyc()) == fa
+    assert (fa + fb).to_cyc() == a + b
+    assert (fa - fb).to_cyc() == a - b
+    assert (-fa).to_cyc() == -a
+    assert (fa * fb).to_cyc() == a * b
+    assert bool(fa) == bool(a)
+    assert fa.is_one() == a.is_one()
+    assert F.one.is_one() and F.from_cyc(one()) == F.one
+    if a:
+        assert fa.inverse().to_cyc() == a.inverse()
+        assert (fa * fa.inverse()).is_one()
+    else:
+        with pytest.raises(ZeroDivisionError):
+            fa.inverse()
+
+
+@pytest.mark.parametrize("m", FIELD_CONDUCTORS)
+@settings(derandomize=True, deadline=None, max_examples=15, database=None)
+@given(data=st.data())
+def test_echelon_is_the_same_in_either_type(m, data):
+    F = field(m)
+    vecs = data.draw(st.lists(st.dictionaries(
+        st.integers(0, 5), values_in(m).filter(bool), max_size=4),
+        max_size=6))
+    plain, fast = Echelon(), Echelon()
+    for vec in vecs:
+        assert plain.insert(vec) == fast.insert(
+            {k: F.from_cyc(c) for k, c in vec.items()})
+    assert plain.pivots() == fast.pivots()
+    plain.rref()
+    fast.rref()
+    for p in plain.pivots():
+        assert {k: c.to_cyc() for k, c in fast.rows[p].items()} == plain.rows[p]
+    assert [{k: c.to_cyc() for k, c in vec.items()}
+            for vec in fast.nullspace(range(6), F.one)] == plain.nullspace(
+                range(6), one())
