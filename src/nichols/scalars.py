@@ -519,7 +519,7 @@ def order(q):
 
 
 # ---------------------------------------------------------------------------
-# the field of one computation
+# the field type of a computation
 
 _new = object.__new__
 
