@@ -52,13 +52,20 @@ relation row inside is of that type, and only what a public function (or
 computation works in its parent's field.
 
 Tensor coordinates are built only on request (``degree_basis``,
-``kernel_basis``, the relation vectors), from u = sum_y d_y(u) (x) x_y.
-Symmetrizer kernels come from the row space: the transpose of the
-degree-n symmetrizer is the degree-n symmetrizer of the transposed
-braiding, so the kernel falls out of the reduced echelon basis of the
-transposed pair's component in tensor coordinates, and stays sparse (each
-kernel vector touches at most rank+1 coordinates); the relation vectors
-reduce it modulo V . K + K . V, d^n words wide.
+``kernel_basis``, the relation vectors, the leading words), from
+u = sum_y d_y(u) (x) x_y.  Symmetrizer kernels come from the row space:
+the transpose of the degree-n symmetrizer is the degree-n symmetrizer of
+the transposed braiding, so the kernel falls out of the reduced echelon
+basis of the transposed pair's component in tensor coordinates, and stays
+sparse (each kernel vector touches at most rank+1 coordinates); the
+relation vectors reduce it modulo V . K + K . V, d^n words wide.
+
+The leading words need no kernel.  A kernel vector leads with its least
+key, and the kernel is the annihilator of the row space, so the words
+that lead kernel vectors are exactly those that are not the greatest key
+of any vector in the row space: b_n rows give them.  The leading words of
+the relation ideal are closed under extension, so a degree-n leading word
+is new iff neither its prefix nor its suffix of length n-1 leads.
 """
 
 from collections import namedtuple
@@ -158,7 +165,6 @@ class GradedComputation:
         self.kernels = {}
         self.relation_counts = {}
         self.relation_bases = {}
-        self.leading_words = {}
 
     def basis(self, n):
         """Echelon basis of the degree-n component in derivation
@@ -356,6 +362,22 @@ class GradedComputation:
             self.kernels[n] = got
         return got
 
+    def _normal_words(self, n):
+        """The degree-n words that lead no vector of the symmetrizer kernel
+        K_n, as the set of their keys: the greatest keys of the row space.
+
+        K_n is the annihilator of the row space, which the transposed
+        pair's tensor rows span.  In the echelon basis of that space
+        pivoted on greatest keys, each other word f gives the kernel vector
+        e_f - sum_p row_p[f] e_p, whose keys besides f are pivots p > f; so
+        the least keys of K_n are exactly the words outside the pivots.
+        Negated keys make ``Echelon`` pivot on the greatest.
+        """
+        ech = Echelon()
+        for row in self.transposed()._tensor_rows(n):
+            ech.insert({-k: c for k, c in row.items()})
+        return {-p for p in ech.rows}
+
 
 def degree_basis(bp, n, cache=None):
     """Canonical reduced-echelon basis of the degree-n component in tensor
@@ -382,8 +404,8 @@ def hilbert(bp, max_degree, cache=None):
 
 def kernel_basis(bp, n, cache=None):
     """Exact basis of the kernel of the degree-n symmetrizer on the tensor
-    power, via the row space; in degree two the row space is that of
-    1 + (transposed braiding) directly."""
+    power, read off the row space: the transposed pair's degree-n
+    component in tensor coordinates."""
     cache = cache or GradedComputation(bp)
     return [_export(vec) for vec in cache._kernel(n)]
 
@@ -501,34 +523,26 @@ def new_leading_words(bp, n, cache=None):
     ideal acquires, without running a completion engine.  Note the count
     can exceed the number of new minimal generators (``relations``): a
     rewriting basis may need elements that already lie in the ideal.
+
+    No kernel is built.  The symmetrizer kernel K_n is the annihilator of
+    the symmetrizer's row space, and its leading words are exactly the
+    words that are not the greatest key of any vector in that row space
+    (``GradedComputation._normal_words``).  The leading words of an ideal
+    are closed under extension (u w v leads u k v when w leads k), so a
+    leading word of degree n is new iff neither of its two factors of
+    length n-1, the prefix and the suffix, is a leading word: only degrees
+    n-1 and n are read.
     """
     if n < 2:
         raise ValueError("the relation ideal starts in degree two")
     cache = cache or GradedComputation(bp)
-    for m in range(2, n):
-        if m not in cache.leading_words:
-            new_leading_words(bp, m, cache)
-    got = cache.leading_words.get(n)
-    if got is not None:
-        return got
     d = bp.dim
-    ech = Echelon()
-    for vec in sorted(cache._kernel(n), key=min):
-        ech.insert(vec)
-    lower = [w for m in range(2, n) for w in cache.leading_words[m]]
-    new = []
-    for p in ech.pivots():
-        w = decode_word(p, d, n)
-        reducible = False
-        for m_word in lower:
-            lm = len(m_word)
-            if any(w[s:s + lm] == m_word for s in range(n - lm + 1)):
-                reducible = True
-                break
-        if not reducible:
-            new.append(w)
-    cache.leading_words[n] = new
-    return new
+    shift = d ** (n - 1)
+    low, high = cache._normal_words(n - 1), cache._normal_words(n)
+    # the words w = p . x_i whose prefix p leads nothing, in key order
+    return [decode_word(w, d, n) for p in sorted(low)
+            for w in range(p * d, p * d + d)
+            if w % shift in low and w not in high]
 
 
 def derivation(bp, y, vec, n):

@@ -6,6 +6,8 @@ Scalars use the whitespace-free token syntax of ``scalars.format_scalar``
 allowed).
 """
 
+from math import lcm
+
 from .scalars import format_scalar, parse_scalar
 from . import groups as _groups
 from . import pairs as _pairs
@@ -54,22 +56,34 @@ def _int_table(lines, start, size):
 # ---------------------------------------------------------------------------
 # braided pairs
 
+# the scalar parameters of the kinds named after their constructors
+_PARAMS = {"v3": ("q",), "v4": ("q", "alpha"),
+           "two_by_two": ("q1", "q2", "eta1", "eta2", "beta1", "beta2")}
+
+
 def dump_pair(bp):
-    lines = [f"kind {bp.kind}", f"conductor {bp.conductor}", f"dim {bp.dim}"]
-    if bp.kind == "diagonal":
-        q = _pairs.is_diagonal(bp)
+    """The text of a pair file.  Every scalar is written at the file's
+    conductor, the lcm of the braiding's and of each scalar's own (a
+    parameter such as beta_1 of ``two_by_two`` enters the braiding only
+    through its square), so the file reads back as the same pair."""
+    kind, named, matrix = bp.kind, _PARAMS.get(bp.kind, ()), None
+    if kind == "diagonal":
+        matrix = _pairs.is_diagonal(bp)
+    elif kind not in _PARAMS and kind != "cocycle":
+        kind, matrix = "matrix", bp.matrix()
+    values = [bp.params[name] for name in named]
+    values += [v for row in matrix or () for v in row]
+    conductor = lcm(bp.conductor, *(v.conductor for v in values))
+
+    def token(v):
+        return format_scalar(v.embed(conductor))
+
+    lines = [f"kind {kind}", f"conductor {conductor}", f"dim {bp.dim}"]
+    lines += [f"{name} {token(bp.params[name])}" for name in named]
+    if matrix is not None:
         lines.append("matrix")
-        for row in q:
-            lines.append(" ".join(format_scalar(v) for v in row))
-    elif bp.kind == "v3":
-        lines.append(f"q {format_scalar(bp.params['q'])}")
-    elif bp.kind == "v4":
-        lines.append(f"q {format_scalar(bp.params['q'])}")
-        lines.append(f"alpha {format_scalar(bp.params['alpha'])}")
-    elif bp.kind == "two_by_two":
-        for name in ("q1", "q2", "eta1", "eta2", "beta1", "beta2"):
-            lines.append(f"{name} {format_scalar(bp.params[name])}")
-    elif bp.kind == "cocycle":
+        lines += [" ".join(token(v) for v in row) for row in matrix]
+    if kind == "cocycle":
         xset = bp.params["xset"]
         f = bp.params["cocycle"]
         lines.append(f"size {xset.size}")
@@ -78,13 +92,6 @@ def dump_pair(bp):
         lines.append(f"modulus {f.modulus}")
         for row in f.exponents:
             lines.append(" ".join(str(v) for v in row))
-    else:
-        lines[0] = "kind matrix"
-        lines.append("matrix")
-        n = bp.dim * bp.dim
-        mat = bp.matrix()
-        for r in range(n):
-            lines.append(" ".join(format_scalar(mat[r][c]) for c in range(n)))
     return "\n".join(lines) + "\n"
 
 
@@ -97,23 +104,16 @@ def load_pair(text):
     dim = int(_expect(lines, 2, "dim")[0])
     body = lines[3:]
 
-    def scalar_field(i, name):
-        return parse_scalar(_expect(body, i, name)[0], conductor)
-
     if kind == "diagonal":
         if _rows(body, 0, 1)[0] != "matrix":
             raise ValueError("diagonal pair needs a matrix block")
         rows = [[parse_scalar(tok, conductor) for tok in line.split()]
                 for line in _rows(body, 1, dim)]
         return _pairs.diagonal(rows)
-    if kind == "v3":
-        return _pairs.v3(scalar_field(0, "q"))
-    if kind == "v4":
-        return _pairs.v4(scalar_field(0, "q"), scalar_field(1, "alpha"))
-    if kind == "two_by_two":
-        vals = [scalar_field(i, name) for i, name in enumerate(
-            ("q1", "q2", "eta1", "eta2", "beta1", "beta2"))]
-        return _pairs.two_by_two(*vals)
+    if kind in _PARAMS:
+        return getattr(_pairs, kind)(*(
+            parse_scalar(_expect(body, i, name)[0], conductor)
+            for i, name in enumerate(_PARAMS[kind])))
     if kind == "cocycle":
         size = int(_expect(body, 0, "size")[0])
         table = _int_table(body, 1, size)

@@ -139,9 +139,6 @@ class Echelon:
         self.rows[p] = {u: c * inv for u, c in red.items()}
         return p
 
-    def contains(self, vec):
-        return not self.reduce(vec)
-
     def rref(self):
         """Back-substitute all rows; afterwards no row mentions another pivot."""
         for p in sorted(self.rows, reverse=True):
@@ -156,24 +153,17 @@ class Echelon:
         """Rows in increasing pivot order (call rref first for canonical form)."""
         return [self.rows[p] for p in sorted(self.rows)]
 
-    def nullspace(self, universe, one=None):
+    def nullspace(self, universe, one):
         """Basis of the orthogonal complement read off the RREF rows.
 
         ``universe`` iterates all coordinate keys of the ambient space.  For
         each non-pivot key f the vector e_f - sum_p row_p[f] e_p annihilates
         every row; together these span the kernel of the matrix whose row
         space this echelon basis spans.  ``one`` is the unit of the scalar
-        type, read off a stored pivot when omitted, so an echelon without
-        rows needs it.
+        type.
         """
         self.rref()
         rows = self.rows
-        if one is None:
-            if not rows:
-                raise ValueError("the unit of an echelon without rows is "
-                                 "unknown")
-            p, row = next(iter(rows.items()))
-            one = row[p]
         # column index of the pivot rows
         cols = {}
         for p, row in rows.items():

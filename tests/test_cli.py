@@ -223,10 +223,16 @@ def test_rank2_prints_infinite_orders(capsys, tmp_path):
     assert out.splitlines()[2:8] == ["N1: infinite", "N2: 2", "t: none",
                                      "r: 1", "M: -", "bound: infinite"]
     path.write_text(dump_pair(pairs.diagonal([[integer(-1), z12],
-                                              [integer(1), z3]])))
+                                              [integer(1), z12]])))
     code, out, _ = run(capsys, "rank2", "--file", str(path))
     assert "M: 3 infinite 2 6 infinite infinite 6 2 infinite 3 2" in out
     assert "bound: infinite" in out
+    # zeta_3 is written at the file's conductor 12, not read as zeta_12
+    path.write_text(dump_pair(pairs.diagonal([[integer(-1), z12],
+                                              [integer(1), z3]])))
+    code, out, _ = run(capsys, "rank2", "--file", str(path))
+    assert out.splitlines()[2:8] == ["N1: 2", "N2: 3", "t: none", "r: 2",
+                                     "M: 12 infinite", "bound: infinite"]
 
 
 def test_rank2_rejects_non_root_diagonal_entries(capsys, tmp_path):

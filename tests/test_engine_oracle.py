@@ -2,7 +2,8 @@
 replaced, kept here as an oracle: B_n is the span of T_(1,n-1)(x_i (x) b)
 over a tensor-coordinate basis of B_(n-1), one ``t1_apply`` per candidate.
 Relations are checked against the tensor ideal reduction fed with the
-oracle's kernels, and the right multiplications against the
+oracle's kernels, leading words against those kernels' pivots and a scan
+of every factor, and the right multiplications against the
 tensor-coordinate product.
 """
 
@@ -23,8 +24,9 @@ from nichols.algebra import (
     relations,
 )
 from nichols.braids import t1_apply
-from nichols.linalg import Echelon, vec_add_into
+from nichols.linalg import Echelon, decode_word, vec_add_into
 from nichols.scalars import ONE, format_scalar, integer, root_of_unity
+from test_pairs import fomin_kirillov_e4
 
 MINUS, PLUS = integer(-1), integer(1)
 
@@ -43,6 +45,22 @@ def image_iteration(bp, top):
         for vec in sorted(cands, key=min):
             ech.insert(t1_apply(bp, vec, n))
         out.append(ech)
+    return out
+
+
+def leading_words_oracle(kernels, d, top):
+    """New leading words of degrees 2..top from the kernels themselves:
+    the least-key pivots of each kernel, kept when no contiguous proper
+    factor is a new leading word of a lower degree."""
+    out = {}
+    for n in range(2, top + 1):
+        ech = Echelon()
+        for vec in kernels[n]:
+            ech.insert(vec)
+        lower = [v for m in range(2, n) for v in out[m]]
+        out[n] = [w for w in (decode_word(p, d, n) for p in ech.pivots())
+                  if not any(w[s:s + len(v)] == v for v in lower
+                             for s in range(n - len(v) + 1))]
     return out
 
 
@@ -119,20 +137,41 @@ def test_engine_matches_image_iteration(name, build, top, ktop):
         assert text(degree_basis(bp, n, cache)) == text(
             ech.rref().sorted_rows()), (name, n)
     # the oracle's kernels feed the tensor ideal reduction and the leading
-    # words; the engine's relations go through its count first
+    # words; the engine's relations go through its count first, its leading
+    # words through the row space
     d = bp.dim
     oracle_cache = GradedComputation(bp)
     transposed_oracle = image_iteration(pairs.transpose(bp), ktop)
     for n in range(2, ktop + 1):
-        kernel = transposed_oracle[n].nullspace(range(d ** n))
+        kernel = transposed_oracle[n].nullspace(range(d ** n), ONE)
         oracle_cache.kernels[n] = kernel
         assert text(kernel_basis(bp, n, cache)) == text(kernel), (name, n)
+    words = leading_words_oracle(oracle_cache.kernels, d, ktop)
     for n in range(2, ktop + 1):
         want = _tensor_relations(bp, n, oracle_cache)
         assert relation_count(bp, n, cache) == len(want), (name, n)
         assert text(relations(bp, n, cache)) == text(want), (name, n)
-        assert new_leading_words(bp, n, cache) == new_leading_words(
-            bp, n, oracle_cache), (name, n)
+        assert new_leading_words(bp, n, cache) == words[n], (name, n)
+
+
+def test_leading_words_build_no_kernel():
+    for build in (v4_m1_p1, v3_z3, transposed(v4_m1_m1)):
+        bp = build()
+        cache = GradedComputation(bp)
+        for n in range(2, 6):
+            new_leading_words(bp, n, cache)
+        assert cache.kernels == {}
+
+
+def test_e4_leading_word_counts():
+    # the 576-dimensional E4 through degree 7 (6^7 words); reading the
+    # leading words off the d^n-wide kernels took about 50 s
+    bp = fomin_kirillov_e4()
+    cache = GradedComputation(bp)
+    t0 = time.perf_counter()
+    counts = [len(new_leading_words(bp, n, cache)) for n in range(2, 8)]
+    assert time.perf_counter() - t0 < 10.0
+    assert counts == [17, 4, 2, 0, 2, 0]
 
 
 @pytest.mark.parametrize("build", [

@@ -37,6 +37,14 @@ def test_pair_roundtrips():
     # a generic matrix pair goes through the full-matrix format
     text = roundtrip(pairs.transpose(pairs.v3(integer(-1))))
     assert text.splitlines()[0] == "kind matrix"
+    # scalars whose conductors differ are written at the lcm, beta1 = i
+    # included although the braiding sees only its square -1
+    z3 = root_of_unity(3, 1)
+    roundtrip(pairs.diagonal([[z3, 1], [1, i4]]))
+    roundtrip(pairs.diagonal([[-1, z3], [z3 * z3, i4]]))
+    text = roundtrip(pairs.two_by_two(z3, -1, 1, 1, i4, 1))
+    assert "conductor 12" in text.splitlines()
+    assert load_pair(text).params["beta1"] == i4
 
 
 def test_matrix_files_keep_group_type_data():

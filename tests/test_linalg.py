@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nichols.linalg import (
     Echelon,
@@ -10,7 +11,7 @@ from nichols.linalg import (
     invert_square,
     smith_normal_form,
 )
-from nichols.scalars import integer, one, root_of_unity, zero
+from nichols.scalars import integer, one, rational, root_of_unity, zero
 
 
 def test_word_encoding_roundtrip():
@@ -32,8 +33,8 @@ def test_echelon_rank_and_membership():
     assert ech.insert({0: integer(2), 1: integer(4)}) is None  # dependent
     assert ech.insert(v2) == 1
     assert ech.rank == 2
-    assert ech.contains({0: integer(5), 1: integer(-3)})
-    assert not ech.contains({2: one()})
+    assert not ech.reduce({0: integer(5), 1: integer(-3)})
+    assert ech.reduce({2: one()})
 
 
 def test_echelon_reduce_is_canonical_projection():
@@ -50,7 +51,7 @@ def test_echelon_rref_and_nullspace():
     ech = Echelon()
     ech.insert({0: one(), 1: one(), 2: one()})
     ech.insert({1: one(), 2: integer(2)})
-    null = ech.nullspace(range(3))
+    null = ech.nullspace(range(3), one())
     assert len(null) == 1
     vec = null[0]
     # check orthogonality against the original rows
@@ -60,6 +61,29 @@ def test_echelon_rref_and_nullspace():
             if k in vec:
                 s = s + c * vec[k]
         assert s.is_zero()
+
+
+WORDS = 8
+
+
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(st.lists(st.dictionaries(
+    st.integers(0, WORDS - 1),
+    st.builds(rational, st.integers(-3, 3).filter(bool), st.integers(1, 3)),
+    max_size=4), max_size=6))
+def test_kernel_leads_where_the_row_space_does_not(rows):
+    # the least keys of the null space are the keys that are no greatest
+    # key of the row space; negated keys make the echelon pivot on the
+    # greatest
+    row_space, mirrored = Echelon(), Echelon()
+    for row in rows:
+        row_space.insert(row)
+        mirrored.insert({-k: c for k, c in row.items()})
+    kernel = Echelon()
+    for vec in row_space.nullspace(range(WORDS), one()):
+        kernel.insert(vec)
+    assert set(kernel.pivots()) == set(range(WORDS)) - {
+        -p for p in mirrored.rows}
 
 
 def test_invert_square():
