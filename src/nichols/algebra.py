@@ -71,7 +71,7 @@ is new iff neither its prefix nor its suffix of length n-1 leads.
 from collections import namedtuple
 from time import perf_counter
 
-from .braids import apply_elt, sweep, t_shuffle
+from .braids import FieldPair, apply_elt, sweep, t_shuffle
 from .linalg import Echelon, decode_word, vec_add_into
 from .scalars import MINUS_ONE, ONE, field as _field
 from . import pairs as _pairs
@@ -140,9 +140,7 @@ class GradedComputation:
         self.bp = bp
         self.field = _field(bp.conductor)
         one = self.field.one
-        embed = self.field.from_cyc
-        self.cmap = tuple(tuple((kl, embed(c)) for kl, c in col)
-                          for col in bp.cmap)
+        self.cmap = FieldPair(bp, self.field).cmap
         ech0 = Echelon()
         ech0.insert({0: one})
         self.bases = [ech0]

@@ -9,13 +9,16 @@ compared through their actions on braided vector spaces.
 
 Tensor vectors are sparse dicts keyed by base-d integers (see linalg);
 ``sigma_pass`` is the hot path that applies one crossing to such a vector.
+The actions read only the n lowest digits of a key, so the digits above
+them can tag each term with where it came from (``verify_identity``).
 """
 
 from itertools import combinations as _combinations
 from itertools import permutations as _permutations
+from math import lcm
 
 from .linalg import vec_add_into
-from .scalars import ONE
+from .scalars import ONE, field as _field
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +166,16 @@ class GroupAlgElt:
                  for w, c in self.terms.items()}
         return GroupAlgElt(strands, terms)
 
+    @property
+    def conductor(self):
+        """The lcm of the coefficients' conductors."""
+        return lcm(1, *(c.conductor for c in self.terms.values()))
+
+    def embed(self, field):
+        """The same sum with its coefficients in the field type ``field``."""
+        return GroupAlgElt(self.strands, {w: field.from_cyc(c)
+                                          for w, c in self.terms.items()})
+
     def apply(self, bp, vec, n):
         return apply_elt(bp, self, vec, n)
 
@@ -288,19 +301,38 @@ def sigma_pass(cmap, d, n, terms, k):
 
 
 def apply_elt(bp, elt, vec, n):
-    """Act by a formal sum of braid words on a degree-n sparse vector."""
+    """Act by a formal sum of braid words on a degree-n sparse vector.
+
+    A word acts right to left, so words sharing a suffix share their first
+    passes.  The words are walked in the sorted order of their reversals
+    with a stack of partial results, one per letter of the current
+    reversal: each distinct suffix is crossed once, however many words end
+    in it.  The scalars of ``vec``, of ``bp.cmap`` and of the coefficients
+    must be of one type, ``Cyc`` for a ``BraidedPair``, or the field type
+    of a ``FieldPair`` with ``elt`` embedded in it (``elt.embed``).
+    """
     if elt.strands != n:
         raise ValueError(f"element on {elt.strands} strands applied in degree {n}")
     d = bp.dim
-    cmap = bp.cmap
     total = {}
-    for w, c in elt.terms.items():
-        cur = vec
-        for letter in reversed(w):
+    path = ()
+    stack = [vec]
+    for w, c in sorted(elt.terms.items(), key=lambda t: t[0][::-1]):
+        rev = w[::-1]
+        k = 0
+        for x, y in zip(path, rev):
+            if x != y:
+                break
+            k += 1
+        del stack[k + 1:]
+        cur = stack[-1]
+        for letter in rev[k:]:
             if letter > 0:
-                cur = sigma_pass(cmap, d, n, cur, letter)
+                cur = sigma_pass(bp.cmap, d, n, cur, letter)
             else:
                 cur = sigma_pass(bp.cmap_inverse(), d, n, cur, -letter)
+            stack.append(cur)
+        path = rev
         vec_add_into(total, cur, None if c.is_one() else c)
     return total
 
@@ -339,24 +371,82 @@ def symmetrizer_apply(bp, n, vec, k=None):
     return cur
 
 
+class FieldPair:
+    """A braided pair's braiding embedded into a field type ``field``
+    (``scalars.field(m)``, m a multiple of ``bp.conductor``): the ``dim``,
+    ``cmap`` and ``cmap_inverse()`` that the actions of this module read,
+    with every coefficient a ``field`` element.  The inverse is embedded
+    on first use."""
+
+    __slots__ = ("dim", "field", "cmap", "_bp", "_cinv")
+
+    def __init__(self, bp, field):
+        self.dim = bp.dim
+        self.field = field
+        self.cmap = _embed_cmap(bp.cmap, field)
+        self._bp = bp
+        self._cinv = None
+
+    def cmap_inverse(self):
+        if self._cinv is None:
+            self._cinv = _embed_cmap(self._bp.cmap_inverse(), self.field)
+        return self._cinv
+
+
+def _embed_cmap(cmap, field):
+    embed = field.from_cyc
+    return tuple(tuple((kl, embed(c)) for kl, c in col) for col in cmap)
+
+
 def verify_identity(lhs, rhs, suite):
     """Check two operators act identically on every standard basis tensor
-    of every braided pair in the suite.  Either side may be a GroupAlgElt
-    or anything exposing ``strands`` and ``apply(bp, vec, n)`` (products of
-    factors evaluate without expanding the formal sum).  Returns an
-    IdentityReport."""
+    of every braided pair in the suite; the suite must not be empty.
+    Returns an IdentityReport.
+
+    Per pair, both sides act once, on the sum of all d^n basis tensors with
+    each term tagged by its input word in the high digits: the key of
+    output word w_out from input word w_in is w_in * d^n + w_out.  The
+    crossings read only the low n digits, so the tagged terms never mix.
+    The arithmetic is in ``scalars.field(m)``, m the lcm of
+    ``bp.conductor`` and of both sides' ``conductor``: the braiding and
+    the sides are embedded there once per pair.
+
+    Either side may be a GroupAlgElt or anything exposing ``strands``,
+    ``conductor`` (a multiple of the conductor of every coefficient),
+    ``embed(field)`` (the operator with its coefficients in ``field``) and
+    ``apply(bp, vec, n)``, such as a product of factors evaluated without
+    expanding the formal sum.  ``apply`` is called on embedded operators
+    only, with ``bp`` a ``FieldPair`` and ``vec`` a tagged vector of field
+    elements.  On a mismatch the report holds the first failing pair in
+    suite order, the least failing basis word and its two image vectors as
+    ``Cyc`` values in ascending word order.
+    """
     if lhs.strands != rhs.strands:
         raise ValueError("strand count mismatch")
+    if not suite:
+        raise ValueError("an empty suite verifies nothing")
     n = lhs.strands
+    sides_m = lcm(lhs.conductor, rhs.conductor)
     for bp in suite:
-        d = bp.dim
-        for w in range(d ** n):
-            vec = {w: ONE}
-            a = lhs.apply(bp, vec, n)
-            b = rhs.apply(bp, vec, n)
-            if a != b:
-                return IdentityReport(False, bp, w, a, b)
+        field = _field(lcm(bp.conductor, sides_m))
+        fp = FieldPair(bp, field)
+        size = bp.dim ** n
+        basis = {w * size + w: field.one for w in range(size)}
+        a = lhs.embed(field).apply(fp, basis, n)
+        b = rhs.embed(field).apply(fp, basis, n)
+        if a != b:
+            w = min(key // size for key in a.keys() | b.keys()
+                    if key not in a or key not in b or a[key] != b[key])
+            return IdentityReport(False, bp, w, _block(a, w, size),
+                                  _block(b, w, size))
     return IdentityReport(True, None, None, None, None)
+
+
+def _block(vec, w, size):
+    """The image of basis word w in a tagged vector, as Cyc values."""
+    low = w * size
+    return {key - low: vec[key].to_cyc()
+            for key in sorted(vec) if low <= key < low + size}
 
 
 class IdentityReport:

@@ -374,23 +374,16 @@ def main(argv=None):
 
 
 def _validate_options(args):
-    def bail(message):
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
-
-    for name in ("max_degree", "degree", "modulus"):
+    # one least value per option: a verify run that checks no pair or no
+    # identity proves nothing, relations start in degree 2, and cohomology
+    # with Z/1 coefficients is trivial
+    for name, least in (("max_degree", 0), ("degree", 2), ("modulus", 2),
+                        ("count", 1), ("max_n", 1), ("max_order", 1)):
         value = getattr(args, name, None)
-        if value is not None and value < 0:
-            bail(f"{name.replace('_', '-')} must be nonnegative")
-    # a verify run that checks no pair or no identity proves nothing
-    for name in ("count", "max_n", "max_order"):
-        value = getattr(args, name, None)
-        if value is not None and value < 1:
-            bail(f"{name.replace('_', '-')} must be at least 1")
-    if getattr(args, "degree", None) is not None and args.degree < 2:
-        bail("relations start in degree 2")
-    if getattr(args, "modulus", None) is not None and args.modulus < 2:
-        bail("modulus must be at least 2")
+        if value is not None and value < least:
+            print(f"error: {name.replace('_', '-')} must be at least {least}",
+                  file=sys.stderr)
+            raise SystemExit(EXIT_PARSE)
 
 
 if __name__ == "__main__":

@@ -2,16 +2,19 @@
 Serre relations, packaged for verification over suites of braided pairs.
 
 Formal sums of braid words have no normal form, so each identity is checked
-through its action: both sides are applied to every standard basis tensor
-of every pair in a suite.  Sides are kept as products of factors and
-evaluated right to left, which avoids expanding sums of sums; the full
-symmetrizer factor runs through its quadratic-cost recursion (itself
-checked against the brute-force word sum elsewhere).  The identity
-families are indexed by the number of moving strands n and act on n + 1
-strands.
+through its action (``braids.verify_identity``): per pair, both sides act
+once on the sum of all standard basis tensors, each term tagged with its
+input word in the high digits of its key, in the pair's field
+``scalars.field(m)``.  Sides are kept as products of factors and evaluated
+right to left, which avoids expanding sums of sums; a sum of words crosses
+each shared suffix once, and the full symmetrizer factor runs through its
+quadratic-cost recursion (itself checked against the brute-force word sum
+elsewhere).  The identity families are indexed by the number of moving
+strands n and act on n + 1 strands.
 """
 
 import random
+from math import lcm
 
 from .braids import GroupAlgElt, d_elt, r_elt, symmetrizer_apply, u_elt
 from .scalars import root_of_unity
@@ -28,6 +31,18 @@ class Product:
     def __init__(self, strands, factors):
         self.strands = strands
         self.factors = list(factors)
+
+    @property
+    def conductor(self):
+        """The lcm of the conductors of the GroupAlgElt factors."""
+        return lcm(1, *(f.conductor for f in self.factors
+                        if not isinstance(f, int)))
+
+    def embed(self, field):
+        """The same product with its coefficients in ``field``."""
+        return Product(self.strands, [f if isinstance(f, int)
+                                      else f.embed(field)
+                                      for f in self.factors])
 
     def apply(self, bp, vec, n):
         cur = vec

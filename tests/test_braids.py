@@ -1,6 +1,8 @@
 import random
 from itertools import combinations, permutations
 
+import pytest
+
 from nichols.braids import (
     GroupAlgElt,
     apply_elt,
@@ -22,9 +24,9 @@ from nichols.braids import (
     u_elt,
     verify_identity,
 )
-from nichols.identities import standard_suite
+from nichols.identities import Product, all_identities, standard_suite
 from nichols.linalg import encode_word
-from nichols.scalars import ONE, integer, one, root_of_unity
+from nichols.scalars import ONE, ZERO, integer, one, root_of_unity
 from nichols import pairs
 
 
@@ -220,3 +222,140 @@ def test_verify_identity_reports_counterexample():
     assert report.basis_word is not None
     ok = verify_identity(s1 * s1, e, suite)  # sigma^2 = id at q = +-1 off-diag
     assert ok.ok
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the word-by-word Cyc evaluation, one basis tensor at a
+# time, as the oracle for the shared-suffix, tagged, field evaluation
+
+
+def oracle_apply_elt(bp, elt, vec, n):
+    """Each word crossed letter by letter, right to left, in Cyc."""
+    total = {}
+    for w, c in elt.terms.items():
+        cur = vec
+        for letter in reversed(w):
+            cmap = bp.cmap if letter > 0 else bp.cmap_inverse()
+            cur = sigma_pass(cmap, bp.dim, n, cur, abs(letter))
+        for k, v in cur.items():
+            t = total.get(k, ZERO) + c * v
+            if t:
+                total[k] = t
+            else:
+                total.pop(k, None)
+    return total
+
+
+def oracle_apply(side, bp, vec, n):
+    factors = side.factors if isinstance(side, Product) else [side]
+    for f in reversed(factors):
+        if isinstance(f, int):
+            vec = symmetrizer_apply(bp, n, vec, f)
+        else:
+            vec = oracle_apply_elt(bp, f, vec, n)
+    return vec
+
+
+def oracle_verify(lhs, rhs, suite):
+    """(ok, pair, basis word, lhs image, rhs image) of the first failure."""
+    n = lhs.strands
+    for bp in suite:
+        for w in range(bp.dim ** n):
+            a = oracle_apply(lhs, bp, {w: ONE}, n)
+            b = oracle_apply(rhs, bp, {w: ONE}, n)
+            if a != b:
+                return False, bp, w, a, b
+    return True, None, None, None, None
+
+
+def report_tuple(report):
+    return (report.ok, report.pair, report.basis_word, report.lhs_value,
+            report.rhs_value)
+
+
+# non-diagonal pairs; the changed basis gives columns of several terms
+NON_DIAGONAL = (
+    pairs.v3(integer(-1)),
+    pairs.two_by_two(integer(-1), integer(-1), ONE, ONE, ONE, ONE),
+    pairs.change_basis(pairs.v3(integer(-1)),
+                       [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+)
+
+
+def test_identities_agree_with_oracle():
+    for seed in (20240, 7):
+        suite = standard_suite(count=3, seed=seed)
+        for name, lhs, rhs in all_identities(4):
+            assert (verify_identity(lhs, rhs, suite).ok
+                    == oracle_verify(lhs, rhs, suite)[0]), (seed, name)
+    suite = list(NON_DIAGONAL[:1])
+    for name, lhs, rhs in all_identities(2):
+        assert verify_identity(lhs, rhs, suite).ok, name
+        assert oracle_verify(lhs, rhs, suite)[0], name
+
+
+def test_false_identities_report_like_oracle():
+    s, n, j = 4, 3, 3
+    un1 = u_elt(s, n, 1)
+    gen = GroupAlgElt.from_word(s, (j,))
+    s1 = GroupAlgElt.from_word(2, (1,))
+    e = GroupAlgElt.unit(2)
+    z5 = GroupAlgElt.from_word(2, (1,), root_of_unity(5, 1))
+    c12 = pairs.diagonal([[root_of_unity(12, 1), root_of_unity(12, 5)],
+                          [integer(-1), root_of_unity(4, 1)]])
+    diagonal = standard_suite(count=4, seed=11)
+    cases = [(s1, e, diagonal)]
+    cases += [(s1, e, [bp]) for bp in NON_DIAGONAL]
+    # u_shift_intertwiner with j - 1 replaced by j
+    cases.append((un1 * gen, gen * un1, diagonal))
+    cases += [(un1 * gen, gen * un1, [bp]) for bp in NON_DIAGONAL]
+    # a zeta_5 coefficient on a conductor-12 pair
+    cases.append((z5 + e, s1 + e, [c12]))
+    # s1^2 = e holds on the first pair and on the second up to x1 (x) x1
+    early = pairs.diagonal([[integer(-1), ONE], [ONE, integer(-1)]])
+    late = pairs.diagonal([[integer(-1), root_of_unity(3, 1)],
+                           [root_of_unity(3, 2), root_of_unity(5, 1)]])
+    cases.append((s1 * s1, e, [early, late]))
+    for lhs, rhs, suite in cases:
+        got = report_tuple(verify_identity(lhs, rhs, suite))
+        assert got[0] is False
+        assert got == oracle_verify(lhs, rhs, suite)
+    assert got[1:3] == (late, 3)
+    # and a true one: s1 S1 = e
+    assert verify_identity(z5 + e, z5 + GroupAlgElt.from_word(2, (1, -1)),
+                           [c12] + list(NON_DIAGONAL)).ok
+
+
+def random_elt(rng, strands, coeffs):
+    """Words from a few shared suffixes, with negative letters."""
+    letters = [i for i in range(1, strands) for i in (i, -i)]
+    suffixes = [tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
+                for _ in range(3)]
+    terms = {}
+    for _ in range(8):
+        head = tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
+        terms[head + rng.choice(suffixes)] = rng.choice(coeffs)
+    return GroupAlgElt(strands, terms)
+
+
+def test_apply_elt_agrees_with_oracle():
+    rng = random.Random(2024)
+    diag = pairs.diagonal([[root_of_unity(6, 1), root_of_unity(3, 2)],
+                           [integer(-1), root_of_unity(4, 1)]])
+    coeffs = [ONE, integer(-1), integer(3), root_of_unity(3, 1),
+              root_of_unity(5, 2)]
+    for bp in (diag,) + NON_DIAGONAL:
+        d = bp.dim
+        for n in (2, 3, 4):
+            for _ in range(4):
+                elt = random_elt(rng, n, coeffs)
+                vec = {rng.randrange(d ** n): rng.choice(coeffs)
+                       for _ in range(3)}
+                assert apply_elt(bp, elt, vec, n) == oracle_apply_elt(
+                    bp, elt, vec, n)
+
+
+def test_verify_identity_needs_a_pair():
+    s1 = GroupAlgElt.from_word(2, (1,))
+    with pytest.raises(ValueError):
+        verify_identity(s1, GroupAlgElt.unit(2), [])

@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from nichols import cli
+from nichols import cli, identities
+from nichols.braids import GroupAlgElt
 from nichols.cli import main
 from nichols.fileio import dump_pair
 from nichols.identities import standard_suite
@@ -358,6 +359,37 @@ def test_sum_and_module_builtins(capsys):
 
 
 def test_bad_degree_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["relations", "--builtin", "v3", "--q", "-1", "--degree", "1"])
-    assert info.value.code == 2
+    # one check and one message per option, whichever side of zero
+    for argv, message in (
+            (["relations", "--builtin", "v3", "--q", "-1", "--degree"],
+             "degree must be at least 2"),
+            (["quandle", "h2", "--builtin", "dihedral3", "--modulus"],
+             "modulus must be at least 2")):
+        for value in ("-2", "-1", "0", "1"):
+            with pytest.raises(SystemExit) as info:
+                main(argv + [value])
+            out, err = capsys.readouterr()
+            assert info.value.code == 2
+            assert out == ""
+            assert err == f"error: {message}\n"
+
+
+def test_verify_failure_is_reported(capsys, monkeypatch):
+    s1 = GroupAlgElt.from_word(2, (1,))
+    e = GroupAlgElt.unit(2)
+    monkeypatch.setattr(identities, "all_identities",
+                        lambda max_n: [("s1^2 + s1 = s1 + e", s1 * s1 + s1,
+                                        s1 + e)])
+    monkeypatch.setattr(identities, "standard_suite", lambda **kw: [
+        pairs.diagonal([[integer(1), integer(-1)], [integer(1), integer(1)]])])
+    code, out, _ = run(capsys, "verify", "--max-n", "1")
+    assert code == 1
+    # x0 (x) x1 is the least failing basis word; s1 reaches word 2 before
+    # s1^2 reaches word 1, and the images print in word order
+    assert out.splitlines() == [
+        "FAIL s1^2 + s1 = s1 + e",
+        "  pair: BraidedPair(kind='diagonal', dim=2, conductor=1)",
+        "  basis index: 1",
+        "  lhs: {1: Cyc(-1), 2: Cyc(-1)}",
+        "  rhs: {1: Cyc(1), 2: Cyc(-1)}",
+        "result: 0/1 identities hold"]
