@@ -96,7 +96,7 @@ def _builtin_pair(name, args):
         orders = getattr(args, "orders", None)
         if not orders:
             raise CliError("builtin qls needs --orders N1,N2,...", EXIT_PARSE)
-        ns = [int(v) for v in orders.split(",")]
+        ns = _parse_orders(orders)
         d = len(ns)
         return pairs.diagonal(
             [[root_of_unity(ns[i], 1) if i == j else plus for j in range(d)]
@@ -106,6 +106,18 @@ def _builtin_pair(name, args):
         line = pairs.diagonal([[minus]])
         return pairs.direct_sum(v, line, [plus, plus, plus], [plus])
     raise CliError(f"unknown builtin {name!r}", EXIT_PARSE)
+
+
+def _parse_orders(text):
+    """The comma list of --orders as positive ints, else a usage error."""
+    try:
+        ns = [int(v) for v in text.split(",")]
+    except ValueError:
+        ns = None
+    if ns is None or min(ns) < 1:
+        raise CliError(f"--orders needs positive integers, got {text!r}",
+                       EXIT_PARSE)
+    return ns
 
 
 def _need_scalar(args, field):

@@ -347,6 +347,16 @@ def test_qls_builtin(capsys):
     assert "total: 6" in out
 
 
+def test_bad_orders_is_a_usage_error(capsys):
+    for orders in ("a", "3,,4", "0"):
+        code, out, err = run(capsys, "hilbert", "--builtin", "qls",
+                             "--orders", orders, "--max-degree", "3")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: --orders needs positive integers, "
+                       f"got {orders!r}\n")
+
+
 def test_sum_and_module_builtins(capsys):
     code, out, _ = run(capsys, "hilbert", "--builtin", "v3-a1",
                        "--max-degree", "8")

@@ -7,6 +7,10 @@ from hypothesis import given, settings, strategies as st
 from nichols.linalg import Echelon
 from nichols.scalars import (
     Cyc,
+    Rational,
+    _multiplier,
+    _powers,
+    _table,
     cyclotomic,
     euler_phi,
     field,
@@ -318,3 +322,108 @@ def test_echelon_is_the_same_in_either_type(m, data):
     assert [{k: c.to_cyc() for k, c in vec.items()}
             for vec in fast.nullspace(range(6), F.one)] == plain.nullspace(
                 range(6), one())
+
+
+# ---------------------------------------------------------------------------
+# the generated product against the convolution loop it replaced
+
+def _product(a, b, table):
+    """a * b modulo Phi_m by convolution and reduction: the loop that the
+    generated ``_multiplier(m)`` replaced, kept as its oracle."""
+    k = len(a)
+    conv = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    conv[j] += x * y
+    out = conv[:k]
+    for e in range(k, 2 * k - 1):
+        c = conv[e]
+        if c:
+            for i, r in table[e]:
+                out[i] += c * r
+    return out
+
+
+PRODUCT_CONDUCTORS = (3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 24, 30, 60)
+
+
+@st.composite
+def vectors(draw, m):
+    """An integer coefficient vector at conductor m: dense, a multiple of
+    a root of unity (sparse, or dense where zeta^e leaves the power basis),
+    or zero."""
+    k = euler_phi(m)
+    kind = draw(st.sampled_from(["dense", "root", "zero"]))
+    if kind == "dense":
+        return tuple(draw(st.lists(st.integers(-9, 9), min_size=k,
+                                   max_size=k)))
+    if kind == "root":
+        c = draw(st.sampled_from([1, -1, 2, -3]))
+        return tuple(c * v for v in _powers(m, m)[draw(st.integers(0, m - 1))])
+    return (0,) * k
+
+
+def _dense_nonzero(draw, m, den):
+    """A Cyc at conductor m with denominator ``den`` exactly, dense
+    coefficients and the first one 1."""
+    rest = draw(st.lists(st.integers(-9, 9), min_size=euler_phi(m) - 1,
+                         max_size=euler_phi(m) - 1))
+    return Cyc(m, [Fraction(v, den) for v in [1] + rest])
+
+
+@pytest.mark.parametrize("m", PRODUCT_CONDUCTORS)
+@DIFFERENTIAL
+@given(data=st.data())
+def test_multiplier_matches_convolution_loop(m, data):
+    a, b = data.draw(vectors(m)), data.draw(vectors(m))
+    product = _multiplier(m)(a, b)
+    assert type(product) is tuple
+    assert list(product) == _product(a, b, _table(m))
+    assert list(_multiplier(m)(b, a)) == _product(b, a, _table(m))
+
+
+@pytest.mark.parametrize("m", PRODUCT_CONDUCTORS)
+@DIFFERENTIAL
+@given(data=st.data())
+def test_generated_field_arithmetic_against_cyc(m, data):
+    F = field(m)
+    # a dense value is seldom a multiple of a root of unity, so it
+    # inverts through its Galois norm
+    den = data.draw(st.integers(1, 6))
+    a = _dense_nonzero(data.draw, m, den)
+    fa = F.from_cyc(a)
+    assert (fa * fa.inverse()).is_one() and a * a.inverse() == one()
+    assert (fa * fa.inverse()).to_cyc() == one()
+    # equal denominators: a plus an integral vector keeps a's denominator
+    shift = Cyc(m, data.draw(st.lists(st.integers(-9, 9),
+                                      min_size=euler_phi(m),
+                                      max_size=euler_phi(m))))
+    fb = F.from_cyc(a + shift)
+    assert fb.den == fa.den == den
+    assert (fa + fb).to_cyc() == a + (a + shift)
+    assert (fb - fa).to_cyc() == shift
+    # unequal denominators, one dividing the other or coprime
+    other = data.draw(st.sampled_from([2 * den, 7]))
+    c = _dense_nonzero(data.draw, m, other)
+    fc = F.from_cyc(c)
+    assert fc.den == other != fa.den
+    assert (fa + fc).to_cyc() == a + c
+    assert (fc - fa).to_cyc() == c - a
+
+
+def test_multiplier_is_built_once_per_conductor():
+    for m in (3, 12, 60):
+        assert _multiplier(m) is _multiplier(m)
+        assert field(m) is field(m)
+    assert _multiplier(3) is not _multiplier(4)
+    assert field(1) is Rational
+
+
+def test_field_elements_compare_unequal_to_other_types():
+    for x in (field(12).one, Rational.one):
+        assert (x == None) is False  # noqa: E711
+        assert ({0: x} == {0: 1}) is False
+        assert x != 1 and x != one()
+    assert field(12).one != field(4).one
