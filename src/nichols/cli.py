@@ -11,6 +11,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import sys
 
 from . import (__version__, algebra, braids, fileio, identities, pairs,
@@ -226,12 +227,15 @@ def _load_crossed_set(args):
         name = args.builtin
         if not name:
             raise CliError("need --builtin or --file", EXIT_PARSE)
-        if name.startswith("trivial"):
-            return quandles.trivial_crossed_set(int(name[len("trivial"):]))
-        if name.startswith("dihedral"):
-            return quandles.dihedral_crossed_set(int(name[len("dihedral"):]))
         if name == "zmod3":
             return quandles.zmod3_crossed_set()
+        # the size in ASCII decimal digits only: int() would also take a
+        # sign, underscores and surrounding blanks
+        family = re.fullmatch(r"(trivial|dihedral)([0-9]+)", name)
+        if family:
+            make = (quandles.trivial_crossed_set if family[1] == "trivial"
+                    else quandles.dihedral_crossed_set)
+            return make(int(family[2]))
         raise CliError(f"unknown crossed set {name!r}", EXIT_PARSE)
     except (OSError, ValueError) as exc:
         raise _input_error(exc)

@@ -15,7 +15,7 @@ single object here.
 from functools import lru_cache
 from math import gcd
 
-from .linalg import InvalidInput, smith_normal_form
+from .linalg import InvalidInput, divisibility_chain, smith_normal_form
 from .scalars import root_of_unity
 
 
@@ -242,7 +242,10 @@ def cohomology(xset, n, modulus):
     H^n(X; Z) (x) Z/m plus Tor(H^(n+1)(X; Z), Z/m).  With a_i the invariant
     factors of delta^n and b_i those of delta^(n-1), H^n(X; Z) is
     Z^(|X|^n - #a - #b) plus the Z/b_i, and the torsion of H^(n+1)(X; Z) is
-    the sum of the Z/a_i; both functors send Z/k to Z/gcd(k, m).
+    the sum of the Z/a_i; both functors send Z/k to Z/gcd(k, m).  Only the
+    two differentials go through ``smith_normal_form``: the orders of the
+    resulting sum of cyclic groups become invariant factors through
+    ``divisibility_chain``, and the trivial factors 1 it leaves are dropped.
     """
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
@@ -255,11 +258,7 @@ def cohomology(xset, n, modulus):
         b = smith_normal_form(b_mat, len(b_mat), len(b_mat[0]))
     orders = [modulus] * (cols - len(a) - len(b))
     orders += [g for g in (gcd(k, modulus) for k in b + a) if g > 1]
-    size = len(orders)
-    diag = [[k if i == j else 0 for j in range(size)]
-            for i, k in enumerate(orders)]
-    return CohomologyGroup(f for f in smith_normal_form(diag, size, size)
-                           if f > 1)
+    return CohomologyGroup(f for f in divisibility_chain(orders) if f > 1)
 
 
 def h1(xset, modulus):

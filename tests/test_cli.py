@@ -259,6 +259,23 @@ def test_quandle_output(capsys):
     assert "factors: 4 4 4" in out
 
 
+def test_builtin_crossed_set_names(capsys):
+    # int() once read the size, so a sign or an underscore passed and
+    # "trivialx" leaked its "invalid literal" message
+    for name in ("dihedral+3", "dihedral-3", "dihedral_3", "dihedral 3",
+                 "dihedral3 ", "trivialx", "trivial", "dihedral\u0663",
+                 "zmod4"):
+        code, out, err = run(capsys, "quandle", "h2", "--builtin", name,
+                             "--modulus", "6")
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown crossed set {name!r}\n"
+    for name, factors in (("dihedral03", "6"), ("trivial2", "6 6 6 6"),
+                          ("zmod3", "6")):
+        code, out, err = run(capsys, "quandle", "h2", "--builtin", name,
+                             "--modulus", "6")
+        assert (code, out, err) == (0, f"factors: {factors}\n", "")
+
+
 def test_verify_small(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "2", "--count", "3")
     assert code == 0

@@ -4,12 +4,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nichols.groups import conjugacy_classes, symmetric
 from nichols.linalg import (
     Echelon,
     decode_word,
+    divisibility_chain,
     encode_word,
     invert_square,
     smith_normal_form,
+)
+from nichols.quandles import (
+    conjugation_crossed_set,
+    delta_matrix,
+    dihedral_crossed_set,
+    trivial_crossed_set,
+    zmod3_crossed_set,
 )
 from nichols.scalars import integer, one, rational, root_of_unity, zero
 
@@ -160,6 +169,109 @@ def test_smith_normal_form_against_sympy():
         assert smith_normal_form(mat, rows, cols) == want, mat
 
 
+def _agrees_with_sympy(got, mat):
+    """Whether sympy finds the factors ``got``; true without sympy, a test
+    extra, where the dense oracle is the only check."""
+    try:
+        import sympy
+        from sympy.matrices.normalforms import invariant_factors
+    except ImportError:
+        return True
+    return got == [abs(int(f)) for f in invariant_factors(
+        sympy.Matrix(mat), domain=sympy.ZZ) if f]
+
+
+def _crossed_sets():
+    s4 = symmetric(4)
+    classes = [c for c in conjugacy_classes(s4) if len(c) > 1]
+    return ([trivial_crossed_set(n) for n in (2, 3, 4)] + [zmod3_crossed_set()]
+            + [dihedral_crossed_set(k) for k in range(3, 13)]
+            + [conjugation_crossed_set(s4, [c[0]]) for c in classes])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_smith_normal_form_of_coboundaries(n):
+    for xs in _crossed_sets():
+        mat = delta_matrix(xs, n)
+        rows, cols = len(mat), len(mat[0])
+        got = smith_normal_form(mat, rows, cols)
+        assert got == _dense_smith_normal_form(mat, rows, cols), (xs, n)
+        # sympy takes 2 s on the 1728 rows of delta^2 of dihedral12; the
+        # dense oracle covers the larger matrices
+        if rows <= 729:
+            assert _agrees_with_sympy(got, mat), (xs, n)
+
+
+def test_smith_normal_form_of_sparse_unit_matrices():
+    # two or four entries +-1 per row, as in a coboundary, then duplicate
+    # rows, rows equal up to sign, and zero rows and columns
+    rng = random.Random(5)
+    for _ in range(150):
+        rows, cols = rng.randint(1, 14), rng.randint(1, 9)
+        mat = []
+        for _ in range(rows):
+            row = [0] * cols
+            for j in rng.sample(range(cols), min(cols, rng.choice((2, 4)))):
+                row[j] = rng.choice((1, -1))
+            mat.append(row)
+        for _ in range(rng.randint(0, 3)):
+            src = rng.choice(mat)
+            mat.insert(rng.randint(0, len(mat)),
+                       [rng.choice((1, -1)) * x for x in src])
+        if rng.random() < 0.3:
+            mat.insert(rng.randint(0, len(mat)), [0] * cols)
+        if rng.random() < 0.3:
+            j = rng.randrange(cols)
+            for row in mat:
+                row[j] = 0
+        rows = len(mat)
+        got = smith_normal_form(mat, rows, cols)
+        assert got == _dense_smith_normal_form(mat, rows, cols), mat
+        assert _agrees_with_sympy(got, mat), mat
+
+
+def test_smith_normal_form_without_unit_elimination():
+    # no entry +-1, so the whole matrix is the remainder
+    rng = random.Random(17)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        mat = [[rng.choice((0, 2, -2, 3, -4, 6, 9, -10)) for _ in range(cols)]
+               for _ in range(rows)]
+        got = smith_normal_form(mat, rows, cols)
+        assert got == _dense_smith_normal_form(mat, rows, cols), mat
+        assert _agrees_with_sympy(got, mat), mat
+    assert smith_normal_form([[2, 4, 6], [4, 6, 8], [6, 0, 10]], 3, 3) == \
+        [2, 2, 16]
+    # unit elimination pivots on a 1 and leaves the non-unit -3
+    assert smith_normal_form([[1, 2], [2, 1]], 2, 2) == [1, 3]
+    # the input is not modified
+    mat = [[1, 2], [2, 1]]
+    smith_normal_form(mat, 2, 2)
+    assert mat == [[1, 2], [2, 1]]
+
+
+def test_smith_normal_form_of_empty_and_zero_matrices():
+    assert smith_normal_form([], 0, 0) == []
+    assert smith_normal_form([], 0, 3) == []
+    assert smith_normal_form([[], []], 2, 0) == []
+    assert smith_normal_form([[0, 0, 0]], 1, 3) == []
+    assert smith_normal_form([[0], [0], [0]], 3, 1) == []
+
+
+def test_divisibility_chain():
+    assert divisibility_chain([]) == []
+    assert divisibility_chain([4, 6]) == [2, 12]
+    assert divisibility_chain([12, 2, 3]) == [1, 6, 12]
+    rng = random.Random(29)
+    for _ in range(100):
+        values = [rng.randint(1, 60) for _ in range(rng.randint(1, 6))]
+        size = len(values)
+        diag = [[v if i == j else 0 for j in range(size)]
+                for i, v in enumerate(values)]
+        assert divisibility_chain(values) == \
+            _dense_smith_normal_form(diag, size, size), values
+
+
 def _det(mat):
     n = len(mat)
     m = [[Fraction(v) for v in row] for row in mat]
@@ -177,3 +289,82 @@ def _det(mat):
             for k in range(c, n):
                 m[r][k] -= f * m[c][k]
     return det
+
+
+def _dense_smith_normal_form(mat, rows, cols):
+    """The dense least-entry Smith normal form the sparse one replaced,
+    kept as the oracle: ``mat`` is a list of ``rows`` lists of length
+    ``cols``; it is copied.  Returns the nonzero invariant factors
+    d1 | d2 | ..., all positive."""
+    a = [list(r) for r in mat]
+
+    def col_swap(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+
+    def col_add(dst, src, k):
+        for r in a:
+            r[dst] += k * r[src]
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+
+    def row_add(dst, src, k):
+        ra, rs = a[dst], a[src]
+        for idx in range(cols):
+            ra[idx] += k * rs[idx]
+
+    def row_neg(i):
+        a[i] = [-x for x in a[i]]
+
+    limit = min(rows, cols)
+
+    def diagonalize():
+        t = 0
+        while t < limit:
+            # pivot on an entry of least absolute value in the remaining
+            # block, so the multiples added to other rows and columns stay
+            # small; a unit cannot be beaten
+            pi = pj = -1
+            best = 0
+            for i in range(t, rows):
+                for j in range(t, cols):
+                    x = abs(a[i][j])
+                    if x and (not best or x < best):
+                        pi, pj, best = i, j, x
+                        if x == 1:
+                            break
+                if best == 1:
+                    break
+            if pi < 0:
+                break
+            row_swap(t, pi)
+            col_swap(t, pj)
+            p = a[t][t]
+            for i in range(t + 1, rows):
+                if a[i][t]:
+                    row_add(i, t, -(a[i][t] // p))
+            for j in range(t + 1, cols):
+                if a[t][j]:
+                    col_add(j, t, -(a[t][j] // p))
+            # a nonzero remainder is a smaller pivot for the next round
+            if (all(a[i][t] == 0 for i in range(t + 1, rows))
+                    and all(a[t][j] == 0 for j in range(t + 1, cols))):
+                if p < 0:
+                    row_neg(t)
+                t += 1
+        return t
+
+    t = diagonalize()
+    # enforce d1 | d2 | ... by folding offending pairs and re-diagonalizing
+    while True:
+        bad = -1
+        for i in range(t - 1):
+            if a[i + 1][i + 1] % a[i][i]:
+                bad = i
+                break
+        if bad < 0:
+            break
+        col_add(bad, bad + 1, 1)
+        t = diagonalize()
+    return [a[i][i] for i in range(t)]

@@ -96,6 +96,18 @@ def test_h2_of_relabelled_table_within_budget():
     assert factors == [2, 2, 12, 12, 12, 12]
     assert factors == h2(canonical, 12).factors
     assert elapsed < 5.0, f"h2 of the relabelled table took {elapsed:.1f}s"
+    # every S4 class under seeded relabellings keeps its canonical answer
+    rng = random.Random(3)
+    for idx, want in enumerate(S4_H2_MOD12):
+        table = _s4_class(idx).table
+        for _ in range(3):
+            perm = list(range(len(table)))
+            rng.shuffle(perm)
+            relabelled = [[0] * len(table) for _ in table]
+            for i, row in enumerate(table):
+                for j, k in enumerate(row):
+                    relabelled[perm[i]][perm[j]] = perm[k]
+            assert h2(CrossedSet(relabelled), 12).factors == want, perm
 
 
 # Full factor lists the cohomology must keep: H^2(dihedral K; Z/2K) for
