@@ -12,7 +12,6 @@ lexicographic order on words.
 """
 
 import heapq
-from itertools import compress
 from math import gcd
 
 
@@ -222,11 +221,10 @@ def invert_square(columns, n):
 # ---------------------------------------------------------------------------
 # integer Smith normal form
 
-def smith_normal_form(mat, rows, cols):
-    """Invariant factors of an integer matrix.
-
-    ``mat`` is a list of ``rows`` lists of length ``cols``; it is not
-    modified.  Returns the nonzero invariant factors d1 | d2 | ..., all
+def smith_normal_form(rows, cols):
+    """Invariant factors of an integer matrix with ``cols`` columns, given
+    as sparse rows: a sequence of dicts {column: nonzero integer}, which is
+    not modified.  Returns the nonzero invariant factors d1 | d2 | ..., all
     positive, found by unimodular row and column operations in two phases.
 
     Unit elimination works on sparse rows.  While an entry +-1 remains, it
@@ -246,17 +244,18 @@ def smith_normal_form(mat, rows, cols):
     its diagonal into d1 | d2 | ....
     """
     # sparse rows by index, and for each column the rows with an entry in it
-    srows = {}
+    srows = {i: dict(r) for i, r in enumerate(rows) if r}
     where = [set() for _ in range(cols)]
-    for i, r in zip(range(rows), mat):
-        row = {j: r[j] for j in compress(range(cols), r)}
-        if row:
-            srows[i] = row
-            for j in row:
-                where[j].add(i)
+    for i, row in srows.items():
+        for j in row:
+            where[j].add(i)
+    # (entries, column) of the live columns, least first; an entry whose
+    # count is out of date is skipped, since a fresh one follows it
+    counts = [(len(w), j) for j, w in enumerate(where) if w]
+    heapq.heapify(counts)
     units = 0
     while True:
-        pivot = _unit_pivot(srows, where)
+        pivot = _unit_pivot(srows, where, counts)
         if pivot is None:
             break
         p, c = pivot
@@ -279,6 +278,10 @@ def smith_normal_form(mat, rows, cols):
                     where[j].discard(i)
             if not row:
                 del srows[i]
+        # only the pivot row's columns changed their entries
+        for j in prow:
+            if where[j]:
+                heapq.heappush(counts, (len(where[j]), j))
         units += 1
     keep = [j for j in range(cols) if where[j]]
     rest = [[row.get(j, 0) for j in keep] for row in srows.values()]
@@ -286,19 +289,34 @@ def smith_normal_form(mat, rows, cols):
         _diagonalize(rest, len(rest), len(keep)))
 
 
-def _unit_pivot(srows, where):
+def _unit_pivot(srows, where, counts):
     """(row, column) of a unit entry in a column with the fewest entries,
-    in the shortest row, ties to the least index; None if no unit is left."""
-    for c in sorted((j for j, w in enumerate(where) if w),
-                    key=lambda j: len(where[j])):
+    in the shortest row, ties to the least index; None if no unit is left.
+
+    ``counts`` is the heap of (entries, column) that ``smith_normal_form``
+    keeps; the columns popped without a unit go back on it."""
+    passed = []
+    last = None
+    found = None
+    while counts:
+        entry = heapq.heappop(counts)
+        n, c = entry
+        # a duplicate pops right after its twin
+        if entry == last or n != len(where[c]):
+            continue
+        last = entry
         best = None
         for i in where[c]:
             row = srows[i]
             if row[c] in (1, -1) and (best is None or (len(row), i) < best):
                 best = (len(row), i)
         if best is not None:
-            return best[1], c
-    return None
+            found = best[1], c
+            break
+        passed.append(entry)
+    for entry in passed:
+        heapq.heappush(counts, entry)
+    return found
 
 
 def _diagonalize(a, rows, cols):

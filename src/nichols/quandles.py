@@ -180,16 +180,28 @@ def _coboundary_columns(table, n):
     return tuple(terms)
 
 
+def _coboundary_rows(xset, n):
+    """The n-th differential on exponent tables as sparse rows, one per
+    word of X^(n+1) in lexicographic order: {column: nonzero integer},
+    columns the words of X^n.  Terms that cancel leave no entry.  For
+    n = 0 every row is empty: constants have trivial differential."""
+    rows = [{} for _ in range(xset.size ** (n + 1))]
+    for sign, cols in _coboundary_columns(xset.table, n):
+        for row, col in zip(rows, cols):
+            v = row.get(col, 0) + sign
+            if v:
+                row[col] = v
+            else:
+                del row[col]
+    return rows
+
+
 def delta_matrix(xset, n):
     """The integer matrix of the n-th differential on exponent tables:
-    rows indexed by X^(n+1), columns by X^n, both in lexicographic order.
-    For n = 0 it is the zero map: constants have trivial differential."""
-    size = xset.size
-    mat = [[0] * size ** n for _ in range(size ** (n + 1))]
-    for sign, cols in _coboundary_columns(xset.table, n):
-        for row, col in zip(mat, cols):
-            row[col] += sign
-    return mat
+    rows indexed by X^(n+1), columns by X^n, both in lexicographic order;
+    the dense view of the rows ``cohomology`` reduces."""
+    cols = range(xset.size ** n)
+    return [[row.get(j, 0) for j in cols] for row in _coboundary_rows(xset, n)]
 
 
 def pi0(xset):
@@ -243,19 +255,18 @@ def cohomology(xset, n, modulus):
     factors of delta^n and b_i those of delta^(n-1), H^n(X; Z) is
     Z^(|X|^n - #a - #b) plus the Z/b_i, and the torsion of H^(n+1)(X; Z) is
     the sum of the Z/a_i; both functors send Z/k to Z/gcd(k, m).  Only the
-    two differentials go through ``smith_normal_form``: the orders of the
-    resulting sum of cyclic groups become invariant factors through
-    ``divisibility_chain``, and the trivial factors 1 it leaves are dropped.
+    two differentials, as sparse rows, go through ``smith_normal_form``:
+    the orders of the resulting sum of cyclic groups become invariant
+    factors through ``divisibility_chain``, and the trivial factors 1 it
+    leaves are dropped.
     """
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
-    a_mat = delta_matrix(xset, n)
-    cols = len(a_mat[0])
-    a = smith_normal_form(a_mat, len(a_mat), cols)
+    cols = xset.size ** n
+    a = smith_normal_form(_coboundary_rows(xset, n), cols)
     b = []
     if n > 0:
-        b_mat = delta_matrix(xset, n - 1)
-        b = smith_normal_form(b_mat, len(b_mat), len(b_mat[0]))
+        b = smith_normal_form(_coboundary_rows(xset, n - 1), cols // xset.size)
     orders = [modulus] * (cols - len(a) - len(b))
     orders += [g for g in (gcd(k, modulus) for k in b + a) if g > 1]
     return CohomologyGroup(f for f in divisibility_chain(orders) if f > 1)

@@ -1,43 +1,42 @@
 """Exact arithmetic in cyclotomic fields, plus q-number combinatorics.
 
-Every scalar in this package is a ``Cyc``: a residue modulo the m-th
-cyclotomic polynomial, i.e. an element of the field Q(zeta_m).  The
+Every scalar the package takes or returns is a ``Cyc``: an element of the
+field Q(zeta_m), a residue modulo the m-th cyclotomic polynomial.  Its
 coefficient vector has length phi(m) and is stored as a tuple of integers
 over a single positive denominator, normalized so the gcd of all entries
 and the denominator is 1.  Working modulo the cyclotomic polynomial (not
 x^m - 1) keeps the structure a field, so ranks and kernels downstream are
-well defined.  All arithmetic is on these integer vectors: an inverse is
-the product of the other Galois conjugates divided by the rational norm,
-and ``Fraction`` appears only at the boundary (``Cyc(m, coeffs)``,
-``.coeffs`` and the coercion of plain numbers).
+well defined.
 
-Values with different conductors mix freely: binary operations embed both
-sides into the lcm conductor.  Zero and rational constants are shrunk to
-conductor 1 on construction, which keeps the common all-rational case on
-a single-integer fast path.  ``Cyc`` is the type every public function
-takes and returns.
+``Cyc`` aligns and shrinks; the field types compute.  Values with
+different conductors mix freely: ``+``, ``*``, ``inverse`` and ``==`` at
+two conductors lift both operands into ``field(l)``, l the lcm of their
+conductors, compute there and come back through ``_normalize``, the one
+place where zero and rational constants shrink to conductor 1.
+``Fraction`` appears only at the boundary (``Cyc(m, coeffs)``, ``.coeffs``
+and the coercion of plain numbers).
 
-A computation that stays in one field Q(zeta_m) does its arithmetic in
-that field's own element type, ``field(m)``: the same integer tuple over
+``field(m)`` is the element type of Q(zeta_m): the same integer tuple over
 one denominator, but both operands of every operation are at conductor m,
-so no operation coerces, aligns conductors or shrinks constants
-(conductor 1 is ``Rational``, a plain (num, den) pair).  The graded engine
-(``algebra.GradedComputation``) embeds its braiding into
-``field(bp.conductor)`` once and converts back to ``Cyc`` only what it
-returns.  Both types multiply through one product per conductor,
-``_multiplier(m)``: straight-line code generated from the reduction table
-at first use, which skips the zero coefficients of its left operand and
-reduces modulo the cyclotomic polynomial with the table's integers
-written in.  Against the generic convolution loop it replaced, a product
-takes 0.32 us instead of 1.44 us at m = 3 and 10.6 us instead of 27.9 us
-for dense operands at m = 60 (Python 3.11, x86, in-process).  Both
-types invert through one routine (``_inverse``: a rational multiple of a
-root of unity directly, anything else through its Galois norm), and the
-field types add through generated coefficient-wise sums.
+so no operation coerces, aligns conductors or shrinks constants.
+Conductor 1 is ``Rational``, a plain (num, den) pair, so all-rational
+arithmetic stays on single integers.  A computation inside one field (the
+graded engine ``algebra.GradedComputation``, or ``braids.verify_identity``)
+embeds its data into ``field(m)`` once and converts back to ``Cyc`` only
+what it returns.  The field types multiply through one product per
+conductor, ``_multiplier(m)``: straight-line code generated from the
+reduction table at first use, which skips the zero coefficients of its
+left operand and reduces modulo the cyclotomic polynomial with the table's
+integers written in.  Against the generic convolution loop it replaced, a
+product takes 0.32 us instead of 1.44 us at m = 3 and 10.6 us instead of
+27.9 us for dense operands at m = 60 (Python 3.11, x86, in-process).  They
+add through generated coefficient-wise sums (``_sums``) and invert through
+``_inverse``: a rational multiple of a root of unity directly, anything
+else through its Galois norm.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import neg as _neg
 
 
@@ -135,9 +134,9 @@ def _table(m):
 
 
 # ---------------------------------------------------------------------------
-# straight-line arithmetic on integer vectors, shared by Cyc and the field
-# types.  The source is built from loop indices and the integers of the
-# reduction tables only, and compiled once per conductor.
+# straight-line arithmetic on integer vectors, for the field types.  The
+# source is built from loop indices and the integers of the reduction
+# tables only, and compiled once per conductor.
 
 def _compile(name, lines):
     """The function ``name`` defined by the generated source ``lines``."""
@@ -167,9 +166,8 @@ _multipliers = {}
 
 def _multiplier(m):
     """The product a * b modulo Phi_m of integer coefficient vectors of
-    length phi(m), returned as a tuple: the one product of the package.
-    ``Cyc`` multiplies through it at a common conductor, and so do the
-    field types and ``_inverse``.
+    length phi(m), returned as a tuple: the one product of the package,
+    called by the field types and ``_inverse``.
 
     Straight-line code, generated once per conductor from ``_table(m)``:
     the convolution into locals c0 .. c(2k-2), one block per nonzero
@@ -287,12 +285,10 @@ def _embed_vec(c, big):
     return out
 
 
-def _align(a, b):
-    """Common-conductor raw vectors: (m, num_a, den_a, num_b, den_b)."""
-    if a.m == b.m:
-        return a.m, a.num, a.den, b.num, b.den
-    m = a.m * b.m // gcd(a.m, b.m)
-    return m, _embed_vec(a, m), a.den, _embed_vec(b, m), b.den
+def _lift(a, b):
+    """The Cyc values a and b as elements of field(lcm(a.m, b.m))."""
+    F = field(lcm(a.m, b.m))
+    return F.from_cyc(a), F.from_cyc(b)
 
 
 def _normalize(m, num, den):
@@ -415,12 +411,8 @@ class Cyc:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        m, na, da, nb, db = _align(self, other)
-        if da == db:
-            return _normalize(m, [x + y for x, y in zip(na, nb)], da)
-        g = gcd(da, db)
-        fa, fb = db // g, da // g
-        return _normalize(m, [x * fa + y * fb for x, y in zip(na, nb)], da * fa)
+        a, b = _lift(self, other)
+        return (a + b).to_cyc()
 
     __radd__ = __add__
 
@@ -438,34 +430,23 @@ class Cyc:
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self, other
-        if a.m == 1 and b.m == 1:
-            return _normalize(1, [a.num[0] * b.num[0]], a.den * b.den)
-        if a.m == 1:
-            v = a.num[0]
-            return _normalize(b.m, [v * y for y in b.num], a.den * b.den)
-        if b.m == 1:
-            v = b.num[0]
-            return _normalize(a.m, [x * v for x in a.num], a.den * b.den)
-        m, na, da, nb, db = _align(a, b)
-        return _normalize(m, _multiplier(m)(na, nb), da * db)
+        a, b = _lift(self, other)
+        return (a * b).to_cyc()
 
     __rmul__ = __mul__
 
     def inverse(self):
         """Multiplicative inverse (the residue ring is a field)."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        if self.m == 1:
-            return _normalize(1, [self.den], self.num[0])
-        num, den = _inverse(self.m, self.num, self.den)
-        return _normalize(self.m, num, den)
+        return field(self.m).from_cyc(self).inverse().to_cyc()
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -474,9 +455,14 @@ class Cyc:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return _coerce(other) * self.inverse()
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inverse()
 
     def __pow__(self, n):
+        if not isinstance(n, int):
+            return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
         out = one()
@@ -494,7 +480,8 @@ class Cyc:
             return NotImplemented
         if self.m == other.m:
             return self.den == other.den and self.num == other.num
-        return (self - other).is_zero()
+        a, b = _lift(self, other)
+        return a == b
 
     # equal values can carry different conductors, so no reliable hash;
     # use .key() after embedding to a common conductor where one is needed
@@ -657,7 +644,7 @@ class Rational:
 
     def inverse(self):
         if not self.num:
-            raise ZeroDivisionError("inverse of zero")
+            raise ZeroDivisionError("inverse of zero cyclotomic number")
         if self.num < 0:
             return _rational(-self.den, -self.num)
         return _rational(self.den, self.num)
@@ -689,9 +676,10 @@ def field(m):
     operation are of the type, so there is no coercion, no conductor
     alignment and no shrinking of constants.  ``from_cyc`` embeds a ``Cyc``
     whose conductor divides m, ``to_cyc`` is the way back, and ``one`` is
-    the unit.  Products and inverses are ``Cyc``'s own routines
-    (``_multiplier(m)``, ``_inverse``); sums are straight-line code made
-    with the type (``_sums``).  Conductor 1 is ``Rational``.
+    the unit.  Products go through ``_multiplier(m)`` and inverses through
+    ``_inverse``; sums are straight-line code made with the type
+    (``_sums``).  Conductor 1 is ``Rational``.  ``Cyc`` computes in these
+    types too, at the lcm of its operands' conductors.
 
     The type is made once per conductor, like the generated product it
     calls, and holds no values computed with it.  Making it compiles its

@@ -115,19 +115,31 @@ def test_invert_square():
         pass
 
 
+def _snf(mat, rows, cols):
+    """``smith_normal_form`` of the dense matrix ``mat``, ``rows`` lists of
+    length ``cols``, passed as the sparse rows it takes; it must leave
+    them as they were."""
+    assert len(mat) == rows
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in mat]
+    kept = [dict(row) for row in sparse]
+    got = smith_normal_form(sparse, cols)
+    assert sparse == kept
+    return got
+
+
 def test_smith_normal_form_examples():
-    assert smith_normal_form([[2, 4], [6, 8]], 2, 2) == [2, 4]
-    assert smith_normal_form([[1, 0], [0, 1]], 2, 2) == [1, 1]
-    assert smith_normal_form([[0, 0], [0, 0]], 2, 2) == []
+    assert _snf([[2, 4], [6, 8]], 2, 2) == [2, 4]
+    assert _snf([[1, 0], [0, 1]], 2, 2) == [1, 1]
+    assert _snf([[0, 0], [0, 0]], 2, 2) == []
     # divisibility chain is enforced
-    assert smith_normal_form([[2, 0], [0, 3]], 2, 2) == [1, 6]
+    assert _snf([[2, 0], [0, 3]], 2, 2) == [1, 6]
     # pivoting on the first nonzero entry grew these entries without bound
     # (no answer within minutes); factors checked against sympy
     mat = [[30, 0, 0, -13, 0, 0, 0], [0, 14, 8, 0, 0, 0, 0],
            [20, 0, -30, 0, -19, 0, 28], [0, 0, -24, 26, 14, 0, 0],
            [0, 0, 21, 0, -26, 0, -16], [-26, 6, 23, 26, 0, 0, 0],
            [3, 0, 0, 0, 0, 0, 0]]
-    assert smith_normal_form(mat, 7, 7) == [1, 1, 1, 1, 2, 104]
+    assert _snf(mat, 7, 7) == [1, 1, 1, 1, 2, 104]
 
 
 def test_smith_normal_form_randomized():
@@ -136,7 +148,7 @@ def test_smith_normal_form_randomized():
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         mat = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
-        diag = smith_normal_form(mat, rows, cols)
+        diag = _snf(mat, rows, cols)
         for i in range(len(diag) - 1):
             assert diag[i + 1] % diag[i] == 0
         assert all(d > 0 for d in diag)
@@ -166,7 +178,7 @@ def test_smith_normal_form_against_sympy():
                 row[j] = 0
         want = [abs(int(f)) for f in invariant_factors(
             sympy.Matrix(mat), domain=sympy.ZZ) if f]
-        assert smith_normal_form(mat, rows, cols) == want, mat
+        assert _snf(mat, rows, cols) == want, mat
 
 
 def _agrees_with_sympy(got, mat):
@@ -194,7 +206,7 @@ def test_smith_normal_form_of_coboundaries(n):
     for xs in _crossed_sets():
         mat = delta_matrix(xs, n)
         rows, cols = len(mat), len(mat[0])
-        got = smith_normal_form(mat, rows, cols)
+        got = _snf(mat, rows, cols)
         assert got == _dense_smith_normal_form(mat, rows, cols), (xs, n)
         # sympy takes 2 s on the 1728 rows of delta^2 of dihedral12; the
         # dense oracle covers the larger matrices
@@ -225,7 +237,7 @@ def test_smith_normal_form_of_sparse_unit_matrices():
             for row in mat:
                 row[j] = 0
         rows = len(mat)
-        got = smith_normal_form(mat, rows, cols)
+        got = _snf(mat, rows, cols)
         assert got == _dense_smith_normal_form(mat, rows, cols), mat
         assert _agrees_with_sympy(got, mat), mat
 
@@ -237,25 +249,25 @@ def test_smith_normal_form_without_unit_elimination():
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         mat = [[rng.choice((0, 2, -2, 3, -4, 6, 9, -10)) for _ in range(cols)]
                for _ in range(rows)]
-        got = smith_normal_form(mat, rows, cols)
+        got = _snf(mat, rows, cols)
         assert got == _dense_smith_normal_form(mat, rows, cols), mat
         assert _agrees_with_sympy(got, mat), mat
-    assert smith_normal_form([[2, 4, 6], [4, 6, 8], [6, 0, 10]], 3, 3) == \
+    assert _snf([[2, 4, 6], [4, 6, 8], [6, 0, 10]], 3, 3) == \
         [2, 2, 16]
     # unit elimination pivots on a 1 and leaves the non-unit -3
-    assert smith_normal_form([[1, 2], [2, 1]], 2, 2) == [1, 3]
+    assert _snf([[1, 2], [2, 1]], 2, 2) == [1, 3]
     # the input is not modified
     mat = [[1, 2], [2, 1]]
-    smith_normal_form(mat, 2, 2)
+    _snf(mat, 2, 2)
     assert mat == [[1, 2], [2, 1]]
 
 
 def test_smith_normal_form_of_empty_and_zero_matrices():
-    assert smith_normal_form([], 0, 0) == []
-    assert smith_normal_form([], 0, 3) == []
-    assert smith_normal_form([[], []], 2, 0) == []
-    assert smith_normal_form([[0, 0, 0]], 1, 3) == []
-    assert smith_normal_form([[0], [0], [0]], 3, 1) == []
+    assert _snf([], 0, 0) == []
+    assert _snf([], 0, 3) == []
+    assert _snf([[], []], 2, 0) == []
+    assert _snf([[0, 0, 0]], 1, 3) == []
+    assert _snf([[0], [0], [0]], 3, 1) == []
 
 
 def test_divisibility_chain():

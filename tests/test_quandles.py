@@ -21,6 +21,7 @@ from nichols.quandles import (
     pi0,
     trivial_crossed_set,
     zmod3_crossed_set,
+    _coboundary_rows,
 )
 from nichols import pairs
 
@@ -146,6 +147,11 @@ def test_delta_examples():
     xs = zmod3_crossed_set()
     d0 = delta_matrix(xs, 0)
     assert all(v == 0 for row in d0 for v in row)
+    # terms that cancel leave no entry in the sparse rows: all of them on a
+    # trivial crossed set, f(x0) - f(x0 |> x0) here
+    for n in (0, 1, 2):
+        assert not any(_coboundary_rows(trivial_crossed_set(3), n))
+    assert _coboundary_rows(xs, 1)[0] == {}
     d1 = delta_matrix(xs, 1)
     # entry (x0, x1): f(x1) - f(x0 |> x1)
     for x0 in range(3):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,9 @@ from nichols.linalg import Echelon
 from nichols.scalars import (
     Cyc,
     Rational,
+    _inverse,
     _multiplier,
+    _normalize,
     _powers,
     _table,
     cyclotomic,
@@ -118,6 +121,19 @@ def test_division_and_powers():
     assert w ** -2 == w ** 3
     with pytest.raises(ZeroDivisionError):
         zero().inverse()
+
+
+def test_unsupported_operands_raise_type_error():
+    # the reflected operators once used the operand before coercing it, and
+    # a float exponent failed inside the square-and-multiply loop
+    c = root_of_unity(3, 1)
+    cases = [(lambda: "a" / c, "/"), (lambda: "a" - c, "-"),
+             (lambda: "a" / zero(), "/"), (lambda: c ** 0.5, r"\*\*"),
+             (lambda: c ** Fraction(1, 2), r"\*\*"), (lambda: c - "a", "-")]
+    for op, symbol in cases:
+        with pytest.raises(TypeError, match=f"unsupported operand type.* "
+                                            f"for {symbol}"):
+            op()
 
 
 def test_order():
@@ -247,10 +263,12 @@ def test_field_arithmetic_against_sympy():
 
     conductors = [60, 6, 10, 3, 4, 5, 7, 8, 9, 12, 15, 20, 24, 30, 36, 45]
     conductors += rng.sample(range(2, 61), 8)
-    for m in conductors:
+    # then operands at two conductors, which meet in the lcm's field
+    for ma, mb in [(m, m) for m in conductors] + [(3, 4), (5, 12), (1, 60)]:
+        m = lcm(ma, mb)
         phi = sympy.Poly(sympy.cyclotomic_poly(m, x), x, domain=sympy.QQ)
         for _ in range(3):
-            a, b = rand_cyc(m), rand_cyc(m)
+            a, b = rand_cyc(ma), rand_cyc(mb)
             assert poly(a * b, m) == (poly(a, m) * poly(b, m)).rem(phi)
             assert poly(a + b, m) == (poly(a, m) + poly(b, m)).rem(phi)
         # sympy's extended Euclid dominates the cost: one inverse each
@@ -258,7 +276,63 @@ def test_field_arithmetic_against_sympy():
 
 
 # ---------------------------------------------------------------------------
-# the field type of a computation against Cyc
+# the field type of a computation against Cyc's former arithmetic
+
+def _product(a, b, table):
+    """a * b modulo Phi_m by convolution and reduction: the loop that the
+    generated ``_multiplier(m)`` replaced, kept as its oracle."""
+    k = len(a)
+    conv = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    conv[j] += x * y
+    out = conv[:k]
+    for e in range(k, 2 * k - 1):
+        c = conv[e]
+        if c:
+            for i, r in table[e]:
+                out[i] += c * r
+    return out
+
+
+# Cyc's own sum, product and inverse from before it computed in the field
+# types, kept as their oracle: integer vectors aligned at the lcm
+# conductor, and rational branches that touch a single coefficient
+
+def _aligned(a, b):
+    """(m, num_a, den_a, num_b, den_b) at the lcm conductor m."""
+    m = lcm(a.m, b.m)
+    return m, a.embed(m).num, a.den, b.embed(m).num, b.den
+
+
+def _sum(a, b):
+    m, na, da, nb, db = _aligned(a, b)
+    if da == db:
+        return _normalize(m, [x + y for x, y in zip(na, nb)], da)
+    g = gcd(da, db)
+    fa, fb = db // g, da // g
+    return _normalize(m, [x * fa + y * fb for x, y in zip(na, nb)], da * fa)
+
+
+def _times(a, b):
+    if a.m == 1 and b.m == 1:
+        return _normalize(1, [a.num[0] * b.num[0]], a.den * b.den)
+    if a.m == 1:
+        return _normalize(b.m, [a.num[0] * y for y in b.num], a.den * b.den)
+    if b.m == 1:
+        return _normalize(a.m, [x * b.num[0] for x in a.num], a.den * b.den)
+    m, na, da, nb, db = _aligned(a, b)
+    return _normalize(m, _product(na, nb, _table(m)), da * db)
+
+
+def _reciprocal(a):
+    if a.m == 1:
+        return _normalize(1, [a.den], a.num[0])
+    num, den = _inverse(a.m, a.num, a.den)
+    return _normalize(a.m, num, den)
+
 
 FIELD_CONDUCTORS = (1, 3, 4, 5, 8, 12, 15, 60)
 DIFFERENTIAL = settings(derandomize=True, deadline=None, max_examples=40,
@@ -287,15 +361,15 @@ def test_field_arithmetic_matches_cyc(m, data):
     a, b = data.draw(values_in(m)), data.draw(values_in(m))
     fa, fb = F.from_cyc(a), F.from_cyc(b)
     assert fa.to_cyc() == a and F.from_cyc(fa.to_cyc()) == fa
-    assert (fa + fb).to_cyc() == a + b
-    assert (fa - fb).to_cyc() == a - b
+    assert (fa + fb).to_cyc() == _sum(a, b) == a + b
+    assert (fa - fb).to_cyc() == _sum(a, -b) == a - b
     assert (-fa).to_cyc() == -a
-    assert (fa * fb).to_cyc() == a * b
+    assert (fa * fb).to_cyc() == _times(a, b) == a * b
     assert bool(fa) == bool(a)
     assert fa.is_one() == a.is_one()
     assert F.one.is_one() and F.from_cyc(one()) == F.one
     if a:
-        assert fa.inverse().to_cyc() == a.inverse()
+        assert fa.inverse().to_cyc() == _reciprocal(a) == a.inverse()
         assert (fa * fa.inverse()).is_one()
     else:
         with pytest.raises(ZeroDivisionError):
@@ -326,25 +400,6 @@ def test_echelon_is_the_same_in_either_type(m, data):
 
 # ---------------------------------------------------------------------------
 # the generated product against the convolution loop it replaced
-
-def _product(a, b, table):
-    """a * b modulo Phi_m by convolution and reduction: the loop that the
-    generated ``_multiplier(m)`` replaced, kept as its oracle."""
-    k = len(a)
-    conv = [0] * (2 * k - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                if y:
-                    conv[j] += x * y
-    out = conv[:k]
-    for e in range(k, 2 * k - 1):
-        c = conv[e]
-        if c:
-            for i, r in table[e]:
-                out[i] += c * r
-    return out
-
 
 PRODUCT_CONDUCTORS = (3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 24, 30, 60)
 
@@ -394,23 +449,24 @@ def test_generated_field_arithmetic_against_cyc(m, data):
     den = data.draw(st.integers(1, 6))
     a = _dense_nonzero(data.draw, m, den)
     fa = F.from_cyc(a)
-    assert (fa * fa.inverse()).is_one() and a * a.inverse() == one()
-    assert (fa * fa.inverse()).to_cyc() == one()
+    assert (fa * fa.inverse()).is_one() and _times(a, _reciprocal(a)) == one()
+    assert fa.inverse().to_cyc() == _reciprocal(a)
     # equal denominators: a plus an integral vector keeps a's denominator
     shift = Cyc(m, data.draw(st.lists(st.integers(-9, 9),
                                       min_size=euler_phi(m),
                                       max_size=euler_phi(m))))
-    fb = F.from_cyc(a + shift)
+    fb = F.from_cyc(_sum(a, shift))
     assert fb.den == fa.den == den
-    assert (fa + fb).to_cyc() == a + (a + shift)
+    assert (fa + fb).to_cyc() == _sum(a, _sum(a, shift))
     assert (fb - fa).to_cyc() == shift
     # unequal denominators, one dividing the other or coprime
     other = data.draw(st.sampled_from([2 * den, 7]))
     c = _dense_nonzero(data.draw, m, other)
     fc = F.from_cyc(c)
     assert fc.den == other != fa.den
-    assert (fa + fc).to_cyc() == a + c
-    assert (fc - fa).to_cyc() == c - a
+    assert (fa + fc).to_cyc() == _sum(a, c)
+    assert (fc - fa).to_cyc() == _sum(c, -a)
+    assert (fa * fc).to_cyc() == _times(a, c)
 
 
 def test_multiplier_is_built_once_per_conductor():
