@@ -8,7 +8,6 @@ forms of two differentials via the universal coefficient theorem.
 
 from nichols.quandles import (
     Cochain2,
-    braidings_check,
     conjugation_crossed_set,
     delta_matrix,
     dihedral_crossed_set,
@@ -44,10 +43,11 @@ transposition = next(x for x in s3.elements()
 conj = conjugation_crossed_set(s3, [transposition])
 print("transposition class:", conj, conj.table)
 
-# every 2-cocycle braids the spanned space; the constant cocycle -1 on the
-# cyclic quandle produces a twelve-dimensional Nichols algebra
+# a 2-cochain braids the spanned space exactly when it is a 2-cocycle; the
+# constant cocycle -1 on the cyclic quandle produces a twelve-dimensional
+# Nichols algebra
 f = Cochain2.constant(xs, 2, 1)
-print("constant -1 braids:", braidings_check(xs, f))
+print("constant -1 braids:", f.is_cocycle(xs))
 bp = pairs.from_cocycle(xs, f)
 print("its Nichols algebra:", hilbert(bp, 6).total, "dimensional")
 

@@ -57,7 +57,6 @@ from .algebra import (
 from .quandles import (
     Cochain2,
     CrossedSet,
-    braidings_check,
     conjugation_crossed_set,
     dihedral_crossed_set,
     h1,

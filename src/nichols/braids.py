@@ -240,27 +240,14 @@ def symmetrizer(n):
 _shuffle_elt_cache = {}
 
 
-def s_shuffle(i, j):
-    """Sum of lifts of all (i,j)-shuffles, on i+j strands."""
-    key = ("s", i, j)
-    got = _shuffle_elt_cache.get(key)
-    if got is None:
-        got = GroupAlgElt(i + j)
-        for x in shuffles((i, j)):
-            got.terms[matsumoto_section(x)] = ONE
-        _shuffle_elt_cache[key] = got
-    return got
-
-
 def t_shuffle(i, j):
     """Sum of lifts s(x) over x with x^-1 an (i,j)-shuffle, on i+j strands."""
-    key = ("t", i, j)
-    got = _shuffle_elt_cache.get(key)
+    got = _shuffle_elt_cache.get((i, j))
     if got is None:
         got = GroupAlgElt(i + j)
         for x in shuffles((i, j)):
             got.terms[matsumoto_section(perm_inv(x))] = ONE
-        _shuffle_elt_cache[key] = got
+        _shuffle_elt_cache[i, j] = got
     return got
 
 
@@ -403,15 +390,8 @@ def verify_identity(lhs, rhs, suite):
     of every braided pair in the suite; the suite must not be empty.
     Returns an IdentityReport.
 
-    Per pair, both sides act once, on the sum of all d^n basis tensors with
-    each term tagged by its input word in the high digits: the key of
-    output word w_out from input word w_in is w_in * d^n + w_out.  The
-    crossings read only the low n digits, so the tagged terms never mix.
-    The arithmetic is in ``scalars.field(m)``, m the lcm of
-    ``bp.conductor`` and of both sides' ``conductor``: the braiding and
-    the sides are embedded there once per pair.
-
-    Either side may be a GroupAlgElt or anything exposing ``strands``,
+    Each pair goes through ``_mismatch`` with all d^n basis words.  Either
+    side may be a GroupAlgElt or anything exposing ``strands``,
     ``conductor`` (a multiple of the conductor of every coefficient),
     ``embed(field)`` (the operator with its coefficients in ``field``) and
     ``apply(bp, vec, n)``, such as a product of factors evaluated without
@@ -425,21 +405,40 @@ def verify_identity(lhs, rhs, suite):
         raise ValueError("strand count mismatch")
     if not suite:
         raise ValueError("an empty suite verifies nothing")
-    n = lhs.strands
-    sides_m = lcm(lhs.conductor, rhs.conductor)
     for bp in suite:
-        field = _field(lcm(bp.conductor, sides_m))
-        fp = FieldPair(bp, field)
-        size = bp.dim ** n
-        basis = {w * size + w: field.one for w in range(size)}
-        a = lhs.embed(field).apply(fp, basis, n)
-        b = rhs.embed(field).apply(fp, basis, n)
-        if a != b:
-            w = min(key // size for key in a.keys() | b.keys()
-                    if key not in a or key not in b or a[key] != b[key])
-            return IdentityReport(False, bp, w, _block(a, w, size),
-                                  _block(b, w, size))
+        failure = _mismatch(lhs, rhs, bp, range(bp.dim ** lhs.strands))
+        if failure is not None:
+            return IdentityReport(False, bp, *failure)
     return IdentityReport(True, None, None, None, None)
+
+
+def _mismatch(lhs, rhs, bp, words):
+    """Compare two operators on n = ``lhs.strands`` strands on the basis
+    tensors ``words`` (base-d words of length n) of one braided pair.
+    Returns None if they agree there, else the least failing word and its
+    two image vectors as ``Cyc`` values in ascending word order.
+
+    Both sides act once, on the sum of the basis tensors with each term
+    tagged by its input word in the high digits: the key of output word
+    w_out from input word w_in is w_in * d^n + w_out.  The crossings read
+    only the low n digits, so the tagged terms never mix.  The arithmetic
+    is in ``scalars.field(m)``, m the lcm of ``bp.conductor`` and of both
+    sides' ``conductor``: the braiding and the sides are embedded there
+    once.  Only the crossings the sides name are read, so a braiding not
+    yet known to be invertible can be checked with positive words.
+    """
+    n = lhs.strands
+    field = _field(lcm(bp.conductor, lhs.conductor, rhs.conductor))
+    fp = FieldPair(bp, field)
+    size = bp.dim ** n
+    basis = {w * size + w: field.one for w in words}
+    a = lhs.embed(field).apply(fp, basis, n)
+    b = rhs.embed(field).apply(fp, basis, n)
+    if a == b:
+        return None
+    w = min(key // size for key in a.keys() | b.keys()
+            if key not in a or key not in b or a[key] != b[key])
+    return w, _block(a, w, size), _block(b, w, size)
 
 
 def _block(vec, w, size):

@@ -15,8 +15,8 @@ Diagonal, ``v3``, ``v4``, ``two_by_two`` and cocycle pairs are crossed-set
 braidings c(x_i (x) x_j) = f(i, j) x_(i |> j) (x) x_i (Andruskiewitsch-
 Grana, From racks to pointed Hopf algebras, Adv. Math. 178, 2003).  Each
 of these constructors supplies only its table of i |> j and its values
-f(i, j); one function, shared with ``quandles.braidings_check``, builds
-the cmap, and the monomial group-likes are read off that cmap.
+f(i, j); one function builds the cmap, and the monomial group-likes are
+read off that cmap.
 
 Modules over a finite group come from ``yd_module``: for summands
 M(g, rho), a class with a representation of its centralizer, it builds
@@ -29,7 +29,7 @@ for summands given by their group-likes alone, without a group.
 from math import gcd as _gcd
 
 from .linalg import InvalidInput, invert_square, vec_add_into
-from .scalars import ONE, as_matrix, as_scalar, one, zero
+from .scalars import as_matrix, as_scalar, one, zero
 from . import braids
 from . import groups as _groups
 
@@ -128,48 +128,30 @@ class Decomposition:
 # ---------------------------------------------------------------------------
 # validation
 
-def braid_equation_holds(dim, cmap):
-    """Exhaustive check of (c x id)(id x c)(c x id) = (id x c)(c x id)(id x c)
-    on the standard basis of the triple tensor power.  Returns the first
-    failing basis index, or None."""
-    for w in range(dim ** 3):
-        vec = {w: ONE}
-        lhs = vec
-        for k in (1, 2, 1):
-            lhs = braids.sigma_pass(cmap, dim, 3, lhs, k)
-        rhs = vec
-        for k in (2, 1, 2):
-            rhs = braids.sigma_pass(cmap, dim, 3, rhs, k)
-        if lhs != rhs:
-            return w
-    return None
-
-
 def check(bp):
-    """Diagnostics: braid equation, invertibility, group-like consistency."""
-    failure = braid_equation_holds(bp.dim, bp.cmap)
-    ok_braid = failure is None
+    """Diagnostics: braid equation, invertibility, group-like consistency.
+
+    The braid equation s1 s2 s1 = s2 s1 s2 is checked on every basis
+    tensor of the triple tensor power in one tagged pass in
+    ``scalars.field(m)`` (``braids._mismatch``); ``braid_failure`` is the
+    least failing basis word, or None.  Group-likes are consistent when
+    they are the ones ``_detect_grouplikes`` reads off the cmap.
+    """
+    failure = braids._mismatch(braids.GroupAlgElt.from_word(3, (1, 2, 1)),
+                               braids.GroupAlgElt.from_word(3, (2, 1, 2)),
+                               bp, range(bp.dim ** 3))
     try:
         bp.cmap_inverse()
         ok_inv = True
     except ValueError:
         ok_inv = False
-    ok_gl = True
-    if bp.grouplikes is not None:
-        d = bp.dim
-        for i in range(d):
-            g = bp.grouplikes[i]
-            for j in range(d):
-                # c(x_i (x) x_j) must equal sum_k g[k][j] x_k (x) x_i
-                want = {k * d + i: g[k][j] for k in range(d) if g[k][j]}
-                got = {kl: c for kl, c in bp.cmap[i * d + j]}
-                if want != got:
-                    ok_gl = False
     return {
-        "braid_equation": ok_braid,
-        "braid_failure": failure,
+        "braid_equation": failure is None,
+        "braid_failure": None if failure is None else failure[0],
         "invertible": ok_inv,
-        "grouplikes_consistent": ok_gl,
+        "grouplikes_consistent": (
+            bp.grouplikes is None
+            or bp.grouplikes == _detect_grouplikes(bp.dim, bp.cmap)),
     }
 
 
@@ -560,11 +542,6 @@ def find_decomposition(bp):
 def cross_square_is_identity(bp, block_a, block_b):
     """Whether c^2 restricts to the identity on (block a) (x) (block b)."""
     d = bp.dim
-    for i in block_a:
-        for j in block_b:
-            vec = {i * d + j: ONE}
-            out = braids.sigma_pass(bp.cmap, d, 2, vec, 1)
-            out = braids.sigma_pass(bp.cmap, d, 2, out, 1)
-            if out != vec:
-                return False
-    return True
+    words = [i * d + j for i in block_a for j in block_b]
+    return braids._mismatch(braids.GroupAlgElt.from_word(2, (1, 1)),
+                            braids.GroupAlgElt.unit(2), bp, words) is None

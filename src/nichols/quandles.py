@@ -132,7 +132,9 @@ class Cochain2:
         return [[self.value(i, j) for j in range(n)] for i in range(n)]
 
     def is_cocycle(self, xset):
-        """Whether delta^2 kills the exponent table."""
+        """Whether delta^2 kills the exponent table: exactly when the
+        crossed-set braiding f(i, j) x_(i |> j) (x) x_i solves the braid
+        equation (Andruskiewitsch-Grana 2003)."""
         self._require_size(xset)
         flat = [v for row in self.exponents for v in row]
         acc = [0] * xset.size ** 3
@@ -279,14 +281,6 @@ def h1(xset, modulus):
 
 def h2(xset, modulus):
     return cohomology(xset, 2, modulus)
-
-
-def braidings_check(xset, cochain):
-    """Whether the cochain's braiding solves the braid equation, tested
-    exhaustively on the triple tensor power of the spanned vector space."""
-    from .pairs import _crossed_cmap, braid_equation_holds
-    cmap = _crossed_cmap(xset.table, cochain.values(xset))
-    return braid_equation_holds(xset.size, cmap) is None
 
 
 def grouplike_closure(xset, cochain):

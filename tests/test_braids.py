@@ -13,7 +13,6 @@ from nichols.braids import (
     perm_length,
     perm_mul,
     r_elt,
-    s_shuffle,
     shuffles,
     sigma_pass,
     symmetrizer,
@@ -141,6 +140,14 @@ def _canonicalize_positive(elt):
         key = matsumoto_section(cur)
         assert key not in out, "duplicate lift"
         out[key] = coeff
+    return out
+
+
+def s_shuffle(i, j):
+    """Oracle: the sum of lifts of all (i,j)-shuffles, on i+j strands."""
+    out = GroupAlgElt(i + j)
+    for x in shuffles((i, j)):
+        out.terms[matsumoto_section(x)] = ONE
     return out
 
 

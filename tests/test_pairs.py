@@ -1,9 +1,10 @@
+import random
 import time
 
 import pytest
 
 from nichols.braids import sigma_pass
-from nichols.linalg import encode_word
+from nichols.linalg import InvalidInput, encode_word
 from nichols.scalars import ONE, integer, one, root_of_unity, zero
 from nichols import algebra, pairs, quandles
 from nichols.groups import (
@@ -50,6 +51,78 @@ def test_check_passes_for_constructors():
         assert diag["braid_equation"]
         assert diag["invertible"]
         assert diag["grouplikes_consistent"]
+
+
+def first_braid_failure(dim, cmap):
+    """Oracle: the least basis word of the triple tensor power on which
+    (c x id)(id x c)(c x id) and (id x c)(c x id)(id x c) differ, or None;
+    each word is crossed on its own, one Cyc term at a time."""
+    for w in range(dim ** 3):
+        vec = {w: ONE}
+        lhs = vec
+        for k in (1, 2, 1):
+            lhs = sigma_pass(cmap, dim, 3, lhs, k)
+        rhs = vec
+        for k in (2, 1, 2):
+            rhs = sigma_pass(cmap, dim, 3, rhs, k)
+        if lhs != rhs:
+            return w
+    return None
+
+
+def test_braid_failure_report_names_the_least_failing_word():
+    rng = random.Random(16)
+    roots = [root_of_unity(m, e) for m in (1, 2, 3, 4) for e in range(m)]
+    cmaps = []
+    for d in (2, 2, 3, 3, 3, 3, 3, 3):
+        # a diagonal braiding with one column sent to a random other word,
+        # so that the least failing word moves away from 0
+        cmap = [[(j * d + i, rng.choice(roots))]
+                for i in range(d) for j in range(d)]
+        p = rng.randrange(d * d)
+        cmap[p] = [(rng.randrange(d * d), rng.choice(roots))]
+        cmaps.append((d, cmap))
+    for d in (2, 3):
+        targets = list(range(d * d))
+        rng.shuffle(targets)
+        cmaps.append((d, [[(t, rng.choice(roots))] for t in targets]))
+    # a dense 2 x 2 braiding: every entry of the 4 x 4 matrix nonzero
+    cmaps.append((2, [[(kl, integer(1 + (3 * p + kl) % 4)) for kl in range(4)]
+                      for p in range(4)]))
+    failures = set()
+    for d, cmap in cmaps:
+        want = first_braid_failure(d, cmap)
+        bp = pairs.BraidedPair(d, cmap, validate=False)
+        assert pairs.check(bp)["braid_failure"] == want
+        if want is not None:
+            failures.add(want)
+            with pytest.raises(InvalidInput,
+                               match=f"^braid equation fails at basis "
+                                     f"tensor {want}$"):
+                pairs.BraidedPair(d, cmap)
+    assert len(failures) >= 5  # not all at word 0
+
+
+def test_malformed_grouplikes_are_invalid_input():
+    # both once escaped as IndexError from the per-word comparison
+    bp = pairs.v3(-1)
+    for grouplikes in ([[[1]]], bp.grouplikes[:2]):
+        with pytest.raises(InvalidInput,
+                           match="group-like actions do not match"):
+            pairs.BraidedPair(3, bp.cmap, grouplikes)
+
+
+def test_cross_square_against_the_diagonal_entries():
+    w = root_of_unity(6, 1)
+    q = [[integer(-1), w, one()], [w.inverse(), w * w, integer(-1)],
+         [one(), one(), w * w * w]]
+    bp = pairs.diagonal(q)
+    for i in range(3):
+        for j in range(3):
+            assert pairs.cross_square_is_identity(bp, [i], [j]) == (
+                q[i][j] * q[j][i] == one())
+    assert pairs.cross_square_is_identity(bp, [0, 2], [0, 2])
+    assert not pairs.cross_square_is_identity(bp, [0, 1], [2])
 
 
 def test_v3_examples():
@@ -166,7 +239,7 @@ def test_v4_is_a_cocycle_on_the_tetrahedral_crossed_set():
 def test_from_cocycle_rejects_non_braidings():
     xset = quandles.zmod3_crossed_set()
     bad = quandles.Cochain2(4, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    if not quandles.braidings_check(xset, bad):
+    if not bad.is_cocycle(xset):
         with pytest.raises(ValueError):
             pairs.from_cocycle(xset, bad)
     else:

@@ -9,7 +9,6 @@ from nichols.scalars import one, zero
 from nichols.quandles import (
     Cochain2,
     CrossedSet,
-    braidings_check,
     check_crossed_set,
     cohomology,
     conjugation_crossed_set,
@@ -24,6 +23,7 @@ from nichols.quandles import (
     _coboundary_rows,
 )
 from nichols import pairs
+from test_pairs import first_braid_failure
 
 
 BUILTINS = [
@@ -250,20 +250,39 @@ def test_h2_against_exhaustive_count():
             assert cocycles == h2(xs, m).size * coboundaries, (xs.name, m)
 
 
-def test_braidings():
-    xs = zmod3_crossed_set()
-    for m, e in ((2, 1), (4, 1), (6, 5)):
-        assert braidings_check(xs, Cochain2.constant(xs, m, e))
-    # every 2-cocycle braids: sweep all cocycles of the small quandle
-    m = 2
-    n = xs.size
-    for mask in range(m ** (n * n)):
-        table = [[(mask // (m ** (i * n + j))) % m for j in range(n)]
-                 for i in range(n)]
-        f = Cochain2(m, table)
-        if f.is_cocycle(xs):
-            assert braidings_check(xs, f)
-            assert pairs.check(pairs.from_cocycle(xs, f))["braid_equation"]
+def braids_by_crossing(xs, f):
+    """Oracle: whether the cochain's crossed-set braiding solves the braid
+    equation, crossing each basis word of the triple tensor power."""
+    cmap = pairs._crossed_cmap(xs.table, f.values(xs))
+    return first_braid_failure(xs.size, cmap) is None
+
+
+def test_is_cocycle_exactly_when_the_braid_equation_holds():
+    # Andruskiewitsch-Grana: c = f(i, j) x_(i |> j) (x) x_i braids exactly
+    # when f is a 2-cocycle; every table mod 2 on zmod3, every table mod
+    # 2, 3, 4 and 6 on trivial2, and the constants on every builtin
+    zmod3, trivial2 = zmod3_crossed_set(), trivial_crossed_set(2)
+    cases = [(zmod3, 2), (trivial2, 2), (trivial2, 3), (trivial2, 4),
+             (trivial2, 6)]
+    seen = set()
+    for xs, m in cases:
+        n = xs.size
+        for mask in range(m ** (n * n)):
+            table = [[(mask // (m ** (i * n + j))) % m for j in range(n)]
+                     for i in range(n)]
+            f = Cochain2(m, table)
+            got = f.is_cocycle(xs)
+            assert braids_by_crossing(xs, f) == got, (xs.name, m, table)
+            seen.add(got)
+            if got and xs is zmod3:
+                bp = pairs.from_cocycle(xs, f)
+                assert pairs.check(bp)["braid_equation"]
+    assert seen == {False, True}
+    for xs in BUILTINS:
+        for m in (2, 3, 4, 6):
+            for e in range(m):
+                f = Cochain2.constant(xs, m, e)
+                assert f.is_cocycle(xs) and braids_by_crossing(xs, f)
 
 
 def test_grouplike_closure_against_matrix_oracle():
@@ -343,5 +362,3 @@ def test_cochain_size_must_match_the_crossed_set():
             pairs.from_cocycle(xs, f)
         with pytest.raises(ValueError, match="does not fit"):
             f.is_cocycle(xs)
-        with pytest.raises(ValueError, match="does not fit"):
-            braidings_check(xs, f)
