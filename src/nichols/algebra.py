@@ -57,8 +57,8 @@ u = sum_y d_y(u) (x) x_y.  Symmetrizer kernels come from the row space:
 the transpose of the degree-n symmetrizer is the degree-n symmetrizer of
 the transposed braiding, so the kernel falls out of the reduced echelon
 basis of the transposed pair's component in tensor coordinates, and stays
-sparse (each kernel vector touches at most rank+1 coordinates); the
-relation vectors reduce it modulo V . K + K . V, d^n words wide.
+sparse (each kernel vector touches at most rank+1 coordinates).  Only
+``kernel_basis`` builds it.
 
 The leading words need no kernel.  A kernel vector leads with its least
 key, and the kernel is the annihilator of the row space, so the words
@@ -66,6 +66,14 @@ that lead kernel vectors are exactly those that are not the greatest key
 of any vector in the row space: b_n rows give them.  The leading words of
 the relation ideal are closed under extension, so a degree-n leading word
 is new iff neither its prefix nor its suffix of length n-1 leads.
+
+Nor do the relation vectors.  A word that leads nothing in the ideal
+V . K + K . V generated below degree n is one of the b_n normal words or
+one of the k new leading words, so the new relations lie in the kernel
+vectors on those b_n + k words, k of them with at most b_n + 1 terms
+each.  Which combinations of them the ideal holds is read in
+V (x) B_(n-1), where ``relation_count`` already spans the ideal's image,
+and what is left over modulo them are the r_n new relations.
 """
 
 from collections import namedtuple
@@ -163,6 +171,12 @@ class GradedComputation:
         self.kernels = {}
         self.relation_counts = {}
         self.relation_bases = {}
+        # per degree, the row space pivoted on greatest keys (keys negated),
+        # read by the leading words and the relation window
+        self._row_echelons = {}
+        # the span Q of ``relation_count``, kept for a degree with new
+        # relations until ``relations`` reads it
+        self._images = {}
 
     def basis(self, n):
         """Echelon basis of the degree-n component in derivation
@@ -369,11 +383,15 @@ class GradedComputation:
         pivoted on greatest keys, each other word f gives the kernel vector
         e_f - sum_p row_p[f] e_p, whose keys besides f are pivots p > f; so
         the least keys of K_n are exactly the words outside the pivots.
-        Negated keys make ``Echelon`` pivot on the greatest.
+        Negated keys make ``Echelon`` pivot on the greatest; the echelon
+        is kept per degree (``_row_echelons``).
         """
-        ech = Echelon()
-        for row in self.transposed()._tensor_rows(n):
-            ech.insert({-k: c for k, c in row.items()})
+        ech = self._row_echelons.get(n)
+        if ech is None:
+            ech = Echelon()
+            for row in self.transposed()._tensor_rows(n):
+                ech.insert({-k: c for k, c in row.items()})
+            self._row_echelons[n] = ech
         return {-p for p in ech.rows}
 
 
@@ -427,7 +445,18 @@ def relation_count(bp, n, cache=None):
     got = cache.relation_counts.get(n)
     if got is not None:
         return got
-    d = bp.dim
+    image = _ideal_image(cache, n)
+    got = bp.dim * cache.dim(n - 1) - image.rank - cache.dim(n)
+    cache.relation_counts[n] = got
+    if got:
+        cache._images[n] = image
+    return got
+
+
+def _ideal_image(cache, n):
+    """Echelon basis of the span Q in V (x) B_(n-1) (``relation_count``),
+    at keys i * dim(n-1) + c."""
+    d = cache.bp.dim
     left = cache._left(n - 1)
     size, width = cache.dim(n - 2), cache.dim(n - 1)
     # the matrix whose column (i, b) is L_i(e_b), row by row
@@ -452,20 +481,20 @@ def relation_count(bp, n, cache=None):
     image = Echelon()
     for vec in sorted(vecs, key=len):
         image.insert(vec)
-    got = d * width - image.rank - cache.dim(n)
-    cache.relation_counts[n] = got
-    return got
+    return image
 
 
 def relations(bp, n, cache=None):
-    """Canonical echelon basis of the new degree-n relations.
+    """Canonical echelon basis of the new degree-n relations: the part of
+    the symmetrizer kernel K_n on the words that lead nothing in the ideal
+    I = V . K_(n-1) + K_(n-1) . V generated below degree n.
 
     ``relation_count`` decides first how many there are; a degree without
     new relations returns [] without leaving derivation coordinates.
-    Otherwise the basis is the kernel of the degree-n symmetrizer modulo
-    (V . K + K . V) for K the kernel one degree down, in tensor
-    coordinates, and its size must equal the count (a mismatch raises,
-    signalling an engine bug).
+    Otherwise the basis is read off a window of b_n + k words, the b_n
+    normal words and the k new leading words (``_window_relations``), and
+    its size must equal the count (a mismatch raises, signalling an engine
+    bug).
     """
     if n < 2:
         raise ValueError("relations start in degree two")
@@ -474,36 +503,85 @@ def relations(bp, n, cache=None):
     if got is not None:
         return got
     count = relation_count(bp, n, cache)
-    rows = _tensor_relations(bp, n, cache) if count else []
+    rows = _window_relations(cache, n) if count else []
     if len(rows) != count:
-        raise RuntimeError(f"the tensor ideal gives {len(rows)} relations in "
+        raise RuntimeError(f"the window gives {len(rows)} relations in "
                            f"degree {n}, the count gives {count}")
     got = [_export(row) for row in rows]
     cache.relation_bases[n] = got
     return got
 
 
-def _tensor_relations(bp, n, cache):
-    """The new degree-n relations in tensor coordinates: the symmetrizer
-    kernel reduced modulo the ideal V . K + K . V, d^n words wide, in the
-    scalars of the cached kernels (the field's, unless a caller stored
-    others in ``cache.kernels``)."""
-    d = bp.dim
+def _window_relations(cache, n):
+    """The new degree-n relations in tensor coordinates, in the field,
+    computed on the words S = N + L: the b_n normal words N of degree n
+    and the k new leading words L.
+
+    A word that leads no vector of I is normal or new: I holds every
+    extension of a lower leading word.  The relations lie in
+    W = K_n on S, and W has the basis k_f = e_f - sum_p row_p[f] e_p for f
+    in L, over the rows of the row space pivoted on greatest keys.  A
+    vector v lies in I iff (id (x) pi)(v) lies in Q (``relation_count``),
+    for pi: T_(n-1) -> B_(n-1), read off the left multiplications,
+    pi(x_a u) = L_a(pi(u)); the combinations of the k_f that Q absorbs,
+    found by tagging each residue, span Z = W n I.  Z leads with the
+    k - r_n words of L that lead in I, so reducing W modulo Z leaves
+    exactly the r_n new relations, in reduced echelon form after ``rref``.
+    """
+    d = cache.bp.dim
+    one = cache.field.one
+    lead = _new_leading_keys(cache, n)
+    window = {f: {f: one} for f in lead}
+    wanted = {-f for f in lead}
+    # the reduced rows are needed at the pivots and L only, and restricting
+    # the rows to those b_n + k columns commutes with reducing them
+    rows = cache._row_echelons[n].rows
+    cols = wanted.union(rows)
+    ech = Echelon()
+    for p, row in rows.items():
+        ech.rows[p] = {u: c for u, c in row.items() if u in cols}
+    for p, row in ech.rref().rows.items():
+        for u, c in row.items():
+            if u in wanted:
+                window[-u][-p] = -c
+    lefts = [None] + [cache._left(m) for m in range(1, n)]
+    # pi of the words of each length, by key: pi(x_a u) = L_a(pi(u))
+    memo = [{0: {0: one}}] + [{} for _ in range(n - 1)]
+
+    def project(u, m):
+        got = memo[m].get(u)
+        if got is None:
+            a, rest = divmod(u, d ** (m - 1))
+            got = memo[m][u] = _apply(lefts[m][a], project(rest, m - 1))
+        return got
+
+    image = cache._images.pop(n, None)
+    if image is None:
+        image = _ideal_image(cache, n)
+    shift, width = d ** (n - 1), cache.dim(n - 1)
+    top = d * width
+    tagged = Echelon()
+    for j, f in enumerate(lead):
+        vec = {}
+        for w, c in window[f].items():
+            a, rest = divmod(w, shift)
+            vec_add_into(vec, {a * width + b: s
+                               for b, s in project(rest, n - 1).items()},
+                         None if c.is_one() else c)
+        vec = image.reduce(vec)
+        vec[top + j] = one
+        tagged.insert(vec)
+    # a row pivoted on a tag holds nothing else: a combination in Z
     ideal = Echelon()
-    lower = cache._kernel(n - 1)
-    shift = d ** (n - 1)
-    cands = []
-    for k in lower:
-        for i in range(d):
-            base = i * shift
-            cands.append({base + w: c for w, c in k.items()})
-            cands.append({w * d + i: c for w, c in k.items()})
-    cands.sort(key=min)
-    for vec in cands:
-        ideal.insert(vec)
+    for p, row in tagged.rows.items():
+        if p >= top:
+            vec = {}
+            for key, a in row.items():
+                vec_add_into(vec, window[lead[key - top]], a)
+            ideal.insert(vec)
     fresh = Echelon()
-    for vec in cache._kernel(n):
-        residue = ideal.reduce(vec)
+    for f in lead:
+        residue = ideal.reduce(window[f])
         if residue:
             fresh.insert(residue)
     fresh.rref()
@@ -534,12 +612,16 @@ def new_leading_words(bp, n, cache=None):
     if n < 2:
         raise ValueError("the relation ideal starts in degree two")
     cache = cache or GradedComputation(bp)
-    d = bp.dim
+    return [decode_word(w, bp.dim, n) for w in _new_leading_keys(cache, n)]
+
+
+def _new_leading_keys(cache, n):
+    """The keys of ``new_leading_words``, in increasing order."""
+    d = cache.bp.dim
     shift = d ** (n - 1)
     low, high = cache._normal_words(n - 1), cache._normal_words(n)
     # the words w = p . x_i whose prefix p leads nothing, in key order
-    return [decode_word(w, d, n) for p in sorted(low)
-            for w in range(p * d, p * d + d)
+    return [w for p in sorted(low) for w in range(p * d, p * d + d)
             if w % shift in low and w not in high]
 
 

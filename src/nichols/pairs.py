@@ -435,7 +435,11 @@ def transpose(bp):
     for p, col in enumerate(bp.cmap):
         for kl, c in col:
             cmap[kl].append((p, c))
-    return BraidedPair(d, cmap, None, kind="transpose", params={"of": bp})
+    # no validation: transposing c (x) id and id (x) c turns the braid
+    # equation of c into that of its transpose, and a matrix is invertible
+    # exactly when its transpose is
+    return BraidedPair(d, cmap, None, kind="transpose", params={"of": bp},
+                       validate=False)
 
 
 def change_basis(bp, p_matrix):

@@ -1,10 +1,11 @@
 """The derivation-coordinate engine against the image iteration it
 replaced, kept here as an oracle: B_n is the span of T_(1,n-1)(x_i (x) b)
 over a tensor-coordinate basis of B_(n-1), one ``t1_apply`` per candidate.
-Relations are checked against the tensor ideal reduction fed with the
-oracle's kernels, leading words against those kernels' pivots and a scan
-of every factor, and the right multiplications against the
-tensor-coordinate product.
+Relations are checked against the tensor ideal reduction the relation
+window replaced, d^n words wide, fed with the oracle's kernels (or the
+engine's, where the image iteration would be slow); leading words against
+those kernels' pivots and a scan of every factor, and the right
+multiplications against the tensor-coordinate product.
 """
 
 import time
@@ -14,7 +15,7 @@ import pytest
 from nichols import pairs
 from nichols.algebra import (
     GradedComputation,
-    _tensor_relations,
+    _window_relations,
     degree_basis,
     hilbert,
     kernel_basis,
@@ -25,6 +26,7 @@ from nichols.algebra import (
 )
 from nichols.braids import t1_apply
 from nichols.linalg import Echelon, decode_word, vec_add_into
+from nichols.quandles import Cochain2, CrossedSet
 from nichols.scalars import ONE, format_scalar, integer, root_of_unity
 from test_pairs import fomin_kirillov_e4
 
@@ -46,6 +48,33 @@ def image_iteration(bp, top):
             ech.insert(t1_apply(bp, vec, n))
         out.append(ech)
     return out
+
+
+def tensor_relations(bp, n, cache):
+    """The new degree-n relations in tensor coordinates: the symmetrizer
+    kernel reduced modulo the ideal V . K + K . V, d^n words wide, in the
+    scalars of the cached kernels (``cache.kernels``, built by the engine
+    where a test stored none)."""
+    d = bp.dim
+    ideal = Echelon()
+    lower = cache._kernel(n - 1)
+    shift = d ** (n - 1)
+    cands = []
+    for k in lower:
+        for i in range(d):
+            base = i * shift
+            cands.append({base + w: c for w, c in k.items()})
+            cands.append({w * d + i: c for w, c in k.items()})
+    cands.sort(key=min)
+    for vec in cands:
+        ideal.insert(vec)
+    fresh = Echelon()
+    for vec in cache._kernel(n):
+        residue = ideal.reduce(vec)
+        if residue:
+            fresh.insert(residue)
+    fresh.rref()
+    return fresh.sorted_rows()
 
 
 def leading_words_oracle(kernels, d, top):
@@ -148,10 +177,69 @@ def test_engine_matches_image_iteration(name, build, top, ktop):
         assert text(kernel_basis(bp, n, cache)) == text(kernel), (name, n)
     words = leading_words_oracle(oracle_cache.kernels, d, ktop)
     for n in range(2, ktop + 1):
-        want = _tensor_relations(bp, n, oracle_cache)
+        want = tensor_relations(bp, n, oracle_cache)
         assert relation_count(bp, n, cache) == len(want), (name, n)
         assert text(relations(bp, n, cache)) == text(want), (name, n)
         assert new_leading_words(bp, n, cache) == words[n], (name, n)
+
+
+def test_differential_has_new_words_that_lead_in_the_old_ideal():
+    # a degree where some new leading word already leads in the ideal
+    # generated below (k > r_n > 0) runs the window's reduction modulo
+    # Z = W n I; v3-z3 has one in degree 4 (k = 2, r = 1)
+    found = []
+    for name, build, _, ktop in DIFFERENTIAL:
+        bp = build()
+        cache = GradedComputation(bp)
+        for n in range(2, ktop + 1):
+            k = len(new_leading_words(bp, n, cache))
+            r = relation_count(bp, n, cache)
+            assert k >= r, (name, n)
+            if k > r > 0:
+                found.append((name, n))
+    assert ("v3-z3", 4) in found
+
+
+def affine(p, a):
+    """Aff(p, a), i |> j = a j + (1 - a) i mod p, with the constant
+    cocycle -1."""
+    xs = CrossedSet([[(a * j + (1 - a) * i) % p for j in range(p)]
+                     for i in range(p)])
+    return pairs.from_cocycle(xs, Cochain2.constant(xs, 2, 1))
+
+
+@pytest.mark.parametrize("p,a,top", [(5, 2, 6), (5, 3, 5)],
+                         ids=["aff-5-2", "aff-5-3"])
+def test_affine_relations_match_the_tensor_ideal(p, a, top):
+    # ten quadratic relations and one quartic; degree 4 has k > r_n (seven
+    # or eight new leading words for the one relation).  The tensor ideal
+    # runs where the count is positive: in degrees 5 and 6 it takes
+    # seconds, and there the window, run directly, must absorb every
+    # new leading word (k > r_n = 0)
+    bp = affine(p, a)
+    cache, oracle_cache = GradedComputation(bp), GradedComputation(bp)
+    counts = []
+    for n in range(2, top + 1):
+        counts.append(relation_count(bp, n, cache))
+        want = [{k: c.to_cyc() for k, c in row.items()}
+                for row in tensor_relations(bp, n, oracle_cache)
+                ] if counts[-1] else []
+        assert len(want) == counts[-1], n
+        assert text(relations(bp, n, cache)) == text(want), n
+        if not counts[-1]:
+            assert new_leading_words(bp, n, cache), n
+            assert _window_relations(cache, n) == [], n
+    assert counts == [10, 0, 1, 0, 0][:top - 1]
+    assert len(new_leading_words(bp, 4, cache)) > 1
+
+
+def test_relations_build_no_kernel():
+    for build, top in ((v4_m1_p1, 7), (v3_z3, 6)):
+        bp = build()
+        cache = GradedComputation(bp)
+        for n in range(2, top + 1):
+            relations(bp, n, cache)
+        assert cache.kernels == {}
 
 
 def test_leading_words_build_no_kernel():

@@ -1,12 +1,13 @@
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from nichols.braids import sigma_pass
 from nichols.linalg import InvalidInput, encode_word
 from nichols.scalars import ONE, integer, one, root_of_unity, zero
-from nichols import algebra, pairs, quandles
+from nichols import algebra, cli, pairs, quandles
 from nichols.groups import (
     centralizer,
     conjugacy_class,
@@ -418,6 +419,38 @@ def test_transpose_squares_to_identity():
     bp = pairs.v4(integer(-1), integer(-1))
     back = pairs.transpose(pairs.transpose(bp))
     assert back.cmap == bp.cmap
+
+
+# every CLI builtin, with its parameters
+BUILTINS = [
+    ("v3", {"q": "-1"}), ("v3", {"q": "z3"}), ("v3", {"q": "z6"}),
+    ("v4", {"q": "-1", "alpha": "1"}), ("v4", {"q": "-1", "alpha": "-1"}),
+    ("c4-a2", {}), ("c6-b2", {}), ("ms-d4", {}),
+    ("qls", {"orders": "3,4,5"}), ("v3-a1", {}),
+]
+
+
+@pytest.mark.parametrize("name,params", BUILTINS,
+                         ids=[f"{n}-{'-'.join(p.values())}".rstrip("-")
+                              for n, p in BUILTINS])
+def test_transpose_of_a_builtin_passes_check(name, params):
+    # transpose builds without validation; the check it skips still holds
+    bp = cli._builtin_pair(name, SimpleNamespace(**params))
+    flipped = pairs.transpose(bp)
+    assert pairs.check(flipped) == {
+        "braid_equation": True, "braid_failure": None, "invertible": True,
+        "grouplikes_consistent": True}
+    assert pairs.transpose(flipped).cmap == bp.cmap
+
+
+def test_transpose_runs_no_check(monkeypatch):
+    bp = pairs.v4(integer(-1), integer(1))
+
+    def refuse(_):
+        raise AssertionError("transpose validated its pair")
+
+    monkeypatch.setattr(pairs, "check", refuse)
+    assert pairs.transpose(bp).dim == 4
 
 
 def test_restrict_rejects_leaky_blocks():
