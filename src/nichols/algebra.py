@@ -51,29 +51,36 @@ relation row inside is of that type, and only what a public function (or
 ``Cyc``.  Transposing keeps the conductor, so the transposed pair's
 computation works in its parent's field.
 
-Tensor coordinates are built only on request (``degree_basis``,
-``kernel_basis``, the relation vectors, the leading words), from
-u = sum_y d_y(u) (x) x_y.  Symmetrizer kernels come from the row space:
-the transpose of the degree-n symmetrizer is the degree-n symmetrizer of
-the transposed braiding, so the kernel falls out of the reduced echelon
-basis of the transposed pair's component in tensor coordinates, and stays
-sparse (each kernel vector touches at most rank+1 coordinates).  Only
-``kernel_basis`` builds it.
+Tensor coordinates of the basis are built only on request
+(``degree_basis``, ``kernel_basis``), from u = sum_y d_y(u) (x) x_y.
+Symmetrizer kernels come from the row space: the transpose of the
+degree-n symmetrizer is the degree-n symmetrizer of the transposed
+braiding, so the kernel falls out of the reduced echelon basis of the
+transposed pair's component in tensor coordinates, and stays sparse (each
+kernel vector touches at most rank+1 coordinates).  Only
+``kernel_basis``, whose output is d^n words wide anyway, builds the
+transposed pair.
 
-The leading words need no kernel.  A kernel vector leads with its least
-key, and the kernel is the annihilator of the row space, so the words
-that lead kernel vectors are exactly those that are not the greatest key
-of any vector in the row space: b_n rows give them.  The leading words of
-the relation ideal are closed under extension, so a degree-n leading word
-is new iff neither its prefix nor its suffix of length n-1 leads.
+The leading words need no kernel.  The symmetrizer kernel K_n is the
+kernel of the projection pi: T_n -> B_n, read off the left
+multiplications as pi(x_a u) = L_a(pi(u)), so it is the annihilator of
+the row space of the matrix whose columns are the images pi(w) of the
+words w.  A kernel vector leads with its least key, so the words that lead
+kernel vectors are exactly those that are not the greatest key of any
+vector in that row space.  The leading words of the relation ideal are
+closed under extension, so a degree-n leading word is new iff neither its
+prefix nor its suffix of length n-1 leads, and only the candidate words,
+whose prefix and suffix lead nothing, need their images: they are the b_n
+normal words and the k new leading words.
 
 Nor do the relation vectors.  A word that leads nothing in the ideal
 V . K + K . V generated below degree n is one of the b_n normal words or
 one of the k new leading words, so the new relations lie in the kernel
 vectors on those b_n + k words, k of them with at most b_n + 1 terms
-each.  Which combinations of them the ideal holds is read in
-V (x) B_(n-1), where ``relation_count`` already spans the ideal's image,
-and what is left over modulo them are the r_n new relations.
+each, which the reduced echelon of the leading words already holds.
+Which combinations of them the ideal holds is read in V (x) B_(n-1),
+where ``relation_count`` already spans the ideal's image, and what is
+left over modulo them are the r_n new relations.
 """
 
 from collections import namedtuple
@@ -129,8 +136,9 @@ def _apply(cols, vec):
 
 class GradedComputation:
     """Per-degree echelon bases of the graded components in derivation
-    coordinates, with caches for tensor coordinates, the transposed pair
-    (row spaces), kernels, relation counts and relation bases.
+    coordinates, with caches for the images of words, the normal words,
+    tensor coordinates, the transposed pair (for kernels), kernels,
+    relation counts and relation bases.
 
     Every scalar inside, the cached ``kernels`` included, is an element of
     ``field``, the type of Q(zeta_m) at m = ``bp.conductor``
@@ -165,15 +173,19 @@ class GradedComputation:
         # prepared degree n; the maps R_j, built on request, alike
         self._lefts = [None]
         self._rights = [None]
+        # pi(w), the image in B_n of each word key w of degree n that was
+        # asked for, at (n, w)
+        self._projections = {(0, 0): {0: one}}
         # tensor coordinates of the basis of each degree, built on request
         self._tensor = [[{0: one}]]
         self._transposed = None
         self.kernels = {}
         self.relation_counts = {}
         self.relation_bases = {}
-        # per degree, the row space pivoted on greatest keys (keys negated),
-        # read by the leading words and the relation window
-        self._row_echelons = {}
+        # per degree, the row space of pi on the candidate words, pivoted on
+        # greatest keys (keys negated); in degree 0 it is B_0 itself, the
+        # empty word at key 0 = -0
+        self._row_echelons = {0: ech0}
         # the span Q of ``relation_count``, kept for a degree with new
         # relations until ``relations`` reads it
         self._images = {}
@@ -181,6 +193,8 @@ class GradedComputation:
     def basis(self, n):
         """Echelon basis of the degree-n component in derivation
         coordinates (computed on demand)."""
+        if n < 0:
+            raise ValueError(f"no component in negative degree {n}")
         while len(self.bases) <= n:
             self._extend()
         return self.bases[n]
@@ -230,8 +244,7 @@ class GradedComputation:
         index = self._pivot_index(n)
         size = len(self._derivs)
         derivs = self._derivatives(n)
-        left = [[{index[k]: s for k, s in v.items() if k in index}
-                 for v in row] for row in self._cands]
+        self._left(n)
         self._cands = None
         # Phi-vectors of beta_(i,y)(e_b), kept at pivot keys only
         betas = {}
@@ -250,7 +263,6 @@ class GradedComputation:
                             vec_add_into(cols[b], part, s)
         self._betas = {key: cols for key, cols in betas.items() if any(cols)}
         self._derivs = derivs
-        self._lefts.append(left)
 
     def _pivot_index(self, n):
         """Position of each pivot key among the rows of degree n: the
@@ -275,17 +287,28 @@ class GradedComputation:
 
     def left(self, n):
         """The left multiplications L_i: B_(n-1) -> B_n, u -> x_i . u, as
-        [i][b] coordinate maps (made when degree n+1 is computed)."""
+        [i][b] coordinate maps (read off the candidates of degree n, with
+        no higher degree computed)."""
+        if n < 1:
+            raise ValueError("multiplications map into positive degrees")
         return [[_export(col) for col in maps] for maps in self._left(n)]
 
     def right(self, n):
         """The right multiplications R_j: B_(n-1) -> B_n, u -> u . x_j, as
         [j][b] coordinate maps."""
+        if n < 1:
+            raise ValueError("multiplications map into positive degrees")
         return [[_export(col) for col in maps] for maps in self._right(n)]
 
     def _left(self, n):
-        """L_i in the field."""
-        self.basis(n + 1)
+        """L_i in the field; the maps into the newest degree are its
+        candidates x_i . e_b at its pivot keys."""
+        self.basis(n)
+        if len(self._lefts) == n:
+            index = self._pivot_index(n)
+            self._lefts.append([[{index[k]: s for k, s in v.items()
+                                  if k in index} for v in row]
+                                for row in self._cands])
         return self._lefts[n]
 
     def _right(self, n):
@@ -374,30 +397,61 @@ class GradedComputation:
             self.kernels[n] = got
         return got
 
+    def _project(self, n, w):
+        """pi(w), the image in B_n of the word of degree n at key w, from
+        pi(x_a u) = L_a(pi(u)) (memoized in ``_projections``)."""
+        got = self._projections.get((n, w))
+        if got is None:
+            a, rest = divmod(w, self.bp.dim ** (n - 1))
+            got = self._projections[n, w] = _apply(
+                self._left(n)[a], self._project(n - 1, rest))
+        return got
+
+    def _candidate_words(self, n):
+        """The keys of the degree-n words whose prefix and suffix of length
+        n-1 are normal, in increasing order: the normal words and the new
+        leading words of degree n."""
+        d, shift = self.bp.dim, self.bp.dim ** (n - 1)
+        low = self._normal_words(n - 1)
+        return [w for p in sorted(low) for w in range(p * d, p * d + d)
+                if w % shift in low]
+
     def _normal_words(self, n):
         """The degree-n words that lead no vector of the symmetrizer kernel
-        K_n, as the set of their keys: the greatest keys of the row space.
+        K_n, as the set of their keys.
 
-        K_n is the annihilator of the row space, which the transposed
-        pair's tensor rows span.  In the echelon basis of that space
-        pivoted on greatest keys, each other word f gives the kernel vector
-        e_f - sum_p row_p[f] e_p, whose keys besides f are pivots p > f; so
-        the least keys of K_n are exactly the words outside the pivots.
-        Negated keys make ``Echelon`` pivot on the greatest; the echelon
-        is kept per degree (``_row_echelons``).
+        K_n is the kernel of pi: T_n -> B_n, so the rows of the matrix
+        whose columns are pi(w) span its annihilator, the row space.  In
+        the echelon basis of that space pivoted on greatest keys, each
+        other word f gives the kernel vector k_f = e_f - sum_p row_p[f] e_p,
+        whose keys besides f are pivots p > f; so the least keys of K_n
+        are exactly the words outside the pivots.  Only the columns at the
+        candidate words are built: every normal word is one (the leading
+        words are closed under extension), so for a candidate f the vector
+        k_f lies on candidate words, and those k_f span the kernel of the
+        restricted matrix, whose rows thus have the same pivots and, once
+        reduced, the same entries there.  Negated keys make ``Echelon``
+        pivot on the greatest; the echelon is kept per degree
+        (``_row_echelons``).
         """
         ech = self._row_echelons.get(n)
         if ech is None:
-            ech = Echelon()
-            for row in self.transposed()._tensor_rows(n):
-                ech.insert({-k: c for k, c in row.items()})
-            self._row_echelons[n] = ech
+            rows = {}
+            for w in self._candidate_words(n):
+                for b, s in self._project(n, w).items():
+                    rows.setdefault(b, {})[-w] = s
+            ech = self._row_echelons[n] = Echelon()
+            # sparsest first, as in ``_extend``
+            for row in sorted(rows.values(), key=len):
+                ech.insert(row)
         return {-p for p in ech.rows}
 
 
 def degree_basis(bp, n, cache=None):
     """Canonical reduced-echelon basis of the degree-n component in tensor
     coordinates, as a list of sparse vectors in increasing pivot order."""
+    if n < 0:
+        raise ValueError(f"no component in negative degree {n}")
     cache = cache or GradedComputation(bp)
     return [_export(row) for row in cache._tensor_echelon(n).sorted_rows()]
 
@@ -522,39 +576,21 @@ def _window_relations(cache, n):
     W = K_n on S, and W has the basis k_f = e_f - sum_p row_p[f] e_p for f
     in L, over the rows of the row space pivoted on greatest keys.  A
     vector v lies in I iff (id (x) pi)(v) lies in Q (``relation_count``),
-    for pi: T_(n-1) -> B_(n-1), read off the left multiplications,
-    pi(x_a u) = L_a(pi(u)); the combinations of the k_f that Q absorbs,
-    found by tagging each residue, span Z = W n I.  Z leads with the
-    k - r_n words of L that lead in I, so reducing W modulo Z leaves
-    exactly the r_n new relations, in reduced echelon form after ``rref``.
+    for pi: T_(n-1) -> B_(n-1) (``GradedComputation._project``); the
+    combinations of the k_f that Q absorbs, found by tagging each residue,
+    span Z = W n I.  Z leads with the k - r_n words of L that lead in I,
+    so reducing W modulo Z leaves exactly the r_n new relations, in
+    reduced echelon form after ``rref``.
     """
     d = cache.bp.dim
     one = cache.field.one
     lead = _new_leading_keys(cache, n)
     window = {f: {f: one} for f in lead}
-    wanted = {-f for f in lead}
-    # the reduced rows are needed at the pivots and L only, and restricting
-    # the rows to those b_n + k columns commutes with reducing them
-    rows = cache._row_echelons[n].rows
-    cols = wanted.union(rows)
-    ech = Echelon()
-    for p, row in rows.items():
-        ech.rows[p] = {u: c for u, c in row.items() if u in cols}
-    for p, row in ech.rref().rows.items():
+    # the row echelon's columns are the window: its pivots and L
+    for p, row in cache._row_echelons[n].rref().rows.items():
         for u, c in row.items():
-            if u in wanted:
+            if u != p:
                 window[-u][-p] = -c
-    lefts = [None] + [cache._left(m) for m in range(1, n)]
-    # pi of the words of each length, by key: pi(x_a u) = L_a(pi(u))
-    memo = [{0: {0: one}}] + [{} for _ in range(n - 1)]
-
-    def project(u, m):
-        got = memo[m].get(u)
-        if got is None:
-            a, rest = divmod(u, d ** (m - 1))
-            got = memo[m][u] = _apply(lefts[m][a], project(rest, m - 1))
-        return got
-
     image = cache._images.pop(n, None)
     if image is None:
         image = _ideal_image(cache, n)
@@ -565,8 +601,8 @@ def _window_relations(cache, n):
         vec = {}
         for w, c in window[f].items():
             a, rest = divmod(w, shift)
-            vec_add_into(vec, {a * width + b: s
-                               for b, s in project(rest, n - 1).items()},
+            img = cache._project(n - 1, rest)
+            vec_add_into(vec, {a * width + b: s for b, s in img.items()},
                          None if c.is_one() else c)
         vec = image.reduce(vec)
         vec[top + j] = one
@@ -600,14 +636,14 @@ def new_leading_words(bp, n, cache=None):
     can exceed the number of new minimal generators (``relations``): a
     rewriting basis may need elements that already lie in the ideal.
 
-    No kernel is built.  The symmetrizer kernel K_n is the annihilator of
-    the symmetrizer's row space, and its leading words are exactly the
-    words that are not the greatest key of any vector in that row space
-    (``GradedComputation._normal_words``).  The leading words of an ideal
-    are closed under extension (u w v leads u k v when w leads k), so a
-    leading word of degree n is new iff neither of its two factors of
-    length n-1, the prefix and the suffix, is a leading word: only degrees
-    n-1 and n are read.
+    No kernel is built.  The symmetrizer kernel K_n is the kernel of the
+    projection pi: T_n -> B_n, and its leading words are exactly the words
+    that are not the greatest key of any vector in the row space of the
+    matrix of pi (``GradedComputation._normal_words``).  The leading words
+    of an ideal are closed under extension (u w v leads u k v when w leads
+    k), so a leading word of degree n is new iff neither of its two factors
+    of length n-1, the prefix and the suffix, is a leading word: pi is read
+    only on the words whose two factors lead nothing.
     """
     if n < 2:
         raise ValueError("the relation ideal starts in degree two")
@@ -617,12 +653,8 @@ def new_leading_words(bp, n, cache=None):
 
 def _new_leading_keys(cache, n):
     """The keys of ``new_leading_words``, in increasing order."""
-    d = cache.bp.dim
-    shift = d ** (n - 1)
-    low, high = cache._normal_words(n - 1), cache._normal_words(n)
-    # the words w = p . x_i whose prefix p leads nothing, in key order
-    return [w for p in sorted(low) for w in range(p * d, p * d + d)
-            if w % shift in low and w not in high]
+    high = cache._normal_words(n)
+    return [w for w in cache._candidate_words(n) if w not in high]
 
 
 def derivation(bp, y, vec, n):

@@ -424,6 +424,35 @@ def test_stats_record_each_computed_degree():
     assert len(cache.stats) == 6
 
 
+def test_left_reads_the_newest_degree_without_computing_the_next():
+    # the maps into the top degree come from its candidates, and equal the
+    # maps of a computation taken two degrees further
+    bp = pairs.v4(integer(-1), integer(1))
+    for n in (1, 3):
+        cache = GradedComputation(bp)
+        cache.basis(n)
+        got = cache.left(n)
+        assert len(cache.bases) == n + 1
+        ahead = GradedComputation(bp)
+        ahead.basis(n + 2)
+        assert ahead.left(n) == got
+
+
+def test_negative_degrees_raise():
+    # no list of degrees may be read from its end: components start in
+    # degree zero, the multiplications map into degree one and up
+    bp = pairs.v4(integer(-1), integer(1))
+    cache = GradedComputation(bp)
+    cache.basis(3)
+    calls = [lambda: cache.basis(-2), lambda: cache.dim(-1),
+             lambda: degree_basis(bp, -1, cache), lambda: cache.left(0),
+             lambda: cache.right(0), lambda: cache.left(-1)]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+    assert len(cache.bases) == 4
+
+
 def test_derivation_lands_in_lower_component():
     for bp in (pairs.v3(integer(-1)), pairs.v4(integer(-1), integer(1))):
         cache = GradedComputation(bp)

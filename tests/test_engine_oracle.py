@@ -167,20 +167,24 @@ def test_engine_matches_image_iteration(name, build, top, ktop):
             ech.rref().sorted_rows()), (name, n)
     # the oracle's kernels feed the tensor ideal reduction and the leading
     # words; the engine's relations go through its count first, its leading
-    # words through the row space
+    # words through the images of the words
     d = bp.dim
     oracle_cache = GradedComputation(bp)
     transposed_oracle = image_iteration(pairs.transpose(bp), ktop)
     for n in range(2, ktop + 1):
-        kernel = transposed_oracle[n].nullspace(range(d ** n), ONE)
-        oracle_cache.kernels[n] = kernel
-        assert text(kernel_basis(bp, n, cache)) == text(kernel), (name, n)
+        oracle_cache.kernels[n] = transposed_oracle[n].nullspace(
+            range(d ** n), ONE)
     words = leading_words_oracle(oracle_cache.kernels, d, ktop)
     for n in range(2, ktop + 1):
         want = tensor_relations(bp, n, oracle_cache)
         assert relation_count(bp, n, cache) == len(want), (name, n)
         assert text(relations(bp, n, cache)) == text(want), (name, n)
         assert new_leading_words(bp, n, cache) == words[n], (name, n)
+    # only the kernels go through the transposed pair
+    assert cache._transposed is None, name
+    for n in range(2, ktop + 1):
+        assert text(kernel_basis(bp, n, cache)) == text(
+            oracle_cache.kernels[n]), (name, n)
 
 
 def test_differential_has_new_words_that_lead_in_the_old_ideal():
@@ -233,6 +237,20 @@ def test_affine_relations_match_the_tensor_ideal(p, a, top):
     assert len(new_leading_words(bp, 4, cache)) > 1
 
 
+def test_affine_7_3_counts():
+    # Aff(7, 3), i |> j = 3j - 2i mod 7 with the constant cocycle -1, whose
+    # Nichols algebra is 326592-dimensional: 21 quadratic relations and no
+    # new one in degrees 3-5, while the rewriting basis gains 12, 7 and 7
+    # words there; all without the transposed pair
+    bp = affine(7, 3)
+    cache = GradedComputation(bp)
+    words = [len(new_leading_words(bp, n, cache)) for n in range(2, 6)]
+    rels = [len(relations(bp, n, cache)) for n in range(2, 6)]
+    assert words == [21, 12, 7, 7]
+    assert rels == [21, 0, 0, 0]
+    assert cache._transposed is None
+
+
 def test_relations_build_no_kernel():
     for build, top in ((v4_m1_p1, 7), (v3_z3, 6)):
         bp = build()
@@ -240,6 +258,7 @@ def test_relations_build_no_kernel():
         for n in range(2, top + 1):
             relations(bp, n, cache)
         assert cache.kernels == {}
+        assert cache._transposed is None
 
 
 def test_leading_words_build_no_kernel():
@@ -249,6 +268,7 @@ def test_leading_words_build_no_kernel():
         for n in range(2, 6):
             new_leading_words(bp, n, cache)
         assert cache.kernels == {}
+        assert cache._transposed is None
 
 
 def test_e4_leading_word_counts():
@@ -260,6 +280,7 @@ def test_e4_leading_word_counts():
     counts = [len(new_leading_words(bp, n, cache)) for n in range(2, 8)]
     assert time.perf_counter() - t0 < 10.0
     assert counts == [17, 4, 2, 0, 2, 0]
+    assert cache._transposed is None
 
 
 @pytest.mark.parametrize("build", [
