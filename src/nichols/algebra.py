@@ -463,6 +463,8 @@ def hilbert(bp, max_degree, cache=None):
     algebra is generated in degree one, so every higher component also
     vanishes); without a zero the verdict at the cutoff stays unknown.
     """
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
     cache = cache or GradedComputation(bp)
     dims = []
     for n in range(max_degree + 1):
@@ -476,6 +478,8 @@ def kernel_basis(bp, n, cache=None):
     """Exact basis of the kernel of the degree-n symmetrizer on the tensor
     power, read off the row space: the transposed pair's degree-n
     component in tensor coordinates."""
+    if n < 0:
+        raise ValueError(f"no component in negative degree {n}")
     cache = cache or GradedComputation(bp)
     return [_export(vec) for vec in cache._kernel(n)]
 

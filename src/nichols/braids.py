@@ -9,6 +9,12 @@ compared through their actions on braided vector spaces.
 
 Tensor vectors are sparse dicts keyed by base-d integers (see linalg);
 ``sigma_pass`` is the hot path that applies one crossing to such a vector.
+A crossing pass has one of two shapes.  A crossed-set braiding
+c(x_i (x) x_j) = f(i, j) x_(i |> j) (x) x_i, and its inverse, sends each
+word to exactly one other word times a scalar, so its pass relabels each
+key and scales its coefficient (a ``Relabelling``, found once when
+``FieldPair`` embeds the braiding); any other braiding goes through the
+merging loop, which sums the terms landing on one word and drops zeros.
 The actions read only the n lowest digits of a key, so the digits above
 them can tag each term with where it came from (``verify_identity``).
 """
@@ -260,10 +266,26 @@ def sigma_pass(cmap, d, n, terms, k):
     ``terms`` maps base-d encoded words of length n to coefficients; the
     braiding acts through ``cmap[pair] = ((out_pair, coeff), ...)`` with
     pairs encoded as (left letter)*d + (right letter).
+
+    A pass has one of two shapes.  When ``cmap`` is a ``Relabelling`` (a
+    crossed-set braiding or its inverse, embedded by ``FieldPair``), it
+    relabels and scales: each key goes to its one image word and its
+    coefficient is scaled, one dict store per term.  That is exact with
+    no merging and no zero test, since distinct words have distinct images
+    and a product of nonzero scalars is nonzero.  Any other ``cmap`` goes
+    through the merging loop: each term spreads over its column, terms
+    landing on one word are summed, and zero sums are dropped.
     """
     shift = d ** (n - 1 - k)
     dd = d * d
     out = {}
+    if cmap.__class__ is Relabelling:
+        jumps = [(t - p) * shift for p, t in enumerate(cmap.targets)]
+        scales = cmap.scales
+        for w, c in terms.items():
+            pair = (w // shift) % dd
+            out[w + jumps[pair]] = scales[pair](c)
+        return out
     for w, c in terms.items():
         pair = (w // shift) % dd
         base = w - pair * shift
@@ -294,9 +316,11 @@ def apply_elt(bp, elt, vec, n):
     passes.  The words are walked in the sorted order of their reversals
     with a stack of partial results, one per letter of the current
     reversal: each distinct suffix is crossed once, however many words end
-    in it.  The scalars of ``vec``, of ``bp.cmap`` and of the coefficients
-    must be of one type, ``Cyc`` for a ``BraidedPair``, or the field type
-    of a ``FieldPair`` with ``elt`` embedded in it (``elt.embed``).
+    in it.  A word with coefficient -1 (as in every e - U binomial) is
+    subtracted rather than multiplied by -1.  The scalars of ``vec``, of
+    ``bp.cmap`` and of the coefficients must be of one type, ``Cyc`` for a
+    ``BraidedPair``, or the field type of a ``FieldPair`` with ``elt``
+    embedded in it (``elt.embed``).
     """
     if elt.strands != n:
         raise ValueError(f"element on {elt.strands} strands applied in degree {n}")
@@ -320,8 +344,26 @@ def apply_elt(bp, elt, vec, n):
                 cur = sigma_pass(bp.cmap_inverse(), d, n, cur, -letter)
             stack.append(cur)
         path = rev
-        vec_add_into(total, cur, None if c.is_one() else c)
+        if (-c).is_one():
+            _subtract_into(total, cur)
+        else:
+            vec_add_into(total, cur, None if c.is_one() else c)
     return total
+
+
+def _subtract_into(dst, src):
+    """dst -= src in place, dropping exact zeros: ``vec_add_into`` with
+    scale -1, by subtraction instead of products with -1."""
+    for k, c in src.items():
+        cur = dst.get(k)
+        if cur is None:
+            dst[k] = -c
+        else:
+            t = cur - c
+            if t:
+                dst[k] = t
+            else:
+                del dst[k]
 
 
 def sweep(cmap, d, n, vec, slots):
@@ -363,7 +405,8 @@ class FieldPair:
     (``scalars.field(m)``, m a multiple of ``bp.conductor``): the ``dim``,
     ``cmap`` and ``cmap_inverse()`` that the actions of this module read,
     with every coefficient a ``field`` element.  The inverse is embedded
-    on first use."""
+    on first use.  Each embedded map is a ``Relabelling`` when it is one,
+    so that ``sigma_pass`` relabels and scales with it."""
 
     __slots__ = ("dim", "field", "cmap", "_bp", "_cinv")
 
@@ -381,8 +424,37 @@ class FieldPair:
 
 
 def _embed_cmap(cmap, field):
+    """``cmap`` with its coefficients in ``field``: a ``Relabelling`` when
+    every column has exactly one term, with a nonzero coefficient, and the
+    targets of the columns are a permutation of the d^2 letter pairs, else
+    a plain tuple of columns.  A map that fails only the permutation test
+    is not invertible, so pair validation refuses it, but it is read
+    first: it keeps the merging loop, which sums the terms that land on
+    one word."""
     embed = field.from_cyc
-    return tuple(tuple((kl, embed(c)) for kl, c in col) for col in cmap)
+    cols = tuple(tuple((kl, embed(c)) for kl, c in col) for col in cmap)
+    if all(len(col) == 1 and col[0][1] for col in cols):
+        targets = tuple(col[0][0] for col in cols)
+        if len(set(targets)) == len(cols):
+            return Relabelling(cols, targets,
+                               tuple(field.scaling(col[0][1]) for col in cols))
+    return cols
+
+
+class Relabelling(tuple):
+    """An embedded cmap whose crossing maps each letter pair to exactly
+    one pair, bijectively, times a nonzero scalar: the shape of every
+    crossed-set braiding c(x_i (x) x_j) = f(i, j) x_(i |> j) (x) x_i and of
+    its inverse.  It is the tuple of columns, as any cmap, plus
+    ``targets[pair]``, the one image pair, and ``scales[pair]``, the
+    function c -> c * f of the field type (``scaling``: straight-line for
+    a root of unity or its negative)."""
+
+    def __new__(cls, cols, targets, scales):
+        self = super().__new__(cls, cols)
+        self.targets = targets
+        self.scales = scales
+        return self
 
 
 def verify_identity(lhs, rhs, suite):

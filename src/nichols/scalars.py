@@ -32,7 +32,12 @@ product takes 0.32 us instead of 1.44 us at m = 3 and 10.6 us instead of
 27.9 us for dense operands at m = 60 (Python 3.11, x86, in-process).  They
 add through generated coefficient-wise sums (``_sums``) and invert through
 ``_inverse``: a rational multiple of a root of unity directly, anything
-else through its Galois norm.
+else through its Galois norm.  A product by a fixed root of unity or its
+negative, as in a crossed-set braiding's crossings, has a shorter form:
+``_root_multiplier(m, e)`` rotates and reduces the coefficients with the
+table's integers written in, keeps the denominator (a unit leaves a
+reduced num/den reduced, so there is no gcd), and is generated once per
+conductor and exponent; the field type's ``scaling(s)`` hands it out.
 """
 
 from fractions import Fraction
@@ -134,13 +139,16 @@ def _table(m):
 
 
 # ---------------------------------------------------------------------------
-# straight-line arithmetic on integer vectors, for the field types.  The
-# source is built from loop indices and the integers of the reduction
-# tables only, and compiled once per conductor.
+# straight-line arithmetic on integer vectors, for the field types, and
+# the products of their elements by a root of unity.  The source is built
+# from loop indices and the integers of the reduction tables only, and
+# compiled once per conductor (the products by a root of unity once per
+# conductor and exponent).
 
-def _compile(name, lines):
-    """The function ``name`` defined by the generated source ``lines``."""
-    namespace = {}
+def _compile(name, lines, **names):
+    """The function ``name`` defined by the generated source ``lines``,
+    which may read the global ``names``."""
+    namespace = dict(names)
     exec("\n".join(lines) + "\n", namespace)
     return namespace[name]
 
@@ -195,6 +203,44 @@ def _multiplier(m):
         lines.append(_tuple(" ".join(t) for t in out))
         mul = _multipliers[m] = _compile("product", lines)
     return mul
+
+
+_root_multipliers = {}
+
+
+def _root_multiplier(m, e):
+    """The product c * zeta^e (e >= 0) or c * -zeta^(-1 - e) (e < 0, the
+    encoding of ``_roots``) of elements c of ``field(m)``, m > 1: the
+    product by a root of unity or its negative that a crossing's scalar
+    usually is.
+
+    Straight-line code, generated once per (m, e) from ``_table(m)``:
+    a_i zeta^i goes to a_i times row (i + e) mod m, so each output
+    coefficient is a signed sum of input coefficients with the table's
+    integers written in, and nothing is multiplied by a coefficient of the
+    root.  The result keeps c's denominator with no gcd: a root of unity is
+    a unit of Z[zeta_m], so multiplying by it or by its inverse keeps the
+    gcd of the integer coefficients, and a reduced num/den stays reduced.
+    There are at most 2m of them per conductor.
+    """
+    times = _root_multipliers.get((m, e))
+    if times is None:
+        k = euler_phi(m)
+        sign, p = (1, e) if e >= 0 else (-1, -1 - e)
+        out = [[] for _ in range(k)]
+        table = _table(m)
+        for i in range(k):
+            for j, r in table[(i + p) % m]:
+                out[j].append(_term(sign * r, f"a{i}"))
+        lines = ["def times(c):", "    a = c.num", _unpack("a", k),
+                 "    x = new(Element)",
+                 "    x.num = (" + ", ".join(" ".join(t) if t else "0"
+                                            for t in out) + ",)",
+                 "    x.den = c.den",
+                 "    return x"]
+        times = _root_multipliers[m, e] = _compile(
+            "times", lines, new=_new, Element=field(m))
+    return times
 
 
 def _sums(k):
@@ -573,6 +619,11 @@ def order(q):
 _new = object.__new__
 
 
+def _same(c):
+    # scaling by 1: the values are immutable, so c itself is the product
+    return c
+
+
 def _rational(num, den):
     """The Rational num/den in lowest terms; den must be positive."""
     if den != 1:
@@ -636,6 +687,14 @@ class Rational:
         x.den = den
         return x
 
+    @staticmethod
+    def scaling(s):
+        """The function c -> c * s on this type: c itself for s = 1, the
+        negation for s = -1, else the product by s."""
+        if s.den == 1 and s.num in (1, -1):
+            return _same if s.num == 1 else Rational.__neg__
+        return s.__mul__
+
     def __bool__(self):
         return self.num != 0
 
@@ -678,7 +737,9 @@ def field(m):
     whose conductor divides m, ``to_cyc`` is the way back, and ``one`` is
     the unit.  Products go through ``_multiplier(m)`` and inverses through
     ``_inverse``; sums are straight-line code made with the type
-    (``_sums``).  Conductor 1 is ``Rational``.  ``Cyc`` computes in these
+    (``_sums``).  ``scaling(s)`` is the function c -> c * s, through
+    ``_root_multiplier`` when s is a root of unity or its negative.
+    Conductor 1 is ``Rational``.  ``Cyc`` computes in these
     types too, at the lcm of its operands' conductors.
 
     The type is made once per conductor, like the generated product it
@@ -762,6 +823,16 @@ def _make_field(m):
             x.num = num
             x.den = den
             return x
+
+        @staticmethod
+        def scaling(s):
+            """The function c -> c * s on this type: c itself for s = 1,
+            ``_root_multiplier`` for any other root of unity or its
+            negative, else the product by s."""
+            e = _roots(m).get(s.num) if s.den == 1 else None
+            if e is None:
+                return s.__mul__
+            return _root_multiplier(m, e) if e else _same
 
         def __bool__(self):
             return any(self.num)

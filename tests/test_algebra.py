@@ -446,7 +446,9 @@ def test_negative_degrees_raise():
     cache.basis(3)
     calls = [lambda: cache.basis(-2), lambda: cache.dim(-1),
              lambda: degree_basis(bp, -1, cache), lambda: cache.left(0),
-             lambda: cache.right(0), lambda: cache.left(-1)]
+             lambda: cache.right(0), lambda: cache.left(-1),
+             lambda: kernel_basis(bp, -1, cache),
+             lambda: hilbert(bp, -1, cache)]
     for call in calls:
         with pytest.raises(ValueError):
             call()

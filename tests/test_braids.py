@@ -1,10 +1,14 @@
 import random
+from argparse import Namespace
 from itertools import combinations, permutations
+from math import lcm
 
 import pytest
 
 from nichols.braids import (
+    FieldPair,
     GroupAlgElt,
+    Relabelling,
     apply_elt,
     block,
     d_elt,
@@ -25,8 +29,8 @@ from nichols.braids import (
 )
 from nichols.identities import Product, all_identities, standard_suite
 from nichols.linalg import encode_word
-from nichols.scalars import ONE, ZERO, integer, one, root_of_unity
-from nichols import pairs
+from nichols.scalars import ONE, ZERO, field, integer, one, root_of_unity
+from nichols import cli, pairs
 
 
 def brute_lex_least_reduced(p):
@@ -366,3 +370,72 @@ def test_verify_identity_needs_a_pair():
     s1 = GroupAlgElt.from_word(2, (1,))
     with pytest.raises(ValueError):
         verify_identity(s1, GroupAlgElt.unit(2), [])
+
+
+# ---------------------------------------------------------------------------
+# the relabel-and-scale pass against the merging loop
+
+# every builtin pair of the CLI, with the flags it needs
+BUILTINS = (
+    ("v3", {"q": "-1"}), ("v3", {"q": "z3"}),
+    ("v4", {"q": "-1", "alpha": "1"}), ("v4", {"q": "z4", "alpha": "-1"}),
+    ("c4-a2", {}), ("c6-b2", {}), ("ms-d4", {}),
+    ("qls", {"orders": "2,3,5"}), ("v3-a1", {}),
+)
+
+
+def builtin_pair(name, flags):
+    args = Namespace(**{"q": None, "alpha": None, "orders": None, **flags})
+    return cli._builtin_pair(name, args)
+
+
+def test_relabel_pass_agrees_with_merging_loop():
+    rng = random.Random(19)
+    for name, flags in BUILTINS:
+        bp = builtin_pair(name, flags)
+        d = bp.dim
+        for m in (bp.conductor, lcm(bp.conductor, 5)):
+            F = field(m)
+            fp = FieldPair(bp, F)
+            values = [F.from_cyc(c) for c in (
+                ONE, integer(-3), root_of_unity(m, 1),
+                root_of_unity(m, m - 1) / integer(7) - integer(2))]
+            for cmap in (fp.cmap, fp.cmap_inverse()):
+                # every builtin is a crossed-set braiding, so the relabel
+                # path is the one under test
+                assert type(cmap) is Relabelling, (name, m)
+                plain = tuple(cmap)
+                assert type(plain) is tuple and plain == cmap
+                for n in (2, 3, 4):
+                    size = d ** n
+                    # terms tagged with an input word in the high digits,
+                    # as verify_identity tags them
+                    vec = {rng.randrange(size) * size + rng.randrange(size):
+                           rng.choice(values) for _ in range(12)}
+                    for k in range(1, n):
+                        got = sigma_pass(cmap, d, n, vec, k)
+                        assert got == sigma_pass(plain, d, n, vec, k), (
+                            name, m, n, k)
+                        assert len(got) == len(vec)
+
+
+def test_monomial_map_that_is_no_bijection_keeps_merging_loop():
+    # a diagonal braiding with the column of x0 (x) x1 redirected onto the
+    # image of x1 (x) x0: monomial, but both words cross onto x0 (x) x1
+    # and must be summed
+    d = 2
+    f = root_of_unity(3, 1)
+    cmap = [[(0, root_of_unity(4, 1))], [(1, ONE)], [(1, f)], [(3, -ONE)]]
+    bp = pairs.BraidedPair(d, cmap, validate=False)
+    fp = FieldPair(bp, field(lcm(bp.conductor, 5)))
+    assert type(fp.cmap) is tuple
+    assert sigma_pass(bp.cmap, d, 2, {1: ONE, 2: ONE}, 1) == {1: ONE + f}
+    assert sigma_pass(bp.cmap, d, 2, {1: ONE, 2: -f.inverse()}, 1) == {}
+    F = fp.field
+    vec = {w: F.from_cyc(integer(w + 1)) for w in range(d ** 3)}
+    for k in (1, 2):
+        assert {w: c.to_cyc() for w, c in
+                sigma_pass(fp.cmap, d, 3, vec, k).items()} == sigma_pass(
+                    bp.cmap, d, 3, {w: integer(w + 1) for w in vec}, k)
+    # a column with two terms keeps the merging loop too
+    assert type(FieldPair(NON_DIAGONAL[2], field(1)).cmap) is tuple

@@ -13,6 +13,8 @@ from nichols.scalars import (
     _multiplier,
     _normalize,
     _powers,
+    _root_multiplier,
+    _root_multipliers,
     _table,
     cyclotomic,
     euler_phi,
@@ -467,6 +469,54 @@ def test_generated_field_arithmetic_against_cyc(m, data):
     assert (fa + fc).to_cyc() == _sum(a, c)
     assert (fc - fa).to_cyc() == _sum(c, -a)
     assert (fa * fc).to_cyc() == _times(a, c)
+
+
+@pytest.mark.parametrize("m", PRODUCT_CONDUCTORS)
+@DIFFERENTIAL
+@given(data=st.data())
+def test_root_multiplier_matches_product(m, data):
+    F = field(m)
+    table = _table(m)
+    # a dense operand over a denominator > 1, a dense integral one, zero
+    den = data.draw(st.integers(2, 6))
+    dense = data.draw(st.lists(st.integers(-9, 9), min_size=euler_phi(m),
+                               max_size=euler_phi(m)))
+    operands = [F.from_cyc(_dense_nonzero(data.draw, m, den)),
+                F.from_cyc(Cyc(m, dense)), F.from_cyc(zero())]
+    assert operands[0].den == den
+    for e, row in enumerate(_powers(m, m)[:m]):
+        for key, root in ((e, row), (-1 - e, tuple(-v for v in row))):
+            times = _root_multiplier(m, key)
+            s = F.from_cyc(Cyc(m, root))
+            for c in operands:
+                got = times(c)
+                assert type(got) is F
+                assert got == c * s
+                assert list(got.num) == _product(c.num, root, table)
+                assert F.scaling(s)(c) == got
+
+
+def test_root_multiplier_is_built_once_per_exponent():
+    for m in (3, 12, 60):
+        for e in (0, 1, m - 1, -1, -m):
+            assert _root_multiplier(m, e) is _root_multiplier(m, e)
+        assert sum(1 for key in _root_multipliers if key[0] == m) <= 2 * m
+    assert _root_multiplier(12, 1) is not _root_multiplier(12, 2)
+    assert _root_multiplier(3, 1) is not _root_multiplier(4, 1)
+    # the field type hands out the one multiplier of each root
+    F = field(12)
+    z = F.from_cyc(root_of_unity(12, 5))
+    assert F.scaling(z) is F.scaling(F.from_cyc(root_of_unity(12, 5)))
+    assert F.scaling(z) is _root_multiplier(12, 5)
+    # 1 returns its operand; any other value multiplies
+    c = F.from_cyc(rational(3, 2) * root_of_unity(12, 1))
+    assert F.scaling(F.one)(c) is c
+    two_z = F.from_cyc(integer(2) * root_of_unity(12, 5))
+    assert F.scaling(two_z)(c) == c * two_z
+    q = Rational.from_cyc(rational(-3, 4))
+    assert Rational.scaling(Rational.one)(q) is q
+    assert Rational.scaling(Rational.from_cyc(integer(-1)))(q) == -q
+    assert Rational.scaling(q)(q) == q * q
 
 
 def test_multiplier_is_built_once_per_conductor():
