@@ -19,6 +19,7 @@ The actions read only the n lowest digits of a key, so the digits above
 them can tag each term with where it came from (``verify_identity``).
 """
 
+from functools import cached_property
 from itertools import combinations as _combinations
 from itertools import permutations as _permutations
 from math import lcm
@@ -316,11 +317,9 @@ def apply_elt(bp, elt, vec, n):
     passes.  The words are walked in the sorted order of their reversals
     with a stack of partial results, one per letter of the current
     reversal: each distinct suffix is crossed once, however many words end
-    in it.  A word with coefficient -1 (as in every e - U binomial) is
-    subtracted rather than multiplied by -1.  The scalars of ``vec``, of
-    ``bp.cmap`` and of the coefficients must be of one type, ``Cyc`` for a
-    ``BraidedPair``, or the field type of a ``FieldPair`` with ``elt``
-    embedded in it (``elt.embed``).
+    in it.  The scalars of ``vec``, of ``bp.cmap`` and of the coefficients
+    must be of one type, ``Cyc`` for a ``BraidedPair``, or the field type
+    of a ``FieldPair`` with ``elt`` embedded in it (``elt.embed``).
     """
     if elt.strands != n:
         raise ValueError(f"element on {elt.strands} strands applied in degree {n}")
@@ -344,26 +343,8 @@ def apply_elt(bp, elt, vec, n):
                 cur = sigma_pass(bp.cmap_inverse(), d, n, cur, -letter)
             stack.append(cur)
         path = rev
-        if (-c).is_one():
-            _subtract_into(total, cur)
-        else:
-            vec_add_into(total, cur, None if c.is_one() else c)
+        vec_add_into(total, cur, None if c.is_one() else c)
     return total
-
-
-def _subtract_into(dst, src):
-    """dst -= src in place, dropping exact zeros: ``vec_add_into`` with
-    scale -1, by subtraction instead of products with -1."""
-    for k, c in src.items():
-        cur = dst.get(k)
-        if cur is None:
-            dst[k] = -c
-        else:
-            t = cur - c
-            if t:
-                dst[k] = t
-            else:
-                del dst[k]
 
 
 def sweep(cmap, d, n, vec, slots):
@@ -436,8 +417,7 @@ def _embed_cmap(cmap, field):
     if all(len(col) == 1 and col[0][1] for col in cols):
         targets = tuple(col[0][0] for col in cols)
         if len(set(targets)) == len(cols):
-            return Relabelling(cols, targets,
-                               tuple(field.scaling(col[0][1]) for col in cols))
+            return Relabelling(cols, targets, field)
     return cols
 
 
@@ -448,13 +428,20 @@ class Relabelling(tuple):
     its inverse.  It is the tuple of columns, as any cmap, plus
     ``targets[pair]``, the one image pair, and ``scales[pair]``, the
     function c -> c * f of the field type (``scaling``: straight-line for
-    a root of unity or its negative)."""
+    a root of unity or its negative).  The scales are made on the first
+    pass, so an embedding that never crosses with the map, such as the
+    graded engine's, compiles no multiplier."""
 
-    def __new__(cls, cols, targets, scales):
+    def __new__(cls, cols, targets, field):
         self = super().__new__(cls, cols)
         self.targets = targets
-        self.scales = scales
+        self._field = field
         return self
+
+    @cached_property
+    def scales(self):
+        scaling = self._field.scaling
+        return tuple(scaling(col[0][1]) for col in self)
 
 
 def verify_identity(lhs, rhs, suite):

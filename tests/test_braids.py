@@ -404,6 +404,8 @@ def test_relabel_pass_agrees_with_merging_loop():
                 # every builtin is a crossed-set braiding, so the relabel
                 # path is the one under test
                 assert type(cmap) is Relabelling, (name, m)
+                # the scales are made on the first pass, not on embedding
+                assert "scales" not in vars(cmap)
                 plain = tuple(cmap)
                 assert type(plain) is tuple and plain == cmap
                 for n in (2, 3, 4):
