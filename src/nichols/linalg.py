@@ -2,9 +2,11 @@
 
 Vectors are dicts mapping integer keys to nonzero scalars.  The code is
 generic over the scalar type: it needs only ``+``, ``-``, unary ``-``,
-``*``, truth, ``is_one`` and ``inverse``, so the same ``Echelon`` runs on
-``Cyc`` (the package's API type) and on the field type of a graded
-computation (``scalars.field``), never mixing the two.  It knows no unit
+``*``, truth, ``is_one``, ``inverse`` and ``x.submul(a, b)``, which is
+x - a*b, or None when that is zero (elimination's step, one fused
+operation in the field types), so the same ``Echelon`` runs on ``Cyc``
+(the package's API type) and on the field type of a graded computation
+(``scalars.field``), never mixing the two.  It knows no unit
 of its own: a stored pivot is the pivot times its inverse.  Throughout
 the package a key encodes a word over the alphabet {0..d-1} in base d with
 the leftmost tensor factor most significant, so integer order on keys is
@@ -41,7 +43,8 @@ def decode_word(key, d, n):
 
 
 def vec_add_into(dst, src, scale=None):
-    """dst += scale * src in place, dropping exact zeros."""
+    """dst += scale * src in place, dropping exact zeros; src must hold no
+    zeros, and a zero scale leaves dst as it is."""
     if scale is None:
         for k, c in src.items():
             cur = dst.get(k)
@@ -53,20 +56,19 @@ def vec_add_into(dst, src, scale=None):
                     dst[k] = t
                 else:
                     del dst[k]
-    else:
+    elif scale:
+        # src holds no zeros, so a new key's product is nonzero
+        neg = -scale
         for k, c in src.items():
-            t = c * scale
-            if not t:
-                continue
             cur = dst.get(k)
             if cur is None:
-                dst[k] = t
+                dst[k] = c * scale
             else:
-                t = cur + t
-                if t:
-                    dst[k] = t
-                else:
+                t = cur.submul(neg, c)
+                if t is None:
                     del dst[k]
+                else:
+                    dst[k] = t
 
 
 class Echelon:
@@ -110,22 +112,21 @@ class Echelon:
                 continue
             nc = -c
             # inline rather than vec_add_into: this is the inner loop of
-            # elimination, and new keys must also enter the heap
+            # elimination, and new keys must also enter the heap; a new
+            # key's product of nonzero scalars is nonzero
             for u, s in row.items():
                 if u == k:
                     continue
                 cur = work.get(u)
                 if cur is None:
-                    t = nc * s
-                    if t:
-                        work[u] = t
-                        heapq.heappush(heap, u)
+                    work[u] = nc * s
+                    heapq.heappush(heap, u)
                 else:
-                    t = cur + nc * s
-                    if t:
-                        work[u] = t
-                    else:
+                    t = cur.submul(c, s)
+                    if t is None:
                         del work[u]
+                    else:
+                        work[u] = t
         return out
 
     def insert(self, vec):

@@ -29,8 +29,12 @@ reduction table at first use, which skips the zero coefficients of its
 left operand and reduces modulo the cyclotomic polynomial with the table's
 integers written in.  Against the generic convolution loop it replaced, a
 product takes 0.32 us instead of 1.44 us at m = 3 and 10.6 us instead of
-27.9 us for dense operands at m = 60 (Python 3.11, x86, in-process).  They
-add through generated coefficient-wise sums (``_sums``) and invert through
+27.9 us for dense operands at m = 60 (Python 3.11, x86, in-process).
+Elimination's step x - a*b is one operation, ``submul``, fused in
+``_submultiplier(m)``: the same convolution, subtracted from x line by
+line over a common denominator, reduced to lowest terms once, and not at
+all for integral operands.  The field types add and subtract through
+generated coefficient-wise sums (``_sums``) and invert through
 ``_inverse``: a rational multiple of a root of unity directly, anything
 else through its Galois norm.  A product by a fixed root of unity or its
 negative, as in a crossed-set braiding's crossings, has a shorter form:
@@ -169,40 +173,58 @@ def _term(r, name):
     return f"{sign} {name}" if abs(r) == 1 else f"{sign} {abs(r)} * {name}"
 
 
+def _convolution(m):
+    """The product of the unpacked vectors a and b modulo Phi_m as lines
+    of a generated function body and one expression per output
+    coefficient: the convolution into locals c0 .. c(2k-2), one block per
+    nonzero coefficient of ``a`` (so sparse operands, such as roots of
+    unity, skip most of it), and each output coefficient as c_i plus the
+    reduction table's integer multiples of the high c_e."""
+    k = euler_phi(m)
+    lines = [_unpack("a", k), _unpack("b", k),
+             "    " + " = ".join(f"c{e}" for e in range(2 * k - 1)) + " = 0"]
+    for i in range(k):
+        lines.append(f"    if a{i}:")
+        # block i writes c(i+k-1) first; block i-1 wrote the others
+        for j in range(k):
+            op = "=" if not i or j == k - 1 else "+="
+            lines.append(f"        c{i + j} {op} a{i} * b{j}")
+    out = [[f"c{i}"] for i in range(k)]
+    table = _table(m)
+    for e in range(k, 2 * k - 1):
+        for i, r in table[e]:
+            out[i].append(_term(r, f"c{e}"))
+    return lines, [" ".join(t) for t in out]
+
+
 _multipliers = {}
 
 
 def _multiplier(m):
     """The product a * b modulo Phi_m of integer coefficient vectors of
     length phi(m), returned as a tuple: the one product of the package,
-    called by the field types and ``_inverse``.
-
-    Straight-line code, generated once per conductor from ``_table(m)``:
-    the convolution into locals c0 .. c(2k-2), one block per nonzero
-    coefficient of ``a`` (so sparse operands, such as roots of unity, skip
-    most of it), then each output coefficient as c_i plus the reduction
-    table's integer multiples of the high c_e.
+    called by the field types and ``_inverse``.  Straight-line code,
+    generated once per conductor from ``_table(m)`` (``_convolution``).
     """
     mul = _multipliers.get(m)
     if mul is None:
-        k = euler_phi(m)
-        lines = ["def product(a, b):", _unpack("a", k), _unpack("b", k),
-                 "    " + " = ".join(f"c{e}" for e in range(2 * k - 1))
-                 + " = 0"]
-        for i in range(k):
-            lines.append(f"    if a{i}:")
-            # block i writes c(i+k-1) first; block i-1 wrote the others
-            for j in range(k):
-                op = "=" if not i or j == k - 1 else "+="
-                lines.append(f"        c{i + j} {op} a{i} * b{j}")
-        out = [[f"c{i}"] for i in range(k)]
-        table = _table(m)
-        for e in range(k, 2 * k - 1):
-            for i, r in table[e]:
-                out[i].append(_term(r, f"c{e}"))
-        lines.append(_tuple(" ".join(t) for t in out))
-        mul = _multipliers[m] = _compile("product", lines)
+        lines, out = _convolution(m)
+        mul = _multipliers[m] = _compile(
+            "product", ["def product(a, b):", *lines, _tuple(out)])
     return mul
+
+
+def _submultiplier(m):
+    """The fused step of elimination, fx x - fa (a * b) modulo Phi_m for
+    integer coefficient vectors x, a, b of length phi(m) and integers fx,
+    fa, returned as a tuple.  The same convolution as ``_multiplier(m)``,
+    with each output coefficient subtracted from x's in its line, so the
+    product is never built as a vector of its own.  Compiled anew on each
+    call: ``field(m)``, its one caller, is made once per conductor."""
+    lines, out = _convolution(m)
+    return _compile("submul", [
+        "def submul(x, fx, a, b, fa):", _unpack("x", len(out)), *lines,
+        _tuple(f"x{i} * fx - ({t}) * fa" for i, t in enumerate(out))])
 
 
 _root_multipliers = {}
@@ -246,7 +268,7 @@ def _root_multiplier(m, e):
 def _sums(k):
     """The coefficient-wise sums of integer vectors of length k, as
     straight-line code returning tuples: ``add(a, b)`` is a + b and
-    ``scaled(a, fa, b, fb)`` is fa a + fb b."""
+    ``scaled(a, fa, b, fb)`` is fa a + fb b (with fb < 0 a difference)."""
     head = [_unpack("a", k), _unpack("b", k)]
     add = _compile("add", ["def add(a, b):", *head,
                            _tuple(f"a{i} + b{i}" for i in range(k))])
@@ -473,7 +495,8 @@ class Cyc:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        a, b = _lift(self, other)
+        return (a - b).to_cyc()
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -489,6 +512,12 @@ class Cyc:
         return (a * b).to_cyc()
 
     __rmul__ = __mul__
+
+    def submul(self, a, b):
+        """self - a * b, or None when that is zero: the step of
+        elimination that the field types fuse (see ``field``)."""
+        t = self - a * b
+        return t if t else None
 
     def inverse(self):
         """Multiplicative inverse (the residue ring is a field)."""
@@ -654,8 +683,8 @@ class Rational:
     def to_cyc(self):
         return _normalize(1, (self.num,), self.den)
 
-    # the two operations of elimination's inner loop build their result
-    # in place of calling _rational
+    # the operations of elimination's inner loop build their result in
+    # place of calling _rational
 
     def __add__(a, b):
         if a.den == 1 == b.den:
@@ -666,7 +695,32 @@ class Rational:
         return _rational(a.num * b.den + b.num * a.den, a.den * b.den)
 
     def __sub__(a, b):
-        return a + -b
+        if a.den == 1 == b.den:
+            x = _new(Rational)
+            x.num = a.num - b.num
+            x.den = 1
+            return x
+        return _rational(a.num * b.den - b.num * a.den, a.den * b.den)
+
+    def submul(x, a, b):
+        """x - a * b, or None when that is zero: over the common
+        denominator lcm(x.den, a.den b.den), reduced to lowest terms once,
+        and not at all when the three are integers."""
+        if x.den == 1 == a.den == b.den:
+            num = x.num - a.num * b.num
+            if not num:
+                return None
+            y = _new(Rational)
+            y.num = num
+            y.den = 1
+            return y
+        den = a.den * b.den
+        g = gcd(x.den, den)
+        fx = den // g
+        num = x.num * fx - a.num * b.num * (x.den // g)
+        if not num:
+            return None
+        return _rational(num, x.den * fx)
 
     def __neg__(self):
         x = _new(Rational)
@@ -736,15 +790,21 @@ def field(m):
     alignment and no shrinking of constants.  ``from_cyc`` embeds a ``Cyc``
     whose conductor divides m, ``to_cyc`` is the way back, and ``one`` is
     the unit.  Products go through ``_multiplier(m)`` and inverses through
-    ``_inverse``; sums are straight-line code made with the type
-    (``_sums``).  ``scaling(s)`` is the function c -> c * s, through
+    ``_inverse``; sums and differences are straight-line code made with
+    the type (``_sums``).  ``x.submul(a, b)`` is x - a*b, or None when
+    that is zero, in one call of the kernel ``_submultiplier(m)``, which
+    computes fx x - fa (a*b) with fx, fa the cofactors of
+    gcd(x.den, a.den b.den) (both 1, and no reduction, when all three are
+    integral).  ``scaling(s)`` is the function c -> c * s, through
     ``_root_multiplier`` when s is a root of unity or its negative.
     Conductor 1 is ``Rational``.  ``Cyc`` computes in these
     types too, at the lcm of its operands' conductors.
 
     The type is made once per conductor, like the generated product it
     calls, and holds no values computed with it.  Making it compiles its
-    generated code: 0.5-1 ms for m <= 12 and about 4 ms at m = 60.
+    generated code: 0.5-1.1 ms for m <= 12 and 4.5-7 ms at m = 60, of
+    which the product and the fused kernel take about 3 ms each there
+    (fresh processes, Python 3.11, x86).
     """
     if m == 1:
         return Rational
@@ -758,6 +818,7 @@ def _make_field(m):
     """A new element type for Q(zeta_m), m > 1; see ``field``."""
     k = euler_phi(m)
     mul = _multiplier(m)
+    fused = _submultiplier(m)
     add, scaled = _sums(k)
 
     def make(num, den):
@@ -787,8 +848,8 @@ def _make_field(m):
         def to_cyc(self):
             return _normalize(m, self.num, self.den)
 
-        # as in Rational, the inner loop's sum of integral values and the
-        # product build their result in place of calling make
+        # as in Rational, the inner loop's operations on integral values
+        # and the product build their result in place of calling make
 
         def __add__(a, b):
             if a.den == b.den:
@@ -803,7 +864,38 @@ def _make_field(m):
             return make(scaled(a.num, fa, b.num, fb), a.den * fa)
 
         def __sub__(a, b):
-            return a + -b
+            if a.den == b.den:
+                num = scaled(a.num, 1, b.num, -1)
+                if a.den == 1:
+                    x = _new(Element)
+                    x.num = num
+                    x.den = 1
+                    return x
+                return make(num, a.den)
+            g = gcd(a.den, b.den)
+            fa, fb = b.den // g, a.den // g
+            return make(scaled(a.num, fa, b.num, -fb), a.den * fa)
+
+        def submul(x, a, b):
+            """x - a * b, or None when that is zero, through ``fused``:
+            over the common denominator lcm(x.den, a.den b.den), reduced
+            to lowest terms once, and not at all when the three are
+            integral."""
+            den = a.den * b.den
+            if x.den == 1 == den:
+                num = fused(x.num, 1, a.num, b.num, 1)
+                if not any(num):
+                    return None
+                y = _new(Element)
+                y.num = num
+                y.den = 1
+                return y
+            g = gcd(x.den, den)
+            fx = den // g
+            num = fused(x.num, fx, a.num, b.num, x.den // g)
+            if not any(num):
+                return None
+            return make(num, x.den * fx)
 
         def __neg__(self):
             x = _new(Element)

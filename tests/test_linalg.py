@@ -12,6 +12,7 @@ from nichols.linalg import (
     encode_word,
     invert_square,
     smith_normal_form,
+    vec_add_into,
 )
 from nichols.quandles import (
     conjugation_crossed_set,
@@ -20,7 +21,8 @@ from nichols.quandles import (
     trivial_crossed_set,
     zmod3_crossed_set,
 )
-from nichols.scalars import integer, one, rational, root_of_unity, zero
+from nichols.scalars import (
+    field, integer, one, rational, root_of_unity, zero)
 
 
 def test_word_encoding_roundtrip():
@@ -70,6 +72,26 @@ def test_echelon_rref_and_nullspace():
             if k in vec:
                 s = s + c * vec[k]
         assert s.is_zero()
+
+
+@pytest.mark.parametrize("m", [1, 12])
+@pytest.mark.parametrize("typed", [False, True])
+def test_vec_add_into_zero_scale_and_cancellation(m, typed):
+    # in Cyc, or in the field type (Rational at m = 1); a new key stores
+    # its product untested, so the zero scale must not get that far
+    to = field(m).from_cyc if typed else (lambda c: c)
+    q = root_of_unity(m, 1)
+    dst = {0: to(integer(2) * q), 1: to(rational(1, 3)), 3: to(integer(5))}
+    src = {0: to(q), 1: to(rational(1, 2)), 2: to(integer(7))}
+    before = dict(dst)
+    vec_add_into(dst, src, to(zero()))
+    assert dst == before
+    # 2q - 2q cancels exactly and its key goes; a new key is stored
+    vec_add_into(dst, src, to(integer(-2)))
+    assert dst == {1: to(rational(-2, 3)), 2: to(integer(-14)),
+                   3: to(integer(5))}
+    vec_add_into(dst, {1: to(rational(2, 3)), 3: to(integer(1))})
+    assert dst == {2: to(integer(-14)), 3: to(integer(6))}
 
 
 WORDS = 8

@@ -15,6 +15,7 @@ from nichols.scalars import (
     _powers,
     _root_multiplier,
     _root_multipliers,
+    _submultiplier,
     _table,
     cyclotomic,
     euler_phi,
@@ -367,6 +368,16 @@ def test_field_arithmetic_matches_cyc(m, data):
     assert (fa - fb).to_cyc() == _sum(a, -b) == a - b
     assert (-fa).to_cyc() == -a
     assert (fa * fb).to_cyc() == _times(a, b) == a * b
+    # the fused step of elimination: x - a*b, None exactly when zero
+    c = data.draw(values_in(m))
+    fc = F.from_cyc(c)
+    diff = _sum(a, -_times(b, c))
+    got = fa.submul(fb, fc)
+    assert (got is None) == (not diff) == (a.submul(b, c) is None)
+    if diff:
+        assert got == fa - fb * fc and got.to_cyc() == diff
+        assert a.submul(b, c) == diff
+    assert (fb * fc).submul(fb, fc) is None
     assert bool(fa) == bool(a)
     assert fa.is_one() == a.is_one()
     assert F.one.is_one() and F.from_cyc(one()) == F.one
@@ -439,6 +450,13 @@ def test_multiplier_matches_convolution_loop(m, data):
     assert type(product) is tuple
     assert list(product) == _product(a, b, _table(m))
     assert list(_multiplier(m)(b, a)) == _product(b, a, _table(m))
+    # the fused kernel fx x - fa (a * b) runs the same convolution
+    x = data.draw(vectors(m))
+    fx, fa = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+    got = _submultiplier(m)(x, fx, a, b, fa)
+    assert type(got) is tuple
+    assert list(got) == [fx * u - fa * v
+                         for u, v in zip(x, _product(a, b, _table(m)))]
 
 
 @pytest.mark.parametrize("m", PRODUCT_CONDUCTORS)
@@ -469,6 +487,17 @@ def test_generated_field_arithmetic_against_cyc(m, data):
     assert (fa + fc).to_cyc() == _sum(a, c)
     assert (fc - fa).to_cyc() == _sum(c, -a)
     assert (fa * fc).to_cyc() == _times(a, c)
+    # the fused step x - a*b, canonical, with x.den and a.den * b.den
+    # equal (the first triple), one dividing the other (the fourth, and
+    # the second and third when c's is 2 * den), coprime (the second and
+    # third when it is 7), and with integral operands (the last)
+    fs = F.from_cyc(shift)
+    for x, y, z in ((fb, fa, fs), (fc, fa, fs), (fa, fc, fs), (fa, fa, fc),
+                    (fs, fs, F.one)):
+        got = x.submul(y, z)
+        want = _sum(x.to_cyc(), -_times(y.to_cyc(), z.to_cyc()))
+        assert got == F.from_cyc(want) if want else got is None
+    assert (fa * fc).submul(fc, fa) is None
 
 
 @pytest.mark.parametrize("m", PRODUCT_CONDUCTORS)
