@@ -30,26 +30,14 @@ crossings follow from the braiding C one degree down,
 
 and maps that vanish identically are not stored, so a braiding of group
 type, where beta_(i,y) = 0 for y != i, carries d maps instead of d^2.
-The right multiplications R_j: B_(n-1) -> B_n come the same way, on
-request, from d_y(u . x_j) = delta_(y,j) u + sum C[(w,j) -> (k,y)]
-d_w(u) . x_k.
-
-Relations are counted in the same coordinates.  The dependencies among
-the candidates x_i . e_b of degree n-1 (the null space of the L_i) lift
-to the relation ideal J, the kernel of T(V) -> B(V), and span J_(n-1)
-modulo V (x) J_(n-2); pushed through the R_j they give the part of
-degree n that the ideal generated below n covers in V (x) B_(n-1), and
-what B_n leaves of the rest is the number r_n of new relations
-(``relation_count``).  Only a degree with r_n > 0 goes to tensor
-coordinates for the relation vectors.
 
 The engine computes in one field.  Its scalars are elements of
 ``scalars.field(m)`` at m = ``bp.conductor``, into which the braiding is
 embedded once; every basis, map, crossing, tensor vector, kernel and
 relation row inside is of that type, and only what a public function (or
-``GradedComputation.left``/``right``) returns is converted back to
-``Cyc``.  Transposing keeps the conductor, so the transposed pair's
-computation works in its parent's field.
+``GradedComputation.left``) returns is converted back to ``Cyc``.
+Transposing keeps the conductor, so the transposed pair's computation
+works in its parent's field.
 
 Tensor coordinates of the basis are built only on request
 (``degree_basis``, ``kernel_basis``), from u = sum_y d_y(u) (x) x_y.
@@ -73,14 +61,19 @@ prefix nor its suffix of length n-1 leads, and only the candidate words,
 whose prefix and suffix lead nothing, need their images: they are the b_n
 normal words and the k new leading words.
 
-Nor do the relation vectors.  A word that leads nothing in the ideal
-V . K + K . V generated below degree n is one of the b_n normal words or
-one of the k new leading words, so the new relations lie in the kernel
-vectors on those b_n + k words, k of them with at most b_n + 1 terms
-each, which the reduced echelon of the leading words already holds.
-Which combinations of them the ideal holds is read in V (x) B_(n-1),
-where ``relation_count`` already spans the ideal's image, and what is
-left over modulo them are the r_n new relations.
+Relations are counted and built in the same word coordinates.  The
+reduced row echelon of the images gives each new leading word f the
+kernel vector k_f = e_f - sum_p row_p[f] e_p, the rewriting rule of f to
+normal words; over all degrees these rules are the reduced Groebner basis
+of the relation ideal J, the kernel of T(V) -> B(V).  The ideal I
+generated below degree n holds every word with a lower leading factor,
+so what it leaves of J_n lies on the b_n + k candidate words, and there
+I is spanned by the overlaps of the lower rules, k_f . t - h . k_g for
+h g = f t, rewritten by those rules (Bergman's Diamond Lemma, Adv. Math.
+29, 1978).  With Z their span, there are r_n = k - rank Z new relations
+(``relation_count``), and the k_f of degree n modulo Z are their basis
+(``relations``).  A degree with no new leading word has no new relation
+and needs no rule of its own degree.
 """
 
 from collections import namedtuple
@@ -136,16 +129,17 @@ def _apply(cols, vec):
 
 class GradedComputation:
     """Per-degree echelon bases of the graded components in derivation
-    coordinates, with caches for the images of words, the normal words,
+    coordinates, with caches for the images of words, the normal words and
+    rewriting rules, the words rewritten by the rules below their degree,
     tensor coordinates, the transposed pair (for kernels), kernels,
     relation counts and relation bases.
 
     Every scalar inside, the cached ``kernels`` included, is an element of
     ``field``, the type of Q(zeta_m) at m = ``bp.conductor``
     (``scalars.field``), into which the braiding is embedded once as
-    ``cmap``; what the public functions and ``left``/``right`` return is
-    converted back to ``Cyc``.  Transposing keeps the conductor, so the
-    transposed pair's computation shares its parent's field.
+    ``cmap``; what the public functions and ``left`` return is converted
+    back to ``Cyc``.  Transposing keeps the conductor, so the transposed
+    pair's computation shares its parent's field.
 
     ``stats[n]`` records the cost of degree n.  Treat instances as
     single-writer: all public functions taking a cache mutate only the one
@@ -170,9 +164,8 @@ class GradedComputation:
         self._derivs = [{}]
         self._betas = {(i, i): [{0: one}] for i in range(bp.dim)}
         # the maps L_i: B_(n-1) -> B_n as [i][c] at index n for every
-        # prepared degree n; the maps R_j, built on request, alike
+        # prepared degree n
         self._lefts = [None]
-        self._rights = [None]
         # pi(w), the image in B_n of each word key w of degree n that was
         # asked for, at (n, w)
         self._projections = {(0, 0): {0: one}}
@@ -182,13 +175,13 @@ class GradedComputation:
         self.kernels = {}
         self.relation_counts = {}
         self.relation_bases = {}
-        # per degree, the row space of pi on the candidate words, pivoted on
-        # greatest keys (keys negated); in degree 0 it is B_0 itself, the
-        # empty word at key 0 = -0
-        self._row_echelons = {0: ech0}
-        # the span Q of ``relation_count``, kept for a degree with new
-        # relations until ``relations`` reads it
-        self._images = {}
+        # per degree, the normal words and the rewriting rules {f: tail}
+        # of the new leading words (``_rewriting``); degree 0 has the empty
+        # word at key 0 and no rule
+        self._rules = {0: ({0}, {})}
+        # per degree n, each word reduced by the rules below n
+        # (``_reduce``)
+        self._reduced = {}
 
     def basis(self, n):
         """Echelon basis of the degree-n component in derivation
@@ -293,13 +286,6 @@ class GradedComputation:
             raise ValueError("multiplications map into positive degrees")
         return [[_export(col) for col in maps] for maps in self._left(n)]
 
-    def right(self, n):
-        """The right multiplications R_j: B_(n-1) -> B_n, u -> u . x_j, as
-        [j][b] coordinate maps."""
-        if n < 1:
-            raise ValueError("multiplications map into positive degrees")
-        return [[_export(col) for col in maps] for maps in self._right(n)]
-
     def _left(self, n):
         """L_i in the field; the maps into the newest degree are its
         candidates x_i . e_b at its pivot keys."""
@@ -310,43 +296,6 @@ class GradedComputation:
                                   if k in index} for v in row]
                                 for row in self._cands])
         return self._lefts[n]
-
-    def _right(self, n):
-        """R_j in the field, built one degree at a time from
-
-            d_y(u . x_j) = delta_(y,j) u
-                           + sum_(w,k) C[(w,j) -> (k,y)] d_w(u) . x_k,
-
-        the shuffle T_(m,1) = 1 + (T_(m-1,1) (x) id) c_(m,m+1) read through
-        d_y."""
-        d = self.bp.dim
-        cmap = self.cmap
-        one = self.field.one
-        self.basis(n)
-        while len(self._rights) <= n:
-            m = len(self._rights)
-            lower = self._rights[m - 1]
-            size = self.bases[m - 1].rank
-            index = self._pivot_index(m)
-            maps = [[] for _ in range(d)]
-            for b, split in enumerate(self._derivatives(m - 1)):
-                # R_k(d_w e_b), shared by the letters j
-                images = {}
-                for j in range(d):
-                    vec = {j * size + b: one}
-                    for w, low in split.items():
-                        for ky, s in cmap[w * d + j]:
-                            k, y = divmod(ky, d)
-                            img = images.get((w, k))
-                            if img is None:
-                                img = images[w, k] = _apply(lower[k], low)
-                            shift = y * size
-                            vec_add_into(vec, {shift + c: t
-                                               for c, t in img.items()}, s)
-                    maps[j].append({index[key]: s for key, s in vec.items()
-                                    if key in index})
-            self._rights.append(maps)
-        return self._rights[n]
 
     def _tensor_basis(self, n):
         """The basis vectors of degree n (the reduced echelon rows) in
@@ -412,39 +361,86 @@ class GradedComputation:
         n-1 are normal, in increasing order: the normal words and the new
         leading words of degree n."""
         d, shift = self.bp.dim, self.bp.dim ** (n - 1)
-        low = self._normal_words(n - 1)
+        low = self._rewriting(n - 1)[0]
         return [w for p in sorted(low) for w in range(p * d, p * d + d)
                 if w % shift in low]
 
-    def _normal_words(self, n):
+    def _rewriting(self, n):
         """The degree-n words that lead no vector of the symmetrizer kernel
-        K_n, as the set of their keys.
+        K_n, as the set of their keys, and the rewriting rules of the new
+        leading words of degree n, as {f: tail} (``_rules``).
 
         K_n is the kernel of pi: T_n -> B_n, so the rows of the matrix
         whose columns are pi(w) span its annihilator, the row space.  In
         the echelon basis of that space pivoted on greatest keys, each
         other word f gives the kernel vector k_f = e_f - sum_p row_p[f] e_p,
         whose keys besides f are pivots p > f; so the least keys of K_n
-        are exactly the words outside the pivots.  Only the columns at the
+        are exactly the words outside the pivots, and f rewrites to its
+        tail sum_p row_p[f] e_p on normal words.  Only the columns at the
         candidate words are built: every normal word is one (the leading
         words are closed under extension), so for a candidate f the vector
         k_f lies on candidate words, and those k_f span the kernel of the
         restricted matrix, whose rows thus have the same pivots and, once
         reduced, the same entries there.  Negated keys make ``Echelon``
-        pivot on the greatest; the echelon is kept per degree
-        (``_row_echelons``).
+        pivot on the greatest.
         """
-        ech = self._row_echelons.get(n)
-        if ech is None:
+        got = self._rules.get(n)
+        if got is None:
+            words = self._candidate_words(n)
             rows = {}
-            for w in self._candidate_words(n):
+            for w in words:
                 for b, s in self._project(n, w).items():
                     rows.setdefault(b, {})[-w] = s
-            ech = self._row_echelons[n] = Echelon()
+            ech = Echelon()
             # sparsest first, as in ``_extend``
             for row in sorted(rows.values(), key=len):
                 ech.insert(row)
-        return {-p for p in ech.rows}
+            rules = {f: {} for f in words if -f not in ech.rows}
+            for p, row in ech.rref().rows.items():
+                for u, c in row.items():
+                    if u != p:
+                        rules[-u][-p] = c
+            got = self._rules[n] = ({-p for p in ech.rows}, rules)
+        return got
+
+    def _reduce(self, n, w):
+        """The degree-n word at key w rewritten by the rules of the degrees
+        below n, as a vector on the candidate words of degree n (memoized
+        per degree in ``_reduced``).
+
+        A word that is no candidate has a prefix or a suffix of length n-1
+        that is not normal; that factor is replaced by its normal form.
+        Each rule replaces a word by greater words of its degree, so the
+        keys rise and the recursion ends."""
+        memo = self._reduced.setdefault(n, {})
+        got = memo.get(w)
+        if got is None:
+            d, shift = self.bp.dim, self.bp.dim ** (n - 1)
+            low = self._rewriting(n - 1)[0]
+            head, last = divmod(w, d)
+            first, tail = divmod(w, shift)
+            if head not in low:
+                got = {}
+                for q, c in self._normal_form(n - 1, head).items():
+                    vec_add_into(got, self._reduce(n, q * d + last), c)
+            elif tail not in low:
+                got = {}
+                for q, c in self._normal_form(n - 1, tail).items():
+                    vec_add_into(got, self._reduce(n, first * shift + q), c)
+            else:
+                got = {w: self.field.one}
+            memo[w] = got
+        return got
+
+    def _normal_form(self, n, w):
+        """The degree-n word at key w rewritten by the rules of the degrees
+        up to n: a vector on the normal words, unique since those rules
+        hold every leading word of K_n."""
+        rules = self._rewriting(n)[1]
+        out = {}
+        for q, c in self._reduce(n, w).items():
+            vec_add_into(out, rules.get(q, {q: self.field.one}), c)
+        return out
 
 
 def degree_basis(bp, n, cache=None):
@@ -486,60 +482,71 @@ def kernel_basis(bp, n, cache=None):
 
 def relation_count(bp, n, cache=None):
     """r_n, the number of new minimal relations in degree n, counted in
-    the candidate space V (x) B_(n-1) without tensor coordinates.
+    word coordinates by overlap completion.
 
-    The dependencies D among the degree-(n-1) candidates x_i . e_b are the
-    null space of the maps L_i.  A dependency c lifts to an element of the
-    relation ideal J (the kernel of T(V) -> B(V)) in degree n-1, and
-    J_(n-1) is spanned by these lifts modulo V (x) J_(n-2).  So the image
-    of J_(n-1) (x) V in V (x) B_(n-1) = T_n / (V (x) J_(n-1)) is the span Q
-    of the vectors sum c_(i,b) x_i (x) (e_b . x_j), and the ideal generated
-    below degree n has codimension a_n = d * b_(n-1) - rank Q in degree n.
-    The new relations number r_n = a_n - b_n.
+    The ideal I generated below degree n holds every degree-n word with a
+    lower leading factor, so it has codimension at most the number b_n + k
+    of candidate words, the b_n normal words and the k new leading words.
+    What I holds on the candidate words is the span Z of the reduced
+    overlaps (``_overlap_span``), so I has codimension b_n + k - rank Z
+    and r_n = k - rank Z.  A degree with no new leading word (k = 0) has
+    no new relation, which needs only the normal words of degree n-1.
     """
     if n < 2:
         raise ValueError("relations start in degree two")
     cache = cache or GradedComputation(bp)
     got = cache.relation_counts.get(n)
-    if got is not None:
-        return got
-    image = _ideal_image(cache, n)
-    got = bp.dim * cache.dim(n - 1) - image.rank - cache.dim(n)
-    cache.relation_counts[n] = got
-    if got:
-        cache._images[n] = image
+    if got is None:
+        k = len(cache._candidate_words(n)) - cache.dim(n)
+        got = k - _overlap_span(cache, n).rank if k else 0
+        cache.relation_counts[n] = got
     return got
 
 
-def _ideal_image(cache, n):
-    """Echelon basis of the span Q in V (x) B_(n-1) (``relation_count``),
-    at keys i * dim(n-1) + c."""
+def _overlap_span(cache, n):
+    """Echelon basis of Z, the span of the degree-n overlaps of the rules
+    of lower degrees, each reduced to the candidate words of degree n.
+
+    The rules f -> tail of the new leading words, k_f = e_f - sum tail[p]
+    e_p over all degrees below n, form the reduced Groebner basis of the
+    ideal I generated below n; no leading word contains another, so the
+    overlaps are the only ambiguities.  A rule f of degree a and a rule g
+    of degree b overlap in length s, 1 <= s < min(a, b), when the last s
+    letters of f are the first s of g; with h = f // d^s the head of f
+    and t = g mod d^(b-s) the tail of g, the word h g = f t of degree
+    a + b - s reduces two ways, and S = k_f . t - h . k_g is their
+    difference.  By Bergman's Diamond Lemma (Adv. Math. 29, 1978), the
+    degree-n part of I on the candidate words is spanned by these S,
+    reduced (``GradedComputation._reduce``), since every ambiguity of
+    lower degree resolves: the rules hold every leading word below n.
+    """
     d = cache.bp.dim
-    left = cache._left(n - 1)
-    size, width = cache.dim(n - 2), cache.dim(n - 1)
-    # the matrix whose column (i, b) is L_i(e_b), row by row
-    rows = {}
-    for i, cols in enumerate(left):
-        for b, col in enumerate(cols):
-            for c, s in col.items():
-                rows.setdefault(c, {})[i * size + b] = s
-    ech = Echelon()
-    for row in rows.values():
-        ech.insert(row)
-    right = cache._right(n - 1)
+    rules = {m: cache._rewriting(m)[1] for m in range(2, n)}
     vecs = []
-    for dep in ech.nullspace(range(d * size), cache.field.one):
-        split = {}
-        for key, s in dep.items():
-            i, b = divmod(key, size)
-            split.setdefault(i, {})[b] = s
-        for maps in right:
-            vecs.append({i * width + c: t for i, part in split.items()
-                         for c, t in _apply(maps, part).items()})
-    image = Echelon()
+    for a in range(2, n):
+        for s in range(1, a):
+            b = n - a + s
+            cut, overlap, width = d ** (b - s), d ** s, d ** b
+            # the rules of degree b by their first s letters
+            starts = {}
+            for g in rules[b]:
+                starts.setdefault(g // cut, []).append(g)
+            for f, tail in rules[a].items():
+                head = f // overlap * width
+                for g in starts.get(f % overlap, ()):
+                    t = g % cut
+                    vec = {}
+                    for q, c in rules[b][g].items():
+                        vec_add_into(vec, cache._reduce(n, head + q), c)
+                    for p, c in tail.items():
+                        vec_add_into(vec, cache._reduce(n, p * cut + t), -c)
+                    if vec:
+                        vecs.append(vec)
+    span = Echelon()
+    # sparsest first, as in ``_extend``
     for vec in sorted(vecs, key=len):
-        image.insert(vec)
-    return image
+        span.insert(vec)
+    return span
 
 
 def relations(bp, n, cache=None):
@@ -548,10 +555,13 @@ def relations(bp, n, cache=None):
     I = V . K_(n-1) + K_(n-1) . V generated below degree n.
 
     ``relation_count`` decides first how many there are; a degree without
-    new relations returns [] without leaving derivation coordinates.
-    Otherwise the basis is read off a window of b_n + k words, the b_n
-    normal words and the k new leading words (``_window_relations``), and
-    its size must equal the count (a mismatch raises, signalling an engine
+    new relations returns [] at once.  Otherwise the relations lie on the
+    candidate words, the b_n normal words and the k new leading words: the
+    part of K_n there has the basis k_f = e_f - sum tail[p] e_p, one for
+    each rule f -> tail of degree n, and the part of I there is the span Z
+    of the reduced overlaps (``_overlap_span``), inside it.  The k_f reduced modulo Z, in reduced
+    echelon form, are the basis, and its size must equal the count (a
+    mismatch, such as a Z outside the k_f, raises, signalling an engine
     bug).
     """
     if n < 2:
@@ -561,71 +571,23 @@ def relations(bp, n, cache=None):
     if got is not None:
         return got
     count = relation_count(bp, n, cache)
-    rows = _window_relations(cache, n) if count else []
+    rows = []
+    if count:
+        span = _overlap_span(cache, n)
+        fresh = Echelon()
+        for f, tail in cache._rewriting(n)[1].items():
+            vec = {p: -c for p, c in tail.items()}
+            vec[f] = cache.field.one
+            residue = span.reduce(vec)
+            if residue:
+                fresh.insert(residue)
+        rows = fresh.rref().sorted_rows()
     if len(rows) != count:
-        raise RuntimeError(f"the window gives {len(rows)} relations in "
+        raise RuntimeError(f"the overlaps leave {len(rows)} relations in "
                            f"degree {n}, the count gives {count}")
     got = [_export(row) for row in rows]
     cache.relation_bases[n] = got
     return got
-
-
-def _window_relations(cache, n):
-    """The new degree-n relations in tensor coordinates, in the field,
-    computed on the words S = N + L: the b_n normal words N of degree n
-    and the k new leading words L.
-
-    A word that leads no vector of I is normal or new: I holds every
-    extension of a lower leading word.  The relations lie in
-    W = K_n on S, and W has the basis k_f = e_f - sum_p row_p[f] e_p for f
-    in L, over the rows of the row space pivoted on greatest keys.  A
-    vector v lies in I iff (id (x) pi)(v) lies in Q (``relation_count``),
-    for pi: T_(n-1) -> B_(n-1) (``GradedComputation._project``); the
-    combinations of the k_f that Q absorbs, found by tagging each residue,
-    span Z = W n I.  Z leads with the k - r_n words of L that lead in I,
-    so reducing W modulo Z leaves exactly the r_n new relations, in
-    reduced echelon form after ``rref``.
-    """
-    d = cache.bp.dim
-    one = cache.field.one
-    lead = _new_leading_keys(cache, n)
-    window = {f: {f: one} for f in lead}
-    # the row echelon's columns are the window: its pivots and L
-    for p, row in cache._row_echelons[n].rref().rows.items():
-        for u, c in row.items():
-            if u != p:
-                window[-u][-p] = -c
-    image = cache._images.pop(n, None)
-    if image is None:
-        image = _ideal_image(cache, n)
-    shift, width = d ** (n - 1), cache.dim(n - 1)
-    top = d * width
-    tagged = Echelon()
-    for j, f in enumerate(lead):
-        vec = {}
-        for w, c in window[f].items():
-            a, rest = divmod(w, shift)
-            img = cache._project(n - 1, rest)
-            vec_add_into(vec, {a * width + b: s for b, s in img.items()},
-                         None if c.is_one() else c)
-        vec = image.reduce(vec)
-        vec[top + j] = one
-        tagged.insert(vec)
-    # a row pivoted on a tag holds nothing else: a combination in Z
-    ideal = Echelon()
-    for p, row in tagged.rows.items():
-        if p >= top:
-            vec = {}
-            for key, a in row.items():
-                vec_add_into(vec, window[lead[key - top]], a)
-            ideal.insert(vec)
-    fresh = Echelon()
-    for f in lead:
-        residue = ideal.reduce(window[f])
-        if residue:
-            fresh.insert(residue)
-    fresh.rref()
-    return fresh.sorted_rows()
 
 
 def new_leading_words(bp, n, cache=None):
@@ -640,10 +602,10 @@ def new_leading_words(bp, n, cache=None):
     can exceed the number of new minimal generators (``relations``): a
     rewriting basis may need elements that already lie in the ideal.
 
-    No kernel is built.  The symmetrizer kernel K_n is the kernel of the
-    projection pi: T_n -> B_n, and its leading words are exactly the words
-    that are not the greatest key of any vector in the row space of the
-    matrix of pi (``GradedComputation._normal_words``).  The leading words
+    No kernel is built: these are the words of the rewriting rules of
+    degree n (``GradedComputation._rewriting``).  The leading words of K_n
+    are exactly the words that are not the greatest key of any vector in
+    the row space of the matrix of pi: T_n -> B_n, and the leading words
     of an ideal are closed under extension (u w v leads u k v when w leads
     k), so a leading word of degree n is new iff neither of its two factors
     of length n-1, the prefix and the suffix, is a leading word: pi is read
@@ -652,13 +614,8 @@ def new_leading_words(bp, n, cache=None):
     if n < 2:
         raise ValueError("the relation ideal starts in degree two")
     cache = cache or GradedComputation(bp)
-    return [decode_word(w, bp.dim, n) for w in _new_leading_keys(cache, n)]
-
-
-def _new_leading_keys(cache, n):
-    """The keys of ``new_leading_words``, in increasing order."""
-    high = cache._normal_words(n)
-    return [w for w in cache._candidate_words(n) if w not in high]
+    return [decode_word(w, bp.dim, n)
+            for w in sorted(cache._rewriting(n)[1])]
 
 
 def derivation(bp, y, vec, n):

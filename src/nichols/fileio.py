@@ -125,8 +125,10 @@ def load_pair(text):
         if _rows(body, 0, 1)[0] != "matrix":
             raise ValueError("matrix pair needs a matrix block")
         n = dim * dim
+        # the rows first: a short file must not size the map by its dim
+        rows = _rows(body, 1, n)
         cmap = [[] for _ in range(n)]
-        for r, line in enumerate(_rows(body, 1, n)):
+        for r, line in enumerate(rows):
             toks = line.split()
             if len(toks) != n:
                 raise ValueError("matrix block has the wrong width")

@@ -79,6 +79,13 @@ def test_parse_failure_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, "hilbert", "--file", str(short),
                        "--max-degree", "3")
     assert code == 2
+    # a matrix block far shorter than its dim says: a parse error before
+    # any map of that size is made
+    huge = tmp_path / "huge.bp"
+    huge.write_text("kind matrix\nconductor 1\ndim 100000\nmatrix\n1\n")
+    code, _, err = run(capsys, "hilbert", "--file", str(huge),
+                       "--max-degree", "3")
+    assert code == 2 and err.startswith("error: ")
     # truncated and empty crossed sets: one-line errors, no traceback
     for name, text in (("short.xs", "size 3\n0 2 1\n2 1 0\n"),
                        ("empty.xs", "size 0\n")):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from nichols.fileio import (
@@ -80,6 +82,16 @@ def test_bad_pair_files():
     q = rational(1, 1)
     bp = pairs.diagonal([[integer(-1)]])
     assert load_pair(dump_pair(bp)).cmap == bp.cmap
+
+
+def test_short_matrix_file_raises_before_sizing_the_map():
+    # the rows are counted before the d^2 columns of the map are made, so
+    # a dim of 100000 over one row fails at once instead of first making
+    # 10^10 lists
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="file ends early"):
+        load_pair("kind matrix\nconductor 1\ndim 100000\nmatrix\n1\n")
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_crossed_set_and_cochain_roundtrip():

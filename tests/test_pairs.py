@@ -354,15 +354,17 @@ def test_yd_module_e4_yardstick():
 
 def test_e4_is_quadratic_through_degree_thirteen():
     # Fomin-Kirillov: E4 has 17 quadratic relations and no others, here
-    # through degree 13, one past the top degree; the count stays in
-    # derivation coordinates, where the tensor ideal of degree 6 alone
-    # (6^6 words) took 13.6 s
+    # through degree 13, one past the top degree; the count reads the
+    # overlaps of the rewriting rules, where the tensor ideal of degree 6
+    # alone (6^6 words) took 13.6 s, and a degree with no new leading
+    # word, such as 13, needs no rules of its own
     bp = fomin_kirillov_e4()
     cache = algebra.GradedComputation(bp)
     t0 = time.perf_counter()
     counts = [algebra.relation_count(bp, n, cache) for n in range(2, 14)]
     assert time.perf_counter() - t0 < 10.0
     assert counts == [17] + [0] * 11
+    assert 13 not in cache._rules
     assert algebra.relations(bp, 7, cache) == []
     assert 7 not in cache.kernels
 
