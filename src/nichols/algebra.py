@@ -3,33 +3,47 @@ Hilbert series, symmetrizer kernels, relation bases, skew derivations,
 shuffle multiplication, and the braided adjoint.
 
 The degree-n component B_n sits in the tensor coalgebra as the image of
-the quantum symmetrizer, but the engine stores it through its skew
-derivations.  For y a basis letter, d_y strips a last tensor letter y, and
-u = sum_y d_y(u) (x) x_y, so in positive degree Phi(u) = (d_y u)_y is an
-exact, injective image of u in B_(n-1)^d: an element of positive degree
-vanishes in the Nichols algebra iff every d_y kills it
-(Andruskiewitsch-Schneider, Pointed Hopf algebras, MSRI Publ. 43, 2002).
-Degree n is an echelon basis of Phi-vectors, the value of d_y being
-written in the basis of B_(n-1) at key y * dim(n-1) + b; that basis is
-the reduced echelon rows of degree n-1, and the coordinates of any
-element are its entries at their pivot keys.
+the quantum symmetrizer, the projection pi: T_n -> B_n with kernel K_n,
+but the engine stores it through its skew derivations.  For y a basis
+letter, d_y strips a last tensor letter y, and u = sum_y d_y(u) (x) x_y,
+so in positive degree Phi(u) = (d_y u)_y is an exact, injective image of
+u in B_(n-1)^d: an element of positive degree vanishes in the Nichols
+algebra iff every d_y kills it (Andruskiewitsch-Schneider, Pointed Hopf
+algebras, MSRI Publ. 43, 2002).  The basis of B_n is the images pi(w) of
+its normal words w, the words that lead no vector of K_n, and d_y(u) is
+written in the basis of B_(n-1) at the key v * d + y of each normal word
+v of degree n-1, the key of the word v y.
 
-The algebra is generated in degree one, so B_n is spanned by the products
-x_i . e_b over the basis e_b of B_(n-1), and the skew Leibniz rule gives
+A kernel vector leads with its least key, so a word f leads one iff pi(f)
+is a combination of the images of greater words.  The leading words are
+closed under extension, so every normal word of degree n is a candidate,
+a word whose prefix and suffix of length n-1 are normal.  Degree n inserts
+the Phi-vectors of the images of its candidate words into one echelon,
+greatest word first: the words whose image is independent of the images
+before are the normal words, and each other candidate f is a new leading
+word, whose image the multipliers of the elimination write in the images
+of greater normal words.  That is its rewriting rule f -> tail, the
+kernel vector k_f = e_f - sum tail[p] e_p; over all degrees these rules
+are the reduced Groebner basis of the relation ideal J, the kernel of
+T(V) -> B(V).
 
-    d_y(x_i . u) = x_i . d_y(u) + beta_(i,y)(u),
+The algebra is generated in degree one, and the skew Leibniz rule gives
 
-where c(x_i (x) u) = sum_y beta_(i,y)(u) (x) x_y is x_i crossed over all
-of u.  When degree n+1 is asked for, degree n gets the left
-multiplications L_i: B_(n-1) -> B_n, kept for every degree, and the
-crossings beta_(i,y): B_n -> B_n, which replace those of degree n-1 (the
-top degree needs only its rank), all as dim-by-dim coordinate maps; the
-crossings follow from the braiding C one degree down,
+    d_y(x_a . u) = x_a . d_y(u) + beta_(a,y)(u),
 
-    d_k beta_(i,y)(u) = sum_(w,z) C[(w,z) -> (k,y)] beta_(i,w)(d_z u),
+where c(x_a (x) u) = sum_y beta_(a,y)(u) (x) x_y is x_a crossed over all
+of u, so the Phi-vector of pi(x_a v) needs the left multiplications
+L_a: B_(n-2) -> B_(n-1) and the crossings on B_(n-1).  When degree n+1
+is asked for, degree n gets L_a(pi(v)) = pi(x_a v), the normal form of
+x_a v under the rules, kept for every degree, and the crossings
+beta_(i,y): B_n -> B_n, which replace those of degree n-1, by the left
+recursion
 
-and maps that vanish identically are not stored, so a braiding of group
-type, where beta_(i,y) = 0 for y != i, carries d maps instead of d^2.
+    beta_(i,y)(pi(x_a u)) = sum_(k,z) C[(i,a) -> (k,z)] L_k(beta_(z,y)(pi(u))),
+
+crossing x_i over x_a, then over u.  Maps that vanish identically are not
+stored, so a braiding of group type, where beta_(i,y) = 0 for y != i,
+carries d maps instead of d^2.
 
 The engine computes in one field.  Its scalars are elements of
 ``scalars.field(m)`` at m = ``bp.conductor``, into which the braiding is
@@ -49,31 +63,15 @@ kernel vector touches at most rank+1 coordinates).  Only
 ``kernel_basis``, whose output is d^n words wide anyway, builds the
 transposed pair.
 
-The leading words need no kernel.  The symmetrizer kernel K_n is the
-kernel of the projection pi: T_n -> B_n, read off the left
-multiplications as pi(x_a u) = L_a(pi(u)), so it is the annihilator of
-the row space of the matrix whose columns are the images pi(w) of the
-words w.  A kernel vector leads with its least key, so the words that lead
-kernel vectors are exactly those that are not the greatest key of any
-vector in that row space.  The leading words of the relation ideal are
-closed under extension, so a degree-n leading word is new iff neither its
-prefix nor its suffix of length n-1 leads, and only the candidate words,
-whose prefix and suffix lead nothing, need their images: they are the b_n
-normal words and the k new leading words.
-
-Relations are counted and built in the same word coordinates.  The
-reduced row echelon of the images gives each new leading word f the
-kernel vector k_f = e_f - sum_p row_p[f] e_p, the rewriting rule of f to
-normal words; over all degrees these rules are the reduced Groebner basis
-of the relation ideal J, the kernel of T(V) -> B(V).  The ideal I
-generated below degree n holds every word with a lower leading factor,
-so what it leaves of J_n lies on the b_n + k candidate words, and there
-I is spanned by the overlaps of the lower rules, k_f . t - h . k_g for
-h g = f t, rewritten by those rules (Bergman's Diamond Lemma, Adv. Math.
-29, 1978).  With Z their span, there are r_n = k - rank Z new relations
-(``relation_count``), and the k_f of degree n modulo Z are their basis
-(``relations``).  A degree with no new leading word has no new relation
-and needs no rule of its own degree.
+Relations are counted and built in the same word coordinates, from the
+rules alone.  The ideal I generated below degree n holds every word with
+a lower leading factor, so what it leaves of J_n lies on the b_n + k
+candidate words, and there I is spanned by the overlaps of the lower
+rules, k_f . t - h . k_g for h g = f t, rewritten by those rules
+(Bergman's Diamond Lemma, Adv. Math. 29, 1978).  With Z their span, there
+are r_n = k - rank Z new relations (``relation_count``), and the k_f of
+degree n modulo Z are their basis (``relations``).  A degree with no new
+leading word has no new relation.
 """
 
 from collections import namedtuple
@@ -106,8 +104,8 @@ class HilbertResult:
 
 class DegreeStats(namedtuple(
         "DegreeStats", "degree candidates rank nonzeros seconds")):
-    """What computing one degree cost: the candidates inserted, the rank
-    they reached, the nonzeros of the rows as inserted and the seconds
+    """What computing one degree cost: the candidate words inserted, the
+    rank they reached, the nonzeros of the rows as inserted and the seconds
     taken (degree 0 is given, not computed, and costs nothing)."""
 
     __slots__ = ()
@@ -128,11 +126,19 @@ def _apply(cols, vec):
 
 
 class GradedComputation:
-    """Per-degree echelon bases of the graded components in derivation
-    coordinates, with caches for the images of words, the normal words and
-    rewriting rules, the words rewritten by the rules below their degree,
-    tensor coordinates, the transposed pair (for kernels), kernels,
-    relation counts and relation bases.
+    """Per-degree bases of the graded components in derivation
+    coordinates, the images pi(w) of the normal words w, with the rewriting
+    rules of the new leading words that the same elimination gives, and
+    caches for the words rewritten by the rules below their degree, tensor
+    coordinates, the transposed pair (for kernels), kernels, relation
+    counts and relation bases.
+
+    Each degree n keeps its ``Echelon`` of Phi-vectors (``bases``), the
+    Phi-vectors of the images of its normal words, which the next degree
+    and the tensor coordinates read, its rules, and the left
+    multiplications into it once the next degree is computed; the
+    crossings are kept for the newest of those degrees only, and the
+    multipliers of the elimination only until the rules are read.
 
     Every scalar inside, the cached ``kernels`` included, is an element of
     ``field``, the type of Q(zeta_m) at m = ``bp.conductor``
@@ -141,9 +147,9 @@ class GradedComputation:
     back to ``Cyc``.  Transposing keeps the conductor, so the transposed
     pair's computation shares its parent's field.
 
-    ``stats[n]`` records the cost of degree n.  Treat instances as
-    single-writer: all public functions taking a cache mutate only the one
-    they are given.
+    ``stats[n]`` records the cost of degree n, ``candidates`` counting the
+    candidate words inserted.  Treat instances as single-writer: all
+    public functions taking a cache mutate only the one they are given.
     """
 
     def __init__(self, bp):
@@ -155,30 +161,27 @@ class GradedComputation:
         ech0.insert({0: one})
         self.bases = [ech0]
         self.stats = [DegreeStats(0, 0, 1, 1, 0.0)]
-        # candidate Phi-vectors x_i . e_b of the newest degree, [i][b]
-        self._cands = None
-        # the last prepared degree n, all the next degree needs besides
-        # L_n: d_z of each basis vector, [b][z]; the nonzero crossings
-        # beta_(i,y) on B_n as {(i, y): [b]}.  Degree 0 has no derivatives
-        # and the crossing c(x_i (x) 1) = 1 (x) x_i.
-        self._derivs = [{}]
-        self._betas = {(i, i): [{0: one}] for i in range(bp.dim)}
-        # the maps L_i: B_(n-1) -> B_n as [i][c] at index n for every
-        # prepared degree n
+        # per degree, the Phi-vector of the image of each normal word w,
+        # {w: vector}, with d_y at the keys u d + y of the normal words u
+        # one degree down; degree 0 is the empty word at key 0, with no
+        # derivatives
+        self._phis = [{0: {}}]
+        # the nonzero crossings beta_(i,y) on B_n of the last prepared
+        # degree n, as {(i, y): {w: vector}}; on B_0, c(x_i (x) 1) = 1 (x) x_i
+        self._betas = {(i, i): {0: {0: one}} for i in range(bp.dim)}
+        # the maps L_a: B_(n-1) -> B_n as [a][{v: vector}] at index n for
+        # every prepared degree n
         self._lefts = [None]
-        # pi(w), the image in B_n of each word key w of degree n that was
-        # asked for, at (n, w)
-        self._projections = {(0, 0): {0: one}}
-        # tensor coordinates of the basis of each degree, built on request
-        self._tensor = [[{0: one}]]
+        # tensor coordinates of each normal word's image, {w: vector} per
+        # degree, built on request
+        self._tensor = [{0: {0: one}}]
         self._transposed = None
         self.kernels = {}
         self.relation_counts = {}
         self.relation_bases = {}
-        # per degree, the normal words and the rewriting rules {f: tail}
-        # of the new leading words (``_rewriting``); degree 0 has the empty
-        # word at key 0 and no rule
-        self._rules = {0: ({0}, {})}
+        # per degree, the rewriting rules {f: tail} of the new leading
+        # words (``_rewriting``)
+        self._rules = [{}]
         # per degree n, each word reduced by the rules below n
         # (``_reduce``)
         self._reduced = {}
@@ -196,129 +199,125 @@ class GradedComputation:
         return self.basis(n).rank
 
     def _extend(self):
+        """Eliminate the images of the candidate words of the next degree n,
+        greatest word first.  The words whose image is independent of the
+        images before are the normal words; each other candidate f is a new
+        leading word, its image a combination of the images of greater
+        normal words, which the multipliers of the elimination give: the
+        rule f -> tail.  The Phi-vector of x_a v, v a normal word, is
+        (L_a(d_y pi(v)) + beta_(a,y)(pi(v)))_y."""
         t0 = perf_counter()
         n = len(self.bases)
         d = self.bp.dim
         if n > 1:
             self._prepare(n - 1)
-        derivs, left, betas = self._derivs, self._lefts[-1], self._betas
-        size = len(derivs)
-        cands = []
-        for i in range(d):
-            row = []
-            for b in range(size):
-                vec = {}
-                for y in range(d):
-                    low = derivs[b].get(y)
-                    part = _apply(left[i], low) if low else {}
-                    cross = betas.get((i, y))
-                    if cross:
-                        vec_add_into(part, cross[b])
-                    shift = y * size
-                    for c, s in part.items():
-                        vec[shift + c] = s
-                row.append(vec)
-            cands.append(row)
-        self._cands = cands
-        # sparsest first: less fill while eliminating, about half the time
-        # on wide components
+        phis, left, betas = self._phis[-1], self._lefts[-1], self._betas
+        shift = d ** (n - 1)
+        words = self._candidate_words(n)
         ech = Echelon()
-        for vec in sorted((v for row in cands for v in row), key=len):
-            ech.insert(vec)
+        # the Phi-vectors of the normal words, the rules, and the word
+        # whose image was inserted at each pivot
+        normal, rules, word_at = {}, {}, {}
+        for w in reversed(words):
+            a, v = divmod(w, shift)
+            parts = {}
+            for k, s in phis[v].items():
+                u, y = divmod(k, d)
+                vec_add_into(parts.setdefault(y, {}), left[a][u],
+                             None if s.is_one() else s)
+            for y in range(d):
+                cross = betas.get((a, y), {}).get(v)
+                if cross:
+                    vec_add_into(parts.setdefault(y, {}), cross)
+            vec = {u * d + y: s for y, part in parts.items()
+                   for u, s in part.items()}
+            steps = {}
+            p = ech.insert(vec, steps)
+            if p is None:
+                rules[w] = {word_at[q]: c
+                            for q, c in ech.combination(steps).items()}
+            else:
+                normal[w] = vec
+                word_at[p] = w
+        ech.record.clear()
         self.bases.append(ech)
+        self._phis.append(normal)
+        self._rules.append(rules)
         nonzeros = sum(len(r) for r in ech.rows.values())
-        self.stats.append(DegreeStats(n, d * size, ech.rank, nonzeros,
+        self.stats.append(DegreeStats(n, len(words), ech.rank, nonzeros,
                                       perf_counter() - t0))
 
     def _prepare(self, n):
-        """Fix the basis of the newest degree n as its reduced echelon rows
-        and derive its derivatives, left multiplications and crossings."""
+        """The left multiplications into the newest degree n, and the
+        crossings on B_n in place of those on B_(n-1), by the left
+        recursion: for w = a u, c(x_i (x) x_a u) crosses x_i over x_a and
+        then over u, so
+
+            beta_(i,y)(pi(a u)) = sum_(k,z) C[(i,a) -> (k,z)]
+                                  L_k(beta_(z,y)(pi(u))).
+        """
         d = self.bp.dim
-        index = self._pivot_index(n)
-        size = len(self._derivs)
-        derivs = self._derivatives(n)
-        self._left(n)
-        self._cands = None
-        # Phi-vectors of beta_(i,y)(e_b), kept at pivot keys only
+        left = self._left(n)
+        shift = d ** (n - 1)
+        lower = {}
+        for (z, y), cols in self._betas.items():
+            lower.setdefault(z, []).append((y, cols))
         betas = {}
-        for (i, w), cross in self._betas.items():
-            for b, split in enumerate(derivs):
-                for z, low in split.items():
-                    img = _apply(cross, low)
-                    for ky, s in self.cmap[w * d + z]:
-                        k, y = divmod(ky, d)
-                        shift = k * size
-                        part = {index[shift + c]: t for c, t in img.items()
-                                if shift + c in index}
-                        if part:
-                            cols = betas.setdefault((i, y),
-                                                    [{} for _ in derivs])
-                            vec_add_into(cols[b], part, s)
-        self._betas = {key: cols for key, cols in betas.items() if any(cols)}
-        self._derivs = derivs
-
-    def _pivot_index(self, n):
-        """Position of each pivot key among the rows of degree n: the
-        coordinates of an element of B_n in the reduced echelon basis are
-        its entries at these keys."""
-        return {p: b for b, p in enumerate(self.bases[n].pivots())}
-
-    def _derivatives(self, n):
-        """d_z of each basis vector of degree n, as [b][z] sparse vectors
-        over the basis of degree n-1 (degree 0 has no derivatives)."""
-        ech = self.bases[n].rref()
-        if n == 0:
-            return [{}]
-        size = self.bases[n - 1].rank
-        derivs = []
-        for p in ech.pivots():
-            split = {}
-            for k, s in ech.rows[p].items():
-                split.setdefault(k // size, {})[k % size] = s
-            derivs.append(split)
-        return derivs
+        for w in self._phis[n]:
+            a, u = divmod(w, shift)
+            for i in range(d):
+                for kz, s in self.cmap[i * d + a]:
+                    k, z = divmod(kz, d)
+                    for y, cols in lower.get(z, ()):
+                        low = cols.get(u)
+                        if low:
+                            cross = betas.setdefault((i, y), {})
+                            vec_add_into(cross.setdefault(w, {}),
+                                         _apply(left[k], low),
+                                         None if s.is_one() else s)
+        self._betas = {key: cols for key, cols in betas.items()
+                       if any(cols.values())}
 
     def left(self, n):
         """The left multiplications L_i: B_(n-1) -> B_n, u -> x_i . u, as
-        [i][b] coordinate maps (read off the candidates of degree n, with
-        no higher degree computed)."""
+        [i][b] coordinate maps in the bases of the images of the normal
+        words, b and the keys counting those words in increasing order (no
+        higher degree is computed)."""
         if n < 1:
             raise ValueError("multiplications map into positive degrees")
-        return [[_export(col) for col in maps] for maps in self._left(n)]
+        maps = self._left(n)
+        index = {w: b for b, w in enumerate(sorted(self._phis[n]))}
+        return [[{index[q]: c.to_cyc() for q, c in cols[v].items()}
+                 for v in sorted(self._phis[n - 1])] for cols in maps]
 
     def _left(self, n):
-        """L_i in the field; the maps into the newest degree are its
-        candidates x_i . e_b at its pivot keys."""
+        """L_a in the field, from the rules: L_a(pi(v)) = NF(x_a v) for
+        each normal word v of degree n-1."""
         self.basis(n)
         if len(self._lefts) == n:
-            index = self._pivot_index(n)
-            self._lefts.append([[{index[k]: s for k, s in v.items()
-                                  if k in index} for v in row]
-                                for row in self._cands])
+            shift = self.bp.dim ** (n - 1)
+            self._lefts.append([
+                {v: self._normal_form(n, a * shift + v)
+                 for v in self._phis[n - 1]}
+                for a in range(self.bp.dim)])
         return self._lefts[n]
 
-    def _tensor_basis(self, n):
-        """The basis vectors of degree n (the reduced echelon rows) in
-        tensor coordinates, as Cyc vectors."""
-        return [_export(vec) for vec in self._tensor_rows(n)]
-
     def _tensor_rows(self, n):
-        """The basis vectors of degree n in tensor coordinates, in the
-        field, from u = sum_y d_y(u) (x) x_y."""
+        """The images of the normal words of degree n in tensor
+        coordinates, in the field, from u = sum_y d_y(u) (x) x_y."""
+        d = self.bp.dim
         while len(self._tensor) <= n:
             m = len(self._tensor)
-            d = self.bp.dim
             low = self._tensor[m - 1]
-            size = len(low)
-            ech = self.basis(m).rref()
-            out = []
-            for p in ech.pivots():
+            self.basis(m)
+            out = {}
+            for w, phi in self._phis[m].items():
                 vec = {}
-                for k, s in ech.rows[p].items():
-                    y, c = divmod(k, size)
-                    tail = {w * d + y: t for w, t in low[c].items()}
+                for k, s in phi.items():
+                    c, y = divmod(k, d)
+                    tail = {u * d + y: t for u, t in low[c].items()}
                     vec_add_into(vec, tail, None if s.is_one() else s)
-                out.append(vec)
+                out[w] = vec
             self._tensor.append(out)
         return self._tensor[n]
 
@@ -326,7 +325,7 @@ class GradedComputation:
         """Reduced echelon basis of the degree-n component in tensor
         coordinates."""
         ech = Echelon()
-        for vec in self._tensor_rows(n):
+        for vec in self._tensor_rows(n).values():
             ech.insert(vec)
         return ech.rref()
 
@@ -346,16 +345,6 @@ class GradedComputation:
             self.kernels[n] = got
         return got
 
-    def _project(self, n, w):
-        """pi(w), the image in B_n of the word of degree n at key w, from
-        pi(x_a u) = L_a(pi(u)) (memoized in ``_projections``)."""
-        got = self._projections.get((n, w))
-        if got is None:
-            a, rest = divmod(w, self.bp.dim ** (n - 1))
-            got = self._projections[n, w] = _apply(
-                self._left(n)[a], self._project(n - 1, rest))
-        return got
-
     def _candidate_words(self, n):
         """The keys of the degree-n words whose prefix and suffix of length
         n-1 are normal, in increasing order: the normal words and the new
@@ -366,42 +355,21 @@ class GradedComputation:
                 if w % shift in low]
 
     def _rewriting(self, n):
-        """The degree-n words that lead no vector of the symmetrizer kernel
-        K_n, as the set of their keys, and the rewriting rules of the new
-        leading words of degree n, as {f: tail} (``_rules``).
+        """The normal words of degree n, the words that lead no vector of
+        the symmetrizer kernel K_n, as the set of their keys, and the
+        rewriting rules of the new leading words of degree n, as {f: tail},
+        both read off the elimination of degree n (``_extend``).
 
-        K_n is the kernel of pi: T_n -> B_n, so the rows of the matrix
-        whose columns are pi(w) span its annihilator, the row space.  In
-        the echelon basis of that space pivoted on greatest keys, each
-        other word f gives the kernel vector k_f = e_f - sum_p row_p[f] e_p,
-        whose keys besides f are pivots p > f; so the least keys of K_n
-        are exactly the words outside the pivots, and f rewrites to its
-        tail sum_p row_p[f] e_p on normal words.  Only the columns at the
-        candidate words are built: every normal word is one (the leading
-        words are closed under extension), so for a candidate f the vector
-        k_f lies on candidate words, and those k_f span the kernel of the
-        restricted matrix, whose rows thus have the same pivots and, once
-        reduced, the same entries there.  Negated keys make ``Echelon``
-        pivot on the greatest.
+        K_n is the kernel of pi: T_n -> B_n, so a word f leads a vector of
+        K_n iff pi(f) is a combination of the pi(w) of greater words w;
+        the images inserted greatest word first find exactly that, and the
+        combination of the greater normal words is unique, the tail of
+        k_f = e_f - sum tail[p] e_p.  Every normal word is a candidate
+        (the leading words are closed under extension), so the candidate
+        words suffice.
         """
-        got = self._rules.get(n)
-        if got is None:
-            words = self._candidate_words(n)
-            rows = {}
-            for w in words:
-                for b, s in self._project(n, w).items():
-                    rows.setdefault(b, {})[-w] = s
-            ech = Echelon()
-            # sparsest first, as in ``_extend``
-            for row in sorted(rows.values(), key=len):
-                ech.insert(row)
-            rules = {f: {} for f in words if -f not in ech.rows}
-            for p, row in ech.rref().rows.items():
-                for u, c in row.items():
-                    if u != p:
-                        rules[-u][-p] = c
-            got = self._rules[n] = ({-p for p in ech.rows}, rules)
-        return got
+        self.basis(n)
+        return self._phis[n].keys(), self._rules[n]
 
     def _reduce(self, n, w):
         """The degree-n word at key w rewritten by the rules of the degrees
@@ -435,8 +403,14 @@ class GradedComputation:
     def _normal_form(self, n, w):
         """The degree-n word at key w rewritten by the rules of the degrees
         up to n: a vector on the normal words, unique since those rules
-        hold every leading word of K_n."""
-        rules = self._rewriting(n)[1]
+        hold every leading word of K_n.  A candidate word is read off the
+        rules directly; the vector returned may be a rule's own tail, not
+        to be changed."""
+        normal, rules = self._rewriting(n)
+        if w in normal:
+            return {w: self.field.one}
+        if w in rules:
+            return rules[w]
         out = {}
         for q, c in self._reduce(n, w).items():
             vec_add_into(out, rules.get(q, {q: self.field.one}), c)
@@ -490,14 +464,14 @@ def relation_count(bp, n, cache=None):
     What I holds on the candidate words is the span Z of the reduced
     overlaps (``_overlap_span``), so I has codimension b_n + k - rank Z
     and r_n = k - rank Z.  A degree with no new leading word (k = 0) has
-    no new relation, which needs only the normal words of degree n-1.
+    no new relation, and no overlap is read.
     """
     if n < 2:
         raise ValueError("relations start in degree two")
     cache = cache or GradedComputation(bp)
     got = cache.relation_counts.get(n)
     if got is None:
-        k = len(cache._candidate_words(n)) - cache.dim(n)
+        k = len(cache._rewriting(n)[1])
         got = k - _overlap_span(cache, n).rank if k else 0
         cache.relation_counts[n] = got
     return got
@@ -559,10 +533,10 @@ def relations(bp, n, cache=None):
     candidate words, the b_n normal words and the k new leading words: the
     part of K_n there has the basis k_f = e_f - sum tail[p] e_p, one for
     each rule f -> tail of degree n, and the part of I there is the span Z
-    of the reduced overlaps (``_overlap_span``), inside it.  The k_f reduced modulo Z, in reduced
-    echelon form, are the basis, and its size must equal the count (a
-    mismatch, such as a Z outside the k_f, raises, signalling an engine
-    bug).
+    of the reduced overlaps (``_overlap_span``), inside it.  The k_f
+    reduced modulo Z, in reduced echelon form, are the basis, and its size
+    must equal the count (a mismatch, such as a Z outside the k_f, raises,
+    signalling an engine bug).
     """
     if n < 2:
         raise ValueError("relations start in degree two")
@@ -603,13 +577,13 @@ def new_leading_words(bp, n, cache=None):
     rewriting basis may need elements that already lie in the ideal.
 
     No kernel is built: these are the words of the rewriting rules of
-    degree n (``GradedComputation._rewriting``).  The leading words of K_n
-    are exactly the words that are not the greatest key of any vector in
-    the row space of the matrix of pi: T_n -> B_n, and the leading words
-    of an ideal are closed under extension (u w v leads u k v when w leads
-    k), so a leading word of degree n is new iff neither of its two factors
-    of length n-1, the prefix and the suffix, is a leading word: pi is read
-    only on the words whose two factors lead nothing.
+    degree n, the candidate words whose image in B_n is a combination of
+    the images of greater words (``GradedComputation._rewriting``).  The
+    leading words of an ideal are closed under extension (u w v leads
+    u k v when w leads k), so a leading word of degree n is new iff
+    neither of its two factors of length n-1, the prefix and the suffix,
+    is a leading word: only the words whose two factors lead nothing are
+    eliminated.
     """
     if n < 2:
         raise ValueError("the relation ideal starts in degree two")

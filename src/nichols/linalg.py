@@ -80,12 +80,18 @@ class Echelon:
     therefore the canonical projection along the row space, independent of
     whether rows have been back-substituted.  ``rref`` back-substitutes the
     stored rows in place, which nullspace extraction requires.
+
+    ``record`` holds, in the order of insertion, each row inserted with
+    ``steps``: the inverse that scaled its pivot to one and the multipliers
+    of the earlier rows subtracted from it, so that ``combination`` can
+    write a vector of the row space in the inserted vectors.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "record")
 
     def __init__(self):
         self.rows = {}
+        self.record = {}
 
     @property
     def rank(self):
@@ -94,8 +100,10 @@ class Echelon:
     def pivots(self):
         return sorted(self.rows)
 
-    def reduce(self, vec):
-        """Residue of vec modulo the row space (forward elimination)."""
+    def reduce(self, vec, steps=None):
+        """Residue of vec modulo the row space (forward elimination); the
+        multiplier c of each row subtracted, c times the row at pivot k,
+        goes to ``steps[k]`` when a dict is given."""
         work = dict(vec)
         heap = list(work)
         heapq.heapify(heap)
@@ -110,6 +118,8 @@ class Echelon:
             if row is None:
                 out[k] = c
                 continue
+            if steps is not None:
+                steps[k] = c
             nc = -c
             # inline rather than vec_add_into: this is the inner loop of
             # elimination, and new keys must also enter the heap; a new
@@ -129,17 +139,39 @@ class Echelon:
                         work[u] = t
         return out
 
-    def insert(self, vec):
+    def insert(self, vec, steps=None):
         """Reduce vec and adjoin the residue as a new row; returns the new
-        pivot key, or None if vec was already in the row space."""
-        red = self.reduce(vec)
+        pivot key, or None if vec was already in the row space.  With a
+        dict ``steps``, the multipliers of the reduction are written to it
+        (as in ``reduce``) and a new row is entered in ``record``."""
+        red = self.reduce(vec, steps)
         if not red:
             return None
         p = min(red)
         inv = red[p].inverse()
         # the pivot entry becomes the pivot times its inverse: the unit
         self.rows[p] = {u: c * inv for u, c in red.items()}
+        if steps is not None:
+            self.record[p] = (inv, steps)
         return p
+
+    def combination(self, steps):
+        """The vector whose reduction took the multipliers ``steps`` to
+        zero, written in the vectors inserted with ``steps``: {p: a} with
+        vec = sum a * (the vector inserted at pivot p).  Row p is
+        inv * (v_p - sum m_k row_k) over rows k inserted before it, so the
+        rows are resolved from the latest back."""
+        work = dict(steps)
+        out = {}
+        for p in reversed(self.record):
+            if not work:
+                break
+            c = work.pop(p, None)
+            if c is not None:
+                inv, mults = self.record[p]
+                out[p] = a = c * inv
+                vec_add_into(work, mults, -a)
+        return out
 
     def rref(self):
         """Back-substitute all rows; afterwards no row mentions another pivot."""

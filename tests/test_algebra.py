@@ -414,19 +414,23 @@ def test_stats_record_each_computed_degree():
     stats = cache.stats
     assert [s.degree for s in stats] == list(range(6))
     assert [s.rank for s in stats] == [1, 3, 4, 3, 1, 0]
-    # d * dim(n - 1) products x_i . e_b per degree
-    assert [s.candidates for s in stats] == [0, 3, 9, 12, 9, 3]
+    # the candidate words per degree: the b_n normal words and the k_n new
+    # leading words, five in degree 2 and one in degree 3
+    assert [s.candidates for s in stats] == [0, 3, 9, 4, 1, 0]
+    assert [s.candidates - s.rank for s in stats[2:]] == [
+        len(new_leading_words(bp, n, cache)) for n in range(2, 6)]
     # a row has its pivot and at most d * dim(n - 1) derivation coordinates
-    assert all(s.rank <= s.nonzeros <= s.rank * s.candidates
-               for s in stats[1:])
+    assert all(s.rank <= s.nonzeros <= s.rank * 3 * low.rank
+               for low, s in zip(stats, stats[1:]))
     assert all(s.seconds >= 0 for s in stats)
     cache.dim(4)
     assert len(cache.stats) == 6
 
 
 def test_left_reads_the_newest_degree_without_computing_the_next():
-    # the maps into the top degree come from its candidates, and equal the
-    # maps of a computation taken two degrees further
+    # the maps into the top degree come from its rules, with no higher
+    # degree computed, and equal the maps of a computation taken two
+    # degrees further
     bp = pairs.v4(integer(-1), integer(1))
     for n in (1, 3):
         cache = GradedComputation(bp)

@@ -22,7 +22,7 @@ from nichols.algebra import (
     relation_count,
     relations,
 )
-from nichols.braids import t1_apply
+from nichols.braids import symmetrizer_apply, t1_apply
 from nichols.linalg import Echelon, decode_word
 from nichols.quandles import Cochain2, CrossedSet
 from nichols.scalars import ONE, format_scalar, integer, root_of_unity
@@ -183,6 +183,37 @@ def test_engine_matches_image_iteration(name, build, top, ktop):
     for n in range(2, ktop + 1):
         assert text(kernel_basis(bp, n, cache)) == text(
             oracle_cache.kernels[n]), (name, n)
+
+
+@pytest.mark.parametrize("name,build,top,ktop", DIFFERENTIAL,
+                         ids=[c[0] for c in DIFFERENTIAL])
+def test_rules_lie_in_the_symmetrizer_kernel(name, build, top, ktop):
+    # each rule f -> tail of the engine's elimination gives a kernel vector
+    # k_f = e_f - sum tail[p] e_p of the quantum symmetrizer, led by f: its
+    # tail lies on normal words greater than f
+    bp = build()
+    cache = GradedComputation(bp)
+    for n in range(2, ktop + 1):
+        normal, rules = cache._rewriting(n)
+        for f, tail in rules.items():
+            assert all(p > f and p in normal for p in tail), (name, n, f)
+            vec = {p: -c.to_cyc() for p, c in tail.items()}
+            vec[f] = ONE
+            assert symmetrizer_apply(bp, n, vec) == {}, (name, n, f)
+
+
+def test_v3_z4_relation_path():
+    # v3(zeta_4) has no quadratic relation, seven cubic ones and two new
+    # leading words in degree 6 that lead in the ideal of the cubic ones;
+    # the leading words and counts come off the engine's own elimination
+    bp = pairs.v3(root_of_unity(4, 1))
+    cache = GradedComputation(bp)
+    t0 = time.perf_counter()
+    words = [len(new_leading_words(bp, n, cache)) for n in range(2, 7)]
+    counts = [relation_count(bp, n, cache) for n in range(2, 7)]
+    assert time.perf_counter() - t0 < 10.0
+    assert words == [0, 0, 7, 0, 2]
+    assert counts == [0, 0, 7, 0, 0]
 
 
 def test_differential_has_new_words_that_lead_in_the_old_ideal():

@@ -94,6 +94,48 @@ def test_vec_add_into_zero_scale_and_cancellation(m, typed):
     assert dst == {2: to(integer(-14)), 3: to(integer(6))}
 
 
+@pytest.mark.parametrize("m,typed", [(12, False), (1, True), (12, True)],
+                         ids=["Cyc", "field1", "field12"])
+def test_combination_rebuilds_dependent_vectors(m, typed):
+    # a dependent vector, written back in the inserted vectors through the
+    # recorded multipliers, is rebuilt exactly; insert still returns the
+    # pivot or None
+    to = field(m).from_cyc if typed else (lambda c: c)
+    rng = random.Random(m)
+
+    def scalar():
+        return to(rational(rng.choice((-3, -2, -1, 1, 2, 3)),
+                           rng.randint(1, 3))
+                  * root_of_unity(m, rng.randrange(m)))
+
+    base = [{k: scalar() for k in rng.sample(range(8), 4)}
+            for _ in range(6)]
+    mixed = []
+    for _ in range(6):
+        vec = {}
+        for src in rng.sample(base, 3):
+            vec_add_into(vec, src, scalar())
+        mixed.append(vec)
+    ech, inserted, pivots = Echelon(), {}, []
+    for vec in base + mixed:
+        steps = {}
+        p = ech.insert(vec, steps)
+        pivots.append(p)
+        if p is None:
+            total = {}
+            for q, a in ech.combination(steps).items():
+                vec_add_into(total, inserted[q], a)
+            assert total == vec
+        else:
+            assert p == min(ech.rows[p]) and ech.rows[p][p].is_one()
+            inserted[p] = vec
+    assert pivots.count(None) >= 6 and set(ech.record) == set(inserted)
+    # without steps the answers are the same, and nothing is recorded
+    plain = Echelon()
+    assert [plain.insert(vec) for vec in base + mixed] == pivots
+    assert plain.record == {}
+
+
 WORDS = 8
 
 

@@ -356,15 +356,15 @@ def test_e4_is_quadratic_through_degree_thirteen():
     # Fomin-Kirillov: E4 has 17 quadratic relations and no others, here
     # through degree 13, one past the top degree; the count reads the
     # overlaps of the rewriting rules, where the tensor ideal of degree 6
-    # alone (6^6 words) took 13.6 s, and a degree with no new leading
-    # word, such as 13, needs no rules of its own
+    # alone (6^6 words) took 13.6 s; degree 13, past the top, has no
+    # candidate word, so neither a normal word nor a rule
     bp = fomin_kirillov_e4()
     cache = algebra.GradedComputation(bp)
     t0 = time.perf_counter()
     counts = [algebra.relation_count(bp, n, cache) for n in range(2, 14)]
     assert time.perf_counter() - t0 < 10.0
     assert counts == [17] + [0] * 11
-    assert 13 not in cache._rules
+    assert cache._rewriting(13) == (set(), {})
     assert algebra.relations(bp, 7, cache) == []
     assert 7 not in cache.kernels
 
