@@ -45,10 +45,12 @@ crossing x_i over x_a, then over u.  Maps that vanish identically are not
 stored, so a braiding of group type, where beta_(i,y) = 0 for y != i,
 carries d maps instead of d^2.
 
-The engine computes in one field.  Its scalars are elements of
-``scalars.field(m)`` at m = ``bp.conductor``, into which the braiding is
-embedded once; every basis, map, crossing, tensor vector, kernel and
-relation row inside is of that type, and only what a public function (or
+The engine computes in one field, ``scalars.field(m)`` at
+m = ``bp.conductor``, into which the braiding is embedded once.  Every
+basis, map, crossing, tensor vector, kernel and relation row inside holds
+that field's bare values (plain ints at conductor 1 while they stay
+integral, flat integer tuples above), every operation on them is one of
+the field's functions, and only what a public function (or
 ``GradedComputation.left``) returns is converted back to ``Cyc``.
 Transposing keeps the conductor, so the transposed pair's computation
 works in its parent's field.
@@ -111,17 +113,19 @@ class DegreeStats(namedtuple(
     __slots__ = ()
 
 
-def _export(vec):
-    """A sparse vector of field elements as Cyc values, for the caller."""
-    return {k: c.to_cyc() for k, c in vec.items()}
+def _export(vec, field):
+    """A sparse vector of values of ``field`` as Cyc values, for the
+    caller."""
+    to_cyc = field.to_cyc
+    return {k: to_cyc(c) for k, c in vec.items()}
 
 
-def _apply(cols, vec):
+def _apply(cols, vec, field):
     """A coordinate map (``cols[b]`` the sparse image of basis vector b)
     applied to a sparse coordinate vector."""
     out = {}
     for b, s in vec.items():
-        vec_add_into(out, cols[b], None if s.is_one() else s)
+        vec_add_into(out, cols[b], s, field)
     return out
 
 
@@ -140,12 +144,14 @@ class GradedComputation:
     crossings are kept for the newest of those degrees only, and the
     multipliers of the elimination only until the rules are read.
 
-    Every scalar inside, the cached ``kernels`` included, is an element of
-    ``field``, the type of Q(zeta_m) at m = ``bp.conductor``
-    (``scalars.field``), into which the braiding is embedded once as
-    ``cmap``; what the public functions and ``left`` return is converted
-    back to ``Cyc``.  Transposing keeps the conductor, so the transposed
-    pair's computation shares its parent's field.
+    Every scalar inside, the cached ``kernels`` included, is a bare value
+    of ``field``, Q(zeta_m) at m = ``bp.conductor`` (``scalars.field``),
+    into which the braiding is embedded once as ``cmap``, and every
+    operation on one goes through ``field``'s functions: the bases are
+    ``Echelon(field)`` and the sums ``vec_add_into(..., field)``.  What
+    the public functions and ``left`` return is converted back to
+    ``Cyc``.  Transposing keeps the conductor, so the transposed pair's
+    computation shares its parent's field.
 
     ``stats[n]`` records the cost of degree n, ``candidates`` counting the
     candidate words inserted.  Treat instances as single-writer: all
@@ -157,7 +163,7 @@ class GradedComputation:
         self.field = _field(bp.conductor)
         one = self.field.one
         self.cmap = FieldPair(bp, self.field).cmap
-        ech0 = Echelon()
+        ech0 = Echelon(self.field)
         ech0.insert({0: one})
         self.bases = [ech0]
         self.stats = [DegreeStats(0, 0, 1, 1, 0.0)]
@@ -209,12 +215,13 @@ class GradedComputation:
         t0 = perf_counter()
         n = len(self.bases)
         d = self.bp.dim
+        field = self.field
         if n > 1:
             self._prepare(n - 1)
         phis, left, betas = self._phis[-1], self._lefts[-1], self._betas
         shift = d ** (n - 1)
         words = self._candidate_words(n)
-        ech = Echelon()
+        ech = Echelon(field)
         # the Phi-vectors of the normal words, the rules, and the word
         # whose image was inserted at each pivot
         normal, rules, word_at = {}, {}, {}
@@ -223,12 +230,11 @@ class GradedComputation:
             parts = {}
             for k, s in phis[v].items():
                 u, y = divmod(k, d)
-                vec_add_into(parts.setdefault(y, {}), left[a][u],
-                             None if s.is_one() else s)
+                vec_add_into(parts.setdefault(y, {}), left[a][u], s, field)
             for y in range(d):
                 cross = betas.get((a, y), {}).get(v)
                 if cross:
-                    vec_add_into(parts.setdefault(y, {}), cross)
+                    vec_add_into(parts.setdefault(y, {}), cross, None, field)
             vec = {u * d + y: s for y, part in parts.items()
                    for u, s in part.items()}
             steps = {}
@@ -257,6 +263,7 @@ class GradedComputation:
                                   L_k(beta_(z,y)(pi(u))).
         """
         d = self.bp.dim
+        field = self.field
         left = self._left(n)
         shift = d ** (n - 1)
         lower = {}
@@ -273,8 +280,8 @@ class GradedComputation:
                         if low:
                             cross = betas.setdefault((i, y), {})
                             vec_add_into(cross.setdefault(w, {}),
-                                         _apply(left[k], low),
-                                         None if s.is_one() else s)
+                                         _apply(left[k], low, field), s,
+                                         field)
         self._betas = {key: cols for key, cols in betas.items()
                        if any(cols.values())}
 
@@ -287,7 +294,8 @@ class GradedComputation:
             raise ValueError("multiplications map into positive degrees")
         maps = self._left(n)
         index = {w: b for b, w in enumerate(sorted(self._phis[n]))}
-        return [[{index[q]: c.to_cyc() for q, c in cols[v].items()}
+        to_cyc = self.field.to_cyc
+        return [[{index[q]: to_cyc(c) for q, c in cols[v].items()}
                  for v in sorted(self._phis[n - 1])] for cols in maps]
 
     def _left(self, n):
@@ -316,7 +324,7 @@ class GradedComputation:
                 for k, s in phi.items():
                     c, y = divmod(k, d)
                     tail = {u * d + y: t for u, t in low[c].items()}
-                    vec_add_into(vec, tail, None if s.is_one() else s)
+                    vec_add_into(vec, tail, s, self.field)
                 out[w] = vec
             self._tensor.append(out)
         return self._tensor[n]
@@ -324,7 +332,7 @@ class GradedComputation:
     def _tensor_echelon(self, n):
         """Reduced echelon basis of the degree-n component in tensor
         coordinates."""
-        ech = Echelon()
+        ech = Echelon(self.field)
         for vec in self._tensor_rows(n).values():
             ech.insert(vec)
         return ech.rref()
@@ -390,11 +398,13 @@ class GradedComputation:
             if head not in low:
                 got = {}
                 for q, c in self._normal_form(n - 1, head).items():
-                    vec_add_into(got, self._reduce(n, q * d + last), c)
+                    vec_add_into(got, self._reduce(n, q * d + last), c,
+                                 self.field)
             elif tail not in low:
                 got = {}
                 for q, c in self._normal_form(n - 1, tail).items():
-                    vec_add_into(got, self._reduce(n, first * shift + q), c)
+                    vec_add_into(got, self._reduce(n, first * shift + q), c,
+                                 self.field)
             else:
                 got = {w: self.field.one}
             memo[w] = got
@@ -413,7 +423,8 @@ class GradedComputation:
             return rules[w]
         out = {}
         for q, c in self._reduce(n, w).items():
-            vec_add_into(out, rules.get(q, {q: self.field.one}), c)
+            vec_add_into(out, rules.get(q, {q: self.field.one}), c,
+                         self.field)
         return out
 
 
@@ -423,7 +434,8 @@ def degree_basis(bp, n, cache=None):
     if n < 0:
         raise ValueError(f"no component in negative degree {n}")
     cache = cache or GradedComputation(bp)
-    return [_export(row) for row in cache._tensor_echelon(n).sorted_rows()]
+    return [_export(row, cache.field)
+            for row in cache._tensor_echelon(n).sorted_rows()]
 
 
 def hilbert(bp, max_degree, cache=None):
@@ -451,7 +463,7 @@ def kernel_basis(bp, n, cache=None):
     if n < 0:
         raise ValueError(f"no component in negative degree {n}")
     cache = cache or GradedComputation(bp)
-    return [_export(vec) for vec in cache._kernel(n)]
+    return [_export(vec, cache.field) for vec in cache._kernel(n)]
 
 
 def relation_count(bp, n, cache=None):
@@ -495,6 +507,7 @@ def _overlap_span(cache, n):
     lower degree resolves: the rules hold every leading word below n.
     """
     d = cache.bp.dim
+    field = cache.field
     rules = {m: cache._rewriting(m)[1] for m in range(2, n)}
     vecs = []
     for a in range(2, n):
@@ -511,12 +524,14 @@ def _overlap_span(cache, n):
                     t = g % cut
                     vec = {}
                     for q, c in rules[b][g].items():
-                        vec_add_into(vec, cache._reduce(n, head + q), c)
+                        vec_add_into(vec, cache._reduce(n, head + q), c,
+                                     field)
                     for p, c in tail.items():
-                        vec_add_into(vec, cache._reduce(n, p * cut + t), -c)
+                        vec_add_into(vec, cache._reduce(n, p * cut + t),
+                                     field.neg(c), field)
                     if vec:
                         vecs.append(vec)
-    span = Echelon()
+    span = Echelon(field)
     # sparsest first, as in ``_extend``
     for vec in sorted(vecs, key=len):
         span.insert(vec)
@@ -545,13 +560,14 @@ def relations(bp, n, cache=None):
     if got is not None:
         return got
     count = relation_count(bp, n, cache)
+    field = cache.field
     rows = []
     if count:
         span = _overlap_span(cache, n)
-        fresh = Echelon()
+        fresh = Echelon(field)
         for f, tail in cache._rewriting(n)[1].items():
-            vec = {p: -c for p, c in tail.items()}
-            vec[f] = cache.field.one
+            vec = {p: field.neg(c) for p, c in tail.items()}
+            vec[f] = field.one
             residue = span.reduce(vec)
             if residue:
                 fresh.insert(residue)
@@ -559,7 +575,7 @@ def relations(bp, n, cache=None):
     if len(rows) != count:
         raise RuntimeError(f"the overlaps leave {len(rows)} relations in "
                            f"degree {n}, the count gives {count}")
-    got = [_export(row) for row in rows]
+    got = [_export(row, field) for row in rows]
     cache.relation_bases[n] = got
     return got
 

@@ -25,7 +25,7 @@ from itertools import permutations as _permutations
 from math import lcm
 
 from .linalg import vec_add_into
-from .scalars import ONE, field as _field
+from .scalars import CYCLOTOMIC, ONE, field as _field
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,8 @@ class GroupAlgElt:
         return lcm(1, *(c.conductor for c in self.terms.values()))
 
     def embed(self, field):
-        """The same sum with its coefficients in the field type ``field``."""
+        """The same sum with its coefficients values of ``field`` (a
+        ``scalars.Field``), for ``apply`` with a ``FieldPair`` of it."""
         return GroupAlgElt(self.strands, {w: field.from_cyc(c)
                                           for w, c in self.terms.items()})
 
@@ -275,7 +276,9 @@ def sigma_pass(cmap, d, n, terms, k):
     no merging and no zero test, since distinct words have distinct images
     and a product of nonzero scalars is nonzero.  Any other ``cmap`` goes
     through the merging loop: each term spreads over its column, terms
-    landing on one word are summed, and zero sums are dropped.
+    landing on one word are summed, and zero sums are dropped.  The
+    scalars are values of ``cmap.field`` for an embedded cmap, else
+    ``Cyc``.
     """
     shift = d ** (n - 1 - k)
     dd = d * d
@@ -287,6 +290,8 @@ def sigma_pass(cmap, d, n, terms, k):
             pair = (w // shift) % dd
             out[w + jumps[pair]] = scales[pair](c)
         return out
+    field = _field_of(cmap)
+    mul, add = field.mul, field.add
     for w, c in terms.items():
         pair = (w // shift) % dd
         base = w - pair * shift
@@ -294,20 +299,27 @@ def sigma_pass(cmap, d, n, terms, k):
         # apply_elt (verify) and of pair validation, where one call per
         # term costs time
         for kl, s in cmap[pair]:
-            t = c * s
+            t = mul(c, s)
             if not t:
+                # a zero Cyc in ``terms``; a field has no zero value
                 continue
             w2 = base + kl * shift
             cur = out.get(w2)
             if cur is None:
                 out[w2] = t
             else:
-                t = cur + t
-                if t:
-                    out[w2] = t
-                else:
+                t = add(cur, t)
+                if t is None:
                     del out[w2]
+                else:
+                    out[w2] = t
     return out
+
+
+def _field_of(cmap):
+    """The field of a cmap's coefficients: its own when embedded, else the
+    interface over ``Cyc``."""
+    return cmap.field if isinstance(cmap, FieldCmap) else CYCLOTOMIC
 
 
 def apply_elt(bp, elt, vec, n):
@@ -318,12 +330,13 @@ def apply_elt(bp, elt, vec, n):
     with a stack of partial results, one per letter of the current
     reversal: each distinct suffix is crossed once, however many words end
     in it.  The scalars of ``vec``, of ``bp.cmap`` and of the coefficients
-    must be of one type, ``Cyc`` for a ``BraidedPair``, or the field type
-    of a ``FieldPair`` with ``elt`` embedded in it (``elt.embed``).
+    must be of one field, ``Cyc`` for a ``BraidedPair``, or the field of a
+    ``FieldPair`` with ``elt`` embedded in it (``elt.embed``).
     """
     if elt.strands != n:
         raise ValueError(f"element on {elt.strands} strands applied in degree {n}")
     d = bp.dim
+    field = _field_of(bp.cmap)
     total = {}
     path = ()
     stack = [vec]
@@ -343,18 +356,19 @@ def apply_elt(bp, elt, vec, n):
                 cur = sigma_pass(bp.cmap_inverse(), d, n, cur, -letter)
             stack.append(cur)
         path = rev
-        vec_add_into(total, cur, None if c.is_one() else c)
+        vec_add_into(total, cur, c, field)
     return total
 
 
 def sweep(cmap, d, n, vec, slots):
     """Cross at each of ``slots`` in turn.  Returns the running sum of
     ``vec`` and every intermediate result, and the last result."""
+    field = _field_of(cmap)
     total = dict(vec)
     cur = vec
     for k in slots:
         cur = sigma_pass(cmap, d, n, cur, k)
-        vec_add_into(total, cur)
+        vec_add_into(total, cur, None, field)
     return total, cur
 
 
@@ -382,12 +396,13 @@ def symmetrizer_apply(bp, n, vec, k=None):
 
 
 class FieldPair:
-    """A braided pair's braiding embedded into a field type ``field``
+    """A braided pair's braiding embedded into a field ``field``
     (``scalars.field(m)``, m a multiple of ``bp.conductor``): the ``dim``,
     ``cmap`` and ``cmap_inverse()`` that the actions of this module read,
-    with every coefficient a ``field`` element.  The inverse is embedded
+    with every coefficient a value of ``field``.  The inverse is embedded
     on first use.  Each embedded map is a ``Relabelling`` when it is one,
-    so that ``sigma_pass`` relabels and scales with it."""
+    so that ``sigma_pass`` relabels and scales with it, else a
+    ``FieldCmap``."""
 
     __slots__ = ("dim", "field", "cmap", "_bp", "_cinv")
 
@@ -406,41 +421,49 @@ class FieldPair:
 
 def _embed_cmap(cmap, field):
     """``cmap`` with its coefficients in ``field``: a ``Relabelling`` when
-    every column has exactly one term, with a nonzero coefficient, and the
-    targets of the columns are a permutation of the d^2 letter pairs, else
-    a plain tuple of columns.  A map that fails only the permutation test
-    is not invertible, so pair validation refuses it, but it is read
-    first: it keeps the merging loop, which sums the terms that land on
-    one word."""
+    every column has exactly one term and the targets of the columns are
+    a permutation of the d^2 letter pairs, else a ``FieldCmap``.  A map
+    that fails only the permutation test is not invertible, so pair
+    validation refuses it, but it is read first: it keeps the merging
+    loop, which sums the terms that land on one word.  The columns of a
+    pair's cmap hold no zeros, so neither do the embedded ones."""
     embed = field.from_cyc
     cols = tuple(tuple((kl, embed(c)) for kl, c in col) for col in cmap)
-    if all(len(col) == 1 and col[0][1] for col in cols):
+    if all(len(col) == 1 for col in cols):
         targets = tuple(col[0][0] for col in cols)
         if len(set(targets)) == len(cols):
             return Relabelling(cols, targets, field)
-    return cols
+    return FieldCmap(cols, field)
 
 
-class Relabelling(tuple):
+class FieldCmap(tuple):
+    """An embedded cmap: the tuple of columns, as any cmap, with every
+    coefficient a value of ``field``."""
+
+    def __new__(cls, cols, field):
+        self = super().__new__(cls, cols)
+        self.field = field
+        return self
+
+
+class Relabelling(FieldCmap):
     """An embedded cmap whose crossing maps each letter pair to exactly
     one pair, bijectively, times a nonzero scalar: the shape of every
     crossed-set braiding c(x_i (x) x_j) = f(i, j) x_(i |> j) (x) x_i and of
-    its inverse.  It is the tuple of columns, as any cmap, plus
-    ``targets[pair]``, the one image pair, and ``scales[pair]``, the
-    function c -> c * f of the field type (``scaling``: straight-line for
-    a root of unity or its negative).  The scales are made on the first
-    pass, so an embedding that never crosses with the map, such as the
-    graded engine's, compiles no multiplier."""
+    its inverse.  Besides the columns it holds ``targets[pair]``, the one
+    image pair, and ``scales[pair]``, the function c -> c * f of the field
+    (``scaling``: straight-line for a root of unity or its negative).  The
+    scales are made on the first pass, so an embedding that never crosses
+    with the map, such as the graded engine's, compiles no multiplier."""
 
     def __new__(cls, cols, targets, field):
-        self = super().__new__(cls, cols)
+        self = super().__new__(cls, cols, field)
         self.targets = targets
-        self._field = field
         return self
 
     @cached_property
     def scales(self):
-        scaling = self._field.scaling
+        scaling = self.field.scaling
         return tuple(scaling(col[0][1]) for col in self)
 
 
@@ -483,8 +506,9 @@ def _mismatch(lhs, rhs, bp, words):
     only the low n digits, so the tagged terms never mix.  The arithmetic
     is in ``scalars.field(m)``, m the lcm of ``bp.conductor`` and of both
     sides' ``conductor``: the braiding and the sides are embedded there
-    once.  Only the crossings the sides name are read, so a braiding not
-    yet known to be invertible can be checked with positive words.
+    once, and the canonical values compare with ``==``.  Only the
+    crossings the sides name are read, so a braiding not yet known to be
+    invertible can be checked with positive words.
     """
     n = lhs.strands
     field = _field(lcm(bp.conductor, lhs.conductor, rhs.conductor))
@@ -497,13 +521,14 @@ def _mismatch(lhs, rhs, bp, words):
         return None
     w = min(key // size for key in a.keys() | b.keys()
             if key not in a or key not in b or a[key] != b[key])
-    return w, _block(a, w, size), _block(b, w, size)
+    return w, _block(a, w, size, field), _block(b, w, size, field)
 
 
-def _block(vec, w, size):
-    """The image of basis word w in a tagged vector, as Cyc values."""
+def _block(vec, w, size, field):
+    """The image of basis word w in a tagged vector of values of
+    ``field``, as Cyc values."""
     low = w * size
-    return {key - low: vec[key].to_cyc()
+    return {key - low: field.to_cyc(vec[key])
             for key in sorted(vec) if low <= key < low + size}
 
 

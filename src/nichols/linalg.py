@@ -1,20 +1,22 @@
 """Sparse exact linear algebra over cyclotomic scalars, plus integer SNF.
 
-Vectors are dicts mapping integer keys to nonzero scalars.  The code is
-generic over the scalar type: it needs only ``+``, ``-``, unary ``-``,
-``*``, truth, ``is_one``, ``inverse`` and ``x.submul(a, b)``, which is
-x - a*b, or None when that is zero (elimination's step, one fused
-operation in the field types), so the same ``Echelon`` runs on ``Cyc``
-(the package's API type) and on the field type of a graded computation
-(``scalars.field``), never mixing the two.  It knows no unit
-of its own: a stored pivot is the pivot times its inverse.  Throughout
-the package a key encodes a word over the alphabet {0..d-1} in base d with
-the leftmost tensor factor most significant, so integer order on keys is
-lexicographic order on words.
+Vectors are dicts mapping integer keys to nonzero scalars.  The scalars
+are the values of one field, a ``scalars.Field``, and every operation on
+them is one of that field's functions (``submul(x, a, b)``, x - a*b or
+None when that is zero, is elimination's step).  So the same ``Echelon``
+and ``vec_add_into`` run on the bare values of a graded computation's
+``scalars.field(m)`` and, through ``scalars.CYCLOTOMIC`` (the default),
+on ``Cyc``, the package's API type, never mixing the two.  ``Echelon``
+knows no unit of its own: a stored pivot is the pivot times its inverse.
+Throughout the package a key encodes a word over the alphabet {0..d-1} in
+base d with the leftmost tensor factor most significant, so integer order
+on keys is lexicographic order on words.
 """
 
 import heapq
-from math import gcd
+from math import gcd, lcm
+
+from .scalars import CYCLOTOMIC, field as _field
 
 
 class InvalidInput(ValueError):
@@ -42,29 +44,33 @@ def decode_word(key, d, n):
     return tuple(reversed(out))
 
 
-def vec_add_into(dst, src, scale=None):
-    """dst += scale * src in place, dropping exact zeros; src must hold no
-    zeros, and a zero scale leaves dst as it is."""
-    if scale is None:
+def vec_add_into(dst, src, scale=None, field=CYCLOTOMIC):
+    """dst += scale * src in place, dropping exact zeros, with the values
+    of ``field``; src must hold no zeros.  A scale of None or one adds src
+    as it is, and a zero ``Cyc`` scale leaves dst as it is (a field has no
+    zero value)."""
+    if scale is None or field.is_one(scale):
+        add = field.add
         for k, c in src.items():
             cur = dst.get(k)
             if cur is None:
                 dst[k] = c
             else:
-                t = cur + c
-                if t:
-                    dst[k] = t
-                else:
+                t = add(cur, c)
+                if t is None:
                     del dst[k]
+                else:
+                    dst[k] = t
     elif scale:
         # src holds no zeros, so a new key's product is nonzero
-        neg = -scale
+        mul, submul = field.mul, field.submul
+        neg = field.neg(scale)
         for k, c in src.items():
             cur = dst.get(k)
             if cur is None:
-                dst[k] = c * scale
+                dst[k] = mul(c, scale)
             else:
-                t = cur.submul(neg, c)
+                t = submul(cur, neg, c)
                 if t is None:
                     del dst[k]
                 else:
@@ -85,11 +91,15 @@ class Echelon:
     ``steps``: the inverse that scaled its pivot to one and the multipliers
     of the earlier rows subtracted from it, so that ``combination`` can
     write a vector of the row space in the inserted vectors.
+
+    Every scalar is a value of ``field``, ``scalars.CYCLOTOMIC`` (``Cyc``)
+    unless given.
     """
 
-    __slots__ = ("rows", "record")
+    __slots__ = ("field", "rows", "record")
 
-    def __init__(self):
+    def __init__(self, field=CYCLOTOMIC):
+        self.field = field
         self.rows = {}
         self.record = {}
 
@@ -109,6 +119,8 @@ class Echelon:
         heapq.heapify(heap)
         out = {}
         rows = self.rows
+        field = self.field
+        mul, neg, submul = field.mul, field.neg, field.submul
         while heap:
             k = heapq.heappop(heap)
             c = work.pop(k, None)
@@ -120,7 +132,7 @@ class Echelon:
                 continue
             if steps is not None:
                 steps[k] = c
-            nc = -c
+            nc = neg(c)
             # inline rather than vec_add_into: this is the inner loop of
             # elimination, and new keys must also enter the heap; a new
             # key's product of nonzero scalars is nonzero
@@ -129,10 +141,10 @@ class Echelon:
                     continue
                 cur = work.get(u)
                 if cur is None:
-                    work[u] = nc * s
+                    work[u] = mul(nc, s)
                     heapq.heappush(heap, u)
                 else:
-                    t = cur.submul(c, s)
+                    t = submul(cur, c, s)
                     if t is None:
                         del work[u]
                     else:
@@ -148,9 +160,11 @@ class Echelon:
         if not red:
             return None
         p = min(red)
-        inv = red[p].inverse()
+        field = self.field
+        inv = field.inverse(red[p])
+        mul = field.mul
         # the pivot entry becomes the pivot times its inverse: the unit
-        self.rows[p] = {u: c * inv for u, c in red.items()}
+        self.rows[p] = {u: mul(c, inv) for u, c in red.items()}
         if steps is not None:
             self.record[p] = (inv, steps)
         return p
@@ -161,6 +175,7 @@ class Echelon:
         vec = sum a * (the vector inserted at pivot p).  Row p is
         inv * (v_p - sum m_k row_k) over rows k inserted before it, so the
         rows are resolved from the latest back."""
+        field = self.field
         work = dict(steps)
         out = {}
         for p in reversed(self.record):
@@ -169,8 +184,8 @@ class Echelon:
             c = work.pop(p, None)
             if c is not None:
                 inv, mults = self.record[p]
-                out[p] = a = c * inv
-                vec_add_into(work, mults, -a)
+                out[p] = a = field.mul(c, inv)
+                vec_add_into(work, mults, field.neg(a), field)
         return out
 
     def rref(self):
@@ -193,11 +208,11 @@ class Echelon:
         ``universe`` iterates all coordinate keys of the ambient space.  For
         each non-pivot key f the vector e_f - sum_p row_p[f] e_p annihilates
         every row; together these span the kernel of the matrix whose row
-        space this echelon basis spans.  ``one`` is the unit of the scalar
-        type.
+        space this echelon basis spans.  ``one`` is the unit of the field.
         """
         self.rref()
         rows = self.rows
+        neg = self.field.neg
         # column index of the pivot rows
         cols = {}
         for p, row in rows.items():
@@ -210,33 +225,29 @@ class Echelon:
                 continue
             vec = {f: one}
             for p, c in cols.get(f, ()):
-                vec[p] = -c
+                vec[p] = neg(c)
             out.append(vec)
         return out
 
 
 def invert_square(columns, n):
-    """Inverse of an n x n matrix given as dict ``columns[j] = {i: scalar}``.
+    """Inverse of an n x n matrix of ``Cyc`` given as dict
+    ``columns[j] = {i: scalar}``.
 
     Returns the inverse in the same column-dict form.  Raises ValueError if
-    the matrix is singular.
+    the matrix is singular.  The elimination runs in ``scalars.field(m)``,
+    m the lcm of the entries' conductors.
     """
-    # rows of [M | I]; augmented keys live at n + row index, and the unit
-    # is an entry times its inverse
-    rows = [{} for _ in range(n)]
-    one = None
+    F = _field(lcm(1, *(c.conductor for col in columns.values()
+                        for c in col.values())))
+    # rows of [M | I]; augmented keys live at n + row index
+    rows = [{n + i: F.one} for i in range(n)]
     for j, col in columns.items():
         for i, c in col.items():
-            rows[i][j] = c
-            if one is None and c:
-                one = c * c.inverse()
-    if one is None:
-        if n:
-            raise ValueError("matrix is singular")
-        return {}
-    for i in range(n):
-        rows[i][n + i] = one
-    ech = Echelon()
+            c = F.from_cyc(c)
+            if c is not None:
+                rows[i][j] = c
+    ech = Echelon(F)
     for r in rows:
         ech.insert(r)
     if ech.pivots() != list(range(n)):
@@ -247,7 +258,7 @@ def invert_square(columns, n):
         # row p of the RREF reads e_p = sum_j inv[p][j] (aug j)
         for u, c in row.items():
             if u >= n:
-                inv_cols.setdefault(u - n, {})[p] = c
+                inv_cols.setdefault(u - n, {})[p] = F.to_cyc(c)
     return inv_cols
 
 

@@ -25,7 +25,8 @@ from nichols.algebra import (
 from nichols.braids import symmetrizer_apply, t1_apply
 from nichols.linalg import Echelon, decode_word
 from nichols.quandles import Cochain2, CrossedSet
-from nichols.scalars import ONE, format_scalar, integer, root_of_unity
+from nichols.scalars import (
+    CYCLOTOMIC, ONE, format_scalar, integer, root_of_unity)
 from test_pairs import fomin_kirillov_e4
 
 MINUS, PLUS = integer(-1), integer(1)
@@ -48,13 +49,13 @@ def image_iteration(bp, top):
     return out
 
 
-def tensor_relations(bp, n, cache):
+def tensor_relations(bp, n, cache, field=CYCLOTOMIC):
     """The new degree-n relations in tensor coordinates: the symmetrizer
     kernel reduced modulo the ideal V . K + K . V, d^n words wide, in the
     scalars of the cached kernels (``cache.kernels``, built by the engine
-    where a test stored none)."""
+    where a test stored none), values of ``field``."""
     d = bp.dim
-    ideal = Echelon()
+    ideal = Echelon(field)
     lower = cache._kernel(n - 1)
     shift = d ** (n - 1)
     cands = []
@@ -66,7 +67,7 @@ def tensor_relations(bp, n, cache):
     cands.sort(key=min)
     for vec in cands:
         ideal.insert(vec)
-    fresh = Echelon()
+    fresh = Echelon(field)
     for vec in cache._kernel(n):
         residue = ideal.reduce(vec)
         if residue:
@@ -197,7 +198,7 @@ def test_rules_lie_in_the_symmetrizer_kernel(name, build, top, ktop):
         normal, rules = cache._rewriting(n)
         for f, tail in rules.items():
             assert all(p > f and p in normal for p in tail), (name, n, f)
-            vec = {p: -c.to_cyc() for p, c in tail.items()}
+            vec = {p: -cache.field.to_cyc(c) for p, c in tail.items()}
             vec[f] = ONE
             assert symmetrizer_apply(bp, n, vec) == {}, (name, n, f)
 
@@ -254,8 +255,9 @@ def test_affine_relations_match_the_tensor_ideal(p, a, top):
     counts = []
     for n in range(2, top + 1):
         counts.append(relation_count(bp, n, cache))
-        want = [{k: c.to_cyc() for k, c in row.items()}
-                for row in tensor_relations(bp, n, oracle_cache)
+        want = [{k: oracle_cache.field.to_cyc(c) for k, c in row.items()}
+                for row in tensor_relations(bp, n, oracle_cache,
+                                            oracle_cache.field)
                 ] if counts[-1] else []
         assert len(want) == counts[-1], n
         assert text(relations(bp, n, cache)) == text(want), n
@@ -263,7 +265,7 @@ def test_affine_relations_match_the_tensor_ideal(p, a, top):
             assert new_leading_words(bp, n, cache), n
             span = _overlap_span(cache, n)
             for f, tail in cache._rewriting(n)[1].items():
-                vec = {p: -c for p, c in tail.items()}
+                vec = {p: cache.field.neg(c) for p, c in tail.items()}
                 vec[f] = cache.field.one
                 assert not span.reduce(vec), (n, f)
     assert counts == [10, 0, 1, 0, 0][:top - 1]

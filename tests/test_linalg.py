@@ -22,7 +22,7 @@ from nichols.quandles import (
     zmod3_crossed_set,
 )
 from nichols.scalars import (
-    field, integer, one, rational, root_of_unity, zero)
+    CYCLOTOMIC, field, integer, one, rational, root_of_unity, zero)
 
 
 def test_word_encoding_roundtrip():
@@ -77,21 +77,29 @@ def test_echelon_rref_and_nullspace():
 @pytest.mark.parametrize("m", [1, 12])
 @pytest.mark.parametrize("typed", [False, True])
 def test_vec_add_into_zero_scale_and_cancellation(m, typed):
-    # in Cyc, or in the field type (Rational at m = 1); a new key stores
-    # its product untested, so the zero scale must not get that far
-    to = field(m).from_cyc if typed else (lambda c: c)
+    # in Cyc, or in the field (ints and pairs at m = 1, flat tuples at
+    # m = 12); a new key stores its product untested, so a zero Cyc scale
+    # must not get that far, and the field has no zero value to pass
+    F = field(m) if typed else CYCLOTOMIC
+    to = F.from_cyc
     q = root_of_unity(m, 1)
     dst = {0: to(integer(2) * q), 1: to(rational(1, 3)), 3: to(integer(5))}
     src = {0: to(q), 1: to(rational(1, 2)), 2: to(integer(7))}
     before = dict(dst)
-    vec_add_into(dst, src, to(zero()))
-    assert dst == before
+    if typed:
+        assert to(zero()) is None
+    else:
+        vec_add_into(dst, src, zero())
+        assert dst == before
     # 2q - 2q cancels exactly and its key goes; a new key is stored
-    vec_add_into(dst, src, to(integer(-2)))
+    vec_add_into(dst, src, to(integer(-2)), F)
     assert dst == {1: to(rational(-2, 3)), 2: to(integer(-14)),
                    3: to(integer(5))}
-    vec_add_into(dst, {1: to(rational(2, 3)), 3: to(integer(1))})
+    vec_add_into(dst, {1: to(rational(2, 3)), 3: to(integer(1))}, None, F)
     assert dst == {2: to(integer(-14)), 3: to(integer(6))}
+    # a unit scale adds as it is
+    vec_add_into(dst, {3: to(integer(-6))}, F.one, F)
+    assert dst == {2: to(integer(-14))}
 
 
 @pytest.mark.parametrize("m,typed", [(12, False), (1, True), (12, True)],
@@ -100,7 +108,8 @@ def test_combination_rebuilds_dependent_vectors(m, typed):
     # a dependent vector, written back in the inserted vectors through the
     # recorded multipliers, is rebuilt exactly; insert still returns the
     # pivot or None
-    to = field(m).from_cyc if typed else (lambda c: c)
+    F = field(m) if typed else CYCLOTOMIC
+    to = F.from_cyc
     rng = random.Random(m)
 
     def scalar():
@@ -114,9 +123,9 @@ def test_combination_rebuilds_dependent_vectors(m, typed):
     for _ in range(6):
         vec = {}
         for src in rng.sample(base, 3):
-            vec_add_into(vec, src, scalar())
+            vec_add_into(vec, src, scalar(), F)
         mixed.append(vec)
-    ech, inserted, pivots = Echelon(), {}, []
+    ech, inserted, pivots = Echelon(F), {}, []
     for vec in base + mixed:
         steps = {}
         p = ech.insert(vec, steps)
@@ -124,14 +133,14 @@ def test_combination_rebuilds_dependent_vectors(m, typed):
         if p is None:
             total = {}
             for q, a in ech.combination(steps).items():
-                vec_add_into(total, inserted[q], a)
+                vec_add_into(total, inserted[q], a, F)
             assert total == vec
         else:
-            assert p == min(ech.rows[p]) and ech.rows[p][p].is_one()
+            assert p == min(ech.rows[p]) and F.is_one(ech.rows[p][p])
             inserted[p] = vec
     assert pivots.count(None) >= 6 and set(ech.record) == set(inserted)
     # without steps the answers are the same, and nothing is recorded
-    plain = Echelon()
+    plain = Echelon(F)
     assert [plain.insert(vec) for vec in base + mixed] == pivots
     assert plain.record == {}
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from nichols.linalg import Echelon
 from nichols.scalars import (
+    CYCLOTOMIC,
     Cyc,
-    Rational,
     _inverse,
     _multiplier,
     _normalize,
@@ -210,6 +210,23 @@ def test_text_terms_roundtrip():
         parse_scalar("1/0:0", 4)
 
 
+def test_format_scalar_writes_each_term_in_lowest_terms():
+    # the terms of a value share its denominator, but each is written
+    # reduced on its own, and the token parses back to the value
+    for v, token in (
+            (rational(1, 2) + rational(1, 4) * root_of_unity(4, 1),
+             "1/2:0,1/4:1"),
+            (rational(5, 6) - rational(2, 3) * root_of_unity(3, 1),
+             "5/6:0,-2/3:1"),
+            (rational(3, 4) * root_of_unity(12, 1) + integer(2), "2:0,3/4:1"),
+            (rational(-7, 3), "-7/3:0")):
+        assert format_scalar(v) == token
+        assert parse_scalar(token, v.conductor) == v
+        assert from_terms(v.conductor, to_terms(v)) == v
+        assert all(gcd(num, den) == 1 and den > 0
+                   for num, den, _ in to_terms(v))
+
+
 def test_coeffs_view():
     v = root_of_unity(4, 1) + rational(1, 2)
     assert v.coeffs == (Fraction(1, 2), Fraction(1))
@@ -279,7 +296,7 @@ def test_field_arithmetic_against_sympy():
 
 
 # ---------------------------------------------------------------------------
-# the field type of a computation against Cyc's former arithmetic
+# the field of a computation against Cyc's former arithmetic
 
 def _product(a, b, table):
     """a * b modulo Phi_m by convolution and reduction: the loop that the
@@ -333,8 +350,24 @@ def _times(a, b):
 def _reciprocal(a):
     if a.m == 1:
         return _normalize(1, [a.den], a.num[0])
-    num, den = _inverse(a.m, a.num, a.den)
-    return _normalize(a.m, num, den)
+    inv = _inverse(a.m, (*a.num, a.den))
+    return _normalize(a.m, inv[:-1], inv[-1])
+
+
+def _canonical(F, v):
+    """Whether v is a value of ``F`` in its canonical form: at m = 1 a
+    nonzero int, or a reduced (num, den) pair with den > 1, never (n, 1);
+    at m > 1 a nonzero flat tuple of phi(m) coefficients and a positive
+    denominator, gcd-normalized."""
+    if F.m == 1:
+        if type(v) is int:
+            return v != 0
+        num, den = v
+        return (type(num) is int and type(den) is int and num != 0
+                and den > 1 and gcd(num, den) == 1)
+    *num, den = v
+    return (type(v) is tuple and len(num) == euler_phi(F.m) and den > 0
+            and any(num) and gcd(den, *num) == 1)
 
 
 FIELD_CONDUCTORS = (1, 3, 4, 5, 8, 12, 15, 60)
@@ -360,33 +393,45 @@ def values_in(draw, m):
 @DIFFERENTIAL
 @given(data=st.data())
 def test_field_arithmetic_matches_cyc(m, data):
+    # every function of the field against Cyc and its former arithmetic;
+    # zero is no value: from_cyc gives None for it, to_cyc takes None back
     F = field(m)
-    a, b = data.draw(values_in(m)), data.draw(values_in(m))
-    fa, fb = F.from_cyc(a), F.from_cyc(b)
-    assert fa.to_cyc() == a and F.from_cyc(fa.to_cyc()) == fa
-    assert (fa + fb).to_cyc() == _sum(a, b) == a + b
-    assert (fa - fb).to_cyc() == _sum(a, -b) == a - b
-    assert (-fa).to_cyc() == -a
-    assert (fa * fb).to_cyc() == _times(a, b) == a * b
+    a, b, c = (data.draw(values_in(m)) for _ in range(3))
+    fa, fb, fc = map(F.from_cyc, (a, b, c))
+    for x, fx in ((a, fa), (b, fb), (c, fc)):
+        assert (fx is None) == (not x)
+        assert F.to_cyc(fx) == x and F.from_cyc(F.to_cyc(fx)) == fx
+    assert F.to_cyc(None) == zero()
+    assert F.is_one(F.one) and F.from_cyc(one()) == F.one
+    if fa is None or fb is None or fc is None:
+        return
+    assert F.to_cyc(F.add(fa, fb)) == _sum(a, b) == a + b
+    assert F.to_cyc(F.sub(fa, fb)) == _sum(a, -b) == a - b
+    assert F.to_cyc(F.neg(fa)) == -a
+    assert F.to_cyc(F.mul(fa, fb)) == _times(a, b) == a * b
+    # scaling by any value, and by +-zeta^e, a crossing's usual factor
+    assert F.to_cyc(F.scaling(fb)(fa)) == a * b
+    e = data.draw(st.integers(0, m - 1))
+    for s in (root_of_unity(m, e), -root_of_unity(m, e)):
+        assert F.to_cyc(F.scaling(F.from_cyc(s))(fa)) == a * s
     # the fused step of elimination: x - a*b, None exactly when zero
-    c = data.draw(values_in(m))
-    fc = F.from_cyc(c)
     diff = _sum(a, -_times(b, c))
-    got = fa.submul(fb, fc)
-    assert (got is None) == (not diff) == (a.submul(b, c) is None)
-    if diff:
-        assert got == fa - fb * fc and got.to_cyc() == diff
-        assert a.submul(b, c) == diff
-    assert (fb * fc).submul(fb, fc) is None
-    assert bool(fa) == bool(a)
-    assert fa.is_one() == a.is_one()
-    assert F.one.is_one() and F.from_cyc(one()) == F.one
-    if a:
-        assert fa.inverse().to_cyc() == _reciprocal(a) == a.inverse()
-        assert (fa * fa.inverse()).is_one()
-    else:
-        with pytest.raises(ZeroDivisionError):
-            fa.inverse()
+    got = F.submul(fa, fb, fc)
+    assert (got is None) == (not diff)
+    assert F.to_cyc(got) == diff == a - b * c
+    assert got == F.sub(fa, F.mul(fb, fc))
+    assert F.submul(F.mul(fb, fc), fb, fc) is None
+    assert F.sub(fa, fa) is None and F.add(fa, F.neg(fa)) is None
+    assert F.is_one(fa) == a.is_one()
+    assert F.to_cyc(F.inverse(fa)) == _reciprocal(a) == a.inverse()
+    assert F.is_one(F.mul(fa, F.inverse(fa)))
+    # every result is canonical, so == on values is the field's equality
+    for v in (fa, fb, F.add(fa, fb), F.sub(fa, fb), F.neg(fa),
+              F.mul(fa, fb), got, F.inverse(fa), F.one):
+        assert v is None or _canonical(F, v), v
+    # the same interface over Cyc
+    assert CYCLOTOMIC.submul(a, b, c) == (diff or None)
+    assert CYCLOTOMIC.to_cyc(CYCLOTOMIC.add(a, -a)) == zero()
 
 
 @pytest.mark.parametrize("m", FIELD_CONDUCTORS)
@@ -397,7 +442,7 @@ def test_echelon_is_the_same_in_either_type(m, data):
     vecs = data.draw(st.lists(st.dictionaries(
         st.integers(0, 5), values_in(m).filter(bool), max_size=4),
         max_size=6))
-    plain, fast = Echelon(), Echelon()
+    plain, fast = Echelon(), Echelon(F)
     for vec in vecs:
         assert plain.insert(vec) == fast.insert(
             {k: F.from_cyc(c) for k, c in vec.items()})
@@ -405,8 +450,9 @@ def test_echelon_is_the_same_in_either_type(m, data):
     plain.rref()
     fast.rref()
     for p in plain.pivots():
-        assert {k: c.to_cyc() for k, c in fast.rows[p].items()} == plain.rows[p]
-    assert [{k: c.to_cyc() for k, c in vec.items()}
+        assert {k: F.to_cyc(c) for k, c in fast.rows[p].items()
+                } == plain.rows[p]
+    assert [{k: F.to_cyc(c) for k, c in vec.items()}
             for vec in fast.nullspace(range(6), F.one)] == plain.nullspace(
                 range(6), one())
 
@@ -445,18 +491,22 @@ def _dense_nonzero(draw, m, den):
 @DIFFERENTIAL
 @given(data=st.data())
 def test_multiplier_matches_convolution_loop(m, data):
+    # integral values (den 1) take no gcd, so the kernels give the raw
+    # convolution
     a, b = data.draw(vectors(m)), data.draw(vectors(m))
-    product = _multiplier(m)(a, b)
-    assert type(product) is tuple
-    assert list(product) == _product(a, b, _table(m))
-    assert list(_multiplier(m)(b, a)) == _product(b, a, _table(m))
-    # the fused kernel fx x - fa (a * b) runs the same convolution
+    product = _multiplier(m)((*a, 1), (*b, 1))
+    assert type(product) is tuple and product[-1] == 1
+    assert list(product[:-1]) == _product(a, b, _table(m))
+    assert list(_multiplier(m)((*b, 1), (*a, 1))[:-1]) == _product(
+        b, a, _table(m))
+    # the fused kernel x - a * b runs the same convolution
     x = data.draw(vectors(m))
-    fx, fa = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
-    got = _submultiplier(m)(x, fx, a, b, fa)
-    assert type(got) is tuple
-    assert list(got) == [fx * u - fa * v
-                         for u, v in zip(x, _product(a, b, _table(m)))]
+    want = [u - v for u, v in zip(x, _product(a, b, _table(m)))]
+    got = _submultiplier(m)((*x, 1), (*a, 1), (*b, 1))
+    if any(want):
+        assert type(got) is tuple and list(got) == want + [1]
+    else:
+        assert got is None
 
 
 @pytest.mark.parametrize("m", PRODUCT_CONDUCTORS)
@@ -469,35 +519,41 @@ def test_generated_field_arithmetic_against_cyc(m, data):
     den = data.draw(st.integers(1, 6))
     a = _dense_nonzero(data.draw, m, den)
     fa = F.from_cyc(a)
-    assert (fa * fa.inverse()).is_one() and _times(a, _reciprocal(a)) == one()
-    assert fa.inverse().to_cyc() == _reciprocal(a)
+    assert F.is_one(F.mul(fa, F.inverse(fa)))
+    assert _times(a, _reciprocal(a)) == one()
+    assert F.to_cyc(F.inverse(fa)) == _reciprocal(a)
+    with pytest.raises(ZeroDivisionError):
+        _inverse(m, (0,) * euler_phi(m) + (1,))
     # equal denominators: a plus an integral vector keeps a's denominator
     shift = Cyc(m, data.draw(st.lists(st.integers(-9, 9),
                                       min_size=euler_phi(m),
                                       max_size=euler_phi(m))))
     fb = F.from_cyc(_sum(a, shift))
-    assert fb.den == fa.den == den
-    assert (fa + fb).to_cyc() == _sum(a, _sum(a, shift))
-    assert (fb - fa).to_cyc() == shift
+    assert fb[-1] == fa[-1] == den
+    assert F.to_cyc(F.add(fa, fb)) == _sum(a, _sum(a, shift))
+    assert F.to_cyc(F.sub(fb, fa)) == shift
     # unequal denominators, one dividing the other or coprime
     other = data.draw(st.sampled_from([2 * den, 7]))
     c = _dense_nonzero(data.draw, m, other)
     fc = F.from_cyc(c)
-    assert fc.den == other != fa.den
-    assert (fa + fc).to_cyc() == _sum(a, c)
-    assert (fc - fa).to_cyc() == _sum(c, -a)
-    assert (fa * fc).to_cyc() == _times(a, c)
-    # the fused step x - a*b, canonical, with x.den and a.den * b.den
-    # equal (the first triple), one dividing the other (the fourth, and
-    # the second and third when c's is 2 * den), coprime (the second and
-    # third when it is 7), and with integral operands (the last)
+    assert fc[-1] == other != fa[-1]
+    assert F.to_cyc(F.add(fa, fc)) == _sum(a, c)
+    assert F.to_cyc(F.sub(fc, fa)) == _sum(c, -a)
+    assert F.to_cyc(F.mul(fa, fc)) == _times(a, c)
+    # the fused step x - a*b, canonical, with x's denominator and a's
+    # times b's equal (the first triple), one dividing the other (the
+    # fourth, and the second and third when c's is 2 * den), coprime (the
+    # second and third when it is 7), and with integral operands (the
+    # last); a zero shift is no value
     fs = F.from_cyc(shift)
-    for x, y, z in ((fb, fa, fs), (fc, fa, fs), (fa, fc, fs), (fa, fa, fc),
-                    (fs, fs, F.one)):
-        got = x.submul(y, z)
-        want = _sum(x.to_cyc(), -_times(y.to_cyc(), z.to_cyc()))
-        assert got == F.from_cyc(want) if want else got is None
-    assert (fa * fc).submul(fc, fa) is None
+    if fs is not None:
+        for x, y, z in ((fb, fa, fs), (fc, fa, fs), (fa, fc, fs),
+                        (fa, fa, fc), (fs, fs, F.one)):
+            got = F.submul(x, y, z)
+            want = _sum(F.to_cyc(x), -_times(F.to_cyc(y), F.to_cyc(z)))
+            assert got == F.from_cyc(want)
+            assert got is None or _canonical(F, got)
+    assert F.submul(F.mul(fa, fc), fc, fa) is None
 
 
 @pytest.mark.parametrize("m", PRODUCT_CONDUCTORS)
@@ -506,23 +562,28 @@ def test_generated_field_arithmetic_against_cyc(m, data):
 def test_root_multiplier_matches_product(m, data):
     F = field(m)
     table = _table(m)
-    # a dense operand over a denominator > 1, a dense integral one, zero
+    k = euler_phi(m)
+    # a dense operand over a denominator > 1, a dense integral one, and
+    # the zero vector, which the kernel takes to itself
     den = data.draw(st.integers(2, 6))
-    dense = data.draw(st.lists(st.integers(-9, 9), min_size=euler_phi(m),
-                               max_size=euler_phi(m)))
+    dense = data.draw(st.lists(st.integers(-9, 9), min_size=k, max_size=k))
     operands = [F.from_cyc(_dense_nonzero(data.draw, m, den)),
-                F.from_cyc(Cyc(m, dense)), F.from_cyc(zero())]
-    assert operands[0].den == den
+                F.from_cyc(Cyc(m, dense)) if any(dense) else None,
+                (0,) * k + (1,)]
+    assert operands[0][-1] == den
     for e, row in enumerate(_powers(m, m)[:m]):
         for key, root in ((e, row), (-1 - e, tuple(-v for v in row))):
             times = _root_multiplier(m, key)
             s = F.from_cyc(Cyc(m, root))
             for c in operands:
+                if c is None:
+                    continue
                 got = times(c)
-                assert type(got) is F
-                assert got == c * s
-                assert list(got.num) == _product(c.num, root, table)
-                assert F.scaling(s)(c) == got
+                assert type(got) is tuple and got[-1] == c[-1]
+                assert list(got[:-1]) == _product(c[:-1], root, table)
+                if any(c[:-1]):
+                    assert got == F.mul(c, s) == F.scaling(s)(c)
+                    assert _canonical(F, got)
 
 
 def test_root_multiplier_is_built_once_per_exponent():
@@ -532,7 +593,7 @@ def test_root_multiplier_is_built_once_per_exponent():
         assert sum(1 for key in _root_multipliers if key[0] == m) <= 2 * m
     assert _root_multiplier(12, 1) is not _root_multiplier(12, 2)
     assert _root_multiplier(3, 1) is not _root_multiplier(4, 1)
-    # the field type hands out the one multiplier of each root
+    # the field hands out the one multiplier of each root
     F = field(12)
     z = F.from_cyc(root_of_unity(12, 5))
     assert F.scaling(z) is F.scaling(F.from_cyc(root_of_unity(12, 5)))
@@ -541,24 +602,32 @@ def test_root_multiplier_is_built_once_per_exponent():
     c = F.from_cyc(rational(3, 2) * root_of_unity(12, 1))
     assert F.scaling(F.one)(c) is c
     two_z = F.from_cyc(integer(2) * root_of_unity(12, 5))
-    assert F.scaling(two_z)(c) == c * two_z
-    q = Rational.from_cyc(rational(-3, 4))
-    assert Rational.scaling(Rational.one)(q) is q
-    assert Rational.scaling(Rational.from_cyc(integer(-1)))(q) == -q
-    assert Rational.scaling(q)(q) == q * q
+    assert F.scaling(two_z)(c) == F.mul(c, two_z)
+    Q = field(1)
+    for q in (Q.from_cyc(rational(-3, 4)), Q.from_cyc(integer(5))):
+        assert Q.scaling(Q.one)(q) is q
+        assert Q.scaling(Q.from_cyc(integer(-1)))(q) == Q.neg(q)
+        assert Q.scaling(q)(q) == Q.mul(q, q)
 
 
 def test_multiplier_is_built_once_per_conductor():
+    for m in (1, 3, 12, 60):
+        assert field(m) is field(m) and field(m).m == m
     for m in (3, 12, 60):
         assert _multiplier(m) is _multiplier(m)
-        assert field(m) is field(m)
     assert _multiplier(3) is not _multiplier(4)
-    assert field(1) is Rational
 
 
 def test_field_elements_compare_unequal_to_other_types():
-    for x in (field(12).one, Rational.one):
-        assert (x == None) is False  # noqa: E711
-        assert ({0: x} == {0: 1}) is False
-        assert x != 1 and x != one()
+    # values are plain data: a flat tuple is equal to no int, Cyc or
+    # value of another conductor; at conductor 1 an integral value is the
+    # int itself, and a fraction a pair that equals no int
+    x = field(12).one
+    assert (x == None) is False  # noqa: E711
+    assert ({0: x} == {0: 1}) is False
+    assert x != 1 and x != one()
     assert field(12).one != field(4).one
+    Q = field(1)
+    assert Q.one == 1 and type(Q.one) is int
+    assert Q.from_cyc(rational(1, 2)) == (1, 2) != 1
+    assert Q.from_cyc(rational(4, 2)) == 2
