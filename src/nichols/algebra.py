@@ -79,7 +79,7 @@ leading word has no new relation.
 from collections import namedtuple
 from time import perf_counter
 
-from .braids import FieldPair, apply_elt, sweep, t_shuffle
+from .braids import apply_elt, sweep, t_shuffle
 from .linalg import Echelon, decode_word, vec_add_into
 from .scalars import MINUS_ONE, ONE, field as _field
 from . import pairs as _pairs
@@ -162,7 +162,7 @@ class GradedComputation:
         self.bp = bp
         self.field = _field(bp.conductor)
         one = self.field.one
-        self.cmap = FieldPair(bp, self.field).cmap
+        self.cmap = bp.embedded(self.field).cmap
         ech0 = Echelon(self.field)
         ech0.insert({0: one})
         self.bases = [ech0]
@@ -349,7 +349,7 @@ class GradedComputation:
         got = self.kernels.get(n)
         if got is None:
             ech = self.transposed()._tensor_echelon(n)
-            got = ech.nullspace(range(self.bp.dim ** n), self.field.one)
+            got = ech.nullspace(range(self.bp.dim ** n))
             self.kernels[n] = got
         return got
 

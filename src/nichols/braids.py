@@ -24,7 +24,7 @@ from itertools import combinations as _combinations
 from itertools import permutations as _permutations
 from math import lcm
 
-from .linalg import vec_add_into
+from .linalg import invert_square, vec_add_into
 from .scalars import CYCLOTOMIC, ONE, field as _field
 
 
@@ -224,15 +224,23 @@ def d_elt(strands, j, i):
     return GroupAlgElt.from_word(strands, range(i, j + 1))
 
 
-def r_elt(strands, j, i):
-    """R^j_i = (e - D^j_j sigma_j)(e - D^j_(j-1) sigma_j) ... (e - D^j_i sigma_j)."""
+def r_binomials(strands, j, i):
+    """The factors of R^j_i = (e - D^j_j sigma_j)(e - D^j_(j-1) sigma_j) ...
+    (e - D^j_i sigma_j), leftmost first: the j - i + 1 binomials
+    e - D^j_k sigma_j for k = j, j-1, ..., i."""
     if not 1 <= i <= j <= strands - 1:
         raise ValueError("need 1 <= i <= j <= strands-1")
     e = GroupAlgElt.unit(strands)
     sigma_j = GroupAlgElt.from_word(strands, (j,))
-    out = e
-    for k in range(j, i - 1, -1):
-        out = out * (e - d_elt(strands, j, k) * sigma_j)
+    return [e - d_elt(strands, j, k) * sigma_j for k in range(j, i - 1, -1)]
+
+
+def r_elt(strands, j, i):
+    """R^j_i expanded: the product of ``r_binomials(strands, j, i)``, a sum
+    of 2^(j-i+1) words."""
+    out = GroupAlgElt.unit(strands)
+    for factor in r_binomials(strands, j, i):
+        out = out * factor
     return out
 
 
@@ -397,43 +405,69 @@ def symmetrizer_apply(bp, n, vec, k=None):
 
 class FieldPair:
     """A braided pair's braiding embedded into a field ``field``
-    (``scalars.field(m)``, m a multiple of ``bp.conductor``): the ``dim``,
-    ``cmap`` and ``cmap_inverse()`` that the actions of this module read,
-    with every coefficient a value of ``field``.  The inverse is embedded
-    on first use.  Each embedded map is a ``Relabelling`` when it is one,
-    so that ``sigma_pass`` relabels and scales with it, else a
-    ``FieldCmap``."""
+    (``scalars.field(m)``, m a multiple of the pair's conductor): the
+    ``dim``, ``cmap`` and ``cmap_inverse()`` that the actions of this
+    module read, with every coefficient a value of ``field``.
 
-    __slots__ = ("dim", "field", "cmap", "_bp", "_cinv")
+    A pair keeps one per field (``BraidedPair.embedded``), so pair
+    validation, every identity that ``verify_identity`` checks on the pair
+    and the graded engine share it.  It holds no reference back to the
+    pair, so the two form no reference cycle.  Each embedded map is a
+    ``Relabelling`` when it is one, so that ``sigma_pass`` relabels and
+    scales with it, else a ``FieldCmap``.  The inverse is computed in the
+    field from the embedded columns on first use: a ``Relabelling``
+    inverts its targets and its scalars, any other map goes through
+    ``linalg.invert_square`` on the field's values, which raises
+    ValueError for a singular map."""
+
+    __slots__ = ("dim", "field", "cmap", "_cinv")
 
     def __init__(self, bp, field):
         self.dim = bp.dim
         self.field = field
-        self.cmap = _embed_cmap(bp.cmap, field)
-        self._bp = bp
+        embed = field.from_cyc
+        self.cmap = _field_cmap(tuple(tuple((kl, embed(c)) for kl, c in col)
+                                      for col in bp.cmap), field)
         self._cinv = None
 
     def cmap_inverse(self):
         if self._cinv is None:
-            self._cinv = _embed_cmap(self._bp.cmap_inverse(), self.field)
+            self._cinv = _inverse_cmap(self.cmap)
         return self._cinv
 
 
-def _embed_cmap(cmap, field):
-    """``cmap`` with its coefficients in ``field``: a ``Relabelling`` when
-    every column has exactly one term and the targets of the columns are
-    a permutation of the d^2 letter pairs, else a ``FieldCmap``.  A map
-    that fails only the permutation test is not invertible, so pair
-    validation refuses it, but it is read first: it keeps the merging
-    loop, which sums the terms that land on one word.  The columns of a
-    pair's cmap hold no zeros, so neither do the embedded ones."""
-    embed = field.from_cyc
-    cols = tuple(tuple((kl, embed(c)) for kl, c in col) for col in cmap)
+def _field_cmap(cols, field):
+    """The columns ``cols`` of values of ``field`` as an embedded cmap: a
+    ``Relabelling`` when every column has exactly one term and the
+    targets of the columns are a permutation of the d^2 letter pairs, else
+    a ``FieldCmap``.  A map that fails only the permutation test is not
+    invertible, so pair validation refuses it, but it is read first: it
+    keeps the merging loop, which sums the terms that land on one word.
+    The columns of a pair's cmap hold no zeros, so neither do the embedded
+    ones."""
     if all(len(col) == 1 for col in cols):
         targets = tuple(col[0][0] for col in cols)
         if len(set(targets)) == len(cols):
             return Relabelling(cols, targets, field)
     return FieldCmap(cols, field)
+
+
+def _inverse_cmap(cmap):
+    """The inverse of an embedded cmap, in its field: c(p) = f t(p) for a
+    ``Relabelling`` inverts to c^-1(t(p)) = f^-1 p, and any other map is
+    inverted by elimination (ValueError when singular)."""
+    field = cmap.field
+    size = len(cmap)
+    if cmap.__class__ is Relabelling:
+        inverse = field.inverse
+        cols = [None] * size
+        for p, ((t, f),) in enumerate(cmap):
+            cols[t] = ((p, inverse(f)),)
+    else:
+        inv = invert_square({p: dict(col) for p, col in enumerate(cmap)},
+                            size, field)
+        cols = [tuple(sorted(inv.get(p, {}).items())) for p in range(size)]
+    return _field_cmap(tuple(cols), field)
 
 
 class FieldCmap(tuple):
@@ -472,51 +506,71 @@ def verify_identity(lhs, rhs, suite):
     of every braided pair in the suite; the suite must not be empty.
     Returns an IdentityReport.
 
-    Each pair goes through ``_mismatch`` with all d^n basis words.  Either
-    side may be a GroupAlgElt or anything exposing ``strands``,
-    ``conductor`` (a multiple of the conductor of every coefficient),
-    ``embed(field)`` (the operator with its coefficients in ``field``) and
-    ``apply(bp, vec, n)``, such as a product of factors evaluated without
-    expanding the formal sum.  ``apply`` is called on embedded operators
-    only, with ``bp`` a ``FieldPair`` and ``vec`` a tagged vector of field
-    elements.  On a mismatch the report holds the first failing pair in
-    suite order, the least failing basis word and its two image vectors as
-    ``Cyc`` values in ascending word order.
+    Each pair goes through ``_compare`` with all d^n basis words, in
+    ``scalars.field(m)``, m the lcm of the pair's conductor and of both
+    sides' ``conductor``.  Each side is embedded once per field of the
+    suite, and each pair's braiding once per field for the pair's
+    lifetime (``BraidedPair.embedded``).  Either side may be a
+    GroupAlgElt or anything exposing ``strands``, ``conductor`` (a
+    multiple of the conductor of every coefficient), ``embed(field)`` (the
+    operator with its coefficients in ``field``) and ``apply(bp, vec,
+    n)``, such as a product of factors evaluated without expanding the
+    formal sum.  ``apply`` is called on embedded operators only, with
+    ``bp`` a ``FieldPair`` and ``vec`` a tagged vector of field elements.
+    On a mismatch the report holds the first failing pair in suite order,
+    the least failing basis word and its two image vectors as ``Cyc``
+    values in ascending word order.
     """
     if lhs.strands != rhs.strands:
         raise ValueError("strand count mismatch")
     if not suite:
         raise ValueError("an empty suite verifies nothing")
+    n = lhs.strands
+    m = lcm(lhs.conductor, rhs.conductor)
+    sides = {}
     for bp in suite:
-        failure = _mismatch(lhs, rhs, bp, range(bp.dim ** lhs.strands))
+        field = _field(lcm(bp.conductor, m))
+        embedded = sides.get(field.m)
+        if embedded is None:
+            embedded = sides[field.m] = (lhs.embed(field), rhs.embed(field))
+        failure = _compare(*embedded, bp.embedded(field),
+                           range(bp.dim ** n))
         if failure is not None:
             return IdentityReport(False, bp, *failure)
     return IdentityReport(True, None, None, None, None)
 
 
 def _mismatch(lhs, rhs, bp, words):
-    """Compare two operators on n = ``lhs.strands`` strands on the basis
-    tensors ``words`` (base-d words of length n) of one braided pair.
-    Returns None if they agree there, else the least failing word and its
-    two image vectors as ``Cyc`` values in ascending word order.
+    """``_compare`` of two operators with ``Cyc`` coefficients on the
+    basis tensors ``words`` of the braided pair ``bp``, in
+    ``scalars.field(m)``, m the lcm of ``bp.conductor`` and of both sides'
+    ``conductor``.  Only the crossings the sides name are read, so a
+    braiding not yet known to be invertible can be checked with positive
+    words."""
+    field = _field(lcm(bp.conductor, lhs.conductor, rhs.conductor))
+    return _compare(lhs.embed(field), rhs.embed(field), bp.embedded(field),
+                    words)
+
+
+def _compare(lhs, rhs, fp, words):
+    """Compare two operators on n = ``lhs.strands`` strands, embedded in
+    the field of the ``FieldPair`` ``fp``, on the basis tensors ``words``
+    (base-d words of length n).  Returns None if they agree there, else
+    the least failing word and its two image vectors as ``Cyc`` values in
+    ascending word order.
 
     Both sides act once, on the sum of the basis tensors with each term
     tagged by its input word in the high digits: the key of output word
     w_out from input word w_in is w_in * d^n + w_out.  The crossings read
-    only the low n digits, so the tagged terms never mix.  The arithmetic
-    is in ``scalars.field(m)``, m the lcm of ``bp.conductor`` and of both
-    sides' ``conductor``: the braiding and the sides are embedded there
-    once, and the canonical values compare with ``==``.  Only the
-    crossings the sides name are read, so a braiding not yet known to be
-    invertible can be checked with positive words.
+    only the low n digits, so the tagged terms never mix, and the
+    canonical values of the field compare with ``==``.
     """
     n = lhs.strands
-    field = _field(lcm(bp.conductor, lhs.conductor, rhs.conductor))
-    fp = FieldPair(bp, field)
-    size = bp.dim ** n
+    field = fp.field
+    size = fp.dim ** n
     basis = {w * size + w: field.one for w in words}
-    a = lhs.embed(field).apply(fp, basis, n)
-    b = rhs.embed(field).apply(fp, basis, n)
+    a = lhs.apply(fp, basis, n)
+    b = rhs.apply(fp, basis, n)
     if a == b:
         return None
     w = min(key // size for key in a.keys() | b.keys()

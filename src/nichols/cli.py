@@ -378,9 +378,17 @@ def build_parser():
     return top
 
 
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        # built on the first call rather than at import, which stays
+        # cheap, and reused by later calls in the same process: each parse
+        # starts from a fresh namespace
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     _validate_options(args)
     try:
         return args.func(args)

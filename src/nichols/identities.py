@@ -5,18 +5,22 @@ Formal sums of braid words have no normal form, so each identity is checked
 through its action (``braids.verify_identity``): per pair, both sides act
 once on the sum of all standard basis tensors, each term tagged with its
 input word in the high digits of its key, in the pair's field
-``scalars.field(m)``.  Sides are kept as products of factors and evaluated
-right to left, which avoids expanding sums of sums; a sum of words crosses
-each shared suffix once, and the full symmetrizer factor runs through its
-quadratic-cost recursion (itself checked against the brute-force word sum
-elsewhere).  The identity families are indexed by the number of moving
-strands n and act on n + 1 strands.
+``scalars.field(m)``.  Each side is embedded into each field of the suite
+once, and each pair keeps its embedded braiding.  Sides are kept as
+products of factors and evaluated right to left, which avoids expanding
+sums of sums.  R^j_i stays its j - i + 1 binomials e - D^j_k sigma_j
+(``braids.r_binomials``), not the sum of 2^(j-i+1) words it expands to; a
+sum of words crosses each shared suffix once, and the full symmetrizer
+factor runs through its quadratic-cost recursion (itself checked against
+the brute-force word sum elsewhere).  The identity families are indexed by
+the number of moving strands n and act on n + 1 strands.
 """
 
 import random
 from math import lcm
 
-from .braids import GroupAlgElt, d_elt, r_elt, symmetrizer_apply, u_elt
+from .braids import (GroupAlgElt, d_elt, r_binomials, symmetrizer_apply,
+                     u_elt)
 from .scalars import root_of_unity
 from . import pairs as _pairs
 
@@ -87,13 +91,13 @@ def identity_family(n):
         for k in range(1, n + 1):
             dsum = dsum + d_elt(s, n, k) * un1
         out.append((f"ladder_exchange n={n}",
-                    Product(s, [usum - dsum, r_elt(s, n, 2)]),
-                    Product(s, [r_elt(s, n, 1), usum])))
+                    Product(s, [usum - dsum, *r_binomials(s, n, 2)]),
+                    Product(s, [*r_binomials(s, n, 1), usum])))
     # the symmetrizer factorization producing the Serre-type relations
     e = GroupAlgElt.unit(s)
     binomials = [e - u_elt(s, n, k) for k in range(1, n + 1)]
     lhs = Product(s, [s] + binomials)
-    rhs = Product(s, [r_elt(s, n, 1), n])
+    rhs = Product(s, [*r_binomials(s, n, 1), n])
     out.append((f"symmetrizer_factorization n={n}", lhs, rhs))
     return out
 

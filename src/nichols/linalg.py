@@ -202,17 +202,17 @@ class Echelon:
         """Rows in increasing pivot order (call rref first for canonical form)."""
         return [self.rows[p] for p in sorted(self.rows)]
 
-    def nullspace(self, universe, one):
+    def nullspace(self, universe):
         """Basis of the orthogonal complement read off the RREF rows.
 
         ``universe`` iterates all coordinate keys of the ambient space.  For
         each non-pivot key f the vector e_f - sum_p row_p[f] e_p annihilates
         every row; together these span the kernel of the matrix whose row
-        space this echelon basis spans.  ``one`` is the unit of the field.
+        space this echelon basis spans.
         """
         self.rref()
         rows = self.rows
-        neg = self.field.neg
+        one, neg = self.field.one, self.field.neg
         # column index of the pivot rows
         cols = {}
         for p, row in rows.items():
@@ -230,24 +230,29 @@ class Echelon:
         return out
 
 
-def invert_square(columns, n):
-    """Inverse of an n x n matrix of ``Cyc`` given as dict
-    ``columns[j] = {i: scalar}``.
+def invert_square(columns, n, field=None):
+    """Inverse of an n x n matrix given as dict ``columns[j] = {i: scalar}``.
 
     Returns the inverse in the same column-dict form.  Raises ValueError if
-    the matrix is singular.  The elimination runs in ``scalars.field(m)``,
-    m the lcm of the entries' conductors.
+    the matrix is singular.  With a ``field`` the entries are its values,
+    and so are the inverse's.  Without one they are ``Cyc``, and the
+    elimination runs in ``scalars.field(m)``, m the lcm of the entries'
+    conductors.
     """
-    F = _field(lcm(1, *(c.conductor for col in columns.values()
-                        for c in col.values())))
+    if field is None:
+        F = _field(lcm(1, *(c.conductor for col in columns.values()
+                            for c in col.values())))
+        embed, to_cyc = F.from_cyc, F.to_cyc
+        inv = invert_square({j: {i: embed(c) for i, c in col.items() if c}
+                             for j, col in columns.items()}, n, F)
+        return {j: {i: to_cyc(c) for i, c in col.items()}
+                for j, col in inv.items()}
     # rows of [M | I]; augmented keys live at n + row index
-    rows = [{n + i: F.one} for i in range(n)]
+    rows = [{n + i: field.one} for i in range(n)]
     for j, col in columns.items():
         for i, c in col.items():
-            c = F.from_cyc(c)
-            if c is not None:
-                rows[i][j] = c
-    ech = Echelon(F)
+            rows[i][j] = c
+    ech = Echelon(field)
     for r in rows:
         ech.insert(r)
     if ech.pivots() != list(range(n)):
@@ -258,7 +263,7 @@ def invert_square(columns, n):
         # row p of the RREF reads e_p = sum_j inv[p][j] (aug j)
         for u, c in row.items():
             if u >= n:
-                inv_cols.setdefault(u - n, {})[p] = F.to_cyc(c)
+                inv_cols.setdefault(u - n, {})[p] = c
     return inv_cols
 
 

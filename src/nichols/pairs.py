@@ -29,7 +29,7 @@ for summands given by their group-likes alone, without a group.
 from math import gcd as _gcd
 
 from .linalg import InvalidInput, invert_square, vec_add_into
-from .scalars import as_matrix, as_scalar, one, zero
+from .scalars import as_matrix, as_scalar, field as _field, one, zero
 from . import braids
 from . import groups as _groups
 
@@ -40,7 +40,7 @@ class BraidedPair:
     vector)."""
 
     __slots__ = ("dim", "conductor", "cmap", "grouplikes", "kind", "params",
-                 "_cinv")
+                 "_cinv", "_embedded")
 
     def __init__(self, dim, cmap, grouplikes=None, kind="matrix", params=None,
                  validate=True):
@@ -52,6 +52,7 @@ class BraidedPair:
         self.kind = kind
         self.params = params or {}
         self._cinv = None
+        self._embedded = {}
         cond = 1
         for col in self.cmap:
             for _, c in col:
@@ -76,14 +77,24 @@ class BraidedPair:
         return tuple(cols)
 
     def cmap_inverse(self):
+        """The inverse braiding as a cmap of ``Cyc``, converted from the
+        one computed in the pair's own field (``FieldPair``); ValueError
+        when the braiding is singular."""
         if self._cinv is None:
-            d = self.dim
-            columns = {p: {kl: c for kl, c in col}
-                       for p, col in enumerate(self.cmap)}
-            inv = invert_square(columns, d * d)
-            self._cinv = tuple(
-                tuple(sorted(inv.get(p, {}).items())) for p in range(d * d))
+            F = _field(self.conductor)
+            to_cyc = F.to_cyc
+            self._cinv = tuple(tuple((kl, to_cyc(c)) for kl, c in col)
+                               for col in self.embedded(F).cmap_inverse())
         return self._cinv
+
+    def embedded(self, field):
+        """The braiding embedded into ``field`` (``scalars.field(m)``, m a
+        multiple of ``conductor``), as a ``braids.FieldPair`` made on first
+        use and kept with the pair, one per field."""
+        fp = self._embedded.get(field.m)
+        if fp is None:
+            fp = self._embedded[field.m] = braids.FieldPair(self, field)
+        return fp
 
     def matrix(self):
         """The d^2 x d^2 braiding matrix; entry [k*d+l][i*d+j] is the
@@ -133,15 +144,17 @@ def check(bp):
 
     The braid equation s1 s2 s1 = s2 s1 s2 is checked on every basis
     tensor of the triple tensor power in one tagged pass in
-    ``scalars.field(m)`` (``braids._mismatch``); ``braid_failure`` is the
-    least failing basis word, or None.  Group-likes are consistent when
-    they are the ones ``_detect_grouplikes`` reads off the cmap.
+    ``scalars.field(m)``, m = ``bp.conductor`` (``braids._mismatch``);
+    ``braid_failure`` is the least failing basis word, or None.  The
+    inverse is computed in the same field, on the same embedding
+    (``BraidedPair.embedded``).  Group-likes are consistent when they are
+    the ones ``_detect_grouplikes`` reads off the cmap.
     """
     failure = braids._mismatch(braids.GroupAlgElt.from_word(3, (1, 2, 1)),
                                braids.GroupAlgElt.from_word(3, (2, 1, 2)),
                                bp, range(bp.dim ** 3))
     try:
-        bp.cmap_inverse()
+        bp.embedded(_field(bp.conductor)).cmap_inverse()
         ok_inv = True
     except ValueError:
         ok_inv = False

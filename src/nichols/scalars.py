@@ -37,10 +37,11 @@ left operand and reduces modulo the cyclotomic polynomial with the table's
 integers written in.  Elimination's step x - a*b is one operation,
 ``submul``, fused in ``_submultiplier(m)``: the same convolution,
 subtracted from x line by line over a common denominator, reduced to
-lowest terms once, and not at all for integral operands.  Sums are
-generated coefficient-wise (``_adder``; a difference adds the negation),
-and ``_inverse`` inverts a rational multiple of a root of unity
-directly, anything else through its Galois norm.  A product by a fixed
+lowest terms once, and not at all for integral operands.  Sums and
+negations are generated coefficient-wise (``_adder`` and ``_negator``; a
+difference adds the negation), and ``_inverse`` inverts a rational
+multiple of a root of unity directly, anything else through its Galois
+norm.  A product by a fixed
 root of unity or its negative, as in a crossed-set braiding's crossings,
 has a shorter form: ``_root_multiplier(m, e)`` rotates and reduces the
 coefficients with the table's integers written in, keeps the denominator
@@ -318,6 +319,14 @@ def _adder(k):
         *(f"    y{i} = a{i} * fa + b{i} * fb" for i in range(k)),
         "    d = ad * fa", *_nonzero([f"y{i}" for i in range(k)], "d")],
         gcd=gcd)
+
+
+def _negator(k):
+    """The negation of a value of a field of degree k, as straight-line
+    code: a reduced value negates to a reduced value."""
+    return _compile("neg", [
+        "def neg(a):", _unpack("a", k),
+        "    return (" + "".join(f"-a{i}, " for i in range(k)) + "ad)"])
 
 
 _root_tables = {}
@@ -759,9 +768,10 @@ def field(m):
     products through ``_multiplier(m)``, the fused x - a*b through
     ``_submultiplier(m)``, which computes fx x - fa (a*b) with fx, fa the
     cofactors of gcd(xd, ad bd) (both 1, and no reduction, when all three
-    are integral), sums through ``_adder``, inverses
-    through ``_inverse``, and ``scaling(s)`` through ``_root_multiplier``
-    when s is a root of unity or its negative.  ``Cyc`` computes in these
+    are integral), sums through ``_adder``, negations through
+    ``_negator``, inverses through ``_inverse``, and ``scaling(s)``
+    through ``_root_multiplier`` when s is a root of unity or its
+    negative.  ``Cyc`` computes in these
     fields too, at the lcm of its operands' conductors.
 
     The field is made once per conductor and holds no values computed
@@ -861,12 +871,9 @@ def _cyclotomic_field(m):
     k = euler_phi(m)
     mul = _multiplier(m)
     add = _adder(k)
+    neg = _negator(k)
     unit = (1,) + (0,) * (k - 1) + (1,)
     roots = _roots(m)
-
-    def neg(a):
-        *num, den = a
-        return (*map(_neg, num), den)
 
     def inverse(a):
         return _inverse(m, a)

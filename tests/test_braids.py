@@ -1,3 +1,4 @@
+import gc
 import random
 from argparse import Namespace
 from itertools import combinations, permutations
@@ -17,6 +18,7 @@ from nichols.braids import (
     perm_inv,
     perm_length,
     perm_mul,
+    r_binomials,
     r_elt,
     shuffles,
     sigma_pass,
@@ -29,7 +31,7 @@ from nichols.braids import (
     verify_identity,
 )
 from nichols.identities import Product, all_identities, standard_suite
-from nichols.linalg import encode_word
+from nichols.linalg import encode_word, invert_square
 from nichols.scalars import ONE, ZERO, field, integer, one, root_of_unity
 from nichols import cli, pairs
 
@@ -443,3 +445,97 @@ def test_monomial_map_that_is_no_bijection_keeps_merging_loop():
                     bp.cmap, d, 3, {w: integer(w + 1) for w in vec}, k)
     # a column with two terms keeps the merging loop too
     assert type(FieldPair(NON_DIAGONAL[2], field(1)).cmap) is FieldCmap
+
+
+# ---------------------------------------------------------------------------
+# R^j_i as its binomials, and the embedding each pair keeps
+
+def test_factored_r_equals_expanded():
+    suite = standard_suite(count=4, seed=31)
+    for n in range(2, 6):
+        s = n + 1
+        for i in (1, 2):
+            factors = r_binomials(s, n, i)
+            assert len(factors) == n - i + 1
+            assert verify_identity(Product(s, factors), r_elt(s, n, i),
+                                   suite).ok, (n, i)
+    # R^2_1 = (e - s2 s2)(e - s1 s2 s2), written out
+    e, w = ONE, -one()
+    assert r_elt(3, 2, 1).terms == {(): e, (2, 2): w, (1, 2, 2): w,
+                                    (2, 2, 1, 2, 2): e}
+
+
+def test_ladder_without_a_binomial_fails_as_expanded():
+    # the ladder exchange with one factor of R^n_2 dropped: the factored
+    # and the expanded product give the same report
+    suite = standard_suite(count=4, seed=5)
+    for n in (3, 4):
+        s = n + 1
+        name, lhs, rhs = next(t for t in all_identities(n)
+                              if t[0] == f"ladder_exchange n={n}")
+        head, binomials = lhs.factors[0], lhs.factors[1:]
+        assert len(binomials) == n - 1
+        for drop in range(n - 1):
+            kept = binomials[:drop] + binomials[drop + 1:]
+            expanded = GroupAlgElt.unit(s)
+            for factor in kept:
+                expanded = expanded * factor
+            got = report_tuple(verify_identity(Product(s, [head] + kept),
+                                               rhs, suite))
+            assert got[0] is False, (n, drop)
+            assert got == report_tuple(verify_identity(
+                Product(s, [head, expanded]), rhs, suite)), (n, drop)
+
+
+INVERSE_PAIRS = (
+    pairs.v3(root_of_unity(3, 1)),
+    pairs.diagonal([[root_of_unity(12, 1), root_of_unity(3, 2)],
+                    [integer(-1), root_of_unity(4, 3)]]),
+    pairs.change_basis(pairs.v3(integer(-1)),
+                       [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+)
+
+
+def test_field_pair_inverse_is_computed_in_the_field():
+    for bp in INVERSE_PAIRS:
+        d = bp.dim
+        # the pair's Cyc inverse against elimination over Cyc
+        oracle = invert_square({p: dict(col) for p, col in enumerate(bp.cmap)},
+                               d * d)
+        assert bp.cmap_inverse() == tuple(
+            tuple(sorted(oracle.get(p, {}).items())) for p in range(d * d))
+        for m in (bp.conductor, lcm(bp.conductor, 5)):
+            F = field(m)
+            fp = bp.embedded(F)
+            assert bp.embedded(F) is fp and not hasattr(fp, "_bp")
+            inv = fp.cmap_inverse()
+            assert type(inv) is type(fp.cmap)
+            assert inv == tuple(tuple((kl, F.from_cyc(c)) for kl, c in col)
+                                for col in bp.cmap_inverse()), (bp, m)
+            # crossing and crossing back fixes every tagged basis tensor
+            size = d ** 3
+            basis = {w * size + w: F.one for w in range(size)}
+            for k in (1, 2):
+                there = sigma_pass(fp.cmap, d, 3, basis, k)
+                assert sigma_pass(inv, d, 3, there, k) == basis, (bp, m, k)
+    assert type(INVERSE_PAIRS[0].embedded(field(3)).cmap) is Relabelling
+    assert type(INVERSE_PAIRS[2].embedded(field(1)).cmap) is FieldCmap
+
+
+def test_verify_leaves_no_cyclic_garbage():
+    # each pair keeps its embeddings, which hold no reference back to it,
+    # so a suite is freed by reference counting
+    suite = standard_suite(count=3, seed=8)
+    checks = all_identities(3)
+    for _, lhs, rhs in checks:
+        assert verify_identity(lhs, rhs, suite).ok
+    gc.collect()
+    gc.disable()
+    try:
+        suite = standard_suite(count=3, seed=8)
+        for _, lhs, rhs in checks:
+            assert verify_identity(lhs, rhs, suite).ok
+        del suite
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -427,3 +427,34 @@ def test_verify_failure_is_reported(capsys, monkeypatch):
         "  lhs: {1: Cyc(-1), 2: Cyc(-1)}",
         "  rhs: {1: Cyc(1), 2: Cyc(-1)}",
         "result: 0/1 identities hold"]
+
+
+def test_consecutive_calls_print_what_separate_calls_print(capsys,
+                                                           monkeypatch):
+    # the parser is built once per process: a flag given to one call must
+    # not reach the next, and defaults must come back
+    monkeypatch.delenv("NICHOLS_CACHE_DIR", raising=False)
+    # every suite pair passes, so record the suite each verify asks for
+    suites = []
+    real_suite = identities.standard_suite
+
+    def suite(**kw):
+        suites.append(kw)
+        return real_suite(**kw)
+    monkeypatch.setattr(identities, "standard_suite", suite)
+    pair = ("--builtin", "v3", "--q", "1", "--max-degree", "3")
+    calls = [("hilbert", *pair, "--require-finite"), ("hilbert", *pair),
+             ("verify", "--max-n", "2", "--seed", "5", "--count", "2"),
+             ("verify", "--max-n", "2")]
+    together = [run(capsys, *argv) for argv in calls]
+    apart = []
+    for argv in calls:
+        # what a new process would parse with
+        monkeypatch.setattr(cli, "_parser", None)
+        apart.append(run(capsys, *argv))
+    assert together == apart
+    assert [code for code, _, _ in together] == [4, 0, 0, 0]
+    assert together[2][1].splitlines()[-1] == "result: 6/6 identities hold"
+    assert suites[:2] == suites[2:] == [
+        {"count": 2, "max_order": 12, "seed": 5},
+        {"count": 10, "max_order": 12, "seed": 20240}]

@@ -172,7 +172,7 @@ def test_engine_matches_image_iteration(name, build, top, ktop):
     transposed_oracle = image_iteration(pairs.transpose(bp), ktop)
     for n in range(2, ktop + 1):
         oracle_cache.kernels[n] = transposed_oracle[n].nullspace(
-            range(d ** n), ONE)
+            range(d ** n))
     words = leading_words_oracle(oracle_cache.kernels, d, ktop)
     for n in range(2, ktop + 1):
         want = tensor_relations(bp, n, oracle_cache)

@@ -62,7 +62,7 @@ def test_echelon_rref_and_nullspace():
     ech = Echelon()
     ech.insert({0: one(), 1: one(), 2: one()})
     ech.insert({1: one(), 2: integer(2)})
-    null = ech.nullspace(range(3), one())
+    null = ech.nullspace(range(3))
     assert len(null) == 1
     vec = null[0]
     # check orthogonality against the original rows
@@ -162,7 +162,7 @@ def test_kernel_leads_where_the_row_space_does_not(rows):
         row_space.insert(row)
         mirrored.insert({-k: c for k, c in row.items()})
     kernel = Echelon()
-    for vec in row_space.nullspace(range(WORDS), one()):
+    for vec in row_space.nullspace(range(WORDS)):
         kernel.insert(vec)
     assert set(kernel.pivots()) == set(range(WORDS)) - {
         -p for p in mirrored.rows}

@@ -407,7 +407,7 @@ def test_field_arithmetic_matches_cyc(m, data):
         return
     assert F.to_cyc(F.add(fa, fb)) == _sum(a, b) == a + b
     assert F.to_cyc(F.sub(fa, fb)) == _sum(a, -b) == a - b
-    assert F.to_cyc(F.neg(fa)) == -a
+    assert F.to_cyc(F.neg(fa)) == -a and F.neg(F.neg(fa)) == fa
     assert F.to_cyc(F.mul(fa, fb)) == _times(a, b) == a * b
     # scaling by any value, and by +-zeta^e, a crossing's usual factor
     assert F.to_cyc(F.scaling(fb)(fa)) == a * b
@@ -434,6 +434,20 @@ def test_field_arithmetic_matches_cyc(m, data):
     assert CYCLOTOMIC.to_cyc(CYCLOTOMIC.add(a, -a)) == zero()
 
 
+def test_negation_at_every_conductor():
+    # the negation is generated per degree phi(m); check each conductor's
+    # on an integral, a fractional and a root-of-unity value
+    for m in range(1, 61):
+        F = field(m)
+        for a in (integer(-3) + root_of_unity(m, 1),
+                  rational(5, 6) * root_of_unity(m, m - 1) - rational(1, 4),
+                  -root_of_unity(m, 1)):
+            fa = F.from_cyc(a)
+            got = F.neg(fa)
+            assert F.to_cyc(got) == -a and _canonical(F, got), (m, a)
+            assert F.neg(got) == fa and F.add(fa, got) is None
+
+
 @pytest.mark.parametrize("m", FIELD_CONDUCTORS)
 @settings(derandomize=True, deadline=None, max_examples=15, database=None)
 @given(data=st.data())
@@ -453,8 +467,7 @@ def test_echelon_is_the_same_in_either_type(m, data):
         assert {k: F.to_cyc(c) for k, c in fast.rows[p].items()
                 } == plain.rows[p]
     assert [{k: F.to_cyc(c) for k, c in vec.items()}
-            for vec in fast.nullspace(range(6), F.one)] == plain.nullspace(
-                range(6), one())
+            for vec in fast.nullspace(range(6))] == plain.nullspace(range(6))
 
 
 # ---------------------------------------------------------------------------
