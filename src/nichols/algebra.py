@@ -11,8 +11,8 @@ u in B_(n-1)^d: an element of positive degree vanishes in the Nichols
 algebra iff every d_y kills it (Andruskiewitsch-Schneider, Pointed Hopf
 algebras, MSRI Publ. 43, 2002).  The basis of B_n is the images pi(w) of
 its normal words w, the words that lead no vector of K_n, and d_y(u) is
-written in the basis of B_(n-1) at the key v * d + y of each normal word
-v of degree n-1, the key of the word v y.
+written in the basis of B_(n-1) at the key y * d**(n-1) + v of each
+normal word v of degree n-1, the key of the word y v: letter first.
 
 A kernel vector leads with its least key, so a word f leads one iff pi(f)
 is a combination of the images of greater words.  The leading words are
@@ -26,6 +26,17 @@ of greater normal words.  That is its rewriting rule f -> tail, the
 kernel vector k_f = e_f - sum tail[p] e_p; over all degrees these rules
 are the reduced Groebner basis of the relation ideal J, the kernel of
 T(V) -> B(V).
+
+Neither answer depends on the order of the derivation keys or on how far
+the stored rows are reduced: a candidate is normal exactly when its image
+is independent of the images before it, a rank fact, and its rule tail is
+the unique combination of those images.  So the insertion stops at the
+first free key (``linalg.Echelon.insert``), and the keys are ordered to
+make that early: with the letter y most significant, the images of the
+candidates, greatest word first, are nearly triangular, most of them
+leading with a key no row has taken, so they are stored almost as they
+are (Aff(7,3) to degree 8 stores 161,106 row entries for Phi-vectors of
+161,024; with the key v y and every pivot reduced, 349,197).
 
 The algebra is generated in degree one, and the skew Leibniz rule gives
 
@@ -142,7 +153,12 @@ class GradedComputation:
     and the tensor coordinates read, its rules, and the left
     multiplications into it once the next degree is computed; the
     crossings are kept for the newest of those degrees only, and the
-    multipliers of the elimination only until the rules are read.
+    multipliers of the elimination only until the rules are read.  A
+    Phi-vector holds d_y(u) at the key y * d**(n-1) + v of each normal
+    word v of degree n-1; its echelon rows are the images as inserted,
+    reduced only until their least key is free, so they are no canonical
+    form (``degree_basis`` is).  No degree past a zero component is
+    computed: it has no candidate word.
 
     Every scalar inside, the cached ``kernels`` included, is a bare value
     of ``field``, Q(zeta_m) at m = ``bp.conductor`` (``scalars.field``),
@@ -167,10 +183,10 @@ class GradedComputation:
         ech0.insert({0: one})
         self.bases = [ech0]
         self.stats = [DegreeStats(0, 0, 1, 1, 0.0)]
-        # per degree, the Phi-vector of the image of each normal word w,
-        # {w: vector}, with d_y at the keys u d + y of the normal words u
-        # one degree down; degree 0 is the empty word at key 0, with no
-        # derivatives
+        # per degree n, the Phi-vector of the image of each normal word w,
+        # {w: vector}, with d_y at the keys y d^(n-1) + u of the normal
+        # words u one degree down; degree 0 is the empty word at key 0,
+        # with no derivatives
         self._phis = [{0: {}}]
         # the nonzero crossings beta_(i,y) on B_n of the last prepared
         # degree n, as {(i, y): {w: vector}}; on B_0, c(x_i (x) 1) = 1 (x) x_i
@@ -194,10 +210,14 @@ class GradedComputation:
 
     def basis(self, n):
         """Echelon basis of the degree-n component in derivation
-        coordinates (computed on demand)."""
+        coordinates (computed on demand).  Once a computed degree has rank
+        0, every later degree has no candidate word: those are answered
+        with an empty echelon at once and never computed."""
         if n < 0:
             raise ValueError(f"no component in negative degree {n}")
         while len(self.bases) <= n:
+            if not self.bases[-1].rank:
+                return Echelon(self.field)
             self._extend()
         return self.bases[n]
 
@@ -220,6 +240,9 @@ class GradedComputation:
             self._prepare(n - 1)
         phis, left, betas = self._phis[-1], self._lefts[-1], self._betas
         shift = d ** (n - 1)
+        # d_y(u) of a normal word of degree n-1 sits at y * d**(n-2) + u
+        # (degree 0 has no derivatives)
+        inner = shift // d
         words = self._candidate_words(n)
         ech = Echelon(field)
         # the Phi-vectors of the normal words, the rules, and the word
@@ -229,13 +252,13 @@ class GradedComputation:
             a, v = divmod(w, shift)
             parts = {}
             for k, s in phis[v].items():
-                u, y = divmod(k, d)
+                y, u = divmod(k, inner)
                 vec_add_into(parts.setdefault(y, {}), left[a][u], s, field)
             for y in range(d):
                 cross = betas.get((a, y), {}).get(v)
                 if cross:
                     vec_add_into(parts.setdefault(y, {}), cross, None, field)
-            vec = {u * d + y: s for y, part in parts.items()
+            vec = {y * shift + u: s for y, part in parts.items()
                    for u, s in part.items()}
             steps = {}
             p = ech.insert(vec, steps)
@@ -293,15 +316,17 @@ class GradedComputation:
         if n < 1:
             raise ValueError("multiplications map into positive degrees")
         maps = self._left(n)
-        index = {w: b for b, w in enumerate(sorted(self._phis[n]))}
+        index = {w: b for b, w in enumerate(sorted(self._rewriting(n)[0]))}
         to_cyc = self.field.to_cyc
         return [[{index[q]: to_cyc(c) for q, c in cols[v].items()}
-                 for v in sorted(self._phis[n - 1])] for cols in maps]
+                 for v in sorted(self._rewriting(n - 1)[0])] for cols in maps]
 
     def _left(self, n):
         """L_a in the field, from the rules: L_a(pi(v)) = NF(x_a v) for
-        each normal word v of degree n-1."""
+        each normal word v of degree n-1 (none past a zero component)."""
         self.basis(n)
+        if n >= len(self._phis):
+            return [{} for _ in range(self.bp.dim)]
         if len(self._lefts) == n:
             shift = self.bp.dim ** (n - 1)
             self._lefts.append([
@@ -312,17 +337,21 @@ class GradedComputation:
 
     def _tensor_rows(self, n):
         """The images of the normal words of degree n in tensor
-        coordinates, in the field, from u = sum_y d_y(u) (x) x_y."""
+        coordinates, in the field, from u = sum_y d_y(u) (x) x_y (none
+        past a zero component)."""
         d = self.bp.dim
+        self.basis(n)
+        if n >= len(self._phis):
+            return {}
         while len(self._tensor) <= n:
             m = len(self._tensor)
             low = self._tensor[m - 1]
-            self.basis(m)
             out = {}
+            shift = d ** (m - 1)
             for w, phi in self._phis[m].items():
                 vec = {}
                 for k, s in phi.items():
-                    c, y = divmod(k, d)
+                    y, c = divmod(k, shift)
                     tail = {u * d + y: t for u, t in low[c].items()}
                     vec_add_into(vec, tail, s, self.field)
                 out[w] = vec
@@ -374,9 +403,12 @@ class GradedComputation:
         combination of the greater normal words is unique, the tail of
         k_f = e_f - sum tail[p] e_p.  Every normal word is a candidate
         (the leading words are closed under extension), so the candidate
-        words suffice.
+        words suffice.  Past a zero component there are no candidate
+        words, so no normal words and no rules.
         """
         self.basis(n)
+        if n >= len(self._phis):
+            return frozenset(), {}
         return self._phis[n].keys(), self._rules[n]
 
     def _reduce(self, n, w):

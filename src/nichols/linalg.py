@@ -78,14 +78,19 @@ def vec_add_into(dst, src, scale=None, field=CYCLOTOMIC):
 
 
 class Echelon:
-    """A growing reduced basis of a subspace, rows pivoted on their least key.
+    """A growing echelon basis of a subspace, rows pivoted on their least key.
 
-    Rows are stored with pivot coefficient exactly one.  ``reduce`` performs
-    forward elimination only; since every stored row has its pivot as its
-    least key, the residue it returns contains no pivot keys at all and is
-    therefore the canonical projection along the row space, independent of
-    whether rows have been back-substituted.  ``rref`` back-substitutes the
-    stored rows in place, which nullspace extraction requires.
+    Rows are stored with pivot coefficient exactly one, and as they were
+    inserted: ``insert`` eliminates only while the least key of the residue
+    is a pivot, so a row may still hold later pivot keys, and no row is
+    back-substituted.  Rank, pivots and membership do not depend on that:
+    the pivots are the least keys of the nonzero vectors of the row space,
+    whatever basis of it is stored.  ``reduce`` eliminates every pivot
+    key; since every stored row has its pivot as its least key, the
+    residue it returns contains no pivot keys at all and is therefore the
+    canonical projection along the row space, however far the rows are
+    reduced.  ``rref`` back-substitutes the stored rows in place, which
+    canonical rows and nullspace extraction require.
 
     ``record`` holds, in the order of insertion, each row inserted with
     ``steps``: the inverse that scaled its pivot to one and the multipliers
@@ -110,10 +115,16 @@ class Echelon:
     def pivots(self):
         return sorted(self.rows)
 
-    def reduce(self, vec, steps=None):
-        """Residue of vec modulo the row space (forward elimination); the
-        multiplier c of each row subtracted, c times the row at pivot k,
-        goes to ``steps[k]`` when a dict is given."""
+    def reduce(self, vec, steps=None, stop_at_free=False):
+        """Residue of vec modulo the row space (forward elimination, least
+        key first); the multiplier c of each row subtracted, c times the
+        row at pivot k, goes to ``steps[k]`` when a dict is given.
+
+        With ``stop_at_free`` the elimination ends at the first key that is
+        no pivot, and the residue is returned as it stands then: it leads
+        with a free key, or is empty exactly when vec lies in the row
+        space, but it may hold later pivot keys.  Either way the first key
+        of the residue is its least."""
         work = dict(vec)
         heap = list(work)
         heapq.heapify(heap)
@@ -129,6 +140,9 @@ class Echelon:
             row = rows.get(k)
             if row is None:
                 out[k] = c
+                if stop_at_free:
+                    out.update(work)
+                    return out
                 continue
             if steps is not None:
                 steps[k] = c
@@ -152,14 +166,15 @@ class Echelon:
         return out
 
     def insert(self, vec, steps=None):
-        """Reduce vec and adjoin the residue as a new row; returns the new
-        pivot key, or None if vec was already in the row space.  With a
-        dict ``steps``, the multipliers of the reduction are written to it
-        (as in ``reduce``) and a new row is entered in ``record``."""
-        red = self.reduce(vec, steps)
+        """Reduce vec until its least key is free and adjoin the residue as
+        a new row, pivoted on that key and not reduced further; returns the
+        new pivot key, or None if vec was already in the row space.  With
+        a dict ``steps``, the multipliers of the reduction are written to
+        it (as in ``reduce``) and a new row is entered in ``record``."""
+        red = self.reduce(vec, steps, stop_at_free=True)
         if not red:
             return None
-        p = min(red)
+        p = next(iter(red))
         field = self.field
         inv = field.inverse(red[p])
         mul = field.mul

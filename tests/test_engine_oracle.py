@@ -276,21 +276,45 @@ def test_affine_7_3_counts():
     # Aff(7, 3), i |> j = 3j - 2i mod 7 with the constant cocycle -1, whose
     # Nichols algebra is 326592-dimensional: 21 quadratic relations and no
     # new one in degrees 3-5, while the rewriting basis gains 12, 7 and 7
-    # words there, and one sextic relation; all without the transposed
-    # pair.  After the engine the overlaps give the counts through degree
-    # 7 in well under a second (a span in V (x) B_(n-1) took 24-34 s)
+    # words there, one sextic relation and none in degrees 7 and 8; all
+    # without the transposed pair.  The engine reaches degree 8 in about
+    # a second (3 s while insertion reduced every pivot key), and after it
+    # the overlaps give the counts in well under a second (a span in
+    # V (x) B_(n-1) took 24-34 s through degree 7)
     bp = affine(7, 3)
     cache = GradedComputation(bp)
     words = [len(new_leading_words(bp, n, cache)) for n in range(2, 6)]
     rels = [len(relations(bp, n, cache)) for n in range(2, 6)]
     assert words == [21, 12, 7, 7]
     assert rels == [21, 0, 0, 0]
-    cache.basis(7)
     t0 = time.perf_counter()
-    counts = [relation_count(bp, n, cache) for n in range(2, 8)]
+    dims = hilbert(bp, 8, cache).dims
+    assert time.perf_counter() - t0 < 15.0
+    assert dims == [1, 7, 28, 84, 210, 462, 918, 1673, 2828]
+    t0 = time.perf_counter()
+    counts = [relation_count(bp, n, cache) for n in range(2, 9)]
     assert time.perf_counter() - t0 < 10.0
-    assert counts == [21, 0, 0, 0, 1, 0]
+    assert counts == [21, 0, 0, 0, 1, 0, 0]
     assert cache._transposed is None
+
+
+@pytest.mark.parametrize("build,top", [(fomin_kirillov_e4, 13),
+                                       (lambda: affine(5, 2), 17)],
+                         ids=["E4", "aff-5-2"])
+def test_insertion_stores_the_phi_vectors_nearly_as_they_are(build, top):
+    # with the derivation keys ordered letter first, the images of the
+    # candidate words, greatest first, are nearly triangular: insertion
+    # stops at the first free key, so the rows of every degree hold
+    # hardly more entries than the Phi-vectors of the normal words
+    # (E4: 3,785 against 3,784, Aff(5, 2): 15,698 against 15,671; rows
+    # reduced on every pivot key held 4,241 and 17,750)
+    bp = build()
+    cache = GradedComputation(bp)
+    assert hilbert(bp, top, cache).finite
+    stored = sum(s.nonzeros for s in cache.stats)
+    phis = sum(len(vec) for n in range(top + 1)
+               for vec in cache._phis[n].values())
+    assert stored <= 1.01 * phis
 
 
 def test_affine_5_2_presentation():
@@ -344,6 +368,25 @@ def test_finite_algebra_has_no_relations_above_its_top_degree():
     assert hilbert(bp, 7, cache).dims == [1, 3, 4, 3, 1, 0]
     assert [relation_count(bp, n, cache) for n in range(2, 8)] == [
         5, 0, 0, 0, 0, 0]
+
+
+def test_degrees_past_a_zero_component_answer_at_once():
+    # B_5 of v3(-1) is zero, so no degree above it has a candidate word:
+    # degree 10^6 is answered without computing degrees 6 and up (each
+    # of them built d^(n-1) afresh: 0.10 s to reach degree 4000)
+    bp = pairs.v3(MINUS)
+    cache = GradedComputation(bp)
+    top = 10 ** 6
+    t0 = time.perf_counter()
+    assert relation_count(bp, top, cache) == 0
+    assert new_leading_words(bp, top, cache) == []
+    assert relations(bp, top, cache) == []
+    assert cache.dim(top) == 0 and degree_basis(bp, top, cache) == []
+    assert cache.left(top) == cache.left(6) == [[], [], []]
+    assert time.perf_counter() - t0 < 0.5
+    assert len(cache.bases) == len(cache.stats) == 6
+    assert hilbert(bp, top, cache).dims == hilbert(bp, 9).dims == [
+        1, 3, 4, 3, 1, 0]
 
 
 # the full dims of the benchmark panel, at its degrees

@@ -148,6 +148,65 @@ def test_combination_rebuilds_dependent_vectors(m, typed):
 WORDS = 8
 
 
+@pytest.mark.parametrize("m,typed", [(1, True), (3, True), (3, False)],
+                         ids=["field1", "field3", "Cyc"])
+@settings(derandomize=True, deadline=None, max_examples=50, database=None)
+@given(data=st.data())
+def test_insert_stops_at_the_first_free_key(m, typed, data):
+    # insertion leaves rows unreduced past their pivot, yet rank, pivots,
+    # residues and the multipliers agree with a back-substituted copy
+    F = field(m) if typed else CYCLOTOMIC
+    # nonzero values: small fractions times m-th roots of one
+    scalars = st.builds(
+        lambda a, b, k: F.from_cyc(rational(a, b) * root_of_unity(m, k)),
+        st.integers(-3, 3).filter(bool), st.integers(1, 3),
+        st.integers(0, m - 1))
+    vectors = st.dictionaries(st.integers(0, 2 * WORDS - 1), scalars,
+                              min_size=1, max_size=5)
+    vecs = data.draw(st.lists(vectors, min_size=1, max_size=8))
+    # dependent vectors: combinations of earlier ones, maybe zero
+    for _ in range(data.draw(st.integers(0, 5))):
+        vec = {}
+        for i, c in data.draw(st.lists(st.tuples(
+                st.integers(0, len(vecs) - 1), scalars),
+                min_size=1, max_size=3)):
+            vec_add_into(vec, vecs[i], c, F)
+        vecs.append(vec)
+    vecs = data.draw(st.permutations(vecs))
+    ech, inserted, dependent = Echelon(F), {}, 0
+    for vec in vecs:
+        steps = {}
+        p = ech.insert(vec, steps)
+        if p is None:
+            dependent += 1
+            total = {}
+            for q, a in ech.combination(steps).items():
+                vec_add_into(total, inserted[q], a, F)
+            assert total == vec
+        else:
+            inserted[p] = vec
+    for p, row in ech.rows.items():
+        assert p == min(row) and F.is_one(row[p])
+    assert ech.rank + dependent == len(vecs)
+    full = Echelon(F)
+    full.rows = {p: dict(row) for p, row in ech.rows.items()}
+    full.rref()
+    for vec in vecs:
+        assert not full.reduce(vec)
+    # the rank and pivots of the span, with each residue reduced on every
+    # pivot key before it is stored
+    oracle = Echelon(F)
+    for vec in vecs:
+        red = oracle.reduce(vec)
+        if red:
+            inv = F.inverse(red[min(red)])
+            oracle.rows[min(red)] = {u: F.mul(c, inv) for u, c in red.items()}
+    assert oracle.pivots() == full.pivots() == ech.pivots()
+    probes = data.draw(st.lists(vectors, max_size=4))
+    for vec in probes + vecs:
+        assert ech.reduce(vec) == full.reduce(vec)
+
+
 @settings(derandomize=True, deadline=None, max_examples=80, database=None)
 @given(st.lists(st.dictionaries(
     st.integers(0, WORDS - 1),
