@@ -38,27 +38,27 @@ leading with a key no row has taken, so they are stored almost as they
 are (Aff(7,3) to degree 8 stores 161,106 row entries for Phi-vectors of
 161,024; with the key v y and every pivot reduced, 349,197).
 
-The algebra is generated in degree one, and the skew Leibniz rule gives
+The algebra is generated in degree one, so each candidate is a normal
+word p of degree n-1 followed by a letter a, and pi(p a) = pi(p) . x_a.
+The skew Leibniz rule on that side, the component in B_(n-1) (x) V of
+Delta(u) Delta(x_a) in the braided tensor product, is
 
-    d_y(x_a . u) = x_a . d_y(u) + beta_(a,y)(u),
+    d_z(u . x_a) = [z = a] u + sum_(j,k) C[(j,a) -> (k,z)] d_j(u) . x_k,
 
-where c(x_a (x) u) = sum_y beta_(a,y)(u) (x) x_y is x_a crossed over all
-of u, so the Phi-vector of pi(x_a v) needs the left multiplications
-L_a: B_(n-2) -> B_(n-1) and the crossings on B_(n-1).  When degree n+1
-is asked for, degree n gets L_a(pi(v)) = pi(x_a v), the normal form of
-x_a v under the rules, kept for every degree, and the crossings
-beta_(i,y): B_n -> B_n, which replace those of degree n-1, by the left
-recursion
-
-    beta_(i,y)(pi(x_a u)) = sum_(k,z) C[(i,a) -> (k,z)] L_k(beta_(z,y)(pi(u))),
-
-crossing x_i over x_a, then over u.  Maps that vanish identically are not
-stored, so a braiding of group type, where beta_(i,y) = 0 for y != i,
-carries d maps instead of d^2.
+with C the braiding matrix, c(x_j (x) x_a) = sum C[(j,a) -> (k,z)] x_k
+(x) x_z.  Only the last letter x_j of each term d_j(u) (x) x_j of Delta(u)
+crosses x_a, so the rule reads the braiding on V (x) V and nothing more:
+the Phi-vector of pi(p a) is e_p in component a plus the right
+multiplications R_k: B_(n-2) -> B_(n-1), R_k(pi(v)) = pi(v k), applied to
+the Phi-vector of p.  R_k(pi(v)) is the normal form of the word v k under
+the rules, made when degree n is computed and dropped when degree n+1 is.
+No crossing of a letter over a whole element is needed, for any braiding;
+on the other side, d_y(x_a . u) would need x_a crossed over all of u, maps
+of B_(n-1) to itself rebuilt by a recursion every degree.
 
 The engine computes in one field, ``scalars.field(m)`` at
 m = ``bp.conductor``, into which the braiding is embedded once.  Every
-basis, map, crossing, tensor vector, kernel and relation row inside holds
+basis, map, tensor vector, kernel and relation row inside holds
 that field's bare values (plain ints at conductor 1 while they stay
 integral, flat integer tuples above), every operation on them is one of
 the field's functions, and only what a public function (or
@@ -131,15 +131,6 @@ def _export(vec, field):
     return {k: to_cyc(c) for k, c in vec.items()}
 
 
-def _apply(cols, vec, field):
-    """A coordinate map (``cols[b]`` the sparse image of basis vector b)
-    applied to a sparse coordinate vector."""
-    out = {}
-    for b, s in vec.items():
-        vec_add_into(out, cols[b], s, field)
-    return out
-
-
 class GradedComputation:
     """Per-degree bases of the graded components in derivation
     coordinates, the images pi(w) of the normal words w, with the rewriting
@@ -150,9 +141,9 @@ class GradedComputation:
 
     Each degree n keeps its ``Echelon`` of Phi-vectors (``bases``), the
     Phi-vectors of the images of its normal words, which the next degree
-    and the tensor coordinates read, its rules, and the left
-    multiplications into it once the next degree is computed; the
-    crossings are kept for the newest of those degrees only, and the
+    and the tensor coordinates read, and its rules.  The right
+    multiplications R_k into degree n-1, which the Phi-vectors of degree n
+    are made with, are kept until degree n+1 replaces them, and the
     multipliers of the elimination only until the rules are read.  A
     Phi-vector holds d_y(u) at the key y * d**(n-1) + v of each normal
     word v of degree n-1; its echelon rows are the images as inserted,
@@ -162,7 +153,8 @@ class GradedComputation:
 
     Every scalar inside, the cached ``kernels`` included, is a bare value
     of ``field``, Q(zeta_m) at m = ``bp.conductor`` (``scalars.field``),
-    into which the braiding is embedded once as ``cmap``, and every
+    into which the braiding is embedded once, as the matrix C grouped by
+    the last letter of the candidates (``_by_last``), and every
     operation on one goes through ``field``'s functions: the bases are
     ``Echelon(field)`` and the sums ``vec_add_into(..., field)``.  What
     the public functions and ``left`` return is converted back to
@@ -178,7 +170,12 @@ class GradedComputation:
         self.bp = bp
         self.field = _field(bp.conductor)
         one = self.field.one
-        self.cmap = bp.embedded(self.field).cmap
+        cmap = bp.embedded(self.field).cmap
+        d = bp.dim
+        # C grouped by the last letter a of a candidate: the terms
+        # (j, k, z, c) of c(x_j (x) x_a) = sum c x_k (x) x_z
+        self._by_last = [[(j, kz // d, kz % d, c) for j in range(d)
+                          for kz, c in cmap[j * d + a]] for a in range(d)]
         ech0 = Echelon(self.field)
         ech0.insert({0: one})
         self.bases = [ech0]
@@ -188,12 +185,9 @@ class GradedComputation:
         # words u one degree down; degree 0 is the empty word at key 0,
         # with no derivatives
         self._phis = [{0: {}}]
-        # the nonzero crossings beta_(i,y) on B_n of the last prepared
-        # degree n, as {(i, y): {w: vector}}; on B_0, c(x_i (x) 1) = 1 (x) x_i
-        self._betas = {(i, i): {0: {0: one}} for i in range(bp.dim)}
-        # the maps L_a: B_(n-1) -> B_n as [a][{v: vector}] at index n for
-        # every prepared degree n
-        self._lefts = [None]
+        # the right multiplications R_k: B_(n-2) -> B_(n-1) that made the
+        # Phi-vectors of the newest degree n, [k][{v: vector}] (``_extend``)
+        self._right = None
         # tensor coordinates of each normal word's image, {w: vector} per
         # degree, built on request
         self._tensor = [{0: {0: one}}]
@@ -230,44 +224,61 @@ class GradedComputation:
         images before are the normal words; each other candidate f is a new
         leading word, its image a combination of the images of greater
         normal words, which the multipliers of the elimination give: the
-        rule f -> tail.  The Phi-vector of x_a v, v a normal word, is
-        (L_a(d_y pi(v)) + beta_(a,y)(pi(v)))_y."""
+        rule f -> tail.  The Phi-vector of p a, p a normal word and a a
+        letter, comes from that of p by the right Leibniz rule:
+        d_z(pi(p) . x_a) = [z = a] pi(p) + sum_(j,k) C[(j,a) -> (k,z)]
+        R_k(d_j pi(p))."""
         t0 = perf_counter()
         n = len(self.bases)
         d = self.bp.dim
         field = self.field
+        one, mul = field.one, field.mul
+        by_last = self._by_last
+        phis = self._phis[-1]
         if n > 1:
-            self._prepare(n - 1)
-        phis, left, betas = self._phis[-1], self._lefts[-1], self._betas
+            # the maps into degree n-1 replace those into n-2, dropped
+            # first; degree 1 needs none, its prefix being the empty word
+            self._right = None
+            self._right = self._right_multiplications(n - 1)
+        right = self._right
         shift = d ** (n - 1)
-        # d_y(u) of a normal word of degree n-1 sits at y * d**(n-2) + u
-        # (degree 0 has no derivatives)
+        # d_j(p) of a normal word p of degree n-1 sits at j * d**(n-2) + v
         inner = shift // d
         words = self._candidate_words(n)
         ech = Echelon(field)
         # the Phi-vectors of the normal words, the rules, and the word
         # whose image was inserted at each pivot
         normal, rules, word_at = {}, {}, {}
+        prefix = None
         for w in reversed(words):
-            a, v = divmod(w, shift)
-            parts = {}
-            for k, s in phis[v].items():
-                y, u = divmod(k, inner)
-                vec_add_into(parts.setdefault(y, {}), left[a][u], s, field)
-            for y in range(d):
-                cross = betas.get((a, y), {}).get(v)
-                if cross:
-                    vec_add_into(parts.setdefault(y, {}), cross, None, field)
-            vec = {y * shift + u: s for y, part in parts.items()
+            p, a = divmod(w, d)
+            if p != prefix:
+                # the candidates p a, a = d-1, ..., 0, share d_j pi(p) by
+                # letter j
+                prefix = p
+                lower = {}
+                for key, s in phis[p].items():
+                    j, v = divmod(key, inner)
+                    lower.setdefault(j, {})[v] = s
+            parts = {a: {p: one}}
+            for j, k, z, c in by_last[a]:
+                low = lower.get(j)
+                if low is None:
+                    continue
+                part = parts.setdefault(z, {})
+                cols = right[k]
+                for v, s in low.items():
+                    vec_add_into(part, cols[v], mul(c, s), field)
+            vec = {z * shift + u: s for z, part in parts.items()
                    for u, s in part.items()}
             steps = {}
-            p = ech.insert(vec, steps)
-            if p is None:
-                rules[w] = {word_at[q]: c
-                            for q, c in ech.combination(steps).items()}
+            q = ech.insert(vec, steps)
+            if q is None:
+                rules[w] = {word_at[r]: c
+                            for r, c in ech.combination(steps).items()}
             else:
                 normal[w] = vec
-                word_at[p] = w
+                word_at[q] = w
         ech.record.clear()
         self.bases.append(ech)
         self._phis.append(normal)
@@ -276,64 +287,31 @@ class GradedComputation:
         self.stats.append(DegreeStats(n, len(words), ech.rank, nonzeros,
                                       perf_counter() - t0))
 
-    def _prepare(self, n):
-        """The left multiplications into the newest degree n, and the
-        crossings on B_n in place of those on B_(n-1), by the left
-        recursion: for w = a u, c(x_i (x) x_a u) crosses x_i over x_a and
-        then over u, so
-
-            beta_(i,y)(pi(a u)) = sum_(k,z) C[(i,a) -> (k,z)]
-                                  L_k(beta_(z,y)(pi(u))).
-        """
+    def _right_multiplications(self, n):
+        """The right multiplications R_k: B_(n-1) -> B_n, pi(v) -> pi(v k),
+        as [k][{v: vector}] over the normal words v of degree n-1: the
+        normal forms of v k under the rules."""
         d = self.bp.dim
-        field = self.field
-        left = self._left(n)
-        shift = d ** (n - 1)
-        lower = {}
-        for (z, y), cols in self._betas.items():
-            lower.setdefault(z, []).append((y, cols))
-        betas = {}
-        for w in self._phis[n]:
-            a, u = divmod(w, shift)
-            for i in range(d):
-                for kz, s in self.cmap[i * d + a]:
-                    k, z = divmod(kz, d)
-                    for y, cols in lower.get(z, ()):
-                        low = cols.get(u)
-                        if low:
-                            cross = betas.setdefault((i, y), {})
-                            vec_add_into(cross.setdefault(w, {}),
-                                         _apply(left[k], low, field), s,
-                                         field)
-        self._betas = {key: cols for key, cols in betas.items()
-                       if any(cols.values())}
+        return [{v: self._normal_form(n, v * d + k)
+                 for v in self._phis[n - 1]} for k in range(d)]
 
     def left(self, n):
         """The left multiplications L_i: B_(n-1) -> B_n, u -> x_i . u, as
         [i][b] coordinate maps in the bases of the images of the normal
-        words, b and the keys counting those words in increasing order (no
-        higher degree is computed)."""
+        words, b and the keys counting those words in increasing order:
+        L_i(pi(v)) = pi(i v), the normal form of the word i v under the
+        rules, read on request (no higher degree is computed, and none
+        past a zero component)."""
         if n < 1:
             raise ValueError("multiplications map into positive degrees")
-        maps = self._left(n)
         index = {w: b for b, w in enumerate(sorted(self._rewriting(n)[0]))}
+        low = sorted(self._rewriting(n - 1)[0])
+        # past a zero component there is no word v, and no key to make
+        shift = self.bp.dim ** (n - 1) if low else None
         to_cyc = self.field.to_cyc
-        return [[{index[q]: to_cyc(c) for q, c in cols[v].items()}
-                 for v in sorted(self._rewriting(n - 1)[0])] for cols in maps]
-
-    def _left(self, n):
-        """L_a in the field, from the rules: L_a(pi(v)) = NF(x_a v) for
-        each normal word v of degree n-1 (none past a zero component)."""
-        self.basis(n)
-        if n >= len(self._phis):
-            return [{} for _ in range(self.bp.dim)]
-        if len(self._lefts) == n:
-            shift = self.bp.dim ** (n - 1)
-            self._lefts.append([
-                {v: self._normal_form(n, a * shift + v)
-                 for v in self._phis[n - 1]}
-                for a in range(self.bp.dim)])
-        return self._lefts[n]
+        return [[{index[q]: to_cyc(c)
+                  for q, c in self._normal_form(n, i * shift + v).items()}
+                 for v in low] for i in range(self.bp.dim)]
 
     def _tensor_rows(self, n):
         """The images of the normal words of degree n in tensor

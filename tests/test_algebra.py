@@ -391,8 +391,9 @@ def test_graded_dims_satisfy_power_lower_bound():
 def test_transpose_has_the_same_graded_dimensions():
     # rank of the symmetrizer equals rank of its transpose; the kernel
     # machinery rests on this.  Both sides run the derivation-coordinate
-    # engine: the pair through its group-type crossings, the transposed
-    # pair (no group-like data) through the general d^2 crossing path
+    # engine, which reads the braiding only as the matrix C of two
+    # letters: the pair with its group-like data and the transposed pair
+    # without any go through the same right Leibniz rule
     w = root_of_unity(3, 1)
     for bp in (pairs.v3(integer(-1)), pairs.v3(w),
                pairs.v4(integer(-1), integer(1)),

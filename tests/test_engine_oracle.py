@@ -7,6 +7,7 @@ the engine's, where the image iteration would be slow), and leading words
 against those kernels' pivots and a scan of every factor.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -18,12 +19,13 @@ from nichols.algebra import (
     degree_basis,
     hilbert,
     kernel_basis,
+    multiply,
     new_leading_words,
     relation_count,
     relations,
 )
 from nichols.braids import symmetrizer_apply, t1_apply
-from nichols.linalg import Echelon, decode_word
+from nichols.linalg import Echelon, decode_word, vec_add_into
 from nichols.quandles import Cochain2, CrossedSet
 from nichols.scalars import (
     CYCLOTOMIC, ONE, format_scalar, integer, root_of_unity)
@@ -133,10 +135,23 @@ def transposed(build):
     return lambda: pairs.transpose(build())
 
 
+def changed(build):
+    """The pair in the basis x_0, x_0 + x_1, x_2 of its three letters: a
+    dense braiding, most columns of C with several terms."""
+    return lambda: pairs.change_basis(build(), [[1, 1, 0], [0, 1, 0],
+                                                [0, 0, 1]])
+
+
+def v3_m1():
+    return pairs.v3(MINUS)
+
+
 # name, pair, oracle degree, kernel and relation degree; the relation
 # degrees reach new relations above degree two (one in degree 5 of c6-b2,
 # two in degree 4 of ms-d4, three in degree 5 of qls-555, one in degree 6
-# of v4_m1_p1), and the whole oracle side takes about 6 s
+# of v4_m1_p1); the changed bases put several terms in the columns of C
+# (the zero of v3(-1) in degree 5 stays), and the whole oracle side takes
+# about 6 s
 DIFFERENTIAL = [
     ("v4_m1_p1", v4_m1_p1, 7, 6),
     ("ms-d4", ms_d4, 7, 5),
@@ -151,6 +166,8 @@ DIFFERENTIAL = [
     ("T-v3-z3", transposed(v3_z3), 5, 4),
     ("T-v3-z6", transposed(v3_z6), 5, 4),
     ("T-v4_m1_m1", transposed(v4_m1_m1), 5, 4),
+    ("cb-v3-z3", changed(v3_z3), 4, 4),
+    ("cb-v3-m1", changed(v3_m1), 5, 5),
 ]
 
 
@@ -315,6 +332,69 @@ def test_insertion_stores_the_phi_vectors_nearly_as_they_are(build, top):
     phis = sum(len(vec) for n in range(top + 1)
                for vec in cache._phis[n].values())
     assert stored <= 1.01 * phis
+
+
+def engine_digest(cache, top):
+    """A digest of the normal words and the rules of degrees 0..top, from
+    their sorted entries, the scalars as the CLI prints them."""
+    h = hashlib.sha256()
+    to_cyc = cache.field.to_cyc
+    for n in range(top + 1):
+        normal, rules = cache._rewriting(n)
+        h.update(repr((n, sorted(normal))).encode())
+        for f in sorted(rules):
+            h.update(repr((f, sorted((p, format_scalar(to_cyc(c)))
+                                     for p, c in rules[f].items()))).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("build,top,digest", [
+    (fomin_kirillov_e4, 13, "84b54c532c494534"),
+    (lambda: affine(5, 2), 17, "da72ad03d7b415b8"),
+    (lambda: affine(7, 3), 7, "7c32d585aa5453dc")],
+    ids=["E4", "aff-5-2", "aff-7-3"])
+def test_normal_words_and_rules_match_their_recorded_digest(build, top,
+                                                            digest):
+    # recorded while the Phi-vectors came from the left recursion through
+    # the crossings on B_n: the right Leibniz rule must give the same
+    # words and rules.  The computation keeps the right multiplications
+    # into one degree only, those that built the newest degree, and no
+    # crossing or left multiplication
+    bp = build()
+    cache = GradedComputation(bp)
+    hilbert(bp, top, cache)
+    assert engine_digest(cache, top) == digest
+    assert len(cache.bases) == top + 1
+    assert len(cache._right) == bp.dim
+    assert all(cols.keys() == cache._phis[top - 2].keys()
+               for cols in cache._right)
+    assert not hasattr(cache, "_betas") and not hasattr(cache, "_lefts")
+
+
+def test_left_multiplication_on_a_dense_braiding():
+    # left(n) is read from the rules, not from the engine's recursion: in
+    # tensor coordinates L_a(pi(v)) is the product x_a . pi(v) of the
+    # tensor coalgebra
+    bp = changed(v3_z3)()
+    cache = GradedComputation(bp)
+    to_cyc = cache.field.to_cyc
+
+    def tensor(n):
+        rows = cache._tensor_rows(n)
+        return [{k: to_cyc(c) for k, c in rows[w].items()}
+                for w in sorted(rows)]
+
+    for n in range(1, 5):
+        low, high = tensor(n - 1), tensor(n)
+        maps = cache.left(n)
+        assert len(maps) == bp.dim
+        for a, cols in enumerate(maps):
+            assert len(cols) == len(low)
+            for u, image in zip(low, cols):
+                got = {}
+                for b, c in image.items():
+                    vec_add_into(got, high[b], c)
+                assert got == multiply(bp, {a: ONE}, u, 1, n - 1), (n, a)
 
 
 def test_affine_5_2_presentation():
