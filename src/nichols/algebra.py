@@ -36,7 +36,11 @@ make that early: with the letter y most significant, the images of the
 candidates, greatest word first, are nearly triangular, most of them
 leading with a key no row has taken, so they are stored almost as they
 are (Aff(7,3) to degree 8 stores 161,106 row entries for Phi-vectors of
-161,024; with the key v y and every pivot reduced, 349,197).
+161,024; with the key v y and every pivot reduced, 349,197).  The echelon
+keeps such a row unscaled, as the very dict given to it: a normal word's
+row is its Phi-vector until it eliminates, when it is replaced by a copy
+scaled to pivot one, so only the few rows ever used can be held twice or
+have their pivot inverted.
 
 The algebra is generated in degree one, so each candidate is a normal
 word p of degree n-1 followed by a letter a, and pi(p a) = pi(p) . x_a.
@@ -147,9 +151,11 @@ class GradedComputation:
     multipliers of the elimination only until the rules are read.  A
     Phi-vector holds d_y(u) at the key y * d**(n-1) + v of each normal
     word v of degree n-1; its echelon rows are the images as inserted,
-    reduced only until their least key is free, so they are no canonical
-    form (``degree_basis`` is).  No degree past a zero component is
-    computed: it has no candidate word.
+    reduced only until their least key is free and not scaled, so they are
+    no canonical form (``degree_basis`` is).  A normal word's row is its
+    Phi-vector itself, the same dict, until it eliminates, when the
+    echelon replaces it by a copy scaled to pivot one.  No degree past a
+    zero component is computed: it has no candidate word.
 
     Every scalar inside, the cached ``kernels`` included, is a bare value
     of ``field``, Q(zeta_m) at m = ``bp.conductor`` (``scalars.field``),
@@ -392,7 +398,8 @@ class GradedComputation:
     def _reduce(self, n, w):
         """The degree-n word at key w rewritten by the rules of the degrees
         below n, as a vector on the candidate words of degree n (memoized
-        per degree in ``_reduced``).
+        per degree in ``_reduced``).  Degree n-1 must be computed: its
+        normal words are read directly, with no guard.
 
         A word that is no candidate has a prefix or a suffix of length n-1
         that is not normal; that factor is replaced by its normal form.
@@ -402,21 +409,22 @@ class GradedComputation:
         got = memo.get(w)
         if got is None:
             d, shift = self.bp.dim, self.bp.dim ** (n - 1)
-            low = self._rewriting(n - 1)[0]
+            field = self.field
+            low = self._phis[n - 1]
             head, last = divmod(w, d)
             first, tail = divmod(w, shift)
             if head not in low:
                 got = {}
                 for q, c in self._normal_form(n - 1, head).items():
                     vec_add_into(got, self._reduce(n, q * d + last), c,
-                                 self.field)
+                                 field)
             elif tail not in low:
                 got = {}
                 for q, c in self._normal_form(n - 1, tail).items():
                     vec_add_into(got, self._reduce(n, first * shift + q), c,
-                                 self.field)
+                                 field)
             else:
-                got = {w: self.field.one}
+                got = {w: field.one}
             memo[w] = got
         return got
 
@@ -425,16 +433,19 @@ class GradedComputation:
         up to n: a vector on the normal words, unique since those rules
         hold every leading word of K_n.  A candidate word is read off the
         rules directly; the vector returned may be a rule's own tail, not
-        to be changed."""
-        normal, rules = self._rewriting(n)
-        if w in normal:
+        to be changed.  Degree n must be computed: its normal words and
+        rules are read directly, with no guard (``left`` and the relation
+        functions compute it first, through ``_rewriting``)."""
+        if w in self._phis[n]:
             return {w: self.field.one}
-        if w in rules:
-            return rules[w]
+        rules = self._rules[n]
+        got = rules.get(w)
+        if got is not None:
+            return got
+        one, field = self.field.one, self.field
         out = {}
         for q, c in self._reduce(n, w).items():
-            vec_add_into(out, rules.get(q, {q: self.field.one}), c,
-                         self.field)
+            vec_add_into(out, rules.get(q, {q: one}), c, field)
         return out
 
 

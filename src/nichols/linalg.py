@@ -7,7 +7,10 @@ None when that is zero, is elimination's step).  So the same ``Echelon``
 and ``vec_add_into`` run on the bare values of a graded computation's
 ``scalars.field(m)`` and, through ``scalars.CYCLOTOMIC`` (the default),
 on ``Cyc``, the package's API type, never mixing the two.  ``Echelon``
-knows no unit of its own: a stored pivot is the pivot times its inverse.
+stores its rows as inserted, scaled on first use: a row is scaled to pivot
+coefficient one only when it first eliminates, so no inverse is taken for
+a row that is never used, and a vector stored as it was given is held
+once.  A vector given to ``insert`` must not be changed afterwards.
 Throughout the package a key encodes a word over the alphabet {0..d-1} in
 base d with the leftmost tensor factor most significant, so integer order
 on keys is lexicographic order on words.
@@ -80,33 +83,44 @@ def vec_add_into(dst, src, scale=None, field=CYCLOTOMIC):
 class Echelon:
     """A growing echelon basis of a subspace, rows pivoted on their least key.
 
-    Rows are stored with pivot coefficient exactly one, and as they were
-    inserted: ``insert`` eliminates only while the least key of the residue
-    is a pivot, so a row may still hold later pivot keys, and no row is
-    back-substituted.  Rank, pivots and membership do not depend on that:
-    the pivots are the least keys of the nonzero vectors of the row space,
-    whatever basis of it is stored.  ``reduce`` eliminates every pivot
-    key; since every stored row has its pivot as its least key, the
-    residue it returns contains no pivot keys at all and is therefore the
-    canonical projection along the row space, however far the rows are
-    reduced.  ``rref`` back-substitutes the stored rows in place, which
-    canonical rows and nullspace extraction require.
+    Rows are stored as inserted, scaled on first use.  ``insert``
+    eliminates only while the least key of the residue is a pivot, and
+    stores the residue as it stands, with any nonzero pivot coefficient:
+    when the least key of the vector is free at once, the row is the
+    caller's vector itself, so a vector given to ``insert`` must not be
+    changed afterwards.  The first time a row is used, to eliminate in
+    ``reduce`` or by ``rref``, it is replaced by a new dict scaled to pivot
+    coefficient one, or kept as it is when its pivot is one already; no
+    stored dict is ever scaled in place.  A row may still hold later pivot
+    keys, and no row is back-substituted.  Rank, pivots and membership do
+    not depend on that: the pivots are the least keys of the nonzero
+    vectors of the row space, whatever basis of it is stored.
+    ``reduce`` eliminates every pivot key; since every stored row has its
+    pivot as its least key, the residue it returns contains no pivot keys
+    at all and is therefore the canonical projection along the row space,
+    however far the rows are reduced.  ``rref`` scales and
+    back-substitutes every row, which canonical rows and nullspace
+    extraction require; no method changes a vector given to it.
 
     ``record`` holds, in the order of insertion, each row inserted with
-    ``steps``: the inverse that scaled its pivot to one and the multipliers
-    of the earlier rows subtracted from it, so that ``combination`` can
-    write a vector of the row space in the inserted vectors.
+    ``steps``: the inverse that scales its pivot to one (None until the row
+    is first scaled) and the multipliers of the earlier rows subtracted
+    from it, so that ``combination`` can write a vector of the row space
+    in the inserted vectors.
 
     Every scalar is a value of ``field``, ``scalars.CYCLOTOMIC`` (``Cyc``)
     unless given.
     """
 
-    __slots__ = ("field", "rows", "record")
+    __slots__ = ("field", "rows", "record", "_units")
 
     def __init__(self, field=CYCLOTOMIC):
         self.field = field
         self.rows = {}
         self.record = {}
+        # the rows already scaled to a unit pivot, the same dicts as in
+        # ``rows``
+        self._units = {}
 
     @property
     def rank(self):
@@ -115,10 +129,28 @@ class Echelon:
     def pivots(self):
         return sorted(self.rows)
 
+    def _unit(self, p):
+        """Row p scaled to pivot coefficient one, which replaces the row as
+        stored: a new dict, or the row itself when its pivot is one
+        already.  A recorded row's inverse is filled in."""
+        row = self.rows[p]
+        field = self.field
+        inv = row[p]
+        if not field.is_one(inv):
+            inv = field.inverse(inv)
+            mul = field.mul
+            row = {u: mul(c, inv) for u, c in row.items()}
+        self.rows[p] = self._units[p] = row
+        got = self.record.get(p)
+        if got is not None:
+            self.record[p] = (inv, got[1])
+        return row
+
     def reduce(self, vec, steps=None, stop_at_free=False):
         """Residue of vec modulo the row space (forward elimination, least
-        key first); the multiplier c of each row subtracted, c times the
-        row at pivot k, goes to ``steps[k]`` when a dict is given.
+        key first), a new dict; the multiplier c of each row subtracted, c
+        times the row at pivot k scaled to pivot one, goes to ``steps[k]``
+        when a dict is given.  A row still as inserted is scaled first.
 
         With ``stop_at_free`` the elimination ends at the first key that is
         no pivot, and the residue is returned as it stands then: it leads
@@ -129,7 +161,7 @@ class Echelon:
         heap = list(work)
         heapq.heapify(heap)
         out = {}
-        rows = self.rows
+        rows, units = self.rows, self._units
         field = self.field
         mul, neg, submul = field.mul, field.neg, field.submul
         while heap:
@@ -137,13 +169,15 @@ class Echelon:
             c = work.pop(k, None)
             if c is None:
                 continue
-            row = rows.get(k)
+            row = units.get(k)
             if row is None:
-                out[k] = c
-                if stop_at_free:
-                    out.update(work)
-                    return out
-                continue
+                if k not in rows:
+                    out[k] = c
+                    if stop_at_free:
+                        out.update(work)
+                        return out
+                    continue
+                row = self._unit(k)
             if steps is not None:
                 steps[k] = c
             nc = neg(c)
@@ -167,21 +201,23 @@ class Echelon:
 
     def insert(self, vec, steps=None):
         """Reduce vec until its least key is free and adjoin the residue as
-        a new row, pivoted on that key and not reduced further; returns the
-        new pivot key, or None if vec was already in the row space.  With
-        a dict ``steps``, the multipliers of the reduction are written to
-        it (as in ``reduce``) and a new row is entered in ``record``."""
-        red = self.reduce(vec, steps, stop_at_free=True)
-        if not red:
+        a new row, pivoted on that key, not reduced further and not scaled;
+        returns the new pivot key, or None if vec was already in the row
+        space.  When the least key of vec is free, the row is vec itself.
+        With a dict ``steps``, the multipliers of the reduction are written
+        to it (as in ``reduce``) and a new row is entered in ``record``."""
+        if not vec:
             return None
-        p = next(iter(red))
-        field = self.field
-        inv = field.inverse(red[p])
-        mul = field.mul
-        # the pivot entry becomes the pivot times its inverse: the unit
-        self.rows[p] = {u: mul(c, inv) for u, c in red.items()}
+        rows = self.rows
+        p = min(vec)
+        if p in rows:
+            vec = self.reduce(vec, steps, stop_at_free=True)
+            if not vec:
+                return None
+            p = next(iter(vec))
+        rows[p] = vec
         if steps is not None:
-            self.record[p] = (inv, steps)
+            self.record[p] = (None, steps)
         return p
 
     def combination(self, steps):
@@ -189,7 +225,9 @@ class Echelon:
         zero, written in the vectors inserted with ``steps``: {p: a} with
         vec = sum a * (the vector inserted at pivot p).  Row p is
         inv * (v_p - sum m_k row_k) over rows k inserted before it, so the
-        rows are resolved from the latest back."""
+        rows are resolved from the latest back.  Every row the multipliers
+        name has eliminated, so it was scaled then and its inverse is
+        recorded."""
         field = self.field
         work = dict(steps)
         out = {}
@@ -204,17 +242,22 @@ class Echelon:
         return out
 
     def rref(self):
-        """Back-substitute all rows; afterwards no row mentions another pivot."""
-        for p in sorted(self.rows, reverse=True):
-            row = self.rows[p]
+        """Scale and back-substitute all rows, as new dicts; afterwards each
+        row has pivot coefficient one and mentions no other pivot."""
+        rows, units = self.rows, self._units
+        for p in sorted(rows, reverse=True):
+            row = units.get(p)
+            if row is None:
+                row = self._unit(p)
             tail = {u: c for u, c in row.items() if u != p}
             red = self.reduce(tail)
             red[p] = row[p]
-            self.rows[p] = red
+            rows[p] = units[p] = red
         return self
 
     def sorted_rows(self):
-        """Rows in increasing pivot order (call rref first for canonical form)."""
+        """Rows in increasing pivot order (call rref first for canonical form
+        and unit pivots)."""
         return [self.rows[p] for p in sorted(self.rows)]
 
     def nullspace(self, universe):

@@ -353,6 +353,8 @@ def random_elt(rng, strands, coeffs):
 
 
 def test_apply_elt_agrees_with_oracle():
+    # random sums, then the empty word and single words: the result is a
+    # new vector, never the caller's, which stays as it was
     rng = random.Random(2024)
     diag = pairs.diagonal([[root_of_unity(6, 1), root_of_unity(3, 2)],
                            [integer(-1), root_of_unity(4, 1)]])
@@ -361,12 +363,17 @@ def test_apply_elt_agrees_with_oracle():
     for bp in (diag,) + NON_DIAGONAL:
         d = bp.dim
         for n in (2, 3, 4):
-            for _ in range(4):
-                elt = random_elt(rng, n, coeffs)
+            elts = [random_elt(rng, n, coeffs) for _ in range(4)]
+            elts += [GroupAlgElt.from_word(n, letters, c)
+                     for letters in ((), (1,), (-(n - 1),))
+                     for c in (ONE, integer(3))]
+            for elt in elts:
                 vec = {rng.randrange(d ** n): rng.choice(coeffs)
                        for _ in range(3)}
-                assert apply_elt(bp, elt, vec, n) == oracle_apply_elt(
-                    bp, elt, vec, n)
+                before = dict(vec)
+                out = apply_elt(bp, elt, vec, n)
+                assert out == oracle_apply_elt(bp, elt, vec, n)
+                assert out is not vec and vec == before
 
 
 def test_verify_identity_needs_a_pair():

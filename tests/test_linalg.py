@@ -136,9 +136,12 @@ def test_combination_rebuilds_dependent_vectors(m, typed):
                 vec_add_into(total, inserted[q], a, F)
             assert total == vec
         else:
-            assert p == min(ech.rows[p]) and F.is_one(ech.rows[p][p])
+            # stored as inserted: a nonzero coefficient at the least key
+            assert p == min(ech.rows[p]) and ech.rows[p][p]
             inserted[p] = vec
     assert pivots.count(None) >= 6 and set(ech.record) == set(inserted)
+    ech.rref()
+    assert all(F.is_one(row[p]) for p, row in ech.rows.items())
     # without steps the answers are the same, and nothing is recorded
     plain = Echelon(F)
     assert [plain.insert(vec) for vec in base + mixed] == pivots
@@ -186,11 +189,17 @@ def test_insert_stops_at_the_first_free_key(m, typed, data):
         else:
             inserted[p] = vec
     for p, row in ech.rows.items():
-        assert p == min(row) and F.is_one(row[p])
+        assert p == min(row) and row[p]
     assert ech.rank + dependent == len(vecs)
+    # a back-substituted copy sharing ech's row dicts: rref makes new
+    # rows and leaves the shared ones as they are
+    stored = {p: dict(row) for p, row in ech.rows.items()}
     full = Echelon(F)
-    full.rows = {p: dict(row) for p, row in ech.rows.items()}
+    full.rows = dict(ech.rows)
     full.rref()
+    assert ech.rows == stored
+    for p, row in full.rows.items():
+        assert F.is_one(row[p]) and not (row.keys() - {p}) & full.rows.keys()
     for vec in vecs:
         assert not full.reduce(vec)
     # the rank and pivots of the span, with each residue reduced on every
@@ -205,6 +214,75 @@ def test_insert_stops_at_the_first_free_key(m, typed, data):
     probes = data.draw(st.lists(vectors, max_size=4))
     for vec in probes + vecs:
         assert ech.reduce(vec) == full.reduce(vec)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_rows_are_stored_as_inserted_and_scaled_on_first_use(m):
+    # a row that never eliminated is the vector given to insert; the first
+    # elimination with a row replaces it by a new dict with pivot one and
+    # leaves the given vector as it was
+    F = field(m)
+
+    def c(k):
+        return F.from_cyc(integer(k))
+
+    v0, v1, v2 = {0: c(2), 3: c(1)}, {1: c(3), 2: c(1)}, {0: c(4), 2: c(5)}
+    ech = Echelon(F)
+    steps = {}
+    assert ech.insert(v0, steps) == 0 and steps == {}
+    assert ech.insert(v1) == 1
+    assert ech.rows[0] is v0 and ech.rows[1] is v1
+    # v2 - 4 (v0 / 2) leads with the free key 2: one elimination
+    assert ech.insert(v2, steps) == 2 and steps == {0: c(4)}
+    assert ech.rows[0] is not v0 and ech.rows[0] == {0: c(1), 3: F.inverse(c(2))}
+    assert v0 == {0: c(2), 3: c(1)}
+    assert ech.rows[1] is v1
+    # the residue is stored as it stands, pivot 5
+    assert ech.rows[2] == {2: c(5), 3: c(-2)}
+    assert ech.record[0][0] == F.inverse(c(2)) and ech.record[2][0] is None
+    ech.rref()
+    assert all(F.is_one(row[p]) for p, row in ech.rows.items())
+    assert v1 == {1: c(3), 2: c(1)} and v2 == {0: c(4), 2: c(5)}
+
+
+@pytest.mark.parametrize("m,typed", [(1, True), (3, True), (3, False)],
+                         ids=["field1", "field3", "Cyc"])
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(data=st.data())
+def test_echelon_never_changes_the_vectors_given_to_it(m, typed, data):
+    # insert keeps the caller's vector as a row when it leads with a free
+    # key, so no later reduce, combination or rref may scale or reduce
+    # that dict in place, nor the vectors and steps given to them
+    F = field(m) if typed else CYCLOTOMIC
+    scalars = st.builds(
+        lambda a, b, k: F.from_cyc(rational(a, b) * root_of_unity(m, k)),
+        st.integers(-3, 3).filter(bool), st.integers(1, 3),
+        st.integers(0, m - 1))
+    vectors = st.dictionaries(st.integers(0, 2 * WORDS - 1), scalars,
+                              min_size=1, max_size=5)
+    vecs = data.draw(st.lists(vectors, min_size=1, max_size=8))
+    for _ in range(data.draw(st.integers(0, 4))):
+        vec = {}
+        for i, c in data.draw(st.lists(st.tuples(
+                st.integers(0, len(vecs) - 1), scalars),
+                min_size=1, max_size=3)):
+            vec_add_into(vec, vecs[i], c, F)
+        vecs.append(vec)
+    copies = [dict(vec) for vec in vecs]
+    ech, given = Echelon(F), []
+    for vec in vecs:
+        steps = {}
+        if ech.insert(vec, steps) is None and steps:
+            given.append((steps, dict(steps)))
+            ech.combination(steps)
+    probes = data.draw(st.lists(vectors, max_size=4))
+    probe_copies = [dict(vec) for vec in probes]
+    for vec in probes:
+        ech.reduce(vec, {})
+        ech.reduce(vec, stop_at_free=True)
+    ech.rref()
+    assert vecs == copies and probes == probe_copies
+    assert all(steps == before for steps, before in given)
 
 
 @settings(derandomize=True, deadline=None, max_examples=80, database=None)
