@@ -67,18 +67,14 @@ that field's bare values (plain ints at conductor 1 while they stay
 integral, flat integer tuples above), every operation on them is one of
 the field's functions, and only what a public function (or
 ``GradedComputation.left``) returns is converted back to ``Cyc``.
-Transposing keeps the conductor, so the transposed pair's computation
-works in its parent's field.
 
 Tensor coordinates of the basis are built only on request
-(``degree_basis``, ``kernel_basis``), from u = sum_y d_y(u) (x) x_y.
-Symmetrizer kernels come from the row space: the transpose of the
-degree-n symmetrizer is the degree-n symmetrizer of the transposed
-braiding, so the kernel falls out of the reduced echelon basis of the
-transposed pair's component in tensor coordinates, and stays sparse (each
-kernel vector touches at most rank+1 coordinates).  Only
-``kernel_basis``, whose output is d^n words wide anyway, builds the
-transposed pair.
+(``degree_basis``), from u = sum_y d_y(u) (x) x_y.  Symmetrizer kernels
+need none: each word f of degree n that is not normal gives the kernel
+vector k_f = e_f - NF_n(f), with NF_n(f) its normal form under the rules,
+which lies on greater normal words.  These d^n - b_n vectors are the
+reduced echelon basis of K_n with least-key pivots, its Groebner normal
+form (``kernel_basis``, whose output is d^n words wide anyway).
 
 Relations are counted and built in the same word coordinates, from the
 rules alone.  The ideal I generated below degree n holds every word with
@@ -135,13 +131,21 @@ def _export(vec, field):
     return {k: to_cyc(c) for k, c in vec.items()}
 
 
+def _kernel_vector(f, tail, field):
+    """The kernel vector k_f = e_f - sum tail[p] e_p of the word f with the
+    normal form tail, a new dict of values of ``field``."""
+    neg = field.neg
+    vec = {p: neg(c) for p, c in tail.items()}
+    vec[f] = field.one
+    return vec
+
+
 class GradedComputation:
     """Per-degree bases of the graded components in derivation
     coordinates, the images pi(w) of the normal words w, with the rewriting
     rules of the new leading words that the same elimination gives, and
     caches for the words rewritten by the rules below their degree, tensor
-    coordinates, the transposed pair (for kernels), kernels, relation
-    counts and relation bases.
+    coordinates, relation counts and relation bases.
 
     Each degree n keeps its ``Echelon`` of Phi-vectors (``bases``), the
     Phi-vectors of the images of its normal words, which the next degree
@@ -157,15 +161,15 @@ class GradedComputation:
     echelon replaces it by a copy scaled to pivot one.  No degree past a
     zero component is computed: it has no candidate word.
 
-    Every scalar inside, the cached ``kernels`` included, is a bare value
-    of ``field``, Q(zeta_m) at m = ``bp.conductor`` (``scalars.field``),
-    into which the braiding is embedded once, as the matrix C grouped by
-    the last letter of the candidates (``_by_last``), and every
-    operation on one goes through ``field``'s functions: the bases are
-    ``Echelon(field)`` and the sums ``vec_add_into(..., field)``.  What
-    the public functions and ``left`` return is converted back to
-    ``Cyc``.  Transposing keeps the conductor, so the transposed pair's
-    computation shares its parent's field.
+    Every scalar inside is a bare value of ``field``, Q(zeta_m) at
+    m = ``bp.conductor`` (``scalars.field``), into which the braiding is
+    embedded once, as the matrix C grouped by the last letter of the
+    candidates (``_by_last``), and every operation on one goes through
+    ``field``'s functions: the bases are ``Echelon(field)`` and the sums
+    ``vec_add_into(..., field)``.  What the public functions and ``left``
+    return is converted back to ``Cyc``.  No kernel is cached: the rules
+    and the memo of reduced words (``_reduced``) give one on request
+    (``kernel_basis``).
 
     ``stats[n]`` records the cost of degree n, ``candidates`` counting the
     candidate words inserted.  Treat instances as single-writer: all
@@ -197,8 +201,6 @@ class GradedComputation:
         # tensor coordinates of each normal word's image, {w: vector} per
         # degree, built on request
         self._tensor = [{0: {0: one}}]
-        self._transposed = None
-        self.kernels = {}
         self.relation_counts = {}
         self.relation_bases = {}
         # per degree, the rewriting rules {f: tail} of the new leading
@@ -342,29 +344,12 @@ class GradedComputation:
             self._tensor.append(out)
         return self._tensor[n]
 
-    def _tensor_echelon(self, n):
-        """Reduced echelon basis of the degree-n component in tensor
-        coordinates."""
-        ech = Echelon(self.field)
-        for vec in self._tensor_rows(n).values():
-            ech.insert(vec)
-        return ech.rref()
-
     def transposed(self):
-        if self._transposed is None:
-            self._transposed = GradedComputation(_pairs.transpose(self.bp))
-        return self._transposed
-
-    def _kernel(self, n):
-        """The symmetrizer kernel of degree n in the field (``kernels``)."""
-        if n < 2:
-            return []
-        got = self.kernels.get(n)
-        if got is None:
-            ech = self.transposed()._tensor_echelon(n)
-            got = ech.nullspace(range(self.bp.dim ** n))
-            self.kernels[n] = got
-        return got
+        """A new computation of the transposed pair.  No function of the
+        package reads it; it is kept only for the relations item of the
+        benchmark panel (``bench/panel.py``), which reads its ``bases``,
+        until ROADMAP item 1 drops that call."""
+        return GradedComputation(_pairs.transpose(self.bp))
 
     def _candidate_words(self, n):
         """The keys of the degree-n words whose prefix and suffix of length
@@ -455,8 +440,10 @@ def degree_basis(bp, n, cache=None):
     if n < 0:
         raise ValueError(f"no component in negative degree {n}")
     cache = cache or GradedComputation(bp)
-    return [_export(row, cache.field)
-            for row in cache._tensor_echelon(n).sorted_rows()]
+    ech = Echelon(cache.field)
+    for vec in cache._tensor_rows(n).values():
+        ech.insert(vec)
+    return [_export(row, cache.field) for row in ech.rref().sorted_rows()]
 
 
 def hilbert(bp, max_degree, cache=None):
@@ -478,13 +465,25 @@ def hilbert(bp, max_degree, cache=None):
 
 
 def kernel_basis(bp, n, cache=None):
-    """Exact basis of the kernel of the degree-n symmetrizer on the tensor
-    power, read off the row space: the transposed pair's degree-n
-    component in tensor coordinates."""
+    """Exact basis of the kernel K_n of the degree-n symmetrizer on the
+    tensor power, in increasing order of leading word: k_f = e_f - NF_n(f)
+    for each word f of degree n that is not normal, NF_n(f) its normal
+    form under the rules (``GradedComputation._normal_form``).
+
+    NF_n(f) lies on normal words greater than f, so k_f leads with f and
+    no other k_f mentions f: this is the reduced echelon basis of K_n with
+    least-key pivots, which is unique (the Groebner normal form; Bergman,
+    Adv. Math. 29, 1978).  A degree with no normal word, a zero component
+    or one past it, has K_n = T_n, and its basis is the d^n unit vectors.
+    """
     if n < 0:
         raise ValueError(f"no component in negative degree {n}")
     cache = cache or GradedComputation(bp)
-    return [_export(vec, cache.field) for vec in cache._kernel(n)]
+    normal = cache._rewriting(n)[0]
+    field = cache.field
+    return [_export(_kernel_vector(
+                f, cache._normal_form(n, f) if normal else {}, field), field)
+            for f in range(bp.dim ** n) if f not in normal]
 
 
 def relation_count(bp, n, cache=None):
@@ -587,9 +586,7 @@ def relations(bp, n, cache=None):
         span = _overlap_span(cache, n)
         fresh = Echelon(field)
         for f, tail in cache._rewriting(n)[1].items():
-            vec = {p: field.neg(c) for p, c in tail.items()}
-            vec[f] = field.one
-            residue = span.reduce(vec)
+            residue = span.reduce(_kernel_vector(f, tail, field))
             if residue:
                 fresh.insert(residue)
         rows = fresh.rref().sorted_rows()

@@ -267,6 +267,11 @@ class Echelon:
         each non-pivot key f the vector e_f - sum_p row_p[f] e_p annihilates
         every row; together these span the kernel of the matrix whose row
         space this echelon basis spans.
+
+        No function of the package calls it: symmetrizer kernels come from
+        the rewriting rules (``algebra.kernel_basis``).  It is the tests'
+        oracle for them, as the null space of the transposed pair's
+        component, and the benchmark's span timer wraps it by this name.
         """
         self.rref()
         rows = self.rows

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from nichols.algebra import (
@@ -26,6 +28,7 @@ from nichols.scalars import (
     root_of_unity,
 )
 from nichols import pairs
+from test_pairs import memo_short_of_a_kernel
 
 
 def brute_symmetrizer_rank(bp, n):
@@ -147,6 +150,48 @@ def test_v4_kernel_alpha_minus_one():
                                             for i in range(4)]
     for v in vecs:
         assert len(v) == 1
+
+
+def test_kernel_basis_in_degrees_zero_and_one():
+    # T_0 and T_1 = V embed in the Nichols algebra: every word is normal
+    for bp in (pairs.v3(integer(-1)), pairs.v4(integer(-1), integer(-1))):
+        cache = GradedComputation(bp)
+        assert kernel_basis(bp, 0, cache) == []
+        assert kernel_basis(bp, 1, cache) == []
+
+
+def test_kernel_basis_at_and_past_a_zero_component():
+    # B_5 of v3(-1) is zero, so K_n = T_n from degree 5 on: the basis is
+    # the 3^n unit vectors, and degree 6 is not computed for it
+    bp = pairs.v3(integer(-1))
+    cache = GradedComputation(bp)
+    for n in (5, 6):
+        assert kernel_basis(bp, n, cache) == [{w: ONE}
+                                              for w in range(3 ** n)]
+    assert len(cache.bases) == 6
+
+
+def test_v4_kernel_in_degree_six_from_the_normal_forms():
+    # 4^6 - 802 = 3,294 kernel vectors k_f = e_f - NF(f), one for each word
+    # f that is not normal: f at coefficient one is the least key, and
+    # every other key is a normal word.  Once the engine has reached degree
+    # 6 they take hundredths of a second (0.4 s as the null space of the
+    # transposed pair's component)
+    bp = pairs.v4(integer(-1), integer(-1))
+    cache = GradedComputation(bp)
+    assert cache.dim(6) == 802
+    t0 = time.perf_counter()
+    vecs = kernel_basis(bp, 6, cache)
+    assert time.perf_counter() - t0 < 2.0
+    normal = cache._rewriting(6)[0]
+    assert [min(v) for v in vecs] == [f for f in range(4 ** 6)
+                                      if f not in normal]
+    assert len(vecs) == 3294
+    for v in vecs:
+        f = min(v)
+        assert v[f] == ONE and all(p in normal for p in v if p != f)
+    # a kernel reduces every word that is neither normal nor a rule's
+    assert not memo_short_of_a_kernel(cache)
 
 
 def test_relations_v3():

@@ -1,12 +1,14 @@
 """The derivation-coordinate engine against the image iteration it
 replaced, kept here as an oracle: B_n is the span of T_(1,n-1)(x_i (x) b)
 over a tensor-coordinate basis of B_(n-1), one ``t1_apply`` per candidate.
-Relations are checked against the tensor ideal reduction that overlap
-completion replaced, d^n words wide, fed with the oracle's kernels (or
-the engine's, where the image iteration would be slow), and leading words
-against those kernels' pivots and a scan of every factor.
+Kernels are checked against the null space of the transposed pair's
+component, which reads no rule; relations against the tensor ideal
+reduction that overlap completion replaced, d^n words wide, fed with those
+kernels; and leading words against those kernels' pivots and a scan of
+every factor.
 """
 
+import functools
 import hashlib
 import time
 
@@ -15,6 +17,7 @@ import pytest
 from nichols import pairs
 from nichols.algebra import (
     GradedComputation,
+    _kernel_vector,
     _overlap_span,
     degree_basis,
     hilbert,
@@ -29,7 +32,8 @@ from nichols.linalg import Echelon, decode_word, vec_add_into
 from nichols.quandles import Cochain2, CrossedSet
 from nichols.scalars import (
     CYCLOTOMIC, ONE, format_scalar, integer, root_of_unity)
-from test_pairs import fomin_kirillov_e4
+from test_pairs import (
+    fomin_kirillov_e4, forbid_transpose, memo_short_of_a_kernel)
 
 MINUS, PLUS = integer(-1), integer(1)
 
@@ -51,14 +55,26 @@ def image_iteration(bp, top):
     return out
 
 
-def tensor_relations(bp, n, cache, field=CYCLOTOMIC):
+def transposed_kernel(bp, n):
+    """The symmetrizer kernel K_n of bp in values of the engine's field,
+    d^n words wide, from the row space alone: the degree-n symmetrizer of
+    the transposed braiding is the transpose of that of bp, so K_n is the
+    null space of the transposed pair's component in tensor coordinates.
+    No rule of bp is read."""
+    comp = GradedComputation(pairs.transpose(bp))
+    ech = Echelon(comp.field)
+    for vec in comp._tensor_rows(n).values():
+        ech.insert(vec)
+    return ech.nullspace(range(bp.dim ** n))
+
+
+def tensor_relations(bp, n, kernel, field=CYCLOTOMIC):
     """The new degree-n relations in tensor coordinates: the symmetrizer
-    kernel reduced modulo the ideal V . K + K . V, d^n words wide, in the
-    scalars of the cached kernels (``cache.kernels``, built by the engine
-    where a test stored none), values of ``field``."""
+    kernel reduced modulo the ideal V . K + K . V, d^n words wide, with
+    ``kernel(m)`` the kernel of degree m in values of ``field``."""
     d = bp.dim
     ideal = Echelon(field)
-    lower = cache._kernel(n - 1)
+    lower = kernel(n - 1)
     shift = d ** (n - 1)
     cands = []
     for k in lower:
@@ -70,7 +86,7 @@ def tensor_relations(bp, n, cache, field=CYCLOTOMIC):
     for vec in cands:
         ideal.insert(vec)
     fresh = Echelon(field)
-    for vec in cache._kernel(n):
+    for vec in kernel(n):
         residue = ideal.reduce(vec)
         if residue:
             fresh.insert(residue)
@@ -173,34 +189,39 @@ DIFFERENTIAL = [
 
 @pytest.mark.parametrize("name,build,top,ktop", DIFFERENTIAL,
                          ids=[c[0] for c in DIFFERENTIAL])
-def test_engine_matches_image_iteration(name, build, top, ktop):
+def test_engine_matches_image_iteration(name, build, top, ktop,
+                                       monkeypatch):
     bp = build()
-    cache = GradedComputation(bp)
     oracle = image_iteration(bp, top)
+    # the kernels are the null spaces of the transposed pair's components;
+    # they feed the tensor ideal reduction and the leading words
+    d = bp.dim
+    transposed_oracle = image_iteration(pairs.transpose(bp), ktop)
+    kernels = {n: transposed_oracle[n].nullspace(range(d ** n))
+               for n in range(1, ktop + 1)}
+    words = leading_words_oracle(kernels, d, ktop)
+    # the engine side reads the rules alone and never builds the
+    # transposed pair
+    forbid_transpose(monkeypatch)
+    cache = GradedComputation(bp)
     for n, ech in enumerate(oracle):
         assert cache.dim(n) == ech.rank, (name, n)
         assert text(degree_basis(bp, n, cache)) == text(
             ech.rref().sorted_rows()), (name, n)
-    # the oracle's kernels feed the tensor ideal reduction and the leading
-    # words; the engine's relations go through its count first, its leading
-    # words through the images of the words
-    d = bp.dim
-    oracle_cache = GradedComputation(bp)
-    transposed_oracle = image_iteration(pairs.transpose(bp), ktop)
+    # the engine's relations go through its count first, its leading words
+    # through the images of the words; its kernel vectors k_f = e_f - NF(f)
+    # are the least-key reduced echelon basis of K_n, the canonical form of
+    # the null space
     for n in range(2, ktop + 1):
-        oracle_cache.kernels[n] = transposed_oracle[n].nullspace(
-            range(d ** n))
-    words = leading_words_oracle(oracle_cache.kernels, d, ktop)
-    for n in range(2, ktop + 1):
-        want = tensor_relations(bp, n, oracle_cache)
+        want = tensor_relations(bp, n, kernels.__getitem__)
         assert relation_count(bp, n, cache) == len(want), (name, n)
         assert text(relations(bp, n, cache)) == text(want), (name, n)
         assert new_leading_words(bp, n, cache) == words[n], (name, n)
-    # only the kernels go through the transposed pair
-    assert cache._transposed is None, name
-    for n in range(2, ktop + 1):
+        ech = Echelon()
+        for vec in kernels[n]:
+            ech.insert(vec)
         assert text(kernel_basis(bp, n, cache)) == text(
-            oracle_cache.kernels[n]), (name, n)
+            ech.rref().sorted_rows()), (name, n)
 
 
 @pytest.mark.parametrize("name,build,top,ktop", DIFFERENTIAL,
@@ -264,17 +285,19 @@ def affine(p, a):
 def test_affine_relations_match_the_tensor_ideal(p, a, top):
     # ten quadratic relations and one quartic; degree 4 has k > r_n (seven
     # or eight new leading words for the one relation).  The tensor ideal
-    # runs where the count is positive: in degrees 5 and 6 it takes
-    # seconds, and there the reduced overlaps must span the kernel vector
-    # k_f of every new leading word f (k > r_n = 0)
+    # runs where the count is positive, with kernels from the transposed
+    # pair, independent of the rules the relations come from: in degrees 5
+    # and 6 it takes seconds, and there the reduced overlaps must span the
+    # kernel vector k_f of every new leading word f (k > r_n = 0)
     bp = affine(p, a)
-    cache, oracle_cache = GradedComputation(bp), GradedComputation(bp)
+    cache = GradedComputation(bp)
+    field = cache.field
+    kernel = functools.cache(functools.partial(transposed_kernel, bp))
     counts = []
     for n in range(2, top + 1):
         counts.append(relation_count(bp, n, cache))
-        want = [{k: oracle_cache.field.to_cyc(c) for k, c in row.items()}
-                for row in tensor_relations(bp, n, oracle_cache,
-                                            oracle_cache.field)
+        want = [{k: field.to_cyc(c) for k, c in row.items()}
+                for row in tensor_relations(bp, n, kernel, field)
                 ] if counts[-1] else []
         assert len(want) == counts[-1], n
         assert text(relations(bp, n, cache)) == text(want), n
@@ -282,23 +305,22 @@ def test_affine_relations_match_the_tensor_ideal(p, a, top):
             assert new_leading_words(bp, n, cache), n
             span = _overlap_span(cache, n)
             for f, tail in cache._rewriting(n)[1].items():
-                vec = {p: cache.field.neg(c) for p, c in tail.items()}
-                vec[f] = cache.field.one
-                assert not span.reduce(vec), (n, f)
+                assert not span.reduce(_kernel_vector(f, tail, field)), (n, f)
     assert counts == [10, 0, 1, 0, 0][:top - 1]
     assert len(new_leading_words(bp, 4, cache)) > 1
 
 
-def test_affine_7_3_counts():
+def test_affine_7_3_counts(monkeypatch):
     # Aff(7, 3), i |> j = 3j - 2i mod 7 with the constant cocycle -1, whose
     # Nichols algebra is 326592-dimensional: 21 quadratic relations and no
     # new one in degrees 3-5, while the rewriting basis gains 12, 7 and 7
     # words there, one sextic relation and none in degrees 7 and 8; all
-    # without the transposed pair.  The engine reaches degree 8 in about
-    # a second (3 s while insertion reduced every pivot key), and after it
-    # the overlaps give the counts in well under a second (a span in
-    # V (x) B_(n-1) took 24-34 s through degree 7)
+    # without a kernel.  The engine reaches degree 8 in about a second (3 s
+    # while insertion reduced every pivot key), and after it the overlaps
+    # give the counts in well under a second (a span in V (x) B_(n-1) took
+    # 24-34 s through degree 7)
     bp = affine(7, 3)
+    forbid_transpose(monkeypatch)
     cache = GradedComputation(bp)
     words = [len(new_leading_words(bp, n, cache)) for n in range(2, 6)]
     rels = [len(relations(bp, n, cache)) for n in range(2, 6)]
@@ -312,7 +334,7 @@ def test_affine_7_3_counts():
     counts = [relation_count(bp, n, cache) for n in range(2, 9)]
     assert time.perf_counter() - t0 < 10.0
     assert counts == [21, 0, 0, 0, 1, 0, 0]
-    assert cache._transposed is None
+    assert memo_short_of_a_kernel(cache)
 
 
 @pytest.mark.parametrize("build,top", [(fomin_kirillov_e4, 13),
@@ -434,36 +456,37 @@ def test_affine_5_2_presentation():
         10, 0, 1] + [0] * 13
 
 
-def test_relations_build_no_kernel():
+def test_relations_build_no_kernel(monkeypatch):
+    forbid_transpose(monkeypatch)
     for build, top in ((v4_m1_p1, 7), (v3_z3, 6)):
         bp = build()
         cache = GradedComputation(bp)
         for n in range(2, top + 1):
             relations(bp, n, cache)
-        assert cache.kernels == {}
-        assert cache._transposed is None
+        assert memo_short_of_a_kernel(cache)
 
 
-def test_leading_words_build_no_kernel():
-    for build in (v4_m1_p1, v3_z3, transposed(v4_m1_m1)):
-        bp = build()
+def test_leading_words_build_no_kernel(monkeypatch):
+    built = [build() for build in (v4_m1_p1, v3_z3, transposed(v4_m1_m1))]
+    forbid_transpose(monkeypatch)
+    for bp in built:
         cache = GradedComputation(bp)
         for n in range(2, 6):
             new_leading_words(bp, n, cache)
-        assert cache.kernels == {}
-        assert cache._transposed is None
+        assert memo_short_of_a_kernel(cache)
 
 
-def test_e4_leading_word_counts():
+def test_e4_leading_word_counts(monkeypatch):
     # the 576-dimensional E4 through degree 7 (6^7 words); reading the
     # leading words off the d^n-wide kernels took about 50 s
     bp = fomin_kirillov_e4()
+    forbid_transpose(monkeypatch)
     cache = GradedComputation(bp)
     t0 = time.perf_counter()
     counts = [len(new_leading_words(bp, n, cache)) for n in range(2, 8)]
     assert time.perf_counter() - t0 < 10.0
     assert counts == [17, 4, 2, 0, 2, 0]
-    assert cache._transposed is None
+    assert memo_short_of_a_kernel(cache)
 
 
 def test_finite_algebra_has_no_relations_above_its_top_degree():
