@@ -37,10 +37,10 @@ candidates, greatest word first, are nearly triangular, most of them
 leading with a key no row has taken, so they are stored almost as they
 are (Aff(7,3) to degree 8 stores 161,106 row entries for Phi-vectors of
 161,024; with the key v y and every pivot reduced, 349,197).  The echelon
-keeps such a row unscaled, as the very dict given to it: a normal word's
-row is its Phi-vector until it eliminates, when it is replaced by a copy
-scaled to pivot one, so only the few rows ever used can be held twice or
-have their pivot inverted.
+holds such a row once, unscaled, as the very dict given to it, whether or
+not it eliminates later: it caches the inverse of a row's pivot
+coefficient when the row first eliminates, so no vector is held twice and
+no pivot of a row never used is inverted.
 
 The algebra is generated in degree one, so each candidate is a normal
 word p of degree n-1 followed by a letter a, and pi(p a) = pi(p) . x_a.
@@ -145,7 +145,7 @@ class GradedComputation:
     coordinates, the images pi(w) of the normal words w, with the rewriting
     rules of the new leading words that the same elimination gives, and
     caches for the words rewritten by the rules below their degree, tensor
-    coordinates, relation counts and relation bases.
+    coordinates and relation bases.
 
     Each degree n keeps its ``Echelon`` of Phi-vectors (``bases``), the
     Phi-vectors of the images of its normal words, which the next degree
@@ -156,10 +156,10 @@ class GradedComputation:
     Phi-vector holds d_y(u) at the key y * d**(n-1) + v of each normal
     word v of degree n-1; its echelon rows are the images as inserted,
     reduced only until their least key is free and not scaled, so they are
-    no canonical form (``degree_basis`` is).  A normal word's row is its
-    Phi-vector itself, the same dict, until it eliminates, when the
-    echelon replaces it by a copy scaled to pivot one.  No degree past a
-    zero component is computed: it has no candidate word.
+    no canonical form (``degree_basis`` is).  A normal word whose
+    Phi-vector leads with a free key has that Phi-vector itself, the same
+    dict, as its row for good.  No degree past a zero component is
+    computed: it has no candidate word.
 
     Every scalar inside is a bare value of ``field``, Q(zeta_m) at
     m = ``bp.conductor`` (``scalars.field``), into which the braiding is
@@ -201,7 +201,6 @@ class GradedComputation:
         # tensor coordinates of each normal word's image, {w: vector} per
         # degree, built on request
         self._tensor = [{0: {0: one}}]
-        self.relation_counts = {}
         self.relation_bases = {}
         # per degree, the rewriting rules {f: tail} of the new leading
         # words (``_rewriting``)
@@ -488,7 +487,8 @@ def kernel_basis(bp, n, cache=None):
 
 def relation_count(bp, n, cache=None):
     """r_n, the number of new minimal relations in degree n, counted in
-    word coordinates by overlap completion.
+    word coordinates by overlap completion: the size of the basis that
+    ``relations`` builds, and caches, with the overlap span of the degree.
 
     The ideal I generated below degree n holds every degree-n word with a
     lower leading factor, so it has codimension at most the number b_n + k
@@ -498,15 +498,7 @@ def relation_count(bp, n, cache=None):
     and r_n = k - rank Z.  A degree with no new leading word (k = 0) has
     no new relation, and no overlap is read.
     """
-    if n < 2:
-        raise ValueError("relations start in degree two")
-    cache = cache or GradedComputation(bp)
-    got = cache.relation_counts.get(n)
-    if got is None:
-        k = len(cache._rewriting(n)[1])
-        got = k - _overlap_span(cache, n).rank if k else 0
-        cache.relation_counts[n] = got
-    return got
+    return len(relations(bp, n, cache))
 
 
 def _overlap_span(cache, n):
@@ -563,15 +555,16 @@ def relations(bp, n, cache=None):
     the symmetrizer kernel K_n on the words that lead nothing in the ideal
     I = V . K_(n-1) + K_(n-1) . V generated below degree n.
 
-    ``relation_count`` decides first how many there are; a degree without
-    new relations returns [] at once.  Otherwise the relations lie on the
-    candidate words, the b_n normal words and the k new leading words: the
-    part of K_n there has the basis k_f = e_f - sum tail[p] e_p, one for
-    each rule f -> tail of degree n, and the part of I there is the span Z
-    of the reduced overlaps (``_overlap_span``), inside it.  The k_f
-    reduced modulo Z, in reduced echelon form, are the basis, and its size
-    must equal the count (a mismatch, such as a Z outside the k_f, raises,
-    signalling an engine bug).
+    A degree without new leading words has none, and no overlap is read.
+    Otherwise the relations lie on the candidate words, the b_n normal
+    words and the k new leading words: the part of K_n there has the basis
+    k_f = e_f - sum tail[p] e_p, one for each rule f -> tail of degree n,
+    and the part of I there is the span Z of the reduced overlaps
+    (``_overlap_span``), inside it.  The k_f reduced modulo Z, in reduced
+    echelon form, are the basis, and its size must equal the count
+    k - rank Z (``relation_count``; a mismatch, such as a Z outside the
+    k_f, raises, signalling an engine bug).  The basis of each degree is
+    cached, so its span is built once.
     """
     if n < 2:
         raise ValueError("relations start in degree two")
@@ -579,20 +572,21 @@ def relations(bp, n, cache=None):
     got = cache.relation_bases.get(n)
     if got is not None:
         return got
-    count = relation_count(bp, n, cache)
+    rules = cache._rewriting(n)[1]
     field = cache.field
     rows = []
-    if count:
+    if rules:
         span = _overlap_span(cache, n)
         fresh = Echelon(field)
-        for f, tail in cache._rewriting(n)[1].items():
+        for f, tail in rules.items():
             residue = span.reduce(_kernel_vector(f, tail, field))
             if residue:
                 fresh.insert(residue)
         rows = fresh.rref().sorted_rows()
-    if len(rows) != count:
-        raise RuntimeError(f"the overlaps leave {len(rows)} relations in "
-                           f"degree {n}, the count gives {count}")
+        count = len(rules) - span.rank
+        if len(rows) != count:
+            raise RuntimeError(f"the overlaps leave {len(rows)} relations "
+                               f"in degree {n}, the count gives {count}")
     got = [_export(row, field) for row in rows]
     cache.relation_bases[n] = got
     return got

@@ -7,10 +7,11 @@ None when that is zero, is elimination's step).  So the same ``Echelon``
 and ``vec_add_into`` run on the bare values of a graded computation's
 ``scalars.field(m)`` and, through ``scalars.CYCLOTOMIC`` (the default),
 on ``Cyc``, the package's API type, never mixing the two.  ``Echelon``
-stores its rows as inserted, scaled on first use: a row is scaled to pivot
-coefficient one only when it first eliminates, so no inverse is taken for
-a row that is never used, and a vector stored as it was given is held
-once.  A vector given to ``insert`` must not be changed afterwards.
+holds each row once, as inserted: a vector whose least key is free is
+stored as the very dict given, so a vector given to ``insert`` must not be
+changed afterwards.  The inverse of a row's pivot coefficient is taken
+when the row first eliminates and cached, so no inverse is taken for a row
+that is never used, and only ``rref`` writes rows scaled to pivot one.
 Throughout the package a key encodes a word over the alphabet {0..d-1} in
 base d with the leftmost tensor factor most significant, so integer order
 on keys is lexicographic order on words.
@@ -83,28 +84,26 @@ def vec_add_into(dst, src, scale=None, field=CYCLOTOMIC):
 class Echelon:
     """A growing echelon basis of a subspace, rows pivoted on their least key.
 
-    Rows are stored as inserted, scaled on first use.  ``insert``
-    eliminates only while the least key of the residue is a pivot, and
-    stores the residue as it stands, with any nonzero pivot coefficient:
-    when the least key of the vector is free at once, the row is the
-    caller's vector itself, so a vector given to ``insert`` must not be
-    changed afterwards.  The first time a row is used, to eliminate in
-    ``reduce`` or by ``rref``, it is replaced by a new dict scaled to pivot
-    coefficient one, or kept as it is when its pivot is one already; no
-    stored dict is ever scaled in place.  A row may still hold later pivot
-    keys, and no row is back-substituted.  Rank, pivots and membership do
-    not depend on that: the pivots are the least keys of the nonzero
-    vectors of the row space, whatever basis of it is stored.
-    ``reduce`` eliminates every pivot key; since every stored row has its
-    pivot as its least key, the residue it returns contains no pivot keys
-    at all and is therefore the canonical projection along the row space,
-    however far the rows are reduced.  ``rref`` scales and
-    back-substitutes every row, which canonical rows and nullspace
-    extraction require; no method changes a vector given to it.
+    Each row is stored once, as inserted.  ``insert`` eliminates only
+    while the least key of the residue is a pivot, and stores the residue
+    as it stands, with any nonzero pivot coefficient: when the least key
+    of the vector is free at once, the row is the caller's vector itself,
+    so a vector given to ``insert`` must not be changed afterwards.  The
+    first time a row eliminates, the inverse of its pivot coefficient is
+    cached (``_inverses``); no row is scaled or replaced then.  A row may
+    still hold later pivot keys, and no row is back-substituted.  Rank,
+    pivots and membership do not depend on that: the pivots are the least
+    keys of the nonzero vectors of the row space, whatever basis of it is
+    stored.  ``reduce`` eliminates every pivot key; since every stored row
+    has its pivot as its least key, the residue it returns contains no
+    pivot keys at all and is therefore the canonical projection along the
+    row space, however far the rows are reduced.  ``rref``, which
+    canonical rows and nullspace extraction require, is the only method
+    that replaces rows: it scales and back-substitutes each one into a new
+    dict.  No method changes a vector given to it.
 
-    ``record`` holds, in the order of insertion, each row inserted with
-    ``steps``: the inverse that scales its pivot to one (None until the row
-    is first scaled) and the multipliers of the earlier rows subtracted
+    ``record`` holds, in the order of insertion, the ``steps`` of each row
+    inserted with them: the multipliers of the earlier rows subtracted
     from it, so that ``combination`` can write a vector of the row space
     in the inserted vectors.
 
@@ -112,15 +111,15 @@ class Echelon:
     unless given.
     """
 
-    __slots__ = ("field", "rows", "record", "_units")
+    __slots__ = ("field", "rows", "record", "_inverses")
 
     def __init__(self, field=CYCLOTOMIC):
         self.field = field
         self.rows = {}
         self.record = {}
-        # the rows already scaled to a unit pivot, the same dicts as in
-        # ``rows``
-        self._units = {}
+        # the inverse of the pivot coefficient of each row that has
+        # eliminated, the ``one`` of the field for a unit pivot
+        self._inverses = {}
 
     @property
     def rank(self):
@@ -129,28 +128,13 @@ class Echelon:
     def pivots(self):
         return sorted(self.rows)
 
-    def _unit(self, p):
-        """Row p scaled to pivot coefficient one, which replaces the row as
-        stored: a new dict, or the row itself when its pivot is one
-        already.  A recorded row's inverse is filled in."""
-        row = self.rows[p]
-        field = self.field
-        inv = row[p]
-        if not field.is_one(inv):
-            inv = field.inverse(inv)
-            mul = field.mul
-            row = {u: mul(c, inv) for u, c in row.items()}
-        self.rows[p] = self._units[p] = row
-        got = self.record.get(p)
-        if got is not None:
-            self.record[p] = (inv, got[1])
-        return row
-
     def reduce(self, vec, steps=None, stop_at_free=False):
         """Residue of vec modulo the row space (forward elimination, least
-        key first), a new dict; the multiplier c of each row subtracted, c
-        times the row at pivot k scaled to pivot one, goes to ``steps[k]``
-        when a dict is given.  A row still as inserted is scaled first.
+        key first), a new dict; the multiplier f of each row subtracted, f
+        times the row at pivot k as stored, goes to ``steps[k]`` when a
+        dict is given.  f is the coefficient at k times the cached inverse
+        of the row's pivot coefficient, taken when the row first
+        eliminates.
 
         With ``stop_at_free`` the elimination ends at the first key that is
         no pivot, and the residue is returned as it stands then: it leads
@@ -161,26 +145,31 @@ class Echelon:
         heap = list(work)
         heapq.heapify(heap)
         out = {}
-        rows, units = self.rows, self._units
+        rows, inverses = self.rows, self._inverses
         field = self.field
+        one, is_one = field.one, field.is_one
         mul, neg, submul = field.mul, field.neg, field.submul
         while heap:
             k = heapq.heappop(heap)
             c = work.pop(k, None)
             if c is None:
                 continue
-            row = units.get(k)
+            row = rows.get(k)
             if row is None:
-                if k not in rows:
-                    out[k] = c
-                    if stop_at_free:
-                        out.update(work)
-                        return out
-                    continue
-                row = self._unit(k)
+                out[k] = c
+                if stop_at_free:
+                    out.update(work)
+                    return out
+                continue
+            inv = inverses.get(k)
+            if inv is None:
+                piv = row[k]
+                inv = inverses[k] = one if is_one(piv) else field.inverse(piv)
+            # a unit pivot needs no product
+            f = c if inv is one else mul(c, inv)
             if steps is not None:
-                steps[k] = c
-            nc = neg(c)
+                steps[k] = f
+            nf = neg(f)
             # inline rather than vec_add_into: this is the inner loop of
             # elimination, and new keys must also enter the heap; a new
             # key's product of nonzero scalars is nonzero
@@ -189,10 +178,10 @@ class Echelon:
                     continue
                 cur = work.get(u)
                 if cur is None:
-                    work[u] = mul(nc, s)
+                    work[u] = mul(nf, s)
                     heapq.heappush(heap, u)
                 else:
-                    t = submul(cur, c, s)
+                    t = submul(cur, f, s)
                     if t is None:
                         del work[u]
                     else:
@@ -217,42 +206,41 @@ class Echelon:
             p = next(iter(vec))
         rows[p] = vec
         if steps is not None:
-            self.record[p] = (None, steps)
+            self.record[p] = steps
         return p
 
     def combination(self, steps):
         """The vector whose reduction took the multipliers ``steps`` to
         zero, written in the vectors inserted with ``steps``: {p: a} with
         vec = sum a * (the vector inserted at pivot p).  Row p is
-        inv * (v_p - sum m_k row_k) over rows k inserted before it, so the
-        rows are resolved from the latest back.  Every row the multipliers
-        name has eliminated, so it was scaled then and its inverse is
-        recorded."""
+        v_p - sum m_k row_k over rows k inserted before it, so the rows are
+        resolved from the latest back."""
         field = self.field
         work = dict(steps)
         out = {}
         for p in reversed(self.record):
             if not work:
                 break
-            c = work.pop(p, None)
-            if c is not None:
-                inv, mults = self.record[p]
-                out[p] = a = field.mul(c, inv)
-                vec_add_into(work, mults, field.neg(a), field)
+            a = work.pop(p, None)
+            if a is not None:
+                out[p] = a
+                vec_add_into(work, self.record[p], field.neg(a), field)
         return out
 
     def rref(self):
-        """Scale and back-substitute all rows, as new dicts; afterwards each
-        row has pivot coefficient one and mentions no other pivot."""
-        rows, units = self.rows, self._units
+        """Scale and back-substitute all rows, as new dicts, the only
+        method that replaces rows; afterwards each row has pivot
+        coefficient one and mentions no other pivot."""
+        rows, inverses = self.rows, self._inverses
+        field = self.field
         for p in sorted(rows, reverse=True):
-            row = units.get(p)
-            if row is None:
-                row = self._unit(p)
-            tail = {u: c for u, c in row.items() if u != p}
-            red = self.reduce(tail)
-            red[p] = row[p]
-            rows[p] = units[p] = red
+            row = rows[p]
+            # a cached inverse is never zero, so never falsy
+            inv = inverses.get(p) or field.inverse(row[p])
+            red = self.reduce({u: field.mul(c, inv)
+                               for u, c in row.items() if u != p})
+            red[p] = inverses[p] = field.one
+            rows[p] = red
         return self
 
     def sorted_rows(self):

@@ -27,7 +27,7 @@ from nichols.scalars import (
     rational,
     root_of_unity,
 )
-from nichols import pairs
+from nichols import algebra, pairs
 from test_pairs import memo_short_of_a_kernel
 
 
@@ -213,12 +213,23 @@ def test_relations_v3():
         assert relations(bp, n, cache) == []
 
 
-def test_relations_raise_when_the_tensor_path_misses_the_count():
-    # a wrong count, planted in the cache, stands in for an engine bug
+def test_relations_raise_when_the_tensor_path_misses_the_count(monkeypatch):
+    # an overlap span holding a vector outside the span of the k_f, a unit
+    # vector on a normal word, stands in for an engine bug: its rank lowers
+    # the count k - rank Z to 4, while the five k_f of degree 2 stay
+    # independent modulo it
     bp = pairs.v3(integer(-1))
     cache = GradedComputation(bp)
-    cache.relation_counts[2] = 4
-    with pytest.raises(RuntimeError, match="the count gives 4"):
+    normal = min(cache._rewriting(2)[0])
+
+    def planted(cache, n):
+        span = Echelon(cache.field)
+        span.insert({normal: cache.field.one})
+        return span
+
+    monkeypatch.setattr(algebra, "_overlap_span", planted)
+    with pytest.raises(RuntimeError,
+                       match="leave 5 relations in degree 2, the count gives 4"):
         relations(bp, 2, cache)
 
 

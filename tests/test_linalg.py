@@ -217,10 +217,10 @@ def test_insert_stops_at_the_first_free_key(m, typed, data):
 
 
 @pytest.mark.parametrize("m", [1, 3])
-def test_rows_are_stored_as_inserted_and_scaled_on_first_use(m):
-    # a row that never eliminated is the vector given to insert; the first
-    # elimination with a row replaces it by a new dict with pivot one and
-    # leaves the given vector as it was
+def test_rows_are_stored_once_with_cached_pivot_inverses(m):
+    # a row is the vector given to insert, before and after it eliminates:
+    # the first elimination caches the inverse of its pivot coefficient,
+    # and only rref replaces the row by a new dict with pivot one
     F = field(m)
 
     def c(k):
@@ -231,18 +231,26 @@ def test_rows_are_stored_as_inserted_and_scaled_on_first_use(m):
     steps = {}
     assert ech.insert(v0, steps) == 0 and steps == {}
     assert ech.insert(v1) == 1
-    assert ech.rows[0] is v0 and ech.rows[1] is v1
-    # v2 - 4 (v0 / 2) leads with the free key 2: one elimination
-    assert ech.insert(v2, steps) == 2 and steps == {0: c(4)}
-    assert ech.rows[0] is not v0 and ech.rows[0] == {0: c(1), 3: F.inverse(c(2))}
-    assert v0 == {0: c(2), 3: c(1)}
+    assert ech.rows[0] is v0 and ech.rows[1] is v1 and ech._inverses == {}
+    # v2 - 2 v0 leads with the free key 2: one elimination, whose
+    # multiplier is that of the row as stored, 4 / 2
+    steps = {}
+    assert ech.insert(v2, steps) == 2 and steps == {0: c(2)}
+    assert ech.rows[0] is v0 and v0 == {0: c(2), 3: c(1)}
+    assert ech._inverses == {0: F.inverse(c(2))}
     assert ech.rows[1] is v1
-    # the residue is stored as it stands, pivot 5
+    # the residue is stored as it stands, pivot 5, and record[p] is the
+    # steps dict itself
     assert ech.rows[2] == {2: c(5), 3: c(-2)}
-    assert ech.record[0][0] == F.inverse(c(2)) and ech.record[2][0] is None
+    assert ech.record == {0: {}, 2: {0: c(2)}} and ech.record[2] is steps
+    assert ech.combination({0: c(3), 2: c(1)}) == {0: c(1), 2: c(1)}
+    assert ech.rows[0] is v0 and ech._inverses == {0: F.inverse(c(2))}
     ech.rref()
     assert all(F.is_one(row[p]) for p, row in ech.rows.items())
-    assert v1 == {1: c(3), 2: c(1)} and v2 == {0: c(4), 2: c(5)}
+    assert all(ech._inverses[p] == F.one for p in ech.rows)
+    assert ech.rows[0] is not v0 and ech.rows[1] is not v1
+    assert v0 == {0: c(2), 3: c(1)} and v1 == {1: c(3), 2: c(1)}
+    assert v2 == {0: c(4), 2: c(5)}
 
 
 @pytest.mark.parametrize("m,typed", [(1, True), (3, True), (3, False)],
@@ -252,7 +260,9 @@ def test_rows_are_stored_as_inserted_and_scaled_on_first_use(m):
 def test_echelon_never_changes_the_vectors_given_to_it(m, typed, data):
     # insert keeps the caller's vector as a row when it leads with a free
     # key, so no later reduce, combination or rref may scale or reduce
-    # that dict in place, nor the vectors and steps given to them
+    # that dict in place, nor the vectors and steps given to them; each
+    # row stays the very dict stored until rref, the only method that
+    # replaces rows
     F = field(m) if typed else CYCLOTOMIC
     scalars = st.builds(
         lambda a, b, k: F.from_cyc(rational(a, b) * root_of_unity(m, k)),
@@ -269,18 +279,34 @@ def test_echelon_never_changes_the_vectors_given_to_it(m, typed, data):
             vec_add_into(vec, vecs[i], c, F)
         vecs.append(vec)
     copies = [dict(vec) for vec in vecs]
-    ech, given = Echelon(F), []
+    ech, given, stored = Echelon(F), [], {}
+
+    def rows_kept():
+        return (ech.rows.keys() == stored.keys()
+                and all(ech.rows[p] is row and row == copy
+                        for p, (row, copy) in stored.items()))
+
     for vec in vecs:
         steps = {}
-        if ech.insert(vec, steps) is None and steps:
-            given.append((steps, dict(steps)))
-            ech.combination(steps)
+        free = min(vec, default=None) not in ech.rows
+        p = ech.insert(vec, steps)
+        if p is None:
+            if steps:
+                given.append((steps, dict(steps)))
+                ech.combination(steps)
+        else:
+            assert (ech.rows[p] is vec) == free
+            stored[p] = ech.rows[p], dict(ech.rows[p])
+        assert rows_kept()
     probes = data.draw(st.lists(vectors, max_size=4))
     probe_copies = [dict(vec) for vec in probes]
     for vec in probes:
         ech.reduce(vec, {})
         ech.reduce(vec, stop_at_free=True)
+        assert rows_kept()
     ech.rref()
+    assert all(ech.rows[p] is not row for p, (row, _) in stored.items())
+    assert all(row == copy for row, copy in stored.values())
     assert vecs == copies and probes == probe_copies
     assert all(steps == before for steps, before in given)
 
