@@ -195,9 +195,6 @@ class GradedComputation:
         # words u one degree down; degree 0 is the empty word at key 0,
         # with no derivatives
         self._phis = [{0: {}}]
-        # the right multiplications R_k: B_(n-2) -> B_(n-1) that made the
-        # Phi-vectors of the newest degree n, [k][{v: vector}] (``_extend``)
-        self._right = None
         # tensor coordinates of each normal word's image, {w: vector} per
         # degree, built on request
         self._tensor = [{0: {0: one}}]
@@ -242,12 +239,9 @@ class GradedComputation:
         one, mul = field.one, field.mul
         by_last = self._by_last
         phis = self._phis[-1]
-        if n > 1:
-            # the maps into degree n-1 replace those into n-2, dropped
-            # first; degree 1 needs none, its prefix being the empty word
-            self._right = None
-            self._right = self._right_multiplications(n - 1)
-        right = self._right
+        # the right multiplications R_k: B_(n-2) -> B_(n-1); degree 1
+        # needs none, its prefix being the empty word
+        right = self._right_multiplications(n - 1) if n > 1 else None
         shift = d ** (n - 1)
         # d_j(p) of a normal word p of degree n-1 sits at j * d**(n-2) + v
         inner = shift // d

@@ -19,7 +19,7 @@ The actions read only the n lowest digits of a key, so the digits above
 them can tag each term with where it came from (``verify_identity``).
 """
 
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations as _combinations
 from itertools import permutations as _permutations
 from math import lcm
@@ -253,18 +253,13 @@ def symmetrizer(n):
     return out
 
 
-_shuffle_elt_cache = {}
-
-
+@cache
 def t_shuffle(i, j):
     """Sum of lifts s(x) over x with x^-1 an (i,j)-shuffle, on i+j strands."""
-    got = _shuffle_elt_cache.get((i, j))
-    if got is None:
-        got = GroupAlgElt(i + j)
-        for x in shuffles((i, j)):
-            got.terms[matsumoto_section(perm_inv(x))] = ONE
-        _shuffle_elt_cache[i, j] = got
-    return got
+    out = GroupAlgElt(i + j)
+    for x in shuffles((i, j)):
+        out.terms[matsumoto_section(perm_inv(x))] = ONE
+    return out
 
 
 # ---------------------------------------------------------------------------

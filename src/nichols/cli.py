@@ -13,6 +13,7 @@ import json
 import os
 import re
 import sys
+from functools import cache
 
 from . import (__version__, algebra, braids, fileio, identities, pairs,
                quandles, rank2)
@@ -178,8 +179,10 @@ def cmd_rank2(args):
         raise CliError(str(exc), EXIT_INVALID)
     except ValueError:
         a = None  # an adjoint of infinite nilpotency order
-    print("matrix:", " / ".join(" ".join(format_scalar(v) for v in row)
-                                for row in res.q))
+    # every entry at the printed conductor, as a pair file writes it
+    print("matrix:", " / ".join(
+        " ".join(format_scalar(v.embed(bp.conductor)) for v in row)
+        for row in res.q))
     print("conductor:", bp.conductor)
     print("N1:", _fmt_order(res.N1))
     print("N2:", _fmt_order(res.N2))
@@ -331,6 +334,10 @@ def _cache_store(path, dims, total):
 
 # ---------------------------------------------------------------------------
 
+# built on the first call rather than at import, which stays cheap, and
+# reused by later calls in the same process: each parse starts from a fresh
+# namespace
+@cache
 def build_parser():
     top = argparse.ArgumentParser(
         prog="nichols",
@@ -378,17 +385,8 @@ def build_parser():
     return top
 
 
-_parser = None
-
-
 def main(argv=None):
-    global _parser
-    if _parser is None:
-        # built on the first call rather than at import, which stays
-        # cheap, and reused by later calls in the same process: each parse
-        # starts from a fresh namespace
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     _validate_options(args)
     try:
         return args.func(args)

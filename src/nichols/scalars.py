@@ -11,8 +11,9 @@ well defined.
 ``Cyc`` aligns and shrinks; the fields compute.  Values with different
 conductors mix freely: ``+``, ``*``, ``inverse`` and ``==`` at two
 conductors lift both operands into ``field(l)``, l the lcm of their
-conductors, compute there and come back through ``_normalize``, the one
-place where zero and rational constants shrink to conductor 1.
+conductors, compute there and come back through ``_normalize``: the
+canonical form of the field's values (``_value``), and the one place where
+zero and rational constants shrink to conductor 1.
 ``Fraction`` appears only at the boundary (``Cyc(m, coeffs)``, ``.coeffs``
 and the coercion of plain numbers).
 
@@ -30,42 +31,39 @@ data into ``field(m)`` once and converts back to ``Cyc`` only what it
 returns; ``CYCLOTOMIC`` is the same interface over ``Cyc`` values, for
 code that keeps them.
 
-At m > 1 the operations are generated per conductor.  Products go
-through ``_multiplier(m)``: straight-line code generated from the
-reduction table at first use, which skips the zero coefficients of its
-left operand and reduces modulo the cyclotomic polynomial with the table's
-integers written in.  Elimination's step x - a*b is one operation,
-``submul``, fused in ``_submultiplier(m)``: the same convolution,
-subtracted from x line by line over a common denominator, reduced to
-lowest terms once, and not at all for integral operands.  Sums and
-negations are generated coefficient-wise (``_adder`` and ``_negator``; a
-difference adds the negation), and ``_inverse`` inverts a rational
-multiple of a root of unity directly, anything else through its Galois
-norm.  A product by a fixed
-root of unity or its negative, as in a crossed-set braiding's crossings,
-has a shorter form: ``_root_multiplier(m, e)`` rotates and reduces the
-coefficients with the table's integers written in, keeps the denominator
-(a unit leaves a reduced value reduced, so there is no gcd), and is
-generated once per conductor and exponent; the field's ``scaling(s)``
-hands it out.
-Against the element objects these functions replaced, one per value with
-methods, an elimination step x - a*b takes 0.13 us instead of 0.25 us
-on integers at m = 1 and 0.33 us instead of 0.52 us on integral values
-at m = 3, and a product 0.10 us instead of 0.27 us and 0.24 us instead
-of 0.51 us (Python 3.11, x86, in-process, timed through a lambda).
+Every table of a conductor is built once, on first use, and cached:
+``_powers(m)`` holds the rows x^e mod Phi_m for e < max(m, 2 phi(m) - 1),
+every power any reader needs.  The reduction table ``_table(m)`` is its
+sparse view, ``_roots(m)`` reads its first m rows, and the embeddings of
+smaller conductors and ``root_of_unity`` index into it.
+
+At m > 1 the operations are generated per conductor from that table and
+cached with it.  Products go through ``_multiplier(m)``: straight-line
+code that skips the zero coefficients of its left operand and reduces
+modulo the cyclotomic polynomial with the table's integers written in.
+Elimination's step x - a*b is one operation, ``submul``, fused in
+``_submultiplier(m)``: the same convolution, subtracted from x line by
+line over a common denominator, reduced to lowest terms once, and not at
+all for integral operands.  Sums and negations are generated
+coefficient-wise (``_adder`` and ``_negator``; a difference adds the
+negation), and ``_inverse`` inverts a rational multiple of a root of
+unity directly, anything else through its Galois norm.  A product by a
+fixed root of unity or its negative, as in a crossed-set braiding's
+crossings, has a shorter form: ``_root_multiplier(m, e)`` rotates and
+reduces the coefficients with the table's integers written in and keeps
+the denominator (a unit leaves a reduced value reduced, so there is no
+gcd); it is generated once per conductor and exponent, and the field's
+``scaling(s)`` hands it out.
 """
 
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import gcd, lcm
 from operator import mul as _mul, neg as _neg
 
 
 # ---------------------------------------------------------------------------
 # cyclotomic polynomial tables
-
-_cyclotomic_cache = {}
-
 
 def _polydiv_exact(num, den):
     # exact division of integer polynomials, den monic; coeffs low to high
@@ -82,76 +80,54 @@ def _polydiv_exact(num, den):
     return out
 
 
+@cache
 def cyclotomic(m):
     """Integer coefficients of the m-th cyclotomic polynomial, constant first."""
-    poly = _cyclotomic_cache.get(m)
-    if poly is None:
-        if m < 1:
-            raise ValueError(f"conductor must be positive, got {m}")
-        poly = [-1] + [0] * (m - 1) + [1]
-        for d in range(1, m):
-            if m % d == 0:
-                poly = _polydiv_exact(poly, cyclotomic(d))
-        poly = tuple(poly)
-        _cyclotomic_cache[m] = poly
-    return poly
+    if m < 1:
+        raise ValueError(f"conductor must be positive, got {m}")
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            poly = _polydiv_exact(poly, cyclotomic(d))
+    return tuple(poly)
 
 
 def euler_phi(m):
     return len(cyclotomic(m)) - 1
 
 
-_power_rows = {}
+@cache
+def _powers(m):
+    """The rows x^e mod Phi_m for e < max(m, 2 phi(m) - 1), as integer
+    tuples of length phi(m): the one table of powers of the conductor.
+    It holds every power a reader needs: the first m rows are the m-th
+    roots of unity, and a product of two values reaches x^(2 phi(m) - 2)."""
+    phi = cyclotomic(m)
+    k = len(phi) - 1
+    rows = [tuple(int(i == e) for i in range(k)) for e in range(k)]
+    for _ in range(k, max(m, 2 * k - 1)):
+        prev = rows[-1]
+        lead = prev[k - 1]
+        rows.append(tuple((prev[i - 1] if i else 0) - lead * phi[i]
+                          for i in range(k)))
+    return tuple(rows)
 
 
-def _powers(m, upto):
-    """Rows x^e mod Phi_m for e < upto, as integer tuples of length phi(m)."""
-    rows = _power_rows.setdefault(m, [])
-    if len(rows) < upto:
-        phi = cyclotomic(m)
-        k = len(phi) - 1
-        while len(rows) < min(upto, k):
-            e = len(rows)
-            rows.append(tuple(1 if i == e else 0 for i in range(k)))
-        while len(rows) < upto:
-            prev = rows[-1]
-            lead = prev[k - 1]
-            rows.append(tuple((prev[i - 1] if i else 0) - lead * phi[i]
-                              for i in range(k)))
-    return rows
-
-
-_embed_cache = {}
-
-
+@cache
 def _embedding(m, big):
-    """Images of the conductor-m power basis inside conductor ``big``."""
-    key = (m, big)
-    table = _embed_cache.get(key)
-    if table is None:
-        step = big // m
-        k = euler_phi(m)
-        rows = _powers(big, (k - 1) * step + 1)
-        table = tuple(rows[i * step] for i in range(k))
-        _embed_cache[key] = table
-    return table
+    """Images of the conductor-m power basis inside conductor ``big``:
+    the rows of x^(i big/m), i < phi(m), of ``_powers(big)``."""
+    step = big // m
+    return _powers(big)[:euler_phi(m) * step:step]
 
 
-_reduction_tables = {}
-
-
+@cache
 def _table(m):
-    """The reduction rows that inverses at conductor m read, and that
-    ``_multiplier(m)`` writes into its source: x^e mod Phi_m for
-    e < max(m, 2 phi(m) - 1), each as the pairs (index, coefficient) of its
-    nonzero entries."""
-    table = _reduction_tables.get(m)
-    if table is None:
-        rows = _powers(m, max(m, 2 * euler_phi(m) - 1))
-        table = tuple(tuple((i, r) for i, r in enumerate(row) if r)
-                      for row in rows)
-        _reduction_tables[m] = table
-    return table
+    """The sparse view of ``_powers(m)``, which inverses at conductor m
+    read and ``_multiplier(m)`` writes into its source: each row as the
+    pairs (index, coefficient) of its nonzero entries."""
+    return tuple(tuple((i, r) for i, r in enumerate(row) if r)
+                 for row in _powers(m))
 
 
 # ---------------------------------------------------------------------------
@@ -225,23 +201,18 @@ def _convolution(m):
     return lines, [" ".join(t) for t in out]
 
 
-_multipliers = {}
-
-
+@cache
 def _multiplier(m):
     """The product a * b of values of ``field(m)``, in lowest terms: the
     one product of the package, called by ``field(m)`` and ``_inverse``.
     Straight-line code, generated once per conductor from ``_table(m)``
     (``_convolution``); integral operands skip the gcd."""
-    mul = _multipliers.get(m)
-    if mul is None:
-        lines, out = _convolution(m)
-        names = [f"x{i}" for i in range(len(out))]
-        mul = _multipliers[m] = _compile("product", [
-            "def product(a, b):", *lines,
-            *(f"    {x} = {t}" for x, t in zip(names, out)),
-            "    d = ad * bd", *_lowest(names, "d", "    ")], gcd=gcd)
-    return mul
+    lines, out = _convolution(m)
+    names = [f"x{i}" for i in range(len(out))]
+    return _compile("product", [
+        "def product(a, b):", *lines,
+        *(f"    {x} = {t}" for x, t in zip(names, out)),
+        "    d = ad * bd", *_lowest(names, "d", "    ")], gcd=gcd)
 
 
 def _submultiplier(m):
@@ -267,9 +238,7 @@ def _submultiplier(m):
         "    d = xd * fx", *_nonzero(names, "d")], gcd=gcd)
 
 
-_root_multipliers = {}
-
-
+@cache
 def _root_multiplier(m, e):
     """The product c * zeta^e (e >= 0) or c * -zeta^(-1 - e) (e < 0, the
     encoding of ``_roots``) of values c of ``field(m)``: the product by a
@@ -285,24 +254,19 @@ def _root_multiplier(m, e):
     gcd of the integer coefficients, and a reduced value stays reduced.
     There are at most 2m of them per conductor.
     """
-    times = _root_multipliers.get((m, e))
-    if times is None:
-        if not e:
-            lines = ["def times(c):", "    return c"]
-        else:
-            k = euler_phi(m)
-            sign, p = (1, e) if e >= 0 else (-1, -1 - e)
-            out = [[] for _ in range(k)]
-            table = _table(m)
-            for i in range(k):
-                for j, r in table[(i + p) % m]:
-                    out[j].append(_term(sign * r, f"a{i}"))
-            lines = ["def times(a):", _unpack("a", k),
-                     "    return (" + "".join(
-                         (" ".join(t) if t else "0") + ", " for t in out)
-                     + "ad)"]
-        times = _root_multipliers[m, e] = _compile("times", lines)
-    return times
+    if not e:
+        return _compile("times", ["def times(c):", "    return c"])
+    k = euler_phi(m)
+    sign, p = (1, e) if e >= 0 else (-1, -1 - e)
+    out = [[] for _ in range(k)]
+    table = _table(m)
+    for i in range(k):
+        for j, r in table[(i + p) % m]:
+            out[j].append(_term(sign * r, f"a{i}"))
+    return _compile("times", [
+        "def times(a):", _unpack("a", k),
+        "    return (" + "".join((" ".join(t) if t else "0") + ", "
+                             for t in out) + "ad)"])
 
 
 def _adder(k):
@@ -329,27 +293,22 @@ def _negator(k):
         "    return (" + "".join(f"-a{i}, " for i in range(k)) + "ad)"])
 
 
-_root_tables = {}
-
-
+@cache
 def _roots(m):
     """The exponent e of each m-th root of unity zeta^e, keyed by its
     coefficient vector and by the negated vector (with -1 - e, so that
     -zeta^e is read as -1 times zeta^e)."""
-    roots = _root_tables.get(m)
-    if roots is None:
-        rows = _powers(m, m)[:m]
-        # for even m, -zeta^e is the root zeta^(e + m/2): the update wins
-        roots = {tuple(-v for v in row): -1 - e for e, row in enumerate(rows)}
-        roots.update((row, e) for e, row in enumerate(rows))
-        _root_tables[m] = roots
+    rows = _powers(m)[:m]
+    # for even m, -zeta^e is the root zeta^(e + m/2): the update wins
+    roots = {tuple(-v for v in row): -1 - e for e, row in enumerate(rows)}
+    roots.update((row, e) for e, row in enumerate(rows))
     return roots
 
 
 def _value(num, den):
-    """The value num / den of ``field(m)``, m > 1, in lowest terms with
-    den > 0, from an integer sequence and a nonzero integer; None for
-    zero."""
+    """The canonical form of num / den, from an integer sequence and a
+    nonzero integer: the tuple (*num, den) in lowest terms with den > 0,
+    a value of ``field(m)`` at m > 1; None for zero."""
     if den < 0:
         num, den = [-v for v in num], -den
     g = gcd(den, *num)
@@ -403,9 +362,8 @@ def _inverse(m, a):
 # the scalar type
 
 def _embed_vec(c, big):
-    """Raw integer coefficient vector of c at conductor ``big`` (same den)."""
-    if c.m == big:
-        return list(c.num)
+    """Raw integer coefficient vector of c at conductor ``big``, a proper
+    multiple of c's (same den)."""
     k = euler_phi(big)
     if c.m == 1:
         out = [0] * k
@@ -428,31 +386,19 @@ def _lift(a, b):
 
 
 def _normalize(m, num, den):
-    """The canonical Cyc (num/den) at conductor m; num is any sequence."""
-    if den <= 0:
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        den = -den
-        num = [-v for v in num]
-    g = den
-    for v in num:
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        den //= g
-        num = [v // g for v in num]
-    if not any(num[1:]):
-        # constant: lives in Q, shrink to conductor 1
-        obj = object.__new__(Cyc)
-        obj.m = 1
-        obj.num = (num[0] if num else 0,)
-        obj.den = den if num and num[0] else 1
-        return obj
+    """The canonical Cyc num / den at conductor m, num an integer
+    sequence: the form of ``_value``, with a constant shrunk to
+    conductor 1."""
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    a = _value(num, den) or (0, 1)
     obj = object.__new__(Cyc)
-    obj.m = m
-    obj.num = tuple(num)
-    obj.den = den
+    if any(a[1:-1]):
+        obj.m, obj.num = m, a[:-1]
+    else:
+        # a constant lies in Q
+        obj.m, obj.num = 1, a[:1]
+    obj.den = a[-1]
     return obj
 
 
@@ -673,28 +619,16 @@ def root_of_unity(m, e):
     """zeta_m^e as a Cyc, reduced to a minimal conductor."""
     if m < 1:
         raise ValueError("conductor must be positive")
-    e %= m
-    if e == 0:
-        return ONE
     g = gcd(e, m)
-    m0, e0 = m // g, e // g
-    if m0 == 1:
-        return ONE
-    if m0 == 2:
-        return MINUS_ONE
+    m0, p = m // g, e % m // g
     sign = 1
     if m0 % 4 == 2:
-        # Q(zeta_{2u}) = Q(zeta_u) for odd u: zeta_{2u} = -zeta_u^{(u+1)/2}
+        # Q(zeta_{2u}) = Q(zeta_u) for odd u: zeta_{2u} = -zeta_u^{(u+1)/2},
+        # and p is odd since gcd(p, m0) = 1 and m0 is even
         u = m0 // 2
-        p = (e0 * ((u + 1) // 2)) % u
-        sign = -1  # e0 is odd since gcd(e0, m0) = 1 and m0 is even
-        m0 = u
-    else:
-        p = e0
-    row = _powers(m0, max(euler_phi(m0), p + 1))[p]
-    if sign < 0:
-        row = [-v for v in row]
-    return _normalize(m0, row, 1)
+        m0, p, sign = u, p * ((u + 1) // 2) % u, -1
+    # the row of x^p over the denominator sign, -1 negating it
+    return _normalize(m0, _powers(m0)[p], sign)
 
 
 def order(q):
@@ -747,9 +681,7 @@ class Field:
         return "CYCLOTOMIC" if self.m is None else f"field({self.m})"
 
 
-_fields = {}
-
-
+@cache
 def field(m):
     """The field Q(zeta_m) in which a computation at conductor m does its
     arithmetic, as a ``Field``: one object of operations per conductor,
@@ -780,10 +712,7 @@ def field(m):
     kernel take about 3 ms each there (fresh processes, Python 3.11, x86);
     ``field(1)`` compiles nothing.
     """
-    F = _fields.get(m)
-    if F is None:
-        F = _fields[m] = _rationals() if m == 1 else _cyclotomic_field(m)
-    return F
+    return _rationals() if m == 1 else _cyclotomic_field(m)
 
 
 def _q(num, den):
@@ -913,27 +842,24 @@ CYCLOTOMIC = Field(
 # ---------------------------------------------------------------------------
 # q-numbers, evaluated from integer polynomials (they all lie in Z[q])
 
-_gauss_cache = {}
-
-
 def gaussian_poly(n, m):
     """The Gaussian binomial (n choose m)_q as an integer polynomial in q."""
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
-    key = (n, m)
-    poly = _gauss_cache.get(key)
-    if poly is None:
-        if m == 0 or m == n:
-            poly = [1]
-        else:
-            # q-Pascal: C(n,m) = C(n-1,m-1) + q^m C(n-1,m)
-            left = gaussian_poly(n - 1, m - 1)
-            right = gaussian_poly(n - 1, m)
-            poly = list(left) + [0] * (m + len(right) - len(left))
-            for i, v in enumerate(right):
-                poly[m + i] += v
-        _gauss_cache[key] = poly
-    return list(poly)
+    return list(_gaussian(n, m))
+
+
+@cache
+def _gaussian(n, m):
+    # the coefficients of (n choose m)_q as a tuple, 0 <= m <= n
+    if m == 0 or m == n:
+        return (1,)
+    # q-Pascal: C(n,m) = C(n-1,m-1) + q^m C(n-1,m)
+    left, right = _gaussian(n - 1, m - 1), _gaussian(n - 1, m)
+    poly = list(left) + [0] * (m + len(right) - len(left))
+    for i, v in enumerate(right):
+        poly[m + i] += v
+    return tuple(poly)
 
 
 def _eval_poly(poly, q):

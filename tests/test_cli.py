@@ -10,7 +10,7 @@ from nichols.braids import GroupAlgElt
 from nichols.cli import main
 from nichols.fileio import dump_pair
 from nichols.identities import standard_suite
-from nichols.scalars import integer, rational, root_of_unity
+from nichols.scalars import integer, parse_scalar, rational, root_of_unity
 from nichols import pairs, quandles
 from nichols.groups import conjugacy_class, symmetric
 
@@ -243,6 +243,31 @@ def test_rank2_prints_infinite_orders(capsys, tmp_path):
                                      "M: 12 infinite", "bound: infinite"]
 
 
+def test_rank2_prints_each_entry_at_the_printed_conductor(capsys, tmp_path):
+    # zeta_3 and i are different tokens at conductor 12, and every token
+    # reads back at the printed conductor as the pair's entry
+    one, minus = integer(1), integer(-1)
+    z3, z4, z12 = (root_of_unity(m, 1) for m in (3, 4, 12))
+    path = tmp_path / "q.bp"
+    path.write_text(dump_pair(pairs.diagonal([[minus, z12], [one, z3]])))
+    for argv, q in ((("--builtin", "qls", "--orders", "3,4"),
+                     [[z3, one], [one, z4]]),
+                    (("--file", str(path)), [[minus, z12], [one, z3]])):
+        code, out, _ = run(capsys, "rank2", *argv)
+        assert code == 0
+        matrix, conductor = out.splitlines()[:2]
+        assert conductor == "conductor: 12"
+        rows = matrix.removeprefix("matrix: ").split(" / ")
+        assert [[parse_scalar(tok, 12) for tok in row.split()]
+                for row in rows] == q
+    code, out, _ = run(capsys, "rank2", "--builtin", "qls", "--orders", "3,4")
+    assert out.splitlines()[0] == "matrix: -1:0,1:2 1:0 / 1:0 1:3"
+    # entries already at the pair's conductor print as before
+    for name in ("c4-a2", "c6-b2"):
+        code, out, _ = run(capsys, "rank2", "--builtin", name)
+        assert out.splitlines()[0] == "matrix: -1:0 1:1 / -1:0 1:1"
+
+
 def test_rank2_rejects_non_root_diagonal_entries(capsys, tmp_path):
     half = rational(1, 2)
     for q in ([[integer(-1), integer(1)], [half, integer(2)]],
@@ -450,7 +475,7 @@ def test_consecutive_calls_print_what_separate_calls_print(capsys,
     apart = []
     for argv in calls:
         # what a new process would parse with
-        monkeypatch.setattr(cli, "_parser", None)
+        cli.build_parser.cache_clear()
         apart.append(run(capsys, *argv))
     assert together == apart
     assert [code for code, _, _ in together] == [4, 0, 0, 0]

@@ -407,18 +407,19 @@ def test_normal_words_and_rules_match_their_recorded_digest(build, top,
                                                             digest):
     # recorded while the Phi-vectors came from the left recursion through
     # the crossings on B_n: the right Leibniz rule must give the same
-    # words and rules.  The computation keeps the right multiplications
-    # into one degree only, those that built the newest degree, and no
-    # crossing or left multiplication
+    # words and rules.  The computation keeps no right multiplication
+    # between degrees, and no crossing or left multiplication; those
+    # into the degree below the top are keyed by its normal words
     bp = build()
     cache = GradedComputation(bp)
     hilbert(bp, top, cache)
     assert engine_digest(cache, top) == digest
     assert len(cache.bases) == top + 1
-    assert len(cache._right) == bp.dim
-    assert all(cols.keys() == cache._phis[top - 2].keys()
-               for cols in cache._right)
-    assert not hasattr(cache, "_betas") and not hasattr(cache, "_lefts")
+    right = cache._right_multiplications(top - 1)
+    assert len(right) == bp.dim
+    assert all(cols.keys() == cache._phis[top - 2].keys() for cols in right)
+    assert not any(hasattr(cache, name)
+                   for name in ("_right", "_betas", "_lefts"))
 
 
 def test_left_multiplication_on_a_dense_braiding():

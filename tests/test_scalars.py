@@ -14,7 +14,6 @@ from nichols.scalars import (
     _normalize,
     _powers,
     _root_multiplier,
-    _root_multipliers,
     _submultiplier,
     _table,
     cyclotomic,
@@ -59,6 +58,21 @@ def test_root_of_unity_basics():
     assert root_of_unity(6, 1) ** 3 == integer(-1)
     # zeta_12^8 has order 3
     assert root_of_unity(12, 8) == root_of_unity(3, 2)
+
+
+def test_every_root_of_unity_is_a_power_at_its_least_conductor():
+    # zeta_m^e lives at the least conductor of Q(zeta_k), k its order: 1
+    # for k <= 2, k/2 for k = 2 mod 4 (Q(zeta_2u) = Q(zeta_u), u odd), k
+    # otherwise; exponents out of range, zero and negative included
+    for m in range(1, 31):
+        z = root_of_unity(m, 1)
+        for e in range(-m, 2 * m + 1):
+            got = root_of_unity(m, e)
+            assert got == z ** (e % m)
+            k = m // gcd(e, m)
+            least = 1 if k <= 2 else k // 2 if k % 4 == 2 else k
+            assert got.conductor == least
+            assert got.den == 1
 
 
 def test_mixed_conductor_arithmetic():
@@ -449,6 +463,48 @@ def test_negation_at_every_conductor():
 
 
 @pytest.mark.parametrize("m", FIELD_CONDUCTORS)
+@DIFFERENTIAL
+@given(data=st.data())
+def test_normalize_gives_the_canonical_form(m, data):
+    k = euler_phi(m)
+    num = data.draw(st.lists(st.integers(-12, 12), min_size=k, max_size=k))
+    if data.draw(st.booleans()):
+        # a common factor to cancel
+        f = data.draw(st.integers(2, 6))
+        num = [f * v for v in num]
+    den = data.draw(st.integers(-24, 24).filter(bool))
+    c = _normalize(m, num, den)
+    assert type(c.num) is tuple and type(c.den) is int
+    assert c.den > 0 and gcd(c.den, *c.num) == 1
+    assert (c.conductor == 1) == (not any(num[1:]))
+    assert len(c.num) == euler_phi(c.conductor)
+    assert c.embed(m).coeffs == tuple(Fraction(v, den) for v in num)
+    with pytest.raises(ZeroDivisionError):
+        _normalize(m, num, 0)
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 4, 5, 6, 7, 9, 12, 15, 30, 60))
+def test_one_power_table_per_conductor(m):
+    rows = _powers(m)
+    assert _powers(m) is rows and type(rows) is tuple
+    k = euler_phi(m)
+    assert len(rows) == max(m, 2 * k - 1)
+    phi = cyclotomic(m)
+    for e, row in enumerate(rows):
+        # x^e reduced modulo the monic Phi_m from the top
+        poly = [0] * max(e + 1, k)
+        poly[e] = 1
+        for top in range(e, k - 1, -1):
+            c = poly[top]
+            for i, r in enumerate(phi):
+                poly[top - k + i] -= c * r
+        assert row == tuple(poly[:k])
+    assert _table(m) == tuple(tuple((i, r) for i, r in enumerate(row) if r)
+                              for row in rows)
+    assert _table(m) is _table(m)
+
+
+@pytest.mark.parametrize("m", FIELD_CONDUCTORS)
 @settings(derandomize=True, deadline=None, max_examples=15, database=None)
 @given(data=st.data())
 def test_echelon_is_the_same_in_either_type(m, data):
@@ -488,7 +544,7 @@ def vectors(draw, m):
                                    max_size=k)))
     if kind == "root":
         c = draw(st.sampled_from([1, -1, 2, -3]))
-        return tuple(c * v for v in _powers(m, m)[draw(st.integers(0, m - 1))])
+        return tuple(c * v for v in _powers(m)[draw(st.integers(0, m - 1))])
     return (0,) * k
 
 
@@ -584,7 +640,7 @@ def test_root_multiplier_matches_product(m, data):
                 F.from_cyc(Cyc(m, dense)) if any(dense) else None,
                 (0,) * k + (1,)]
     assert operands[0][-1] == den
-    for e, row in enumerate(_powers(m, m)[:m]):
+    for e, row in enumerate(_powers(m)[:m]):
         for key, root in ((e, row), (-1 - e, tuple(-v for v in row))):
             times = _root_multiplier(m, key)
             s = F.from_cyc(Cyc(m, root))
@@ -601,9 +657,12 @@ def test_root_multiplier_matches_product(m, data):
 
 def test_root_multiplier_is_built_once_per_exponent():
     for m in (3, 12, 60):
-        for e in (0, 1, m - 1, -1, -m):
+        before = _root_multiplier.cache_info().currsize
+        # each of the 2m encodings of a conductor's roots and negated
+        # roots, asked for twice
+        for e in [*range(-m, m)] * 2:
             assert _root_multiplier(m, e) is _root_multiplier(m, e)
-        assert sum(1 for key in _root_multipliers if key[0] == m) <= 2 * m
+        assert _root_multiplier.cache_info().currsize - before <= 2 * m
     assert _root_multiplier(12, 1) is not _root_multiplier(12, 2)
     assert _root_multiplier(3, 1) is not _root_multiplier(4, 1)
     # the field hands out the one multiplier of each root
