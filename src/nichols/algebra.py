@@ -60,6 +60,14 @@ No crossing of a letter over a whole element is needed, for any braiding;
 on the other side, d_y(x_a . u) would need x_a crossed over all of u, maps
 of B_(n-1) to itself rebuilt by a recursion every degree.
 
+The last degree ``hilbert`` asks for is counted, not stored, when the
+braiding is a crossed-set braiding whose blocks, the words graded by the
+products of the rack's permutations, fall into conjugation orbits of two
+or more blocks: the same elimination runs on one block of each orbit and
+weighs its rank by the orbit's size (``hilbert`` says why that is exact).
+Nothing reads the basis of that degree there, and a later reader computes
+it in full.
+
 The engine computes in one field, ``scalars.field(m)`` at
 m = ``bp.conductor``, into which the braiding is embedded once.  Every
 basis, map, tensor vector, kernel and relation row inside holds
@@ -90,7 +98,7 @@ leading word has no new relation.
 from collections import namedtuple
 from time import perf_counter
 
-from .braids import apply_elt, sweep, t_shuffle
+from .braids import Relabelling, apply_elt, sweep, t_shuffle
 from .linalg import Echelon, decode_word, vec_add_into
 from .scalars import MINUS_ONE, ONE, field as _field
 from . import pairs as _pairs
@@ -140,6 +148,11 @@ def _kernel_vector(f, tail, field):
     return vec
 
 
+def _compose(g, h):
+    """The permutation g h, x -> g(h(x)), of tuples."""
+    return tuple(g[x] for x in h)
+
+
 class GradedComputation:
     """Per-degree bases of the graded components in derivation
     coordinates, the images pi(w) of the normal words w, with the rewriting
@@ -160,6 +173,13 @@ class GradedComputation:
     Phi-vector leads with a free key has that Phi-vector itself, the same
     dict, as its row for good.  No degree past a zero component is
     computed: it has no candidate word.
+
+    ``hilbert(bp, N, cache)`` leaves the cache with every degree below N
+    stored as above, and degree N stored too unless it counted that
+    degree by block orbits (``hilbert`` says when and why that is exact),
+    which stores nothing of it in ``bases``, ``_phis``, ``_rules`` or
+    ``stats``; a later ``basis(N)``, ``relations`` or
+    ``new_leading_words`` then computes degree N in full.
 
     Every scalar inside is a bare value of ``field``, Q(zeta_m) at
     m = ``bp.conductor`` (``scalars.field``), into which the braiding is
@@ -222,7 +242,7 @@ class GradedComputation:
     def dim(self, n):
         return self.basis(n).rank
 
-    def _extend(self):
+    def _extend(self, weights=None):
         """Eliminate the images of the candidate words of the next degree n,
         greatest word first.  The words whose image is independent of the
         images before are the normal words; each other candidate f is a new
@@ -231,7 +251,12 @@ class GradedComputation:
         rule f -> tail.  The Phi-vector of p a, p a normal word and a a
         letter, comes from that of p by the right Leibniz rule:
         d_z(pi(p) . x_a) = [z = a] pi(p) + sum_(j,k) C[(j,a) -> (k,z)]
-        R_k(d_j pi(p))."""
+        R_k(d_j pi(p)).
+
+        With ``weights``, {w: orbit size} over the candidate words of the
+        representative blocks (``_dim_by_orbits``), only those words are
+        eliminated, no rule is read and nothing is stored: the return value
+        is the sum of the weights of the words found normal, dim B_n."""
         t0 = perf_counter()
         n = len(self.bases)
         d = self.bp.dim
@@ -245,7 +270,8 @@ class GradedComputation:
         shift = d ** (n - 1)
         # d_j(p) of a normal word p of degree n-1 sits at j * d**(n-2) + v
         inner = shift // d
-        words = self._candidate_words(n)
+        words = (self._candidate_words(n) if weights is None
+                 else sorted(weights))
         ech = Echelon(field)
         # the Phi-vectors of the normal words, the rules, and the word
         # whose image was inserted at each pivot
@@ -272,14 +298,16 @@ class GradedComputation:
                     vec_add_into(part, cols[v], mul(c, s), field)
             vec = {z * shift + u: s for z, part in parts.items()
                    for u, s in part.items()}
-            steps = {}
+            steps = {} if weights is None else None
             q = ech.insert(vec, steps)
-            if q is None:
-                rules[w] = {word_at[r]: c
-                            for r, c in ech.combination(steps).items()}
-            else:
+            if q is not None:
                 normal[w] = vec
                 word_at[q] = w
+            elif steps is not None:
+                rules[w] = {word_at[r]: c
+                            for r, c in ech.combination(steps).items()}
+        if weights is not None:
+            return sum(weights[w] for w in normal)
         ech.record.clear()
         self.bases.append(ech)
         self._phis.append(normal)
@@ -287,6 +315,77 @@ class GradedComputation:
         nonzeros = sum(len(r) for r in ech.rows.values())
         self.stats.append(DegreeStats(n, len(words), ech.rank, nonzeros,
                                       perf_counter() - t0))
+
+    def _block_orbits(self, n):
+        """The candidate words of degree n by block, the blocks grouped
+        into conjugation orbits: a list of orbits, each a list of
+        (block, words), a block the permutation phi_(a_1) ... phi_(a_n) of
+        the letters as a tuple, words its candidate words in increasing
+        order (none for a block that only conjugation reaches).  None when
+        the braiding is no crossed-set braiding c(x_i (x) x_j) =
+        f(i, j) x_(i |> j) (x) x_i, or its rack is trivial (one block).
+        Degree n-1 must be computed."""
+        cmap = self.bp.embedded(self.field).cmap
+        if cmap.__class__ is not Relabelling:
+            return None
+        d = self.bp.dim
+        targets = cmap.targets
+        if any(t % d != p // d for p, t in enumerate(targets)):
+            return None
+        # phi_i = i |> -, read off the target (i |> j) d + i of (i, j)
+        phi = [tuple(targets[i * d + j] // d for j in range(d))
+               for i in range(d)]
+        ident = tuple(range(d))
+        if all(p == ident for p in phi):
+            return None
+        # the block of a word is that of its prefix composed with phi of
+        # its last letter; the prefix of a normal word is normal
+        blocks = {0: ident}
+        for m in range(1, n):
+            blocks = {w: _compose(blocks[w // d], phi[w % d])
+                      for w in self._phis[m]}
+        words = {}
+        for w in self._candidate_words(n):
+            words.setdefault(_compose(blocks[w // d], phi[w % d]),
+                             []).append(w)
+        # g_i maps the block g to phi_i g phi_i^-1
+        inv = [tuple(sorted(range(d), key=p.__getitem__)) for p in phi]
+        orbits, seen = [], set()
+        for start in sorted(words):
+            if start in seen:
+                continue
+            seen.add(start)
+            orbit = [start]
+            for g in orbit:
+                for p, q in zip(phi, inv):
+                    h = _compose(_compose(p, g), q)
+                    if h not in seen:
+                        seen.add(h)
+                        orbit.append(h)
+            orbits.append([(g, words.get(g, [])) for g in orbit])
+        return orbits
+
+    def _dim_by_orbits(self, n):
+        """dim B_n, counted by block orbits when degree n is the next to
+        compute and some orbit holds two or more blocks with candidate
+        words (``_block_orbits``); otherwise ``dim(n)``, which computes and
+        stores the degree.  The count stores nothing of degree n: it
+        eliminates, in each orbit, the candidates of the block with the
+        fewest, and weighs each normal word found by the size of its orbit
+        (``_extend``).  A block without candidates has dimension 0, and so
+        has its orbit.  ``hilbert`` gives the reason it is exact."""
+        if len(self.bases) != n or not self.bases[-1].rank:
+            return self.dim(n)
+        orbits = self._block_orbits(n)
+        if orbits is None or all(
+                sum(1 for _, words in orbit if words) < 2
+                for orbit in orbits):
+            return self.dim(n)
+        weights = {}
+        for orbit in orbits:
+            least = min((words for _, words in orbit), key=len)
+            weights.update(dict.fromkeys(least, len(orbit)))
+        return self._extend(weights) if weights else 0
 
     def _right_multiplications(self, n):
         """The right multiplications R_k: B_(n-1) -> B_n, pi(v) -> pi(v k),
@@ -445,13 +544,36 @@ def hilbert(bp, max_degree, cache=None):
     Stops at the first zero dimension, which certifies finiteness (the
     algebra is generated in degree one, so every higher component also
     vanishes); without a zero the verdict at the cutoff stays unknown.
+
+    The last degree N is counted by block orbits when the braiding is a
+    crossed-set braiding c(x_i (x) x_j) = f(i, j) x_(i |> j) (x) x_i and
+    some conjugation orbit of its blocks holds two or more blocks with
+    candidate words: dim B_N is the sum over the orbits of the orbit's
+    size times the rank of one block of it.  This is exact.
+    - The grading: a word x_(a_1) ... x_(a_n) lies in the block
+      phi_(a_1) ... phi_(a_n), with phi_i = i |> -.  The braiding keeps
+      it, as phi_i phi_j = phi_(i |> j) phi_i, so the symmetrizer and its
+      kernel K_N split by block, and the Phi-vectors of different blocks
+      have disjoint supports.  Every normal word is a candidate, so the
+      rank of a block's candidates is the dimension of its part of B_N.
+    - The group-likes: each g_i: x_j -> f(i, j) x_(i |> j) is a braided
+      automorphism, by the cocycle identity f(i, j |> k) f(j, k) =
+      f(i |> j, i |> k) f(i, k) that the braid equation gives (pair
+      validation checks it).  So g_i maps K_N onto K_N, and the block g
+      onto phi_i g phi_i^-1: the blocks of one orbit have one dimension.
+    Degree N is then not stored in ``cache``, and degrees below N are
+    (see ``GradedComputation``).  Diagonal braidings (a trivial rack, one
+    block), braidings of any other shape, and a rack whose every orbit
+    holds at most one block with candidates, store degree N as every
+    other degree.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
     cache = cache or GradedComputation(bp)
     dims = []
     for n in range(max_degree + 1):
-        dims.append(cache.dim(n))
+        dims.append(cache._dim_by_orbits(n) if n == max_degree
+                    else cache.dim(n))
         if dims[-1] == 0:
             return HilbertResult(dims, sum(dims))
     return HilbertResult(dims, None)

@@ -11,9 +11,10 @@ well defined.
 ``Cyc`` aligns and shrinks; the fields compute.  Values with different
 conductors mix freely: ``+``, ``*``, ``inverse`` and ``==`` at two
 conductors lift both operands into ``field(l)``, l the lcm of their
-conductors, compute there and come back through ``_normalize``: the
-canonical form of the field's values (``_value``), and the one place where
-zero and rational constants shrink to conductor 1.
+conductors, compute there and come back through the field's ``to_cyc``.
+A field's values are already in the canonical form (``_value``), so that
+takes no gcd: ``_cyc`` wraps the tuple, and is the one place where zero
+and rational constants shrink to conductor 1.
 ``Fraction`` appears only at the boundary (``Cyc(m, coeffs)``, ``.coeffs``
 and the coercion of plain numbers).
 
@@ -38,9 +39,11 @@ sparse view, ``_roots(m)`` reads its first m rows, and the embeddings of
 smaller conductors and ``root_of_unity`` index into it.
 
 At m > 1 the operations are generated per conductor from that table and
-cached with it.  Products go through ``_multiplier(m)``: straight-line
-code that skips the zero coefficients of its left operand and reduces
-modulo the cyclotomic polynomial with the table's integers written in.
+cached with it, the convolution of a product (``_convolution``) once for
+both kernels that read it.  Products go through ``_multiplier(m)``:
+straight-line code that skips the zero coefficients of its left operand
+and reduces modulo the cyclotomic polynomial with the table's integers
+written in.
 Elimination's step x - a*b is one operation, ``submul``, fused in
 ``_submultiplier(m)``: the same convolution, subtracted from x line by
 line over a common denominator, reduced to lowest terms once, and not at
@@ -177,13 +180,16 @@ def _nonzero(names, den):
             *_lowest(names, den, "        "), "    return None"]
 
 
+@cache
 def _convolution(m):
     """The product of the unpacked values a and b modulo Phi_m as lines
     of a generated function body and one expression per output
     coefficient: the convolution into locals c0 .. c(2k-2), one block per
     nonzero coefficient of ``a`` (so sparse operands, such as roots of
     unity, skip most of it), and each output coefficient as c_i plus the
-    reduction table's integer multiples of the high c_e."""
+    reduction table's integer multiples of the high c_e.  Built once per
+    conductor, as two tuples, for ``_multiplier(m)`` and
+    ``_submultiplier(m)`` both."""
     k = euler_phi(m)
     lines = [_unpack("a", k), _unpack("b", k),
              "    " + " = ".join(f"c{e}" for e in range(2 * k - 1)) + " = 0"]
@@ -198,7 +204,7 @@ def _convolution(m):
     for e in range(k, 2 * k - 1):
         for i, r in table[e]:
             out[i].append(_term(r, f"c{e}"))
-    return lines, [" ".join(t) for t in out]
+    return tuple(lines), tuple(" ".join(t) for t in out)
 
 
 @cache
@@ -391,7 +397,13 @@ def _normalize(m, num, den):
     conductor 1."""
     if not den:
         raise ZeroDivisionError("zero denominator")
-    a = _value(num, den) or (0, 1)
+    return _cyc(m, _value(num, den) or (0, 1))
+
+
+def _cyc(m, a):
+    """The Cyc of a = (*num, den), already in the lowest terms of
+    ``_value`` at conductor m, with a constant shrunk to conductor 1; no
+    gcd is taken."""
     obj = object.__new__(Cyc)
     if any(a[1:-1]):
         obj.m, obj.num = m, a[:-1]
@@ -787,8 +799,7 @@ def _rationals():
     def to_cyc(a):
         if a is None:
             return ZERO
-        num, den = (a, 1) if type(a) is int else a
-        return _normalize(1, (num,), den)
+        return _cyc(1, (a, 1) if type(a) is int else a)
 
     return Field(1, 1, add=add, submul=submul, mul=mul, neg=neg,
                  inverse=inverse, is_one=is_one, scaling=scaling,
@@ -820,7 +831,7 @@ def _cyclotomic_field(m):
         return _value(_embed_vec(c, m), c.den)
 
     def to_cyc(a):
-        return ZERO if a is None else _normalize(m, a[:-1], a[-1])
+        return ZERO if a is None else _cyc(m, a)
 
     return Field(m, unit, add=add, submul=_submultiplier(m),
                  mul=mul, neg=neg, inverse=inverse, is_one=unit.__eq__,

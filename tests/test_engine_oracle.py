@@ -540,3 +540,82 @@ def test_panel_dims_at_bench_degrees():
     for build, degree, dims in PANEL:
         assert hilbert(build(), degree).dims == dims
     assert time.time() - t0 < 60.0
+
+
+# ---------------------------------------------------------------------------
+# the last degree of ``hilbert``, counted by block orbits
+
+def block_orbits(bp, n):
+    """The conjugation orbits of the blocks of degree n, each as the set
+    of its blocks, with degree n-1 computed."""
+    cache = GradedComputation(bp)
+    cache.basis(n - 1)
+    return [{block for block, _ in orbit}
+            for orbit in cache._block_orbits(n)]
+
+
+def test_block_orbits_are_conjugacy_orbits():
+    # Aff(7, 3): a word's block is x -> 3^n x + c, so the 7 blocks of a
+    # degree form one orbit unless 6 divides n; then they are the
+    # translations, and conjugation fixes the identity alone
+    aff = affine(7, 3)
+    assert [len(o) for o in block_orbits(aff, 8)] == [7]
+    assert sorted(len(o) for o in block_orbits(aff, 6)) == [1, 6]
+    # v3: a product of six reflections of Z/3 is a rotation, and the two
+    # rotations r, r^2 are conjugate
+    assert block_orbits(v3_z3(), 6) == [{(0, 1, 2)}, {(1, 2, 0), (2, 0, 1)}]
+    assert sorted(len(o) for o in block_orbits(v4_m1_m1(), 6)) == [1, 3]
+    # no crossed-set braiding, or a trivial rack: no orbit at all
+    cache = GradedComputation(c6_b2())
+    cache.basis(3)
+    assert cache._block_orbits(4) is None
+    cache = GradedComputation(changed(v3_z3)())
+    cache.basis(3)
+    assert cache._block_orbits(4) is None
+
+
+# (name, pair, cutoffs, the cutoffs whose last degree the orbits count):
+# a block alone in its orbit gains nothing, so the count runs only when an
+# orbit holds two or more blocks with candidate words
+ORBIT_COUNTS = [
+    ("aff-7-3", lambda: affine(7, 3), (1, 6, 7), (1, 6, 7)),
+    ("aff-5-2", lambda: affine(5, 2), (4, 9), (4, 9)),
+    ("E4", fomin_kirillov_e4, (3, 6, 13), (3, 6)),
+    ("v3-z3", v3_z3, (2, 5, 6), (2, 5, 6)),
+    ("v4_m1_m1", v4_m1_m1, (3, 6), (3, 6)),
+    ("v4_m1_p1", v4_m1_p1, (4, 9, 12), (4,)),
+    # an abelian inner group: every block is its own orbit
+    ("ms-d4", ms_d4, (3, 5, 9), ()),
+    ("c6-b2", c6_b2, (5, 12), ()),
+    ("cb-v3-z3", changed(v3_z3), (3, 4), ()),
+]
+
+
+@pytest.mark.parametrize("build,cutoffs,counted",
+                         [case[1:] for case in ORBIT_COUNTS],
+                         ids=[case[0] for case in ORBIT_COUNTS])
+def test_hilbert_counts_its_last_degree_by_block_orbits(build, cutoffs,
+                                                       counted):
+    bp = build()
+    full = GradedComputation(bp)
+    for n in cutoffs:
+        cache = GradedComputation(bp)
+        dims = hilbert(bp, n, cache).dims
+        assert dims == [full.dim(m) for m in range(len(dims))], n
+        # the orbit count stores nothing of its degree
+        assert len(cache.bases) == len(dims) - (n in counted), n
+
+
+@pytest.mark.parametrize("build,n", [(v3_z3, 4), (v4_m1_p1, 6),
+                                     (v4_m1_m1, 4), (lambda: affine(7, 3), 6)],
+                         ids=["v3-z3", "v4_m1_p1", "v4_m1_m1", "aff-7-3"])
+def test_a_cache_after_the_orbit_count_computes_the_degree_in_full(build, n):
+    bp = build()
+    cache, fresh = GradedComputation(bp), GradedComputation(bp)
+    assert hilbert(bp, n, cache).dims[-1] == fresh.dim(n)
+    assert len(cache.bases) == n
+    assert relations(bp, n, cache) == relations(bp, n, fresh)
+    assert new_leading_words(bp, n, cache) == new_leading_words(bp, n,
+                                                                fresh)
+    assert cache.dim(n) == fresh.dim(n)
+    assert len(cache.bases) == len(cache.stats) == n + 1

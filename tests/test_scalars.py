@@ -9,6 +9,8 @@ from nichols.linalg import Echelon
 from nichols.scalars import (
     CYCLOTOMIC,
     Cyc,
+    _convolution,
+    _cyclotomic_field,
     _inverse,
     _multiplier,
     _normalize,
@@ -688,6 +690,42 @@ def test_multiplier_is_built_once_per_conductor():
     for m in (3, 12, 60):
         assert _multiplier(m) is _multiplier(m)
     assert _multiplier(3) is not _multiplier(4)
+
+
+def test_convolution_is_built_once_per_conductor():
+    # the product and the fused step x - a*b share one convolution: making
+    # a field from empty caches builds it once and reads it twice
+    _convolution.cache_clear()
+    _multiplier.cache_clear()
+    F = _cyclotomic_field(20)
+    assert _convolution.cache_info()[:2] == (1, 1)  # hits, misses
+    a = F.from_cyc(root_of_unity(20, 3) + rational(1, 2))
+    assert F.submul(F.one, a, a) == F.sub(F.one, F.mul(a, a))
+
+
+@pytest.mark.parametrize("m", [1, 3, 12, 60])
+def test_to_cyc_inverts_from_cyc(m):
+    # a field's values are canonical already, so ``to_cyc`` wraps them with
+    # no gcd and shrinks only a constant to conductor 1: the round trip
+    # gives the very m, num and den of the canonical Cyc
+    F = field(m)
+    constants = [zero(), one(), integer(-6), rational(3, 4),
+                 rational(-5, 12)]
+    others = []
+    if m > 1:
+        z = root_of_unity(m, 1)
+        # a product of roots that is rational lands at conductor 1
+        constants.append(z * root_of_unity(m, m - 1) * rational(7, 2))
+        others = [z, -z, rational(2, 3) * z + rational(1, 6),
+                  z * z * integer(4) - z / integer(7),
+                  (z - integer(3)).inverse()]
+    for c in constants + others:
+        back = F.to_cyc(F.from_cyc(c))
+        assert back == c
+        assert (back.m, back.num, back.den) == (c.m, c.num, c.den), c
+        assert type(back.num) is tuple
+    assert {c.m for c in constants} == {1}
+    assert all(c.m == m for c in others)
 
 
 def test_field_elements_compare_unequal_to_other_types():
