@@ -73,8 +73,10 @@ m = ``bp.conductor``, into which the braiding is embedded once.  Every
 basis, map, tensor vector, kernel and relation row inside holds
 that field's bare values (plain ints at conductor 1 while they stay
 integral, flat integer tuples above), every operation on them is one of
-the field's functions, and only what a public function (or
-``GradedComputation.left``) returns is converted back to ``Cyc``.
+the field's functions, and only what a public function returns is
+converted back to ``Cyc``.  What the engine keeps of a degree, computed or
+read on request, is one record (``GradedComputation`` lists its fields
+and their lifetimes).
 
 Tensor coordinates of the basis are built only on request
 (``degree_basis``), from u = sum_y d_y(u) (x) x_y.  Symmetrizer kernels
@@ -153,32 +155,72 @@ def _compose(g, h):
     return tuple(g[x] for x in h)
 
 
+class _Degree:
+    """What the engine keeps of one degree: its echelon, the Phi-vectors
+    of its normal words, its rules, its cost, its memo of reduced words,
+    and, once asked for, its tensor rows and its relation basis
+    (``GradedComputation`` says who writes and reads each field)."""
+
+    __slots__ = ("ech", "phis", "rules", "stats", "reduced", "tensor",
+                 "relations")
+
+    def __init__(self, ech, phis, rules, stats, tensor=None):
+        self.ech = ech
+        self.phis = phis
+        self.rules = rules
+        self.stats = stats
+        self.reduced = {}
+        self.tensor = tensor
+        self.relations = None
+
+
 class GradedComputation:
     """Per-degree bases of the graded components in derivation
     coordinates, the images pi(w) of the normal words w, with the rewriting
     rules of the new leading words that the same elimination gives, and
-    caches for the words rewritten by the rules below their degree, tensor
+    what is read off them on request: words rewritten by the rules, tensor
     coordinates and relation bases.
 
-    Each degree n keeps its ``Echelon`` of Phi-vectors (``bases``), the
-    Phi-vectors of the images of its normal words, which the next degree
-    and the tensor coordinates read, and its rules.  The right
-    multiplications R_k into degree n-1, which the Phi-vectors of degree n
-    are made with, are kept until degree n+1 replaces them, and the
-    multipliers of the elimination only until the rules are read.  A
-    Phi-vector holds d_y(u) at the key y * d**(n-1) + v of each normal
+    Everything kept of degree n is one record, ``_degrees[n]``, read
+    through ``_degree(n)``, which computes the degrees up to n.  Its fields:
+    - ``ech``, the ``Echelon`` of the Phi-vectors of the candidates:
+      written by ``_extend``, read by ``basis``, ``dim`` and ``bases``; a
+      later degree reads only its rank, to stop past a zero component.
+    - ``phis``, {w: Phi-vector} over the normal words w: written by
+      ``_extend``; degree n+1 reads the vectors (``_extend``) and the
+      tensor rows read them on request, while every later degree reads the
+      keys (``_candidate_words``, ``_reduce``, ``_block_orbits``).
+    - ``rules``, {f: tail} over the new leading words f: written by
+      ``_extend``, read by ``_normal_form`` of degree n, ``kernel_basis``,
+      ``relations`` and ``new_leading_words``; every later degree reads
+      them, through ``_reduce`` and ``_overlap_span``.
+    - ``stats``, the ``DegreeStats`` of degree n: written by ``_extend``,
+      read through ``stats``; no later degree reads it.
+    - ``reduced``, {w: vector on the candidate words of degree n}, the
+      words rewritten by the rules below n: a memo written and read by
+      ``_reduce(n, w)``.  The normal forms of degree n pass through it, and
+      so do every later degree's reductions and overlaps.
+    - ``tensor``, {w: tensor coordinates of pi(w)}: None until
+      ``_tensor_rows(n)`` fills it for ``degree_basis``; degree n+1's
+      tensor rows read it.
+    - ``relations``, the exported relation basis of degree n: None until
+      ``relations`` fills it; no later degree reads it.
+
+    A Phi-vector holds d_y(u) at the key y * d**(n-1) + v of each normal
     word v of degree n-1; its echelon rows are the images as inserted,
     reduced only until their least key is free and not scaled, so they are
     no canonical form (``degree_basis`` is).  A normal word whose
     Phi-vector leads with a free key has that Phi-vector itself, the same
-    dict, as its row for good.  No degree past a zero component is
-    computed: it has no candidate word.
+    dict, as its row for good.  The right multiplications R_k into degree
+    n-1, which the Phi-vectors of degree n are made with, and the
+    multipliers of the elimination are locals of ``_extend``.  No degree
+    past a zero component is computed or stored: it has no candidate word,
+    and ``_degree`` answers it with a new empty record.
 
-    ``hilbert(bp, N, cache)`` leaves the cache with every degree below N
-    stored as above, and degree N stored too unless it counted that
-    degree by block orbits (``hilbert`` says when and why that is exact),
-    which stores nothing of it in ``bases``, ``_phis``, ``_rules`` or
-    ``stats``; a later ``basis(N)``, ``relations`` or
+    ``hilbert(bp, N, cache)`` leaves the cache with a record of every
+    degree below N, and of degree N too unless it counted that degree by
+    block orbits (``hilbert`` says when and why that is exact), which
+    appends no record; a later ``basis(N)``, ``relations`` or
     ``new_leading_words`` then computes degree N in full.
 
     Every scalar inside is a bare value of ``field``, Q(zeta_m) at
@@ -186,14 +228,15 @@ class GradedComputation:
     embedded once, as the matrix C grouped by the last letter of the
     candidates (``_by_last``), and every operation on one goes through
     ``field``'s functions: the bases are ``Echelon(field)`` and the sums
-    ``vec_add_into(..., field)``.  What the public functions and ``left``
-    return is converted back to ``Cyc``.  No kernel is cached: the rules
-    and the memo of reduced words (``_reduced``) give one on request
-    (``kernel_basis``).
+    ``vec_add_into(..., field)``.  What the public functions return is
+    converted back to ``Cyc``.  No kernel is cached: the rules and the
+    memo of reduced words give one on request (``kernel_basis``).
 
-    ``stats[n]`` records the cost of degree n, ``candidates`` counting the
-    candidate words inserted.  Treat instances as single-writer: all
-    public functions taking a cache mutate only the one they are given.
+    ``bases`` and ``stats`` are read-only views, a new list of each
+    record's ``ech`` and ``stats``; ``stats[n]`` records the cost of degree
+    n, ``candidates`` counting the candidate words inserted.  Treat
+    instances as single-writer: all public functions taking a cache mutate
+    only the one they are given.
     """
 
     def __init__(self, bp):
@@ -208,62 +251,67 @@ class GradedComputation:
                           for kz, c in cmap[j * d + a]] for a in range(d)]
         ech0 = Echelon(self.field)
         ech0.insert({0: one})
-        self.bases = [ech0]
-        self.stats = [DegreeStats(0, 0, 1, 1, 0.0)]
-        # per degree n, the Phi-vector of the image of each normal word w,
-        # {w: vector}, with d_y at the keys y d^(n-1) + u of the normal
-        # words u one degree down; degree 0 is the empty word at key 0,
-        # with no derivatives
-        self._phis = [{0: {}}]
-        # tensor coordinates of each normal word's image, {w: vector} per
-        # degree, built on request
-        self._tensor = [{0: {0: one}}]
-        self.relation_bases = {}
-        # per degree, the rewriting rules {f: tail} of the new leading
-        # words (``_rewriting``)
-        self._rules = [{}]
-        # per degree n, each word reduced by the rules below n
-        # (``_reduce``)
-        self._reduced = {}
+        # degree 0 is the empty word at key 0, with no derivatives
+        self._degrees = [_Degree(ech0, {0: {}}, {},
+                                 DegreeStats(0, 0, 1, 1, 0.0), {0: {0: one}})]
+
+    @property
+    def bases(self):
+        return [deg.ech for deg in self._degrees]
+
+    @property
+    def stats(self):
+        return [deg.stats for deg in self._degrees]
 
     def basis(self, n):
         """Echelon basis of the degree-n component in derivation
-        coordinates (computed on demand).  Once a computed degree has rank
-        0, every later degree has no candidate word: those are answered
-        with an empty echelon at once and never computed."""
-        if n < 0:
-            raise ValueError(f"no component in negative degree {n}")
-        while len(self.bases) <= n:
-            if not self.bases[-1].rank:
-                return Echelon(self.field)
+        coordinates, ``_degree(n).ech``.  The degrees up to n are computed
+        here, whoever asks for them, so ``bench/spans.py`` times them all
+        as ``algebra.basis``."""
+        while len(self._degrees) <= n and self._degrees[-1].ech.rank:
             self._extend()
-        return self.bases[n]
+        return self._degree(n).ech
 
     def dim(self, n):
         return self.basis(n).rank
 
+    def _degree(self, n):
+        """The record of degree n, computed on demand (through ``basis``).
+        Once a computed degree has rank 0, every later degree has no
+        candidate word: it is answered with a new empty record (no stats,
+        no tensor row) at once, never computed and not stored."""
+        if n < 0:
+            raise ValueError(f"no component in negative degree {n}")
+        degrees = self._degrees
+        if n >= len(degrees) and degrees[-1].ech.rank:
+            self.basis(n)
+        if n < len(degrees):
+            return degrees[n]
+        return _Degree(Echelon(self.field), {}, {}, None, {})
+
     def _extend(self, weights=None):
         """Eliminate the images of the candidate words of the next degree n,
-        greatest word first.  The words whose image is independent of the
-        images before are the normal words; each other candidate f is a new
-        leading word, its image a combination of the images of greater
-        normal words, which the multipliers of the elimination give: the
-        rule f -> tail.  The Phi-vector of p a, p a normal word and a a
-        letter, comes from that of p by the right Leibniz rule:
-        d_z(pi(p) . x_a) = [z = a] pi(p) + sum_(j,k) C[(j,a) -> (k,z)]
-        R_k(d_j pi(p)).
+        greatest word first, and append its record.  The words whose image
+        is independent of the images before are the normal words; each
+        other candidate f is a new leading word, its image a combination of
+        the images of greater normal words, which the multipliers of the
+        elimination give: the rule f -> tail.  The Phi-vector of p a, p a
+        normal word and a a letter, comes from that of p by the right
+        Leibniz rule: d_z(pi(p) . x_a) = [z = a] pi(p) + sum_(j,k)
+        C[(j,a) -> (k,z)] R_k(d_j pi(p)).
 
         With ``weights``, {w: orbit size} over the candidate words of the
         representative blocks (``_dim_by_orbits``), only those words are
-        eliminated, no rule is read and nothing is stored: the return value
-        is the sum of the weights of the words found normal, dim B_n."""
+        eliminated, no rule is read and no record is appended: the return
+        value is the sum of the weights of the words found normal, dim
+        B_n."""
         t0 = perf_counter()
-        n = len(self.bases)
+        n = len(self._degrees)
         d = self.bp.dim
         field = self.field
         one, mul = field.one, field.mul
         by_last = self._by_last
-        phis = self._phis[-1]
+        phis = self._degrees[-1].phis
         # the right multiplications R_k: B_(n-2) -> B_(n-1); degree 1
         # needs none, its prefix being the empty word
         right = self._right_multiplications(n - 1) if n > 1 else None
@@ -309,12 +357,9 @@ class GradedComputation:
         if weights is not None:
             return sum(weights[w] for w in normal)
         ech.record.clear()
-        self.bases.append(ech)
-        self._phis.append(normal)
-        self._rules.append(rules)
         nonzeros = sum(len(r) for r in ech.rows.values())
-        self.stats.append(DegreeStats(n, len(words), ech.rank, nonzeros,
-                                      perf_counter() - t0))
+        self._degrees.append(_Degree(ech, normal, rules, DegreeStats(
+            n, len(words), ech.rank, nonzeros, perf_counter() - t0)))
 
     def _block_orbits(self, n):
         """The candidate words of degree n by block, the blocks grouped
@@ -341,9 +386,9 @@ class GradedComputation:
         # the block of a word is that of its prefix composed with phi of
         # its last letter; the prefix of a normal word is normal
         blocks = {0: ident}
-        for m in range(1, n):
+        for deg in self._degrees[1:n]:
             blocks = {w: _compose(blocks[w // d], phi[w % d])
-                      for w in self._phis[m]}
+                      for w in deg.phis}
         words = {}
         for w in self._candidate_words(n):
             words.setdefault(_compose(blocks[w // d], phi[w % d]),
@@ -369,12 +414,12 @@ class GradedComputation:
         """dim B_n, counted by block orbits when degree n is the next to
         compute and some orbit holds two or more blocks with candidate
         words (``_block_orbits``); otherwise ``dim(n)``, which computes and
-        stores the degree.  The count stores nothing of degree n: it
+        stores the degree.  The count appends no record of degree n: it
         eliminates, in each orbit, the candidates of the block with the
         fewest, and weighs each normal word found by the size of its orbit
         (``_extend``).  A block without candidates has dimension 0, and so
         has its orbit.  ``hilbert`` gives the reason it is exact."""
-        if len(self.bases) != n or not self.bases[-1].rank:
+        if len(self._degrees) != n or not self._degrees[-1].ech.rank:
             return self.dim(n)
         orbits = self._block_orbits(n)
         if orbits is None or all(
@@ -393,48 +438,28 @@ class GradedComputation:
         normal forms of v k under the rules."""
         d = self.bp.dim
         return [{v: self._normal_form(n, v * d + k)
-                 for v in self._phis[n - 1]} for k in range(d)]
-
-    def left(self, n):
-        """The left multiplications L_i: B_(n-1) -> B_n, u -> x_i . u, as
-        [i][b] coordinate maps in the bases of the images of the normal
-        words, b and the keys counting those words in increasing order:
-        L_i(pi(v)) = pi(i v), the normal form of the word i v under the
-        rules, read on request (no higher degree is computed, and none
-        past a zero component)."""
-        if n < 1:
-            raise ValueError("multiplications map into positive degrees")
-        index = {w: b for b, w in enumerate(sorted(self._rewriting(n)[0]))}
-        low = sorted(self._rewriting(n - 1)[0])
-        # past a zero component there is no word v, and no key to make
-        shift = self.bp.dim ** (n - 1) if low else None
-        to_cyc = self.field.to_cyc
-        return [[{index[q]: to_cyc(c)
-                  for q, c in self._normal_form(n, i * shift + v).items()}
-                 for v in low] for i in range(self.bp.dim)]
+                 for v in self._degrees[n - 1].phis} for k in range(d)]
 
     def _tensor_rows(self, n):
         """The images of the normal words of degree n in tensor
-        coordinates, in the field, from u = sum_y d_y(u) (x) x_y (none
-        past a zero component)."""
-        d = self.bp.dim
-        self.basis(n)
-        if n >= len(self._phis):
-            return {}
-        while len(self._tensor) <= n:
-            m = len(self._tensor)
-            low = self._tensor[m - 1]
+        coordinates, in the field, from u = sum_y d_y(u) (x) x_y, filled in
+        the records of degrees 1..n on first request (none past a zero
+        component)."""
+        deg = self._degree(n)
+        if deg.tensor is None:
+            d = self.bp.dim
+            low = self._tensor_rows(n - 1)
+            shift = d ** (n - 1)
             out = {}
-            shift = d ** (m - 1)
-            for w, phi in self._phis[m].items():
+            for w, phi in deg.phis.items():
                 vec = {}
                 for k, s in phi.items():
                     y, c = divmod(k, shift)
                     tail = {u * d + y: t for u, t in low[c].items()}
                     vec_add_into(vec, tail, s, self.field)
                 out[w] = vec
-            self._tensor.append(out)
-        return self._tensor[n]
+            deg.tensor = out
+        return deg.tensor
 
     def transposed(self):
         """A new computation of the transposed pair.  No function of the
@@ -446,48 +471,33 @@ class GradedComputation:
     def _candidate_words(self, n):
         """The keys of the degree-n words whose prefix and suffix of length
         n-1 are normal, in increasing order: the normal words and the new
-        leading words of degree n."""
+        leading words of degree n.  Degree n-1 must be computed.
+
+        Those are all the words that ``_extend`` needs: a word f leads a
+        vector of the symmetrizer kernel K_n iff pi(f) is a combination of
+        the pi(w) of greater words w, and the leading words are closed
+        under extension, so every normal word is a candidate."""
         d, shift = self.bp.dim, self.bp.dim ** (n - 1)
-        low = self._rewriting(n - 1)[0]
+        low = self._degrees[n - 1].phis
         return [w for p in sorted(low) for w in range(p * d, p * d + d)
                 if w % shift in low]
 
-    def _rewriting(self, n):
-        """The normal words of degree n, the words that lead no vector of
-        the symmetrizer kernel K_n, as the set of their keys, and the
-        rewriting rules of the new leading words of degree n, as {f: tail},
-        both read off the elimination of degree n (``_extend``).
-
-        K_n is the kernel of pi: T_n -> B_n, so a word f leads a vector of
-        K_n iff pi(f) is a combination of the pi(w) of greater words w;
-        the images inserted greatest word first find exactly that, and the
-        combination of the greater normal words is unique, the tail of
-        k_f = e_f - sum tail[p] e_p.  Every normal word is a candidate
-        (the leading words are closed under extension), so the candidate
-        words suffice.  Past a zero component there are no candidate
-        words, so no normal words and no rules.
-        """
-        self.basis(n)
-        if n >= len(self._phis):
-            return frozenset(), {}
-        return self._phis[n].keys(), self._rules[n]
-
     def _reduce(self, n, w):
         """The degree-n word at key w rewritten by the rules of the degrees
-        below n, as a vector on the candidate words of degree n (memoized
-        per degree in ``_reduced``).  Degree n-1 must be computed: its
-        normal words are read directly, with no guard.
+        below n, as a vector on the candidate words of degree n, memoized
+        in the record's ``reduced``.  Degrees n-1 and n must be computed:
+        their records are read directly, with no guard.
 
         A word that is no candidate has a prefix or a suffix of length n-1
         that is not normal; that factor is replaced by its normal form.
         Each rule replaces a word by greater words of its degree, so the
         keys rise and the recursion ends."""
-        memo = self._reduced.setdefault(n, {})
+        memo = self._degrees[n].reduced
         got = memo.get(w)
         if got is None:
             d, shift = self.bp.dim, self.bp.dim ** (n - 1)
             field = self.field
-            low = self._phis[n - 1]
+            low = self._degrees[n - 1].phis
             head, last = divmod(w, d)
             first, tail = divmod(w, shift)
             if head not in low:
@@ -510,12 +520,13 @@ class GradedComputation:
         up to n: a vector on the normal words, unique since those rules
         hold every leading word of K_n.  A candidate word is read off the
         rules directly; the vector returned may be a rule's own tail, not
-        to be changed.  Degree n must be computed: its normal words and
-        rules are read directly, with no guard (``left`` and the relation
-        functions compute it first, through ``_rewriting``)."""
-        if w in self._phis[n]:
+        to be changed.  Degree n must be computed: its record is read
+        directly, with no guard (the callers reach it through
+        ``_degree``)."""
+        deg = self._degrees[n]
+        if w in deg.phis:
             return {w: self.field.one}
-        rules = self._rules[n]
+        rules = deg.rules
         got = rules.get(w)
         if got is not None:
             return got
@@ -529,8 +540,6 @@ class GradedComputation:
 def degree_basis(bp, n, cache=None):
     """Canonical reduced-echelon basis of the degree-n component in tensor
     coordinates, as a list of sparse vectors in increasing pivot order."""
-    if n < 0:
-        raise ValueError(f"no component in negative degree {n}")
     cache = cache or GradedComputation(bp)
     ech = Echelon(cache.field)
     for vec in cache._tensor_rows(n).values():
@@ -561,8 +570,8 @@ def hilbert(bp, max_degree, cache=None):
       f(i |> j, i |> k) f(i, k) that the braid equation gives (pair
       validation checks it).  So g_i maps K_N onto K_N, and the block g
       onto phi_i g phi_i^-1: the blocks of one orbit have one dimension.
-    Degree N is then not stored in ``cache``, and degrees below N are
-    (see ``GradedComputation``).  Diagonal braidings (a trivial rack, one
+    Degree N then gets no record in ``cache``, and every degree below N
+    does (see ``GradedComputation``).  Diagonal braidings (a trivial rack, one
     block), braidings of any other shape, and a rack whose every orbit
     holds at most one block with candidates, store degree N as every
     other degree.
@@ -591,10 +600,8 @@ def kernel_basis(bp, n, cache=None):
     Adv. Math. 29, 1978).  A degree with no normal word, a zero component
     or one past it, has K_n = T_n, and its basis is the d^n unit vectors.
     """
-    if n < 0:
-        raise ValueError(f"no component in negative degree {n}")
     cache = cache or GradedComputation(bp)
-    normal = cache._rewriting(n)[0]
+    normal = cache._degree(n).phis
     field = cache.field
     return [_export(_kernel_vector(
                 f, cache._normal_form(n, f) if normal else {}, field), field)
@@ -636,7 +643,8 @@ def _overlap_span(cache, n):
     """
     d = cache.bp.dim
     field = cache.field
-    rules = {m: cache._rewriting(m)[1] for m in range(2, n)}
+    # the rules by degree: degree n is computed, so every degree below is
+    rules = [deg.rules for deg in cache._degrees[:n]]
     vecs = []
     for a in range(2, n):
         for s in range(1, a):
@@ -679,33 +687,32 @@ def relations(bp, n, cache=None):
     (``_overlap_span``), inside it.  The k_f reduced modulo Z, in reduced
     echelon form, are the basis, and its size must equal the count
     k - rank Z (``relation_count``; a mismatch, such as a Z outside the
-    k_f, raises, signalling an engine bug).  The basis of each degree is
-    cached, so its span is built once.
+    k_f, raises, signalling an engine bug).  The basis is cached in the
+    record of degree n, so its span is built once; past a zero component
+    the record is not stored, and nothing is kept.
     """
     if n < 2:
         raise ValueError("relations start in degree two")
     cache = cache or GradedComputation(bp)
-    got = cache.relation_bases.get(n)
-    if got is not None:
-        return got
-    rules = cache._rewriting(n)[1]
-    field = cache.field
-    rows = []
-    if rules:
-        span = _overlap_span(cache, n)
-        fresh = Echelon(field)
-        for f, tail in rules.items():
-            residue = span.reduce(_kernel_vector(f, tail, field))
-            if residue:
-                fresh.insert(residue)
-        rows = fresh.rref().sorted_rows()
-        count = len(rules) - span.rank
-        if len(rows) != count:
-            raise RuntimeError(f"the overlaps leave {len(rows)} relations "
-                               f"in degree {n}, the count gives {count}")
-    got = [_export(row, field) for row in rows]
-    cache.relation_bases[n] = got
-    return got
+    deg = cache._degree(n)
+    if deg.relations is None:
+        rules = deg.rules
+        field = cache.field
+        rows = []
+        if rules:
+            span = _overlap_span(cache, n)
+            fresh = Echelon(field)
+            for f, tail in rules.items():
+                residue = span.reduce(_kernel_vector(f, tail, field))
+                if residue:
+                    fresh.insert(residue)
+            rows = fresh.rref().sorted_rows()
+            count = len(rules) - span.rank
+            if len(rows) != count:
+                raise RuntimeError(f"the overlaps leave {len(rows)} relations "
+                                   f"in degree {n}, the count gives {count}")
+        deg.relations = [_export(row, field) for row in rows]
+    return deg.relations
 
 
 def new_leading_words(bp, n, cache=None):
@@ -722,7 +729,8 @@ def new_leading_words(bp, n, cache=None):
 
     No kernel is built: these are the words of the rewriting rules of
     degree n, the candidate words whose image in B_n is a combination of
-    the images of greater words (``GradedComputation._rewriting``).  The
+    the images of greater words (the ``rules`` of the record of degree n,
+    ``GradedComputation._degree``).  The
     leading words of an ideal are closed under extension (u w v leads
     u k v when w leads k), so a leading word of degree n is new iff
     neither of its two factors of length n-1, the prefix and the suffix,
@@ -733,7 +741,7 @@ def new_leading_words(bp, n, cache=None):
         raise ValueError("the relation ideal starts in degree two")
     cache = cache or GradedComputation(bp)
     return [decode_word(w, bp.dim, n)
-            for w in sorted(cache._rewriting(n)[1])]
+            for w in sorted(cache._degree(n).rules)]
 
 
 def derivation(bp, y, vec, n):

@@ -1,9 +1,12 @@
 """Command-line surface: hilbert, relations, rank2, quandle, verify.
 
-Exit codes: 0 success, 2 parse or usage failure, 3 mathematically invalid
-input (braid equation, axioms), 4 cutoff reached without a finiteness
-verdict under --require-finite.  All output is line oriented and stable
-across runs; scalars print in the num[/den]:exp term syntax.
+Exit codes: 0 success, 1 an identity failed under verify, 2 parse or
+usage failure, 3 mathematically invalid input (braid equation, axioms), 4
+cutoff reached without a finiteness verdict under --require-finite, 141
+stdout closed before all output was written (``nichols ... | head``), with
+nothing on stderr, the status a shell reports for a writer that SIGPIPE
+ended.  All output is line oriented and stable across runs; scalars print
+in the num[/den]:exp term syntax.
 """
 
 import argparse
@@ -23,6 +26,7 @@ from .scalars import format_scalar, integer, root_of_unity
 EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_NO_VERDICT = 4
+EXIT_BROKEN_PIPE = 141
 
 
 class CliError(Exception):
@@ -389,10 +393,19 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     _validate_options(args)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # buffered output meets a closed pipe here, not at exit
+        sys.stdout.flush()
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # the reader is gone: what is left in the buffer goes to devnull,
+        # so the interpreter's last flush cannot fail again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 def _validate_options(args):

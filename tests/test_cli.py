@@ -1,7 +1,10 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -313,6 +316,32 @@ def test_verify_small(capsys):
     assert code == 0
     assert "result: " in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("lines", [1, 0], ids=["after-one-line",
+                                               "before-any-output"])
+def test_a_closed_stdout_ends_quietly(lines):
+    # a reader that stops early (``nichols verify | head -1``): unbuffered,
+    # the next print meets the closed pipe, each PASS line coming after an
+    # identity is checked; buffered, the flush of the output does.  Either
+    # way nothing reaches stderr and the exit code says so
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("PYTHONUNBUFFERED", None)
+    if lines:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nichols.cli", "verify", "--max-n", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    for _ in range(lines):
+        assert proc.stdout.readline().startswith(b"PASS ")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
+    assert "Traceback" not in err and err == ""
 
 
 def test_threads_is_a_usage_error(capsys):

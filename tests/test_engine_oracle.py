@@ -16,6 +16,7 @@ import pytest
 
 from nichols import pairs
 from nichols.algebra import (
+    DegreeStats,
     GradedComputation,
     _kernel_vector,
     _overlap_span,
@@ -53,6 +54,23 @@ def image_iteration(bp, top):
             ech.insert(t1_apply(bp, vec, n))
         out.append(ech)
     return out
+
+
+def left(cache, n):
+    """The left multiplications L_i: B_(n-1) -> B_n, u -> x_i . u, as
+    [i][b] coordinate maps in the bases of the images of the normal words,
+    b and the keys counting those words in increasing order: L_i(pi(v)) =
+    pi(i v), the normal form of the word i v under the rules
+    (``GradedComputation._normal_form``), read with no higher degree
+    computed, and none past a zero component."""
+    index = {w: b for b, w in enumerate(sorted(cache._degree(n).phis))}
+    low = sorted(cache._degree(n - 1).phis)
+    # past a zero component there is no word v, and no key to make
+    shift = cache.bp.dim ** (n - 1) if low else None
+    to_cyc = cache.field.to_cyc
+    return [[{index[q]: to_cyc(c)
+              for q, c in cache._normal_form(n, i * shift + v).items()}
+             for v in low] for i in range(cache.bp.dim)]
 
 
 def transposed_kernel(bp, n):
@@ -233,7 +251,8 @@ def test_rules_lie_in_the_symmetrizer_kernel(name, build, top, ktop):
     bp = build()
     cache = GradedComputation(bp)
     for n in range(2, ktop + 1):
-        normal, rules = cache._rewriting(n)
+        deg = cache._degree(n)
+        normal, rules = deg.phis, deg.rules
         for f, tail in rules.items():
             assert all(p > f and p in normal for p in tail), (name, n, f)
             vec = {p: -cache.field.to_cyc(c) for p, c in tail.items()}
@@ -304,7 +323,7 @@ def test_affine_relations_match_the_tensor_ideal(p, a, top):
         if not counts[-1]:
             assert new_leading_words(bp, n, cache), n
             span = _overlap_span(cache, n)
-            for f, tail in cache._rewriting(n)[1].items():
+            for f, tail in cache._degree(n).rules.items():
                 assert not span.reduce(_kernel_vector(f, tail, field)), (n, f)
     assert counts == [10, 0, 1, 0, 0][:top - 1]
     assert len(new_leading_words(bp, 4, cache)) > 1
@@ -350,9 +369,9 @@ def test_insertion_stores_the_phi_vectors_nearly_as_they_are(build, top):
     bp = build()
     cache = GradedComputation(bp)
     assert hilbert(bp, top, cache).finite
-    stored = sum(s.nonzeros for s in cache.stats)
-    phis = sum(len(vec) for n in range(top + 1)
-               for vec in cache._phis[n].values())
+    stored = sum(deg.stats.nonzeros for deg in cache._degrees)
+    phis = sum(len(vec) for deg in cache._degrees
+               for vec in deg.phis.values())
     assert stored <= 1.01 * phis
 
 
@@ -370,7 +389,7 @@ def test_rows_that_never_eliminate_are_their_phi_vectors():
     free = total = 0
     # degree 0 is given, not inserted: the empty word's Phi-vector is empty
     for n in range(1, 18):
-        ech, phis = cache.bases[n], cache._phis[n]
+        ech, phis = cache._degrees[n].ech, cache._degrees[n].phis
         replay = Echelon(cache.field)
         for w in sorted(phis, reverse=True):
             vec = phis[w]
@@ -390,7 +409,8 @@ def engine_digest(cache, top):
     h = hashlib.sha256()
     to_cyc = cache.field.to_cyc
     for n in range(top + 1):
-        normal, rules = cache._rewriting(n)
+        deg = cache._degree(n)
+        normal, rules = deg.phis, deg.rules
         h.update(repr((n, sorted(normal))).encode())
         for f in sorted(rules):
             h.update(repr((f, sorted((p, format_scalar(to_cyc(c)))
@@ -409,23 +429,26 @@ def test_normal_words_and_rules_match_their_recorded_digest(build, top,
     # the crossings on B_n: the right Leibniz rule must give the same
     # words and rules.  The computation keeps no right multiplication
     # between degrees, and no crossing or left multiplication; those
-    # into the degree below the top are keyed by its normal words
+    # into the degree below the top are keyed by its normal words.  All it
+    # keeps of a degree is one record, in one list
     bp = build()
     cache = GradedComputation(bp)
     hilbert(bp, top, cache)
     assert engine_digest(cache, top) == digest
-    assert len(cache.bases) == top + 1
+    assert len(cache._degrees) == top + 1
     right = cache._right_multiplications(top - 1)
     assert len(right) == bp.dim
-    assert all(cols.keys() == cache._phis[top - 2].keys() for cols in right)
-    assert not any(hasattr(cache, name)
-                   for name in ("_right", "_betas", "_lefts"))
+    assert all(cols.keys() == cache._degrees[top - 2].phis.keys()
+               for cols in right)
+    assert not any(hasattr(cache, name) for name in (
+        "_right", "_betas", "_lefts", "_phis", "_rules", "_reduced",
+        "_tensor", "relation_bases", "_rewriting", "left"))
 
 
 def test_left_multiplication_on_a_dense_braiding():
-    # left(n) is read from the rules, not from the engine's recursion: in
-    # tensor coordinates L_a(pi(v)) is the product x_a . pi(v) of the
-    # tensor coalgebra
+    # left(cache, n) is read from the rules, not from the engine's
+    # recursion: in tensor coordinates L_a(pi(v)) is the product
+    # x_a . pi(v) of the tensor coalgebra
     bp = changed(v3_z3)()
     cache = GradedComputation(bp)
     to_cyc = cache.field.to_cyc
@@ -437,7 +460,7 @@ def test_left_multiplication_on_a_dense_braiding():
 
     for n in range(1, 5):
         low, high = tensor(n - 1), tensor(n)
-        maps = cache.left(n)
+        maps = left(cache, n)
         assert len(maps) == bp.dim
         for a, cols in enumerate(maps):
             assert len(cols) == len(low)
@@ -514,11 +537,63 @@ def test_degrees_past_a_zero_component_answer_at_once():
     assert new_leading_words(bp, top, cache) == []
     assert relations(bp, top, cache) == []
     assert cache.dim(top) == 0 and degree_basis(bp, top, cache) == []
-    assert cache.left(top) == cache.left(6) == [[], [], []]
+    assert left(cache, top) == left(cache, 6) == [[], [], []]
     assert time.perf_counter() - t0 < 0.5
-    assert len(cache.bases) == len(cache.stats) == 6
+    assert len(cache._degrees) == len(cache.stats) == 6
     assert hilbert(bp, top, cache).dims == hilbert(bp, 9).dims == [
         1, 3, 4, 3, 1, 0]
+
+
+def test_degrees_past_a_zero_component_leave_nothing_behind():
+    # degrees 6 and up of v3(-1) are answered by a new empty record each
+    # time, stored nowhere: the relations and tensor rows asked for there
+    # leave the six records of degrees 0-5 as the only per-degree state,
+    # and no tensor row below is built for them
+    bp = pairs.v3(MINUS)
+    cache = GradedComputation(bp)
+    for n in (7, 100, 10 ** 6):
+        assert relations(bp, n, cache) == []
+    assert degree_basis(bp, 10 ** 6, cache) == []
+    assert len(cache._degrees) == 6
+    assert set(vars(cache)) == {"bp", "field", "_by_last", "_degrees"}
+    assert all(deg.relations is None for deg in cache._degrees)
+    assert [deg.tensor is None for deg in cache._degrees] == [False] + [
+        True] * 5
+    assert cache._degree(10 ** 6) is not cache._degree(10 ** 6)
+
+
+def test_each_record_keeps_what_its_degree_computed():
+    # after hilbert every record below the cutoff holds its echelon,
+    # Phi-vectors, rules and stats; the last degree of v3(zeta_3), counted
+    # by block orbits, appends none.  Tensor rows are filled on request for
+    # degrees 1..n only, and relations on their degree alone
+    bp = v3_z3()
+    cache = GradedComputation(bp)
+    assert hilbert(bp, 5, cache).dims == [1, 3, 9, 21, 50, 111]
+    degrees = cache._degrees
+    assert len(degrees) == 5
+    assert cache.stats == [deg.stats for deg in degrees]
+    assert cache.bases == [deg.ech for deg in degrees]
+    for n, deg in enumerate(degrees):
+        assert type(deg.stats) is DegreeStats and deg.stats.degree == n
+        assert deg.ech.rank == deg.stats.rank == len(deg.phis) > 0
+        assert deg.relations is None
+        assert (deg.tensor is None) == (n > 0)
+        if n:
+            assert deg.stats.candidates == len(deg.phis) + len(deg.rules)
+            assert all(f not in deg.phis for f in deg.rules)
+    assert sum(len(deg.rules) for deg in degrees) > 0
+    degree_basis(bp, 3, cache)
+    assert [deg.tensor is None for deg in degrees] == [False] * 4 + [True]
+    assert [len(deg.tensor) for deg in degrees[:4]] == [1, 3, 9, 21]
+    got = relations(bp, 4, cache)
+    assert [deg.relations is None for deg in degrees] == [True] * 4 + [
+        False]
+    assert relations(bp, 4, cache) is got is degrees[4].relations
+    with pytest.raises(AttributeError):
+        cache.bases = []
+    with pytest.raises(AttributeError):
+        cache.stats = []
 
 
 # the full dims of the benchmark panel, at its degrees
@@ -603,7 +678,7 @@ def test_hilbert_counts_its_last_degree_by_block_orbits(build, cutoffs,
         dims = hilbert(bp, n, cache).dims
         assert dims == [full.dim(m) for m in range(len(dims))], n
         # the orbit count stores nothing of its degree
-        assert len(cache.bases) == len(dims) - (n in counted), n
+        assert len(cache._degrees) == len(dims) - (n in counted), n
 
 
 @pytest.mark.parametrize("build,n", [(v3_z3, 4), (v4_m1_p1, 6),
@@ -613,9 +688,9 @@ def test_a_cache_after_the_orbit_count_computes_the_degree_in_full(build, n):
     bp = build()
     cache, fresh = GradedComputation(bp), GradedComputation(bp)
     assert hilbert(bp, n, cache).dims[-1] == fresh.dim(n)
-    assert len(cache.bases) == n
+    assert len(cache._degrees) == n
     assert relations(bp, n, cache) == relations(bp, n, fresh)
     assert new_leading_words(bp, n, cache) == new_leading_words(bp, n,
                                                                 fresh)
     assert cache.dim(n) == fresh.dim(n)
-    assert len(cache.bases) == len(cache.stats) == n + 1
+    assert len(cache._degrees) == len(cache.stats) == n + 1

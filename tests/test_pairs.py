@@ -344,18 +344,19 @@ def forbid_transpose(monkeypatch):
 
 
 def memo_short_of_a_kernel(cache):
-    """Whether each degree's memo of words reduced by the lower rules
-    (``_reduced``) misses one of the d^n - b_n - k_n words, neither normal
-    nor leading a rule, that ``algebra.kernel_basis`` reduces, every one
-    of them, to give the kernel.  The memo also holds candidate words that
-    reductions pass through, and the engine's own right multiplications
-    reduce most words of a low degree, so its size alone can pass d^n - b_n
-    with no kernel built (degree 3 of Aff(7,3): 296 words of 343)."""
+    """Whether each degree's memo of words reduced by the lower rules (the
+    ``reduced`` of its record), where it holds any, misses one of the
+    d^n - b_n - k_n words, neither normal nor leading a rule, that
+    ``algebra.kernel_basis`` reduces, every one of them, to give the
+    kernel.  The memo also holds candidate words that reductions pass
+    through, and the engine's own right multiplications reduce most words
+    of a low degree, so its size alone can pass d^n - b_n with no kernel
+    built (degree 3 of Aff(7,3): 296 words of 343)."""
     d = cache.bp.dim
-    for n, memo in cache._reduced.items():
-        normal, rules = cache._rewriting(n)
+    for n, deg in enumerate(cache._degrees):
+        normal, rules, memo = deg.phis, deg.rules, deg.reduced
         reduced = sum(w not in normal and w not in rules for w in memo)
-        if reduced >= d ** n - len(normal) - len(rules):
+        if memo and reduced >= d ** n - len(normal) - len(rules):
             return False
     return True
 
@@ -390,7 +391,7 @@ def test_e4_is_quadratic_through_degree_thirteen(monkeypatch):
     counts = [algebra.relation_count(bp, n, cache) for n in range(2, 14)]
     assert time.perf_counter() - t0 < 10.0
     assert counts == [17] + [0] * 11
-    assert cache._rewriting(13) == (set(), {})
+    assert cache._degree(13).phis == cache._degree(13).rules == {}
     assert algebra.relations(bp, 7, cache) == []
     assert memo_short_of_a_kernel(cache)
 
