@@ -28,6 +28,7 @@ from .pairs import (
     Decomposition,
     change_basis,
     check,
+    crossed_set,
     diagonal,
     direct_sum,
     find_decomposition,

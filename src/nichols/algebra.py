@@ -65,6 +65,8 @@ braiding is a crossed-set braiding whose blocks, the words graded by the
 products of the rack's permutations, fall into conjugation orbits of two
 or more blocks: the same elimination runs on one block of each orbit and
 weighs its rank by the orbit's size (``hilbert`` says why that is exact).
+The rack is the table that ``pairs.crossed_set`` reads off the braiding,
+and the orbits are those of ``groups.orbits``.
 Nothing reads the basis of that degree there, and a later reader computes
 it in full.
 
@@ -100,7 +102,8 @@ leading word has no new relation.
 from collections import namedtuple
 from time import perf_counter
 
-from .braids import Relabelling, apply_elt, sweep, t_shuffle
+from .braids import apply_elt, perm_inv, perm_mul, sweep, t_shuffle
+from .groups import orbits
 from .linalg import Echelon, decode_word, vec_add_into
 from .scalars import MINUS_ONE, ONE, field as _field
 from . import pairs as _pairs
@@ -148,11 +151,6 @@ def _kernel_vector(f, tail, field):
     vec = {p: neg(c) for p, c in tail.items()}
     vec[f] = field.one
     return vec
-
-
-def _compose(g, h):
-    """The permutation g h, x -> g(h(x)), of tuples."""
-    return tuple(g[x] for x in h)
 
 
 class _Degree:
@@ -368,18 +366,16 @@ class GradedComputation:
         the letters as a tuple, words its candidate words in increasing
         order (none for a block that only conjugation reaches).  None when
         the braiding is no crossed-set braiding c(x_i (x) x_j) =
-        f(i, j) x_(i |> j) (x) x_i, or its rack is trivial (one block).
-        Degree n-1 must be computed."""
-        cmap = self.bp.embedded(self.field).cmap
-        if cmap.__class__ is not Relabelling:
+        f(i, j) x_(i |> j) (x) x_i (``pairs.crossed_set``, whose table
+        gives phi_i = i |> -), or its rack is trivial (one block).  The
+        orbits are those of ``groups.orbits`` from the blocks with
+        candidate words in increasing order, so the order of the orbits and
+        of the blocks in each is fixed.  Degree n-1 must be computed."""
+        shape = _pairs.crossed_set(self.bp)
+        if shape is None:
             return None
+        phi = shape[0]
         d = self.bp.dim
-        targets = cmap.targets
-        if any(t % d != p // d for p, t in enumerate(targets)):
-            return None
-        # phi_i = i |> -, read off the target (i |> j) d + i of (i, j)
-        phi = [tuple(targets[i * d + j] // d for j in range(d))
-               for i in range(d)]
         ident = tuple(range(d))
         if all(p == ident for p in phi):
             return None
@@ -387,28 +383,17 @@ class GradedComputation:
         # its last letter; the prefix of a normal word is normal
         blocks = {0: ident}
         for deg in self._degrees[1:n]:
-            blocks = {w: _compose(blocks[w // d], phi[w % d])
+            blocks = {w: perm_mul(blocks[w // d], phi[w % d])
                       for w in deg.phis}
         words = {}
         for w in self._candidate_words(n):
-            words.setdefault(_compose(blocks[w // d], phi[w % d]),
+            words.setdefault(perm_mul(blocks[w // d], phi[w % d]),
                              []).append(w)
         # g_i maps the block g to phi_i g phi_i^-1
-        inv = [tuple(sorted(range(d), key=p.__getitem__)) for p in phi]
-        orbits, seen = [], set()
-        for start in sorted(words):
-            if start in seen:
-                continue
-            seen.add(start)
-            orbit = [start]
-            for g in orbit:
-                for p, q in zip(phi, inv):
-                    h = _compose(_compose(p, g), q)
-                    if h not in seen:
-                        seen.add(h)
-                        orbit.append(h)
-            orbits.append([(g, words.get(g, [])) for g in orbit])
-        return orbits
+        conj = [(p, perm_inv(p)) for p in phi]
+        return [[(g, words.get(g, [])) for g in orbit]
+                for orbit in orbits(sorted(words), lambda g: (
+                    perm_mul(perm_mul(p, g), q) for p, q in conj))]
 
     def _dim_by_orbits(self, n):
         """dim B_n, counted by block orbits when degree n is the next to
@@ -443,22 +428,23 @@ class GradedComputation:
     def _tensor_rows(self, n):
         """The images of the normal words of degree n in tensor
         coordinates, in the field, from u = sum_y d_y(u) (x) x_y, filled in
-        the records of degrees 1..n on first request (none past a zero
-        component)."""
+        the records of degrees 1..n on first request, lowest degree first
+        (none past a zero component)."""
         deg = self._degree(n)
         if deg.tensor is None:
-            d = self.bp.dim
-            low = self._tensor_rows(n - 1)
-            shift = d ** (n - 1)
-            out = {}
-            for w, phi in deg.phis.items():
-                vec = {}
-                for k, s in phi.items():
-                    y, c = divmod(k, shift)
-                    tail = {u * d + y: t for u, t in low[c].items()}
-                    vec_add_into(vec, tail, s, self.field)
-                out[w] = vec
-            deg.tensor = out
+            d, field = self.bp.dim, self.field
+            for k in range(1, n + 1):
+                rec, low = self._degrees[k], self._degrees[k - 1].tensor
+                if rec.tensor is not None:
+                    continue
+                shift = d ** (k - 1)
+                rec.tensor = {}
+                for w, phi in rec.phis.items():
+                    vec = rec.tensor[w] = {}
+                    for key, s in phi.items():
+                        y, c = divmod(key, shift)
+                        tail = {u * d + y: t for u, t in low[c].items()}
+                        vec_add_into(vec, tail, s, field)
         return deg.tensor
 
     def transposed(self):
@@ -555,8 +541,10 @@ def hilbert(bp, max_degree, cache=None):
     vanishes); without a zero the verdict at the cutoff stays unknown.
 
     The last degree N is counted by block orbits when the braiding is a
-    crossed-set braiding c(x_i (x) x_j) = f(i, j) x_(i |> j) (x) x_i and
-    some conjugation orbit of its blocks holds two or more blocks with
+    crossed-set braiding c(x_i (x) x_j) = f(i, j) x_(i |> j) (x) x_i
+    (``pairs.crossed_set`` returns its table) and some conjugation orbit
+    of its blocks (``groups.orbits``, through
+    ``GradedComputation._block_orbits``) holds two or more blocks with
     candidate words: dim B_N is the sum over the orbits of the orbit's
     size times the rank of one block of it.  This is exact.
     - The grading: a word x_(a_1) ... x_(a_n) lies in the block

@@ -83,27 +83,31 @@ def dump_pair(bp):
     if matrix is not None:
         lines.append("matrix")
         lines += [" ".join(token(v) for v in row) for row in matrix]
+    text = "\n".join(lines) + "\n"
     if kind == "cocycle":
-        xset = bp.params["xset"]
-        f = bp.params["cocycle"]
-        lines.append(f"size {xset.size}")
-        for row in xset.table:
-            lines.append(" ".join(str(v) for v in row))
-        lines.append(f"modulus {f.modulus}")
-        for row in f.exponents:
-            lines.append(" ".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
+        text += (dump_crossed_set(bp.params["xset"])
+                 + dump_cochain(bp.params["cocycle"]))
+    return text
 
 
 def load_pair(text):
+    """The pair of a pair file; ValueError when the file does not parse or
+    its ``dim`` is not the dimension of the pair it describes."""
     lines = _lines(text)
     kind = _expect(lines, 0, "kind")[0]
     conductor = int(_expect(lines, 1, "conductor")[0])
     if conductor < 1:
         raise ValueError(f"conductor must be positive, found {conductor}")
     dim = int(_expect(lines, 2, "dim")[0])
-    body = lines[3:]
+    bp = _load_body(kind, conductor, dim, lines[3:])
+    if bp.dim != dim:
+        raise ValueError(f"the file says dim {dim}, but its {kind} pair has "
+                         f"dimension {bp.dim}")
+    return bp
 
+
+def _load_body(kind, conductor, dim, body):
+    """The pair of the lines after the header of a pair file."""
     if kind == "diagonal":
         if _rows(body, 0, 1)[0] != "matrix":
             raise ValueError("diagonal pair needs a matrix block")

@@ -3,6 +3,15 @@ Yetter-Drinfeld braidings: centralizers, conjugacy classes, coset
 representatives, and the conjugation action on a class indexed by those
 representatives.  ``pairs.yd_module`` builds the braided pairs from them.
 
+``orbits`` is the package's one orbit routine: the blocks of a braiding
+(``pairs.find_decomposition``), the components of a crossed set
+(``quandles.pi0``), the group its group-likes generate
+(``quandles.grouplike_closure``) and the conjugation orbits of the blocks
+of a degree (``algebra.GradedComputation._block_orbits``) are all orbits
+under a set of moves.  ``conjugacy_classes`` and
+``coset_representatives`` keep their own loops, since each of their steps
+already yields a whole class or coset.
+
 Groups here are desk scale (at most a few hundred elements); everything is
 validated on construction and computed by direct enumeration.
 """
@@ -96,6 +105,31 @@ def symmetric(n):
     table = [[index[tuple(p[q[k]] for k in range(n))] for q in elems]
              for p in elems]
     return FiniteGroup(table, name=f"S{n}")
+
+
+def orbits(points, moves):
+    """The orbits of ``points`` under ``moves``, a function from a point to
+    the points one move reaches from it; the moves must be invertible on
+    the orbits (permutations of a finite set, or a symmetric relation), so
+    that reaching is an equivalence.
+
+    The orbits come in the order of their first point in ``points``, each
+    listed breadth-first from that point, and may hold points outside
+    ``points``; a point of ``points`` already listed starts no orbit."""
+    seen = set()
+    out = []
+    for start in points:
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit = [start]
+        for x in orbit:
+            for y in moves(x):
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        out.append(orbit)
+    return out
 
 
 def centralizer(group, g):

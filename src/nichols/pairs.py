@@ -16,7 +16,9 @@ braidings c(x_i (x) x_j) = f(i, j) x_(i |> j) (x) x_i (Andruskiewitsch-
 Grana, From racks to pointed Hopf algebras, Adv. Math. 178, 2003).  Each
 of these constructors supplies only its table of i |> j and its values
 f(i, j); one function builds the cmap, and the monomial group-likes are
-read off that cmap.
+read off that cmap.  One function reads the table and the values back
+from any pair's cmap (``crossed_set``), for ``is_diagonal`` and for the
+block orbits of the graded engine.
 
 Modules over a finite group come from ``yd_module``: for summands
 M(g, rho), a class with a representation of its centralizer, it builds
@@ -168,18 +170,35 @@ def check(bp):
     }
 
 
+def crossed_set(bp):
+    """``(table, values)`` when the braiding is a crossed-set braiding
+    c(x_i (x) x_j) = f(i, j) x_(i |> j) (x) x_i whose every i |> - is a
+    bijection, else None: ``table[i]`` is the permutation i |> - as a
+    tuple and ``values[i][j]`` is f(i, j).  The reader of what
+    ``_crossed_cmap`` writes."""
+    d = bp.dim
+    cols = bp.cmap
+    if any(len(col) != 1 or col[0][0] % d != p // d
+           for p, col in enumerate(cols)):
+        return None
+    table = [tuple(col[0][0] // d for col in cols[i * d:i * d + d])
+             for i in range(d)]
+    if any(len(set(row)) != d for row in table):
+        return None
+    return table, [[col[0][1] for col in cols[i * d:i * d + d]]
+                   for i in range(d)]
+
+
 def is_diagonal(bp):
     """The d x d scalar matrix if the braiding is diagonal in the standard
-    basis (c(x_i (x) x_j) = q_ij x_j (x) x_i), else None."""
-    d = bp.dim
-    q = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            col = bp.cmap[i * d + j]
-            if len(col) != 1 or col[0][0] != j * d + i:
-                return None
-            q[i][j] = col[0][1]
-    return q
+    basis (c(x_i (x) x_j) = q_ij x_j (x) x_i): the values of a crossed-set
+    braiding with the trivial table i |> j = j.  Else None."""
+    shape = crossed_set(bp)
+    if shape is None:
+        return None
+    table, values = shape
+    ident = tuple(range(bp.dim))
+    return values if all(row == ident for row in table) else None
 
 
 # ---------------------------------------------------------------------------
@@ -528,32 +547,20 @@ def restrict(bp, indices):
 
 def find_decomposition(bp):
     """The maximal refinement of the standard basis into blocks closed under
-    the braiding's support."""
+    the braiding's support: the orbits of the letters under the links that
+    each term x_k (x) x_l of c(x_i (x) x_j) makes, j with k and i with l,
+    since c maps (block i) (x) (block j) into (block j) (x) (block i)."""
     d = bp.dim
-    parent = list(range(d))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for i in range(d):
-        for j in range(d):
-            for kl, _ in bp.cmap[i * d + j]:
-                k, l = divmod(kl, d)
-                # c maps (block i) (x) (block j) into (block j) (x) (block i)
-                union(j, k)
-                union(i, l)
-    blocks = {}
-    for x in range(d):
-        blocks.setdefault(find(x), []).append(x)
-    return Decomposition(blocks.values())
+    links = [set() for _ in range(d)]
+    for ij, col in enumerate(bp.cmap):
+        i, j = divmod(ij, d)
+        for kl, _ in col:
+            k, l = divmod(kl, d)
+            links[j].add(k)
+            links[k].add(j)
+            links[i].add(l)
+            links[l].add(i)
+    return Decomposition(_groups.orbits(range(d), links.__getitem__))
 
 
 def cross_square_is_identity(bp, block_a, block_b):

@@ -13,8 +13,10 @@ single object here.
 """
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
+from .braids import perm_mul
+from .groups import conjugacy_class, orbits
 from .linalg import InvalidInput, divisibility_chain, smith_normal_form
 from .scalars import root_of_unity
 
@@ -95,7 +97,6 @@ def conjugation_crossed_set(group, classes):
     ``classes`` lists group elements; their classes' union must be closed
     (it always is) and the elements are indexed in sorted order.
     """
-    from .groups import conjugacy_class
     elems = sorted({x for g in classes for x in conjugacy_class(group, g)})
     pos = {x: i for i, x in enumerate(elems)}
     table = [[pos[group.conj(x, y)] for y in elems] for x in elems]
@@ -207,22 +208,10 @@ def delta_matrix(xset, n):
 
 
 def pi0(xset):
-    """Connected components of the relation generated by j ~ i |> j."""
+    """The number of connected components of the relation generated by
+    j ~ i |> j: the orbits of the elements under the bijections i |> -."""
     n = xset.size
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        for j in range(n):
-            rj, rk = find(j), find(xset.act(i, j))
-            if rj != rk:
-                parent[rk] = rj
-    return len({find(x) for x in range(n)})
+    return len(orbits(range(n), lambda j: (xset.act(i, j) for i in range(n))))
 
 
 class CohomologyGroup:
@@ -288,9 +277,9 @@ def grouplike_closure(xset, cochain):
 
     Each g_i scales by a root of unity and permutes the basis, so it acts
     faithfully on (crossed set) x (torsor of N-th roots): a permutation of
-    a finite set, closed by orbit enumeration.
+    a finite set, and the group is the orbit of the identity under
+    composition with the generators (``groups.orbits``).
     """
-    from math import lcm
     m = cochain.modulus
     n = xset.size
     big = 1
@@ -307,15 +296,4 @@ def grouplike_closure(xset, cochain):
                 images.append(xset.act(i, j) * big + (s + step) % big)
         gens.append(tuple(images))
     ident = tuple(range(n * big))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = tuple(g[x] for x in p)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return len(seen)
+    return len(orbits([ident], lambda p: (perm_mul(g, p) for g in gens))[0])

@@ -862,15 +862,22 @@ def gaussian_poly(n, m):
 
 @cache
 def _gaussian(n, m):
-    # the coefficients of (n choose m)_q as a tuple, 0 <= m <= n
-    if m == 0 or m == n:
-        return (1,)
-    # q-Pascal: C(n,m) = C(n-1,m-1) + q^m C(n-1,m)
-    left, right = _gaussian(n - 1, m - 1), _gaussian(n - 1, m)
-    poly = list(left) + [0] * (m + len(right) - len(left))
-    for i, v in enumerate(right):
-        poly[m + i] += v
-    return tuple(poly)
+    # the coefficients of (n choose m)_q as a tuple, 0 <= m <= n, with no
+    # recursion: row k of the q-Pascal table, C(k,0) = C(k,k) = 1 and
+    # C(k,j) = C(k-1,j-1) + q^j C(k-1,j), is filled from row k-1 for j <= m
+    row = [(1,)]
+    for k in range(1, n + 1):
+        nxt = [(1,)]
+        for j in range(1, min(k - 1, m) + 1):
+            left, right = row[j - 1], row[j]
+            poly = list(left) + [0] * (j + len(right) - len(left))
+            for i, v in enumerate(right):
+                poly[j + i] += v
+            nxt.append(tuple(poly))
+        if k <= m:
+            nxt.append((1,))
+        row = nxt
+    return row[m]
 
 
 def _eval_poly(poly, q):

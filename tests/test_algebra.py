@@ -97,6 +97,13 @@ def test_hilbert_unknown_verdict():
     assert not res.finite
 
 
+def test_degree_basis_of_high_degree_does_not_recurse():
+    # the tensor rows are filled lowest degree first: degree 1100 of the
+    # polynomial algebra on a fresh cache once raised RecursionError, one
+    # frame per degree
+    assert degree_basis(pairs.diagonal([[one()]]), 1100) == [{0: one()}]
+
+
 def test_v3_minus_one():
     res = hilbert(pairs.v3(integer(-1)), 8)
     assert res.dims == [1, 3, 4, 3, 1, 0]

@@ -82,6 +82,13 @@ def test_parse_failure_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, "hilbert", "--file", str(short),
                        "--max-degree", "3")
     assert code == 2
+    # a dim line that is not the dimension of the pair the file describes
+    wrong = tmp_path / "wrong.bp"
+    wrong.write_text("kind v3\nconductor 1\ndim 7\nq -1\n")
+    code, out, err = run(capsys, "hilbert", "--file", str(wrong),
+                         "--max-degree", "3")
+    assert code == 2 and out == ""
+    assert err == "error: the file says dim 7, but its v3 pair has dimension 3\n"
     # a matrix block far shorter than its dim says: a parse error before
     # any map of that size is made
     huge = tmp_path / "huge.bp"

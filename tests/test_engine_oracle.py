@@ -689,6 +689,7 @@ def test_a_cache_after_the_orbit_count_computes_the_degree_in_full(build, n):
     cache, fresh = GradedComputation(bp), GradedComputation(bp)
     assert hilbert(bp, n, cache).dims[-1] == fresh.dim(n)
     assert len(cache._degrees) == n
+    assert degree_basis(bp, n, cache) == degree_basis(bp, n, fresh)
     assert relations(bp, n, cache) == relations(bp, n, fresh)
     assert new_leading_words(bp, n, cache) == new_leading_words(bp, n,
                                                                 fresh)

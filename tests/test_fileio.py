@@ -67,6 +67,24 @@ def test_matrix_files_keep_group_type_data():
         pairs.v3(-1), [[1, 1, 0], [0, 1, 0], [0, 0, 1]]))).grouplikes is None
 
 
+@pytest.mark.parametrize("build,wrong", [
+    (lambda: pairs.v3(integer(-1)), 7),
+    (lambda: pairs.v4(integer(-1), integer(1)), 2),
+    (lambda: pairs.two_by_two(-1, -1, 1, 1, 1, 1), 5),
+    (lambda: pairs.from_cocycle(dihedral_crossed_set(3), Cochain2.constant(
+        dihedral_crossed_set(3), 2, 1)), 5),
+], ids=["v3", "v4", "two_by_two", "cocycle"])
+def test_a_dim_other_than_the_pairs_is_a_value_error(build, wrong):
+    # the named kinds and cocycle files once ignored their dim line
+    bp = build()
+    text = dump_pair(bp)
+    assert f"dim {bp.dim}\n" in text
+    with pytest.raises(ValueError, match=f"says dim {wrong}, but its "
+                                         f"{bp.kind} pair has dimension "
+                                         f"{bp.dim}"):
+        load_pair(text.replace(f"dim {bp.dim}\n", f"dim {wrong}\n"))
+
+
 def test_pair_file_is_commented_text():
     bp = pairs.v3(integer(-1))
     text = "# braided pair\n" + dump_pair(bp) + "\n# trailing comment\n"

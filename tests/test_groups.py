@@ -11,6 +11,7 @@ from nichols.groups import (
     dihedral,
     f_g_map,
     orbit_factorization,
+    orbits,
     symmetric,
 )
 from nichols.scalars import integer, one, root_of_unity
@@ -155,3 +156,18 @@ def test_matrix_representation_accepted():
     bad = {0: ((one(), z), (z, one())), 1: ((z, one()), (minus, z))}
     with pytest.raises(ValueError):
         pairs.yd_module(c2, [(1, bad)])
+
+
+def test_orbits_come_by_first_point_each_listed_breadth_first():
+    # Z/6 under x -> x + 2: the orbit of the first point comes first, and a
+    # point already listed starts no orbit of its own
+    step = lambda x: [(x + 2) % 6]
+    assert orbits([3, 0, 1, 2, 4, 5], step) == [[3, 5, 1], [0, 2, 4]]
+    # the tree 0-1, 0-2, 1-3, 2-4 and the lone point 5: breadth-first from
+    # 0 lists 2 before 3, where a depth-first walk would not
+    links = {0: [1, 2], 1: [0, 3], 2: [0, 4], 3: [1], 4: [2], 5: []}
+    assert orbits([5, 0], links.__getitem__) == [[5], [0, 1, 2, 3, 4]]
+    assert orbits(range(6), links.__getitem__) == [[0, 1, 2, 3, 4], [5]]
+    # an orbit holds the points it reaches outside the given ones
+    assert orbits([0], lambda x: [(x + 1) % 4]) == [[0, 1, 2, 3]]
+    assert orbits([], step) == []

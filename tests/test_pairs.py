@@ -11,6 +11,7 @@ from nichols import algebra, cli, pairs, quandles
 from nichols.groups import (
     centralizer,
     conjugacy_class,
+    coset_representatives,
     cyclic,
     cyclic_character,
     dihedral,
@@ -433,6 +434,59 @@ def test_direct_sum_rejects_a_cross_matrix_of_the_wrong_shape():
     with pytest.raises(ValueError, match=r"cross_ba\[0\] must be a 3 x 3"):
         pairs.direct_sum(v, line, [1] * 3, [[[1, 0], [0, 1]]])
     assert pairs.direct_sum(v, line, [[[1]]] * 3, [1]).dim == 4
+
+
+def test_crossed_set_reads_back_each_constructors_table_and_values():
+    w, i4 = root_of_unity(3, 1), root_of_unity(4, 1)
+    m1 = integer(-1)
+    q = [[m1, w], [one(), i4]]
+    assert pairs.crossed_set(pairs.diagonal(q)) == ([(0, 1), (0, 1)], q)
+    v3_table = [(0, 2, 1), (2, 1, 0), (1, 0, 2)]
+    assert pairs.crossed_set(pairs.v3(w)) == (v3_table, [[w] * 3] * 3)
+    # V_(4, q, alpha): the entries that take the alpha factor are q alpha
+    qa = -w
+    assert pairs.crossed_set(pairs.v4(w, m1)) == (
+        [(0, 2, 3, 1), (3, 1, 0, 2), (1, 3, 2, 0), (2, 0, 1, 3)],
+        [[w, w, w, w], [w, w, qa, qa], [w, qa, w, qa], [w, qa, qa, w]])
+    # two_by_two(q1, q2, eta1, eta2, beta1, beta2) with alpha_i = beta_i^2
+    bp = pairs.two_by_two(m1, w, m1, one(), i4, one())
+    a1, a2 = i4 * i4, one()
+    assert pairs.crossed_set(bp) == (
+        [(0, 1, 3, 2)] * 2 + [(1, 0, 2, 3)] * 2,
+        [[m1, one(), one(), a2], [one(), m1, one(), a2],
+         [one(), a1, w, w], [m1, -a1, w, w]])
+    xs = quandles.dihedral_crossed_set(5)
+    f = quandles.Cochain2.constant(xs, 6, 3)
+    assert pairs.crossed_set(pairs.from_cocycle(xs, f)) \
+        == (list(xs.table), f.values(xs))
+
+
+def test_crossed_set_of_a_character_module_is_the_conjugation_rack():
+    # M(g, sign) over S3 for g a transposition: the class of the three
+    # transpositions under conjugation, and f(u, v) the value of the
+    # degree of x_u on x_v, read off its group-like
+    s3 = dihedral(3)
+    cent = centralizer(s3, 1)
+    chi = {h: (one() if h == s3.identity else integer(-1)) for h in cent}
+    bp = pairs.yd_module(s3, [(1, chi)])
+    table, values = pairs.crossed_set(bp)
+    ts = [s3.conj(h, 1) for h in coset_representatives(s3, cent)]
+    assert table == [tuple(ts.index(s3.conj(t, u)) for u in ts) for t in ts]
+    assert values == [[bp.grouplikes[u][table[u][v]][v] for v in range(3)]
+                      for u in range(3)]
+    assert [values[u][u] for u in range(3)] == [integer(-1)] * 3
+
+
+def test_crossed_set_is_none_for_other_shapes():
+    # the transpose of v3 maps x_k (x) x_l to q x_l (x) x_(-k-l), whose
+    # right factor is not x_k
+    assert pairs.crossed_set(pairs.transpose(pairs.v3(root_of_unity(3, 1)))) \
+        is None
+    changed = pairs.change_basis(pairs.v3(-1),
+                                 [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    assert any(len(col) > 1 for col in changed.cmap)
+    assert pairs.crossed_set(changed) is None
+    assert pairs.is_diagonal(changed) is None
 
 
 def test_find_decomposition():

@@ -209,6 +209,15 @@ def test_q_binomial_polynomial_identity():
             assert lhs == rhs
 
 
+def test_gaussian_binomials_of_high_degree_do_not_recurse():
+    # the q-Pascal table is filled row by row: n = 1100 once raised
+    # RecursionError, one frame per row
+    poly = gaussian_poly(1100, 2)
+    assert len(poly) == 2 * 1098 + 1
+    assert sum(poly) == 1100 * 1099 // 2
+    assert q_binomial(1100, 2, integer(-1)) == integer(550)
+
+
 def test_text_terms_roundtrip():
     vals = [
         integer(-3),
