@@ -70,6 +70,15 @@ and the orbits are those of ``groups.orbits``.
 Nothing reads the basis of that degree there, and a later reader computes
 it in full.
 
+Before any of that, ``hilbert`` splits a decomposable pair.  When
+c_(W,V) c_(V,W) = id on V (x) W, B(V (+) W) is B(V) (x) B(W) as graded
+spaces, so the blocks of ``pairs.find_decomposition`` that c^2 links,
+grouped by ``groups.orbits`` into components, each run the engine on a
+pair of their own (``pairs.restrict``), at their own conductor, and the
+series multiply (``hilbert`` cites the theorem and says how the product
+is truncated).  Only ``hilbert`` splits: the relations, kernels and bases
+of a pair are computed on the whole pair.
+
 The engine computes in one field, ``scalars.field(m)`` at
 m = ``bp.conductor``, into which the braiding is embedded once.  Every
 basis, map, tensor vector, kernel and relation row inside holds
@@ -219,7 +228,8 @@ class GradedComputation:
     degree below N, and of degree N too unless it counted that degree by
     block orbits (``hilbert`` says when and why that is exact), which
     appends no record; a later ``basis(N)``, ``relations`` or
-    ``new_leading_words`` then computes degree N in full.
+    ``new_leading_words`` then computes degree N in full.  For a pair it
+    splits into components, ``hilbert`` leaves the cache untouched.
 
     Every scalar inside is a bare value of ``field``, Q(zeta_m) at
     m = ``bp.conductor`` (``scalars.field``), into which the braiding is
@@ -533,12 +543,83 @@ def degree_basis(bp, n, cache=None):
     return [_export(row, cache.field) for row in ech.rref().sorted_rows()]
 
 
+def _components(bp):
+    """The letters of ``bp`` as the connected components of the graph on
+    the blocks of ``pairs.find_decomposition`` with an edge between two
+    blocks whenever c^2 is not the identity on their tensor product
+    (``pairs.cross_square_is_identity``; c_(W,V) c_(V,W) = id makes
+    c_(V,W) c_(W,V) = id too, so the edges are symmetric), each component
+    a sorted list of letters, listed by ``groups.orbits``."""
+    blocks = _pairs.find_decomposition(bp).blocks
+    links = [[] for _ in blocks]
+    for a in range(len(blocks)):
+        for b in range(a + 1, len(blocks)):
+            if not _pairs.cross_square_is_identity(bp, blocks[a], blocks[b]):
+                links[a].append(b)
+                links[b].append(a)
+    return [sorted(x for k in orbit for x in blocks[k])
+            for orbit in orbits(range(len(blocks)), links.__getitem__)]
+
+
+def _dims(cache, max_degree):
+    """The graded dimensions of ``cache``'s pair through the first zero or
+    max_degree, the last degree counted by block orbits (``hilbert``)."""
+    dims = []
+    for n in range(max_degree + 1):
+        dims.append(cache._dim_by_orbits(n) if n == max_degree
+                    else cache.dim(n))
+        if dims[-1] == 0:
+            break
+    return dims
+
+
+def _truncated_product(a, b, max_degree):
+    """The coefficients of the product of two series given as ``_dims``
+    gives them, through its first zero or max_degree.  A series ending in
+    zero is a polynomial; one that does not is known through max_degree,
+    which is all the product reads of it there."""
+    out = []
+    for n in range(max_degree + 1):
+        out.append(sum(a[i] * b[n - i]
+                       for i in range(max(0, n - len(b) + 1),
+                                      min(n, len(a) - 1) + 1)))
+        if out[-1] == 0:
+            break
+    return out
+
+
 def hilbert(bp, max_degree, cache=None):
     """Graded dimensions up to max_degree.
 
     Stops at the first zero dimension, which certifies finiteness (the
     algebra is generated in degree one, so every higher component also
     vanishes); without a zero the verdict at the cutoff stays unknown.
+
+    A decomposable pair is computed as a product.  If c_(W,V) c_(V,W) = id
+    on V (x) W, then B(V (+) W) is isomorphic to B(V) (x) B(W) as graded
+    spaces, so their Hilbert series multiply (Grana, A freeness theorem
+    for Nichols algebras, J. Algebra 231, 2000; Andruskiewitsch-
+    Heckenberger-Schneider, The Nichols algebra of a semisimple
+    Yetter-Drinfeld module, Amer. J. Math. 132, 2010).  The pair is split
+    into the connected components of the graph on the blocks of
+    ``pairs.find_decomposition`` linked where c^2 is not the identity on
+    block (x) block (``pairs.cross_square_is_identity``, grouped by
+    ``groups.orbits``).  When there are two or more, each component runs
+    the engine loop below, last-degree orbit count included, on a new
+    computation of its ``pairs.restrict``ed pair to max_degree, and the
+    result is the product of their series truncated at max_degree.  That
+    is exact.  The product's coefficients through max_degree read only the
+    components' coefficients through max_degree.  A component's series is
+    positive from degree 0 through its top degree and zero above it, so
+    the product is finite iff every component is, and its first zero lies
+    at the sum of their top degrees plus one.  ``dims`` runs through that
+    zero, and ``total`` is set, only when the zero is at most max_degree;
+    otherwise ``dims`` holds the max_degree + 1 coefficients and ``total``
+    is None, as for the whole pair.  ``cache`` is left untouched then, so
+    a later ``basis(n)`` on it computes degree n in full.
+
+    A pair with one component runs on ``cache`` (a new computation when
+    None), as follows.
 
     The last degree N is counted by block orbits when the braiding is a
     crossed-set braiding c(x_i (x) x_j) = f(i, j) x_(i |> j) (x) x_i
@@ -566,14 +647,15 @@ def hilbert(bp, max_degree, cache=None):
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
-    cache = cache or GradedComputation(bp)
-    dims = []
-    for n in range(max_degree + 1):
-        dims.append(cache._dim_by_orbits(n) if n == max_degree
-                    else cache.dim(n))
-        if dims[-1] == 0:
-            return HilbertResult(dims, sum(dims))
-    return HilbertResult(dims, None)
+    parts = _components(bp)
+    if len(parts) > 1:
+        dims = [1]
+        for part in parts:
+            dims = _truncated_product(dims, _dims(GradedComputation(
+                _pairs.restrict(bp, part)), max_degree), max_degree)
+    else:
+        dims = _dims(cache or GradedComputation(bp), max_degree)
+    return HilbertResult(dims, sum(dims) if dims[-1] == 0 else None)
 
 
 def kernel_basis(bp, n, cache=None):

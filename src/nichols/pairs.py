@@ -522,11 +522,19 @@ def _detect_grouplikes(d, cmap):
 
 
 def restrict(bp, indices):
-    """The sub-pair on a subset of basis indices; the subset must be closed
-    (the braiding may not leak outside it)."""
+    """The sub-pair on a subset of basis indices, in the order given; the
+    subset must be closed (the braiding may not leak outside it), and an
+    index out of range or listed twice raises ValueError naming it."""
     indices = list(indices)
-    pos = {x: t for t, x in enumerate(indices)}
     d = bp.dim
+    pos = {}
+    for x in indices:
+        if not 0 <= x < d:
+            raise ValueError(f"index {x} is not a letter of a "
+                             f"{d}-dimensional pair")
+        if x in pos:
+            raise ValueError(f"index {x} is listed twice")
+        pos[x] = len(pos)
     nd = len(indices)
     cmap = [[] for _ in range(nd * nd)]
     for ti, i in enumerate(indices):
@@ -564,8 +572,22 @@ def find_decomposition(bp):
 
 
 def cross_square_is_identity(bp, block_a, block_b):
-    """Whether c^2 restricts to the identity on (block a) (x) (block b)."""
+    """Whether c^2 restricts to the identity on (block a) (x) (block b):
+    c(c(x_i (x) x_j)) = x_i (x) x_j for every letter i of block a and j of
+    block b.  One pass over those letter pairs composes the columns of the
+    braiding embedded in ``scalars.field(m)``, m = ``bp.conductor``
+    (``BraidedPair.embedded``, the embedding that pair validation and the
+    graded engine share), and stops at the first pair that fails.
+    ``algebra.hilbert`` splits a pair by this test."""
+    field = _field(bp.conductor)
+    cmap = bp.embedded(field).cmap
     d = bp.dim
-    words = [i * d + j for i in block_a for j in block_b]
-    return braids._mismatch(braids.GroupAlgElt.from_word(2, (1, 1)),
-                            braids.GroupAlgElt.unit(2), bp, words) is None
+    for i in block_a:
+        for j in block_b:
+            ij = i * d + j
+            image = {}
+            for kl, c in cmap[ij]:
+                vec_add_into(image, dict(cmap[kl]), c, field)
+            if image.keys() != {ij} or not field.is_one(image[ij]):
+                return False
+    return True

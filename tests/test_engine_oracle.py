@@ -18,6 +18,7 @@ from nichols import pairs
 from nichols.algebra import (
     DegreeStats,
     GradedComputation,
+    _components,
     _kernel_vector,
     _overlap_span,
     degree_basis,
@@ -695,3 +696,111 @@ def test_a_cache_after_the_orbit_count_computes_the_degree_in_full(build, n):
                                                                 fresh)
     assert cache.dim(n) == fresh.dim(n)
     assert len(cache._degrees) == len(cache.stats) == n + 1
+
+
+# ---------------------------------------------------------------------------
+# the Hilbert series of a decomposable pair, a product over its components
+
+def with_a_line(build):
+    """The pair plus the line c(y (x) y) = -y (x) y, every cross braiding
+    the flip: c^2 is the identity between the two summands."""
+    def pair():
+        bp = build()
+        return pairs.direct_sum(bp, pairs.diagonal([[MINUS]]),
+                                [PLUS] * bp.dim, [PLUS])
+    return pair
+
+
+def whole_pair_series(full, n):
+    """The dims and total that the engine on the whole pair gives at the
+    cutoff n: the dims through the first zero, summed only when a zero
+    was reached."""
+    dims = []
+    for m in range(n + 1):
+        dims.append(full.dim(m))
+        if dims[-1] == 0:
+            return dims, sum(dims)
+    return dims, None
+
+
+def ms_d4_z():
+    return pairs.change_basis(ms_d4(), pairs.two_by_two_z_basis(PLUS, PLUS))
+
+
+# (name, pair, its components, its top degree, or None when infinite, and
+# the largest cutoff tried): the QLS pairs of the benchmark panel, ms-d4 in
+# the basis that diagonalizes it, the A2 (+) A1 and v3(-1) (+) A1 pairs of
+# criterion 13, and an infinite summand
+DECOMPOSABLE = [
+    ("qls-444", lambda: qls((4, 4, 4)), [[0], [1], [2]], 9, 11),
+    ("qls-345", lambda: qls((3, 4, 5)), [[0], [1], [2]], 9, 11),
+    ("qls-555", lambda: qls((5, 5, 5)), [[0], [1], [2]], 12, 14),
+    ("ms-d4-z", ms_d4_z, [[0, 1], [2, 3]], 8, 10),
+    ("a2-8-a1", with_a_line(lambda: pairs.diagonal(
+        [[MINUS, root_of_unity(4, 1)], [root_of_unity(4, 1), MINUS]])),
+     [[0, 1], [2]], 5, 7),
+    ("a2-12-a1", with_a_line(lambda: pairs.diagonal(
+        [[MINUS, root_of_unity(3, 2)], [PLUS, root_of_unity(3, 1)]])),
+     [[0, 1], [2]], 6, 8),
+    ("v3-m1-a1", with_a_line(v3_m1), [[0, 1, 2], [3]], 5, 7),
+    ("v3-z3-a1", with_a_line(v3_z3), [[0, 1, 2], [3]], None, 6),
+]
+
+
+@pytest.mark.parametrize("build,parts,top,cutoff",
+                         [case[1:] for case in DECOMPOSABLE],
+                         ids=[case[0] for case in DECOMPOSABLE])
+def test_hilbert_of_a_decomposable_pair_is_the_whole_pairs(build, parts,
+                                                           top, cutoff):
+    # every cutoff, below, at and past the top degree: the product of the
+    # components' truncated series gives the dims and the total of the
+    # engine on the whole pair, the total only once the zero is reached
+    bp = build()
+    assert _components(bp) == parts
+    full = GradedComputation(bp)
+    for n in range(cutoff + 1):
+        res = hilbert(bp, n)
+        assert (res.dims, res.total) == whole_pair_series(full, n), n
+        assert res.finite == (top is not None and n > top), n
+    if top is not None:
+        assert len(hilbert(bp, cutoff).dims) == top + 2
+
+
+@pytest.mark.parametrize("build,blocks,n,records", [
+    (v3_m1, 1, 8, 6), (c6_b2, 2, 12, 12), (ms_d4, 2, 10, 10),
+    (v4_m1_p1, 1, 12, 11)], ids=["v3", "c6-b2", "ms-d4", "v4_m1_p1"])
+def test_a_pair_of_one_component_runs_the_engine_on_its_cache(build, blocks,
+                                                             n, records):
+    # one block, or two blocks that c^2 links: no split, and the cache
+    # holds every degree through the first zero, as before the split
+    bp = build()
+    assert len(pairs.find_decomposition(bp)) == blocks
+    assert _components(bp) == [list(range(bp.dim))]
+    cache = GradedComputation(bp)
+    dims = hilbert(bp, n, cache).dims
+    assert len(cache._degrees) == len(dims) == records
+    assert [deg.ech.rank for deg in cache._degrees] == dims
+
+
+def test_a_decomposable_pair_leaves_its_cache_untouched(monkeypatch):
+    # the components run on computations of their own: the cache given
+    # keeps only its degree-0 record, and a later basis(n) computes the
+    # whole pair's degree n in full
+    bp = qls((3, 4, 5))
+    cache = GradedComputation(bp)
+    assert hilbert(bp, 11, cache).total == 60
+    assert len(cache._degrees) == 1
+    assert cache.dim(5) == 11 and len(cache._degrees) == 6
+    # the engine never runs on the whole pair: each computation made is of
+    # one component, at the conductor of its own root
+    made = []
+    init = GradedComputation.__init__
+
+    def spy(self, pair):
+        made.append(pair)
+        init(self, pair)
+
+    monkeypatch.setattr(GradedComputation, "__init__", spy)
+    assert hilbert(bp, 11).dims == hilbert(bp, 11, cache).dims
+    assert [(pair.dim, pair.conductor) for pair in made] == [
+        (1, 3), (1, 4), (1, 5)] * 2

@@ -6,8 +6,8 @@ import pytest
 
 from nichols.braids import sigma_pass
 from nichols.linalg import InvalidInput, encode_word
-from nichols.scalars import ONE, integer, one, root_of_unity, zero
-from nichols import algebra, cli, pairs, quandles
+from nichols.scalars import ONE, integer, one, rational, root_of_unity, zero
+from nichols import algebra, braids, cli, pairs, quandles
 from nichols.groups import (
     centralizer,
     conjugacy_class,
@@ -125,6 +125,43 @@ def test_cross_square_against_the_diagonal_entries():
                 q[i][j] * q[j][i] == one())
     assert pairs.cross_square_is_identity(bp, [0, 2], [0, 2])
     assert not pairs.cross_square_is_identity(bp, [0, 1], [2])
+
+
+def cross_square_oracle(bp, block_a, block_b):
+    """c^2 against the identity on (block a) (x) (block b), as the braid
+    group algebra elements s_1^2 and e applied to the tagged basis
+    tensors (``braids._mismatch``)."""
+    d = bp.dim
+    words = [i * d + j for i in block_a for j in block_b]
+    return braids._mismatch(braids.GroupAlgElt.from_word(2, (1, 1)),
+                            braids.GroupAlgElt.unit(2), bp, words) is None
+
+
+def test_cross_square_against_the_braid_group_algebra():
+    # monomial braidings, and dense ones whose columns have several terms
+    # (v3 in the basis x_0, x_0 + x_1, x_2, and a symmetric braiding, c^2 =
+    # id everywhere, in the basis x_0, x_0 + x_1), on every pair of blocks
+    # of one or two letters
+    sym = pairs.diagonal([[-1, 2], [rational(1, 2), 1]])
+    dense = [pairs.change_basis(pairs.v3(q), [[1, 1, 0], [0, 1, 0],
+                                              [0, 0, 1]])
+             for q in (-1, root_of_unity(3, 1))]
+    dense.append(pairs.change_basis(sym, [[1, 1], [0, 1]]))
+    assert all(any(len(col) > 1 for col in bp.cmap) for bp in dense)
+    ms = pairs.two_by_two(-1, -1, 1, 1, 1, 1)
+    built = [sym, ms, pairs.v4(-1, -1), pairs.transpose(pairs.v4(-1, 1)),
+             pairs.change_basis(ms, pairs.two_by_two_z_basis(1, 1))] + dense
+    seen = set()
+    for bp in built:
+        blocks = [[i] for i in range(bp.dim)] + [
+            [i, j] for i in range(bp.dim) for j in range(i + 1, bp.dim)]
+        for a in blocks:
+            for b in blocks:
+                got = pairs.cross_square_is_identity(bp, a, b)
+                assert got == cross_square_oracle(bp, a, b), (bp, a, b)
+                seen.add(got)
+    assert seen == {True, False}
+    assert pairs.cross_square_is_identity(dense[2], [0, 1], [0, 1])
 
 
 def test_v3_examples():
@@ -540,6 +577,21 @@ def test_restrict_rejects_leaky_blocks():
     bp = pairs.v3(integer(-1))
     with pytest.raises(ValueError):
         pairs.restrict(bp, [0, 1])
+
+
+def test_restrict_names_an_index_listed_twice():
+    # once read as a pair with a repeated letter, refused as "braiding is
+    # not invertible"
+    with pytest.raises(ValueError, match="^index 0 is listed twice$"):
+        pairs.restrict(pairs.v3(-1), [0, 0])
+
+
+@pytest.mark.parametrize("index", [5, 3, -1])
+def test_restrict_names_an_index_out_of_range(index):
+    # 5 once escaped as a bare IndexError
+    with pytest.raises(ValueError, match=f"^index {index} is not a letter "
+                                         f"of a 3-dimensional pair$"):
+        pairs.restrict(pairs.v3(-1), [0, index])
 
 
 def test_grouplike_metadata_matches_braiding():
