@@ -33,11 +33,11 @@ print("cocycle pair equals v3(-1):", pairs.from_cocycle(xs, f).cmap == v3.cmap)
 v4 = pairs.v4(integer(-1), integer(1))
 print(v4)
 ms = pairs.two_by_two(integer(-1), integer(-1), one(), one(), one(), one())
-print(ms, "decomposes as", pairs.find_decomposition(ms).blocks)
+print(ms, "decomposes as", pairs.find_decomposition(ms))
 zb = pairs.change_basis(ms, pairs.two_by_two_z_basis(one(), one()))
 print("diagonal after the eigenvector basis change:",
       pairs.is_diagonal(zb) is not None)
 
 # decompositions are the finest basis partitions the braiding respects
-print("v3 is indecomposable:", pairs.find_decomposition(v3).blocks)
-print("diagonal pairs split into lines:", pairs.find_decomposition(c6).blocks)
+print("v3 is indecomposable:", pairs.find_decomposition(v3))
+print("diagonal pairs split into lines:", pairs.find_decomposition(c6))

@@ -11,7 +11,6 @@ from nichols.quandles import (
     conjugation_crossed_set,
     delta_matrix,
     dihedral_crossed_set,
-    grouplike_closure,
     h1,
     h2,
     pi0,
@@ -50,10 +49,6 @@ f = Cochain2.constant(xs, 2, 1)
 print("constant -1 braids:", f.is_cocycle(xs))
 bp = pairs.from_cocycle(xs, f)
 print("its Nichols algebra:", hilbert(bp, 6).total, "dimensional")
-
-# the group-like actions generate a finite group, realized as permutations
-# of (crossed set) x (roots of unity)
-print("group-like closure order:", grouplike_closure(xs, f))
 
 # the differentials compose to zero: it really is a cochain complex
 d1 = delta_matrix(dihedral_crossed_set(5), 1)

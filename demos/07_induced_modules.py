@@ -14,7 +14,6 @@ from nichols.groups import (
     cyclic,
     cyclic_character,
     dihedral,
-    f_g_map,
     symmetric,
 )
 from nichols.scalars import format_scalar, root_of_unity
@@ -34,11 +33,6 @@ w = root_of_unity(3, 1)
 bp = pairs.yd_module(s3, [(three, cyclic_character(s3, three, w))])
 print("induced pair:", bp, "diagonal matrix:",
       [[format_scalar(v) for v in row] for row in pairs.is_diagonal(bp)])
-
-# the conjugation action on an indexed class is a homomorphism into a
-# symmetric group, with each class element fixing its own index
-ts, perms = f_g_map(s3, three)
-print("indexed class:", ts, " action of the first element:", perms[ts[0]])
 
 # dihedral groups carry the classes behind the two-plus-two modules
 d4 = dihedral(4)

@@ -25,7 +25,6 @@ from .scalars import (
 from .linalg import InvalidInput
 from .pairs import (
     BraidedPair,
-    Decomposition,
     change_basis,
     check,
     crossed_set,

@@ -533,10 +533,23 @@ class GradedComputation:
         return out
 
 
+def _computation(bp, cache):
+    """``cache``, or a new computation of ``bp`` when it is None.  A cache
+    given must compute ``bp`` or a pair of the same dimension and cmap,
+    else ValueError: another pair's records would give its answers.  The
+    cache of ``bp`` itself passes on the identity test alone."""
+    if cache is None:
+        return GradedComputation(bp)
+    other = cache.bp
+    if other is not bp and (other.dim != bp.dim or other.cmap != bp.cmap):
+        raise ValueError(f"the cache computes {other!r}, not {bp!r}")
+    return cache
+
+
 def degree_basis(bp, n, cache=None):
     """Canonical reduced-echelon basis of the degree-n component in tensor
     coordinates, as a list of sparse vectors in increasing pivot order."""
-    cache = cache or GradedComputation(bp)
+    cache = _computation(bp, cache)
     ech = Echelon(cache.field)
     for vec in cache._tensor_rows(n).values():
         ech.insert(vec)
@@ -550,7 +563,7 @@ def _components(bp):
     (``pairs.cross_square_is_identity``; c_(W,V) c_(V,W) = id makes
     c_(V,W) c_(W,V) = id too, so the edges are symmetric), each component
     a sorted list of letters, listed by ``groups.orbits``."""
-    blocks = _pairs.find_decomposition(bp).blocks
+    blocks = _pairs.find_decomposition(bp)
     links = [[] for _ in blocks]
     for a in range(len(blocks)):
         for b in range(a + 1, len(blocks)):
@@ -647,6 +660,8 @@ def hilbert(bp, max_degree, cache=None):
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
+    if cache is not None:
+        _computation(bp, cache)
     parts = _components(bp)
     if len(parts) > 1:
         dims = [1]
@@ -670,7 +685,7 @@ def kernel_basis(bp, n, cache=None):
     Adv. Math. 29, 1978).  A degree with no normal word, a zero component
     or one past it, has K_n = T_n, and its basis is the d^n unit vectors.
     """
-    cache = cache or GradedComputation(bp)
+    cache = _computation(bp, cache)
     normal = cache._degree(n).phis
     field = cache.field
     return [_export(_kernel_vector(
@@ -763,7 +778,7 @@ def relations(bp, n, cache=None):
     """
     if n < 2:
         raise ValueError("relations start in degree two")
-    cache = cache or GradedComputation(bp)
+    cache = _computation(bp, cache)
     deg = cache._degree(n)
     if deg.relations is None:
         rules = deg.rules
@@ -809,7 +824,7 @@ def new_leading_words(bp, n, cache=None):
     """
     if n < 2:
         raise ValueError("the relation ideal starts in degree two")
-    cache = cache or GradedComputation(bp)
+    cache = _computation(bp, cache)
     return [decode_word(w, bp.dim, n)
             for w in sorted(cache._degree(n).rules)]
 
@@ -820,6 +835,7 @@ def derivation(bp, y, vec, n):
     deconcatenation coproduct makes this a coordinate projection."""
     if n < 1:
         raise ValueError("derivations act on positive degrees")
+    _pairs._require_letters(bp, [y])
     d = bp.dim
     # w -> w // d is injective on the words ending in y: nothing accumulates
     return {w // d: c for w, c in vec.items() if w % d == y}
@@ -860,6 +876,7 @@ def adjoint(bp, i, vec, n):
     T_(n,1), the product in the other order.  So the adjoint costs 2n
     crossing passes.
     """
+    _pairs._require_letters(bp, [i])
     d = bp.dim
     pre = {i * d ** n + w: c for w, c in vec.items()}
     left, crossed = sweep(bp.cmap, d, n + 1, pre, range(1, n + 1))
@@ -887,6 +904,7 @@ def nilpotency_order(bp, i, j):
     q = _pairs.is_diagonal(bp)
     if q is None:
         raise ValueError("nilpotency order formula needs a diagonal pair")
+    _pairs._require_letters(bp, [i, j])
     if i == j:
         raise ValueError("need two distinct basis indices")
     formula = _rank2.nilpotency_order_formula(q, i, j)

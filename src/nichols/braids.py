@@ -128,11 +128,11 @@ class GroupAlgElt:
                     self.terms[w] = c
 
     @classmethod
-    def from_word(cls, strands, letters, coeff=None):
+    def from_word(cls, strands, letters):
         for i in letters:
             if not 1 <= abs(i) <= strands - 1:
                 raise ValueError(f"letter {i} out of range on {strands} strands")
-        return cls(strands, {tuple(letters): coeff if coeff is not None else ONE})
+        return cls(strands, {tuple(letters): ONE})
 
     @classmethod
     def unit(cls, strands):

@@ -1,4 +1,7 @@
-"""Text file formats: braided pairs, crossed sets, cochains, groups.
+"""Text file formats: braided pairs and crossed sets, the two kinds of file
+the command line reads.  A cochain is written only as the block that
+follows the crossed set in a cocycle pair file, which ``load_pair``
+parses.
 
 All files are line oriented; blank lines and '#' comments are ignored.
 Scalars use the whitespace-free token syntax of ``scalars.format_scalar``
@@ -9,7 +12,6 @@ allowed).
 from math import lcm
 
 from .scalars import format_scalar, parse_scalar
-from . import groups as _groups
 from . import pairs as _pairs
 from . import quandles as _quandles
 
@@ -146,13 +148,17 @@ def _load_body(kind, conductor, dim, body):
 
 
 # ---------------------------------------------------------------------------
-# crossed sets, cochains, groups
+# crossed sets and cochains
+
+def _dump_table(header, table):
+    """A header line, then one line per row of an integer table: what
+    ``_expect`` and ``_int_table`` read back."""
+    lines = [header] + [" ".join(str(v) for v in row) for row in table]
+    return "\n".join(lines) + "\n"
+
 
 def dump_crossed_set(xset):
-    lines = [f"size {xset.size}"]
-    for row in xset.table:
-        lines.append(" ".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return _dump_table(f"size {xset.size}", xset.table)
 
 
 def load_crossed_set(text):
@@ -162,27 +168,5 @@ def load_crossed_set(text):
 
 
 def dump_cochain(cochain):
-    lines = [f"modulus {cochain.modulus}"]
-    for row in cochain.exponents:
-        lines.append(" ".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return _dump_table(f"modulus {cochain.modulus}", cochain.exponents)
 
-
-def load_cochain(text):
-    lines = _lines(text)
-    modulus = int(_expect(lines, 0, "modulus")[0])
-    expo = [[int(v) for v in line.split()] for line in lines[1:]]
-    return _quandles.Cochain2(modulus, expo)
-
-
-def dump_group(group):
-    lines = [f"order {group.order}"]
-    for row in group.table:
-        lines.append(" ".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def load_group(text):
-    lines = _lines(text)
-    order = int(_expect(lines, 0, "order")[0])
-    return _groups.FiniteGroup(_int_table(lines, 1, order))

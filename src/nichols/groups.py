@@ -5,10 +5,10 @@ representatives.  ``pairs.yd_module`` builds the braided pairs from them.
 
 ``orbits`` is the package's one orbit routine: the blocks of a braiding
 (``pairs.find_decomposition``), the components of a crossed set
-(``quandles.pi0``), the group its group-likes generate
-(``quandles.grouplike_closure``) and the conjugation orbits of the blocks
-of a degree (``algebra.GradedComputation._block_orbits``) are all orbits
-under a set of moves.  ``conjugacy_classes`` and
+(``quandles.pi0``), the components of a decomposable pair
+(``algebra._components``) and the conjugation orbits of the blocks of a
+degree (``algebra.GradedComputation._block_orbits``) are all orbits under
+a set of moves.  ``conjugacy_classes`` and
 ``coset_representatives`` keep their own loops, since each of their steps
 already yields a whole class or coset.
 
@@ -184,49 +184,6 @@ def _indexed_class(group, g):
     if len(pos) != len(ts):
         raise RuntimeError("coset representatives do not index the class")
     return cent, reps, ts, pos
-
-
-def f_g_map(group, g):
-    """The conjugation action of the group on the indexed class of g.
-
-    Returns ``(ts, perms)`` where ts = [t_0..t_(s-1)] enumerates the class
-    (t_j = h_j g h_j^-1 for the deterministic coset representatives h_j)
-    and perms[k][i] = j whenever k t_i k^-1 = t_j.  The map k -> perms[k]
-    is verified to be a homomorphism.
-    """
-    _, _, ts, pos = _indexed_class(group, g)
-    perms = []
-    for k in group.elements():
-        perms.append(tuple(pos[group.conj(k, t)] for t in ts))
-    for x in group.elements():
-        for y in group.elements():
-            xy = group.mul(x, y)
-            if tuple(perms[x][perms[y][i]] for i in range(len(ts))) != perms[xy]:
-                raise RuntimeError("conjugation action is not a homomorphism")
-    return ts, perms
-
-
-def orbit_factorization(group, target, fmap, g):
-    """Factor the class size s = [G : G_g] as s = n*m through a homomorphism.
-
-    ``fmap`` lists the image in ``target`` of each element of ``group``.
-    n is the index of the pullback of the centralizer of f(g); m the index
-    of the centralizer of g inside that pullback.
-    """
-    n_g = len(group)
-    for x in range(n_g):
-        for y in range(n_g):
-            if fmap[group.mul(x, y)] != target.mul(fmap[x], fmap[y]):
-                raise ValueError("fmap is not a homomorphism")
-    s = len(conjugacy_class(group, g))
-    fg = fmap[g]
-    target_cent = set(centralizer(target, fg))
-    pullback = [x for x in range(n_g) if fmap[x] in target_cent]
-    n = n_g // len(pullback)
-    m = len(pullback) // len(centralizer(group, g))
-    if n * m != s:
-        raise RuntimeError("orbit factorization failed")
-    return n, m
 
 
 def cyclic_character(group, gen, value):

@@ -5,11 +5,13 @@ The braiding is stored sparsely: ``cmap[i*d+j]`` lists the nonzero terms
 of c(x_i (x) x_j) as ``(k*d+l, coeff)`` pairs, with the left tensor factor
 always the most significant index.  The equivalent d^2 x d^2 matrix view
 (column i*d+j holding the image of x_i (x) x_j) is available via
-``matrix()``.  Construction always validates the braid equation on the
+``matrix()``.  Construction validates the braid equation on the
 standard basis of the triple tensor power, invertibility, and consistency
 of any attached group-like actions; rigidity is taken as invertibility of
 the braiding, which for group-type pairs with invertible group-likes is
-equivalent to the dual-map condition.
+equivalent to the dual-map condition.  The pairs that ``transpose`` and
+``restrict`` derive from a valid pair are valid by construction, and are
+not checked again.
 
 Diagonal, ``v3``, ``v4``, ``two_by_two`` and cocycle pairs are crossed-set
 braidings c(x_i (x) x_j) = f(i, j) x_(i |> j) (x) x_i (Andruskiewitsch-
@@ -116,26 +118,6 @@ class BraidedPair:
     def __repr__(self):
         return (f"BraidedPair(kind={self.kind!r}, dim={self.dim}, "
                 f"conductor={self.conductor})")
-
-
-class Decomposition:
-    """A partition of the basis into blocks closed under the braiding: the
-    braiding maps (block a) (x) (block b) into (block b) (x) (block a)."""
-
-    __slots__ = ("blocks",)
-
-    def __init__(self, blocks):
-        self.blocks = [sorted(b) for b in blocks]
-        self.blocks.sort()
-
-    def __len__(self):
-        return len(self.blocks)
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __repr__(self):
-        return f"Decomposition({self.blocks})"
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +464,9 @@ def change_basis(bp, p_matrix):
     """
     d = bp.dim
     p_matrix = as_matrix(p_matrix)
+    if len(p_matrix) != d or any(len(row) != d for row in p_matrix):
+        raise ValueError(f"the basis change of a {d}-dimensional pair must "
+                         f"be a {d} x {d} matrix")
     cols = {j: {i: p_matrix[i][j] for i in range(d) if p_matrix[i][j]}
             for j in range(d)}
     inv = invert_square(cols, d)
@@ -521,17 +506,24 @@ def _detect_grouplikes(d, cmap):
     return grouplikes
 
 
+def _require_letters(bp, letters):
+    """ValueError naming the first of ``letters`` that is not a letter,
+    0..d-1, of the d-dimensional pair ``bp``."""
+    for x in letters:
+        if not 0 <= x < bp.dim:
+            raise ValueError(f"index {x} is not a letter of a "
+                             f"{bp.dim}-dimensional pair")
+
+
 def restrict(bp, indices):
     """The sub-pair on a subset of basis indices, in the order given; the
     subset must be closed (the braiding may not leak outside it), and an
     index out of range or listed twice raises ValueError naming it."""
     indices = list(indices)
+    _require_letters(bp, indices)
     d = bp.dim
     pos = {}
     for x in indices:
-        if not 0 <= x < d:
-            raise ValueError(f"index {x} is not a letter of a "
-                             f"{d}-dimensional pair")
         if x in pos:
             raise ValueError(f"index {x} is listed twice")
         pos[x] = len(pos)
@@ -550,14 +542,21 @@ def restrict(bp, indices):
     if bp.grouplikes is not None:
         gl = [[[bp.grouplikes[i][k][j] for j in indices] for k in indices]
               for i in indices]
-    return BraidedPair(nd, cmap, gl, kind="matrix", params={"restricted": bp})
+    # no validation: the loop above refuses a subset whose braiding leaks,
+    # so c maps V_S (x) V_S into itself and the braid equation of c holds
+    # on V_S^(x3); an injective map of the finite-dimensional V_S (x) V_S
+    # into itself is invertible; and the group-likes kept are the entries
+    # that _detect_grouplikes reads off the restricted cmap
+    return BraidedPair(nd, cmap, gl, kind="matrix", params={"restricted": bp},
+                       validate=False)
 
 
 def find_decomposition(bp):
     """The maximal refinement of the standard basis into blocks closed under
     the braiding's support: the orbits of the letters under the links that
     each term x_k (x) x_l of c(x_i (x) x_j) makes, j with k and i with l,
-    since c maps (block i) (x) (block j) into (block j) (x) (block i)."""
+    since c maps (block i) (x) (block j) into (block j) (x) (block i).
+    The blocks are sorted lists of letters, listed in increasing order."""
     d = bp.dim
     links = [set() for _ in range(d)]
     for ij, col in enumerate(bp.cmap):
@@ -568,7 +567,8 @@ def find_decomposition(bp):
             links[k].add(j)
             links[i].add(l)
             links[l].add(i)
-    return Decomposition(_groups.orbits(range(d), links.__getitem__))
+    return sorted(sorted(orbit)
+                  for orbit in _groups.orbits(range(d), links.__getitem__))
 
 
 def cross_square_is_identity(bp, block_a, block_b):
@@ -579,6 +579,7 @@ def cross_square_is_identity(bp, block_a, block_b):
     (``BraidedPair.embedded``, the embedding that pair validation and the
     graded engine share), and stops at the first pair that fails.
     ``algebra.hilbert`` splits a pair by this test."""
+    _require_letters(bp, [*block_a, *block_b])
     field = _field(bp.conductor)
     cmap = bp.embedded(field).cmap
     d = bp.dim

@@ -13,9 +13,8 @@ single object here.
 """
 
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
-from .braids import perm_mul
 from .groups import conjugacy_class, orbits
 from .linalg import InvalidInput, divisibility_chain, smith_normal_form
 from .scalars import root_of_unity
@@ -253,6 +252,8 @@ def cohomology(xset, n, modulus):
     """
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
+    if n < 0:
+        raise ValueError(f"no cochains in negative degree {n}")
     cols = xset.size ** n
     a = smith_normal_form(_coboundary_rows(xset, n), cols)
     b = []
@@ -271,29 +272,3 @@ def h1(xset, modulus):
 def h2(xset, modulus):
     return cohomology(xset, 2, modulus)
 
-
-def grouplike_closure(xset, cochain):
-    """Order of the group generated by the braiding's group-like actions.
-
-    Each g_i scales by a root of unity and permutes the basis, so it acts
-    faithfully on (crossed set) x (torsor of N-th roots): a permutation of
-    a finite set, and the group is the orbit of the identity under
-    composition with the generators (``groups.orbits``).
-    """
-    m = cochain.modulus
-    n = xset.size
-    big = 1
-    for row in cochain.exponents:
-        for e in row:
-            big = lcm(big, m // gcd(m, e))  # order of zeta_m^e (gcd(m,0)=m)
-    # permutation of X x Z/big: (j, s) -> (i |> j, s + e(i,j) big/m)
-    gens = []
-    for i in range(n):
-        images = []
-        for j in range(n):
-            step = cochain.exponents[i][j] * big // m
-            for s in range(big):
-                images.append(xset.act(i, j) * big + (s + step) % big)
-        gens.append(tuple(images))
-    ident = tuple(range(n * big))
-    return len(orbits([ident], lambda p: (perm_mul(g, p) for g in gens))[0])

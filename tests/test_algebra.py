@@ -597,3 +597,39 @@ def test_engine_returns_cyc_at_its_boundary(build):
         values = [c for vec in vecs for c in vec.values()]
         assert values, name
         assert all(type(c) is Cyc for c in values), name
+
+
+# a cache of another pair: v4(-1, 1)'s records once answered for v3(-1)
+@pytest.mark.parametrize("call", [
+    lambda bp, cache: hilbert(bp, 4, cache),
+    lambda bp, cache: degree_basis(bp, 2, cache),
+    lambda bp, cache: kernel_basis(bp, 2, cache),
+    lambda bp, cache: relations(bp, 2, cache),
+    lambda bp, cache: algebra.relation_count(bp, 2, cache),
+    lambda bp, cache: new_leading_words(bp, 2, cache),
+], ids=["hilbert", "degree_basis", "kernel_basis", "relations",
+        "relation_count", "new_leading_words"])
+def test_a_cache_of_another_pair_is_refused(call):
+    bp = pairs.v3(-1)
+    for other in (pairs.v4(-1, 1), pairs.v3(root_of_unity(3, 1))):
+        with pytest.raises(ValueError, match="^the cache computes"):
+            call(bp, GradedComputation(other))
+    # the cache of the pair itself, or of a pair with its dim and cmap
+    call(bp, GradedComputation(bp))
+    call(bp, GradedComputation(pairs.v3(-1)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda bp: nilpotency_order(bp, 0, 5),
+    lambda bp: nilpotency_order(bp, -1, 0),
+    lambda bp: adjoint(bp, 5, {0: ONE}, 1),
+    lambda bp: derivation(bp, 7, {0: ONE}, 1),
+    lambda bp: derivation(bp, -1, {0: ONE}, 1),
+], ids=["nilpotency-j", "nilpotency-i", "adjoint", "derivation",
+        "derivation-negative"])
+def test_letters_out_of_range_are_named(call):
+    # these raised IndexError or returned {} silently
+    bp = pairs.diagonal([[integer(-1), ONE], [ONE, integer(-1)]])
+    with pytest.raises(ValueError, match=r"^index -?\d+ is not a letter of "
+                                         r"a 2-dimensional pair$"):
+        call(bp)

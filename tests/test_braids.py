@@ -314,7 +314,7 @@ def test_false_identities_report_like_oracle():
     gen = GroupAlgElt.from_word(s, (j,))
     s1 = GroupAlgElt.from_word(2, (1,))
     e = GroupAlgElt.unit(2)
-    z5 = GroupAlgElt.from_word(2, (1,), root_of_unity(5, 1))
+    z5 = GroupAlgElt.from_word(2, (1,)) * root_of_unity(5, 1)
     c12 = pairs.diagonal([[root_of_unity(12, 1), root_of_unity(12, 5)],
                           [integer(-1), root_of_unity(4, 1)]])
     diagonal = standard_suite(count=4, seed=11)
@@ -364,7 +364,7 @@ def test_apply_elt_agrees_with_oracle():
         d = bp.dim
         for n in (2, 3, 4):
             elts = [random_elt(rng, n, coeffs) for _ in range(4)]
-            elts += [GroupAlgElt.from_word(n, letters, c)
+            elts += [GroupAlgElt.from_word(n, letters) * c
                      for letters in ((), (1,), (-(n - 1),))
                      for c in (ONE, integer(3))]
             for elt in elts:

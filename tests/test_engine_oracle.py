@@ -804,3 +804,27 @@ def test_a_decomposable_pair_leaves_its_cache_untouched(monkeypatch):
     assert hilbert(bp, 11).dims == hilbert(bp, 11, cache).dims
     assert [(pair.dim, pair.conductor) for pair in made] == [
         (1, 3), (1, 4), (1, 5)] * 2
+
+
+def test_restrict_needs_no_validation(monkeypatch):
+    # every component and block of the differential, panel and
+    # decomposable pairs restricts, with pair validation unavailable, to
+    # the pair that a validated build of the same data gives
+    def refuse(bp):
+        raise AssertionError("restrict validated a sub-pair")
+
+    builds = ([case[1] for case in DIFFERENTIAL] + [case[0] for case in PANEL]
+              + [case[1] for case in DECOMPOSABLE])
+    for build in builds:
+        bp = build()
+        parts = _components(bp) + pairs.find_decomposition(bp)
+        with monkeypatch.context() as patch:
+            patch.setattr(pairs, "check", refuse)
+            subs = [pairs.restrict(bp, part) for part in parts]
+        for sub in subs:
+            valid = pairs.BraidedPair(sub.dim, sub.cmap, sub.grouplikes)
+            assert (sub.cmap, sub.grouplikes, sub.conductor) == (
+                valid.cmap, valid.grouplikes, valid.conductor)
+            if bp.grouplikes is not None:
+                assert sub.grouplikes == pairs._detect_grouplikes(
+                    sub.dim, sub.cmap)

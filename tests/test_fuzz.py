@@ -20,16 +20,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from nichols import pairs  # noqa: E402
 from nichols.cli import main  # noqa: E402
 from nichols.fileio import (  # noqa: E402
-    dump_cochain,
     dump_crossed_set,
-    dump_group,
     dump_pair,
-    load_cochain,
     load_crossed_set,
-    load_group,
     load_pair,
 )
-from nichols.groups import cyclic, dihedral  # noqa: E402
 from nichols.quandles import (  # noqa: E402
     Cochain2,
     dihedral_crossed_set,
@@ -57,8 +52,6 @@ PAIR_TEXTS = [dump_pair(bp) for bp in (
 )]
 CROSSED_SET_TEXTS = [dump_crossed_set(x) for x in (
     _D3, trivial_crossed_set(2), zmod3_crossed_set())]
-COCHAIN_TEXTS = [dump_cochain(Cochain2.constant(_D3, 4, 1))]
-GROUP_TEXTS = [dump_group(g) for g in (dihedral(3), cyclic(4))]
 
 # tokens that replace a word of a valid file: numbers out of range, bad
 # scalar syntax, keywords in the wrong place
@@ -97,8 +90,7 @@ def damaged(draw, texts):
     return "\n".join(lines) + "\n"
 
 
-LOADERS = [(load_pair, PAIR_TEXTS), (load_crossed_set, CROSSED_SET_TEXTS),
-           (load_cochain, COCHAIN_TEXTS), (load_group, GROUP_TEXTS)]
+LOADERS = [(load_pair, PAIR_TEXTS), (load_crossed_set, CROSSED_SET_TEXTS)]
 
 
 @FUZZ

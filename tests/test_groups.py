@@ -9,8 +9,6 @@ from nichols.groups import (
     cyclic,
     cyclic_character,
     dihedral,
-    f_g_map,
-    orbit_factorization,
     orbits,
     symmetric,
 )
@@ -33,6 +31,9 @@ def test_validation_rejects_bad_tables():
         FiniteGroup([[0, 1], [1, 1]])  # 1 has no inverse / not a group
     with pytest.raises(ValueError):
         FiniteGroup([[1, 0], [1, 0]])
+    # an entry past the order
+    with pytest.raises(ValueError, match="must lie in 0..2"):
+        FiniteGroup([[0, 1, 2], [1, 9, 0], [2, 0, 1]])
 
 
 def brute_centralizer(g, x):
@@ -66,40 +67,6 @@ def test_centralizer_and_classes():
     assert [c[0] for c in classes] == sorted(c[0] for c in classes)
     assert all(c == conjugacy_class(s4, c[0]) for c in classes)
     assert sorted(len(c) for c in classes) == [1, 3, 6, 6, 8]
-
-
-def test_f_g_map_examples():
-    s3 = symmetric(3)
-    transposition = next(x for x in s3.elements()
-                         if x != s3.identity and s3.mul(x, x) == s3.identity)
-    ts, perms = f_g_map(s3, transposition)
-    assert sorted(ts) == conjugacy_class(s3, transposition)
-    # each t fixes its own index
-    for i, t in enumerate(ts):
-        assert perms[t][i] == i
-    # a central element acts trivially on every class
-    d4 = dihedral(4)
-    center = [x for x in d4.elements()
-              if all(d4.mul(x, y) == d4.mul(y, x) for y in d4.elements())]
-    nontrivial = next(x for x in center if x != d4.identity)
-    for g in d4.elements():
-        ts, perms = f_g_map(d4, g)
-        assert perms[nontrivial] == tuple(range(len(ts)))
-
-
-def test_orbit_factorization():
-    s3 = symmetric(3)
-    transposition = next(x for x in s3.elements()
-                         if x != s3.identity and s3.mul(x, x) == s3.identity)
-    ident_map = list(s3.elements())
-    n, m = orbit_factorization(s3, s3, ident_map, transposition)
-    assert (n, m) == (3, 1)
-    trivial = cyclic(1)
-    n, m = orbit_factorization(s3, trivial, [0] * 6, transposition)
-    assert (n, m) == (1, 3)
-    with pytest.raises(ValueError):
-        orbit_factorization(s3, s3, [s3.identity] * 5 + [transposition],
-                            transposition)
 
 
 def test_yd_module_centralizer_data():

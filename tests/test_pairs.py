@@ -529,10 +529,10 @@ def test_crossed_set_is_none_for_other_shapes():
 def test_find_decomposition():
     w = root_of_unity(3, 1)
     diag = pairs.diagonal([[integer(-1), w], [integer(-1), w]])
-    assert pairs.find_decomposition(diag).blocks == [[0], [1]]
-    assert pairs.find_decomposition(pairs.v3(integer(-1))).blocks == [[0, 1, 2]]
+    assert pairs.find_decomposition(diag) == [[0], [1]]
+    assert pairs.find_decomposition(pairs.v3(integer(-1))) == [[0, 1, 2]]
     bp = pairs.two_by_two(integer(-1), integer(-1), one(), one(), one(), one())
-    assert pairs.find_decomposition(bp).blocks == [[0, 1], [2, 3]]
+    assert pairs.find_decomposition(bp) == [[0, 1], [2, 3]]
 
 
 def test_transpose_squares_to_identity():
@@ -619,3 +619,23 @@ def test_scalar_arguments_share_one_coercion():
         pairs.v3(1.5)
     with pytest.raises(TypeError, match="'x'"):
         pairs.change_basis(pairs.v3(-1), [[1, 0, 0], [0, 1, 0], [0, 0, "x"]])
+
+
+def test_cross_square_names_a_letter_out_of_range():
+    # 9 once escaped as a bare IndexError
+    with pytest.raises(ValueError, match="^index 9 is not a letter of a "
+                                         "3-dimensional pair$"):
+        pairs.cross_square_is_identity(pairs.v3(-1), [0], [9])
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1]],
+    [[1, 0], [0, 1], [0, 0]],
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[1, 0, 0], [0, 1], [0, 0, 1]],
+], ids=["1x1", "3x2", "4x4", "ragged"])
+def test_change_basis_needs_a_square_matrix_of_the_pairs_size(matrix):
+    # the first two raised IndexError, and a 4 x 4 matrix was accepted
+    # with its last row and column ignored
+    with pytest.raises(ValueError, match="must be a 3 x 3 matrix"):
+        pairs.change_basis(pairs.v3(-1), matrix)
