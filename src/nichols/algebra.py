@@ -55,10 +55,12 @@ crosses x_a, so the rule reads the braiding on V (x) V and nothing more:
 the Phi-vector of pi(p a) is e_p in component a plus the right
 multiplications R_k: B_(n-2) -> B_(n-1), R_k(pi(v)) = pi(v k), applied to
 the Phi-vector of p.  R_k(pi(v)) is the normal form of the word v k under
-the rules, made when degree n is computed and dropped when degree n+1 is.
-No crossing of a letter over a whole element is needed, for any braiding;
-on the other side, d_y(x_a . u) would need x_a crossed over all of u, maps
-of B_(n-1) to itself rebuilt by a recursion every degree.
+the rules, a column made while degree n is computed, the first time a
+Phi-vector reads it, and dropped when degree n is done: a column that no
+Phi-vector reads is never made.  No crossing of a letter over a whole
+element is needed, for any braiding; on the other side, d_y(x_a . u) would
+need x_a crossed over all of u, maps of B_(n-1) to itself rebuilt by a
+recursion every degree.
 
 The last degree ``hilbert`` asks for is counted, not stored, when the
 braiding is a crossed-set braiding whose blocks, the words graded by the
@@ -138,10 +140,11 @@ class HilbertResult:
 
 
 class DegreeStats(namedtuple(
-        "DegreeStats", "degree candidates rank nonzeros seconds")):
+        "DegreeStats", "degree candidates rank nonzeros columns seconds")):
     """What computing one degree cost: the candidate words inserted, the
-    rank they reached, the nonzeros of the rows as inserted and the seconds
-    taken (degree 0 is given, not computed, and costs nothing)."""
+    rank they reached, the nonzeros of the rows as inserted, the right
+    multiplication columns R_k(v) built for their Phi-vectors and the
+    seconds taken (degree 0 is given, not computed, and costs nothing)."""
 
     __slots__ = ()
 
@@ -218,11 +221,14 @@ class GradedComputation:
     reduced only until their least key is free and not scaled, so they are
     no canonical form (``degree_basis`` is).  A normal word whose
     Phi-vector leads with a free key has that Phi-vector itself, the same
-    dict, as its row for good.  The right multiplications R_k into degree
-    n-1, which the Phi-vectors of degree n are made with, and the
-    multipliers of the elimination are locals of ``_extend``.  No degree
-    past a zero component is computed or stored: it has no candidate word,
-    and ``_degree`` answers it with a new empty record.
+    dict, as its row for good.  The columns R_k(v) of the right
+    multiplications into degree n-1, which the Phi-vectors of degree n are
+    made with, and the multipliers of the elimination are locals of
+    ``_extend``: a column is made the first time a Phi-vector of degree n
+    reads it, and all are dropped when the degree is done, so none is kept
+    between degrees (``stats[n].columns`` counts them).  No degree past a
+    zero component is computed or stored: it has no candidate word, and
+    ``_degree`` answers it with a new empty record.
 
     ``hilbert(bp, N, cache)`` leaves the cache with a record of every
     degree below N, and of degree N too unless it counted that degree by
@@ -242,7 +248,8 @@ class GradedComputation:
 
     ``bases`` and ``stats`` are read-only views, a new list of each
     record's ``ech`` and ``stats``; ``stats[n]`` records the cost of degree
-    n, ``candidates`` counting the candidate words inserted.  Treat
+    n, ``candidates`` counting the candidate words inserted and ``columns``
+    the columns R_k(v) made for their Phi-vectors.  Treat
     instances as single-writer: all public functions taking a cache mutate
     only the one they are given.
     """
@@ -261,7 +268,8 @@ class GradedComputation:
         ech0.insert({0: one})
         # degree 0 is the empty word at key 0, with no derivatives
         self._degrees = [_Degree(ech0, {0: {}}, {},
-                                 DegreeStats(0, 0, 1, 1, 0.0), {0: {0: one}})]
+                                 DegreeStats(0, 0, 1, 1, 0, 0.0),
+                                 {0: {0: one}})]
 
     @property
     def bases(self):
@@ -306,7 +314,10 @@ class GradedComputation:
         elimination give: the rule f -> tail.  The Phi-vector of p a, p a
         normal word and a a letter, comes from that of p by the right
         Leibniz rule: d_z(pi(p) . x_a) = [z = a] pi(p) + sum_(j,k)
-        C[(j,a) -> (k,z)] R_k(d_j pi(p)).
+        C[(j,a) -> (k,z)] R_k(d_j pi(p)).  Each column R_k(v) = NF(v k) is
+        made the first time a Phi-vector reads it, and lives in a local
+        dict by letter until this call returns: a column no candidate reads
+        is never made (118 of the 284 of ``v4(-1, 1)`` through degree 10).
 
         With ``weights``, {w: orbit size} over the candidate words of the
         representative blocks (``_dim_by_orbits``), only those words are
@@ -320,9 +331,10 @@ class GradedComputation:
         one, mul = field.one, field.mul
         by_last = self._by_last
         phis = self._degrees[-1].phis
-        # the right multiplications R_k: B_(n-2) -> B_(n-1); degree 1
-        # needs none, its prefix being the empty word
-        right = self._right_multiplications(n - 1) if n > 1 else None
+        # the right multiplications R_k: B_(n-2) -> B_(n-1), {v: NF(v k)}
+        # by letter k, each column made the first time a Phi-vector reads
+        # it; degree 1 reads none, its prefix being the empty word
+        right = [{} for _ in range(d)]
         shift = d ** (n - 1)
         # d_j(p) of a normal word p of degree n-1 sits at j * d**(n-2) + v
         inner = shift // d
@@ -351,7 +363,10 @@ class GradedComputation:
                 part = parts.setdefault(z, {})
                 cols = right[k]
                 for v, s in low.items():
-                    vec_add_into(part, cols[v], mul(c, s), field)
+                    col = cols.get(v)
+                    if col is None:
+                        col = cols[v] = self._normal_form(n - 1, v * d + k)
+                    vec_add_into(part, col, mul(c, s), field)
             vec = {z * shift + u: s for z, part in parts.items()
                    for u, s in part.items()}
             steps = {} if weights is None else None
@@ -366,8 +381,10 @@ class GradedComputation:
             return sum(weights[w] for w in normal)
         ech.record.clear()
         nonzeros = sum(len(r) for r in ech.rows.values())
+        columns = sum(map(len, right))
         self._degrees.append(_Degree(ech, normal, rules, DegreeStats(
-            n, len(words), ech.rank, nonzeros, perf_counter() - t0)))
+            n, len(words), ech.rank, nonzeros, columns,
+            perf_counter() - t0)))
 
     def _block_orbits(self, n):
         """The candidate words of degree n by block, the blocks grouped
@@ -426,14 +443,6 @@ class GradedComputation:
             least = min((words for _, words in orbit), key=len)
             weights.update(dict.fromkeys(least, len(orbit)))
         return self._extend(weights) if weights else 0
-
-    def _right_multiplications(self, n):
-        """The right multiplications R_k: B_(n-1) -> B_n, pi(v) -> pi(v k),
-        as [k][{v: vector}] over the normal words v of degree n-1: the
-        normal forms of v k under the rules."""
-        d = self.bp.dim
-        return [{v: self._normal_form(n, v * d + k)
-                 for v in self._degrees[n - 1].phis} for k in range(d)]
 
     def _tensor_rows(self, n):
         """The images of the normal words of degree n in tensor

@@ -229,13 +229,6 @@ class CohomologyGroup:
     def __repr__(self):
         return f"CohomologyGroup({self.factors})"
 
-    @property
-    def size(self):
-        out = 1
-        for f in self.factors:
-            out *= f
-        return out
-
 
 def cohomology(xset, n, modulus):
     """H^n(X; Z/m) as invariant factors, by the universal coefficient theorem.

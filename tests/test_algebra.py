@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 
 import pytest
 
@@ -28,7 +29,7 @@ from nichols.scalars import (
     root_of_unity,
 )
 from nichols import algebra, pairs
-from test_engine_oracle import left
+from test_engine_oracle import columns_built, left
 from test_pairs import memo_short_of_a_kernel
 
 
@@ -490,6 +491,31 @@ def test_stats_record_each_computed_degree():
     assert all(s.seconds >= 0 for s in stats)
     cache.dim(4)
     assert len(cache.stats) == 6
+
+
+def test_phi_assembly_builds_each_column_once_when_first_read():
+    # a column R_k(v) = NF(v k) is built the first time a Phi-vector reads
+    # it, and counted in the stats of the degree that reads it: one
+    # hilbert call builds 166 of the 284 columns of v4(-1, 1) and 122 of
+    # the 252 of the 2+2 module, where every normal word v of each degree
+    # got all d of its columns
+    for bp, top, total, every in [
+            (pairs.v4(integer(-1), integer(1)), 12, 166, 284),
+            (pairs.two_by_two(integer(-1), integer(-1), integer(1),
+                              integer(1), integer(1), integer(1)), 10,
+             122, 252)]:
+        cache = GradedComputation(bp)
+        with columns_built(cache) as built:
+            hilbert(bp, top, cache)
+        stats = cache.stats
+        assert stats[0].columns == stats[1].columns == 0
+        assert sum(s.columns for s in stats) == total
+        assert sum(bp.dim * len(cache._degrees[n - 2].phis)
+                   for n in range(2, len(stats))) == every
+        keys = [(n, w) for n, w, _, _ in built]
+        assert len(set(keys)) == len(keys) == total
+        assert Counter(n for n, _ in keys) == {
+            s.degree: s.columns for s in stats if s.columns}
 
 
 def test_left_reads_the_newest_degree_without_computing_the_next():

@@ -8,6 +8,7 @@ kernels; and leading words against those kernels' pivots and a scan of
 every factor.
 """
 
+import contextlib
 import functools
 import hashlib
 import time
@@ -419,6 +420,30 @@ def engine_digest(cache, top):
     return h.hexdigest()[:16]
 
 
+@contextlib.contextmanager
+def columns_built(cache):
+    """The right multiplication columns R_k(v) = NF(v k) that Phi assembly
+    builds while the block computes degrees of ``cache``, as a list of
+    (n, w, column, a copy of the column made when it was built), n the
+    degree whose Phi-vectors read it and w the key of v k.  Computing
+    degree n asks ``_normal_form`` for degree n-1 only for a column, as
+    the normal forms it reduces on the way are of lower degrees."""
+    built = []
+    normal_form = cache._normal_form
+
+    def spy(n, w):
+        col = normal_form(n, w)
+        if n == len(cache._degrees) - 1:
+            built.append((n + 1, w, col, dict(col)))
+        return col
+
+    cache._normal_form = spy
+    try:
+        yield built
+    finally:
+        del cache._normal_form
+
+
 @pytest.mark.parametrize("build,top,digest", [
     (fomin_kirillov_e4, 13, "84b54c532c494534"),
     (lambda: affine(5, 2), 17, "da72ad03d7b415b8"),
@@ -427,23 +452,28 @@ def engine_digest(cache, top):
 def test_normal_words_and_rules_match_their_recorded_digest(build, top,
                                                             digest):
     # recorded while the Phi-vectors came from the left recursion through
-    # the crossings on B_n: the right Leibniz rule must give the same
-    # words and rules.  The computation keeps no right multiplication
-    # between degrees, and no crossing or left multiplication; those
-    # into the degree below the top are keyed by its normal words.  All it
-    # keeps of a degree is one record, in one list
+    # the crossings on B_n, and again while every column R_k(v) was built
+    # before any Phi-vector: the right Leibniz rule, reading each column
+    # as it is first needed, must give the same words and rules.  A column
+    # that degree n reads is the normal form of v k, for v a normal word
+    # of degree n-2, left as it was built.  The computation keeps no right
+    # multiplication between degrees, and no crossing or left
+    # multiplication.  All it keeps of a degree is one record, in one list
     bp = build()
     cache = GradedComputation(bp)
-    hilbert(bp, top, cache)
-    assert engine_digest(cache, top) == digest
+    with columns_built(cache) as built:
+        hilbert(bp, top, cache)
+        assert engine_digest(cache, top) == digest
     assert len(cache._degrees) == top + 1
-    right = cache._right_multiplications(top - 1)
-    assert len(right) == bp.dim
-    assert all(cols.keys() == cache._degrees[top - 2].phis.keys()
-               for cols in right)
+    assert built
+    for n, w, col, copy in built:
+        assert w // bp.dim in cache._degrees[n - 2].phis
+        assert col == copy == cache._normal_form(n - 1, w)
+    assert set(vars(cache)) == {"bp", "field", "_by_last", "_degrees"}
     assert not any(hasattr(cache, name) for name in (
-        "_right", "_betas", "_lefts", "_phis", "_rules", "_reduced",
-        "_tensor", "relation_bases", "_rewriting", "left"))
+        "_right", "_right_multiplications", "_betas", "_lefts", "_phis",
+        "_rules", "_reduced", "_tensor", "relation_bases", "_rewriting",
+        "left"))
 
 
 def test_left_multiplication_on_a_dense_braiding():
