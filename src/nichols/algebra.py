@@ -234,8 +234,12 @@ class GradedComputation:
     degree below N, and of degree N too unless it counted that degree by
     block orbits (``hilbert`` says when and why that is exact), which
     appends no record; a later ``basis(N)``, ``relations`` or
-    ``new_leading_words`` then computes degree N in full.  For a pair it
-    splits into components, ``hilbert`` leaves the cache untouched.
+    ``new_leading_words`` then computes degree N in full.  The count keeps
+    its ``DegreeStats`` alone, as ``_counted``: its rank is dim B_N, and
+    its candidates, nonzeros and columns count the work on the
+    representative blocks.  ``stats`` ends with it until degree N is
+    computed in full, whose record then replaces it.  For a pair it splits
+    into components, ``hilbert`` leaves the cache untouched.
 
     Every scalar inside is a bare value of ``field``, Q(zeta_m) at
     m = ``bp.conductor`` (``scalars.field``), into which the braiding is
@@ -247,9 +251,10 @@ class GradedComputation:
     memo of reduced words give one on request (``kernel_basis``).
 
     ``bases`` and ``stats`` are read-only views, a new list of each
-    record's ``ech`` and ``stats``; ``stats[n]`` records the cost of degree
-    n, ``candidates`` counting the candidate words inserted and ``columns``
-    the columns R_k(v) made for their Phi-vectors.  Treat
+    record's ``ech`` and ``stats``, and for ``stats`` the orbit count of
+    the next degree if there was one; ``stats[n]`` records the cost of
+    degree n, ``candidates`` counting the candidate words inserted and
+    ``columns`` the columns R_k(v) made for their Phi-vectors.  Treat
     instances as single-writer: all public functions taking a cache mutate
     only the one they are given.
     """
@@ -264,6 +269,8 @@ class GradedComputation:
         # (j, k, z, c) of c(x_j (x) x_a) = sum c x_k (x) x_z
         self._by_last = [[(j, kz // d, kz % d, c) for j in range(d)
                           for kz, c in cmap[j * d + a]] for a in range(d)]
+        # the DegreeStats of the last orbit count (``_dim_by_orbits``)
+        self._counted = None
         ech0 = Echelon(self.field)
         ech0.insert({0: one})
         # degree 0 is the empty word at key 0, with no derivatives
@@ -277,7 +284,11 @@ class GradedComputation:
 
     @property
     def stats(self):
-        return [deg.stats for deg in self._degrees]
+        stats = [deg.stats for deg in self._degrees]
+        # the orbit count of the next degree, until that degree is stored
+        if self._counted is not None and self._counted.degree == len(stats):
+            stats.append(self._counted)
+        return stats
 
     def basis(self, n):
         """Echelon basis of the degree-n component in derivation
@@ -323,7 +334,8 @@ class GradedComputation:
         representative blocks (``_dim_by_orbits``), only those words are
         eliminated, no rule is read and no record is appended: the return
         value is the sum of the weights of the words found normal, dim
-        B_n."""
+        B_n, and the cost of that count is kept as ``_counted``, its rank
+        that dimension."""
         t0 = perf_counter()
         n = len(self._degrees)
         d = self.bp.dim
@@ -377,11 +389,14 @@ class GradedComputation:
             elif steps is not None:
                 rules[w] = {word_at[r]: c
                             for r, c in ech.combination(steps).items()}
-        if weights is not None:
-            return sum(weights[w] for w in normal)
-        ech.record.clear()
         nonzeros = sum(len(r) for r in ech.rows.values())
         columns = sum(map(len, right))
+        if weights is not None:
+            dim = sum(weights[w] for w in normal)
+            self._counted = DegreeStats(n, len(words), dim, nonzeros,
+                                        columns, perf_counter() - t0)
+            return dim
+        ech.record.clear()
         self._degrees.append(_Degree(ech, normal, rules, DegreeStats(
             n, len(words), ech.rank, nonzeros, columns,
             perf_counter() - t0)))
@@ -426,11 +441,12 @@ class GradedComputation:
         """dim B_n, counted by block orbits when degree n is the next to
         compute and some orbit holds two or more blocks with candidate
         words (``_block_orbits``); otherwise ``dim(n)``, which computes and
-        stores the degree.  The count appends no record of degree n: it
-        eliminates, in each orbit, the candidates of the block with the
-        fewest, and weighs each normal word found by the size of its orbit
-        (``_extend``).  A block without candidates has dimension 0, and so
-        has its orbit.  ``hilbert`` gives the reason it is exact."""
+        stores the degree.  The count appends no record of degree n, only
+        its ``DegreeStats`` (``_counted``): it eliminates, in each orbit,
+        the candidates of the block with the fewest, and weighs each normal
+        word found by the size of its orbit (``_extend``).  A block without
+        candidates has dimension 0, and so has its orbit.  ``hilbert``
+        gives the reason it is exact."""
         if len(self._degrees) != n or not self._degrees[-1].ech.rank:
             return self.dim(n)
         orbits = self._block_orbits(n)
@@ -442,7 +458,7 @@ class GradedComputation:
         for orbit in orbits:
             least = min((words for _, words in orbit), key=len)
             weights.update(dict.fromkeys(least, len(orbit)))
-        return self._extend(weights) if weights else 0
+        return self._extend(weights)
 
     def _tensor_rows(self, n):
         """The images of the normal words of degree n in tensor
@@ -661,8 +677,9 @@ def hilbert(bp, max_degree, cache=None):
       f(i |> j, i |> k) f(i, k) that the braid equation gives (pair
       validation checks it).  So g_i maps K_N onto K_N, and the block g
       onto phi_i g phi_i^-1: the blocks of one orbit have one dimension.
-    Degree N then gets no record in ``cache``, and every degree below N
-    does (see ``GradedComputation``).  Diagonal braidings (a trivial rack, one
+    Degree N then gets no record in ``cache``, only the ``DegreeStats``
+    of the count, and every degree below N gets one (see
+    ``GradedComputation``).  Diagonal braidings (a trivial rack, one
     block), braidings of any other shape, and a rack whose every orbit
     holds at most one block with candidates, store degree N as every
     other degree.

@@ -21,7 +21,6 @@ them can tag each term with where it came from (``verify_identity``).
 
 from functools import cache, cached_property
 from itertools import combinations as _combinations
-from itertools import permutations as _permutations
 from math import lcm
 
 from .linalg import invert_square, vec_add_into
@@ -49,13 +48,6 @@ def perm_length(p):
     return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
 
 
-def transposition(n, i):
-    """The adjacent transposition swapping positions i-1 and i (1-based i)."""
-    out = list(range(n))
-    out[i - 1], out[i] = out[i], out[i - 1]
-    return tuple(out)
-
-
 def matsumoto_section(p):
     """The lexicographically least reduced word for p, as 1-based letters.
 
@@ -76,10 +68,6 @@ def matsumoto_section(p):
                 remaining -= 1
                 break
     return tuple(word)
-
-
-def all_permutations(n):
-    return _permutations(range(n))
 
 
 def shuffles(parts):
@@ -167,12 +155,6 @@ class GroupAlgElt:
         if self.strands != other.strands:
             raise ValueError("strand count mismatch")
 
-    def shifted(self, offset, strands):
-        """Image under the inclusion sending sigma_i to sigma_(i+offset)."""
-        terms = {tuple((i + offset) if i > 0 else (i - offset) for i in w): c
-                 for w, c in self.terms.items()}
-        return GroupAlgElt(strands, terms)
-
     @property
     def conductor(self):
         """The lcm of the coefficients' conductors."""
@@ -199,17 +181,6 @@ class GroupAlgElt:
         return f"GroupAlgElt[{self.strands}](" + " + ".join(names) + ")"
 
 
-def block(a, b):
-    """(a | b): a on the first strands, b shifted past them."""
-    strands = a.strands + b.strands
-    out = GroupAlgElt(strands)
-    bs = b.shifted(a.strands, strands)
-    for w1, c1 in a.terms.items():
-        for w2, c2 in bs.terms.items():
-            out.terms[w1 + w2] = c1 * c2
-    return out
-
-
 def u_elt(strands, j, i):
     """U^j_i = sigma_j sigma_(j-1) ... sigma_i."""
     if not 1 <= i <= j <= strands - 1:
@@ -233,24 +204,6 @@ def r_binomials(strands, j, i):
     e = GroupAlgElt.unit(strands)
     sigma_j = GroupAlgElt.from_word(strands, (j,))
     return [e - d_elt(strands, j, k) * sigma_j for k in range(j, i - 1, -1)]
-
-
-def r_elt(strands, j, i):
-    """R^j_i expanded: the product of ``r_binomials(strands, j, i)``, a sum
-    of 2^(j-i+1) words."""
-    out = GroupAlgElt.unit(strands)
-    for factor in r_binomials(strands, j, i):
-        out = out * factor
-    return out
-
-
-def symmetrizer(n):
-    """The full quantum symmetrizer: sum of the lifts of all of S_n; for
-    n = 0 the identity on zero strands."""
-    out = GroupAlgElt(n)
-    for p in all_permutations(n):
-        out.terms[matsumoto_section(p)] = ONE
-    return out
 
 
 @cache

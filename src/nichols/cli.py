@@ -7,12 +7,15 @@ stdout closed before all output was written (``nichols ... | head``), with
 nothing on stderr, the status a shell reports for a writer that SIGPIPE
 ended.  All output is line oriented and stable across runs; scalars print
 in the num[/den]:exp term syntax.
+
+Importing this module loads only the package and a few small standard
+modules.  ``argparse`` is imported by ``build_parser`` on its first call,
+and ``hashlib`` (with OpenSSL behind it) and ``json`` only by the on-disk
+Hilbert memo, which runs only when ``NICHOLS_CACHE_DIR`` is set: a process
+that uses neither never loads them.
 """
 
-import argparse
 import contextlib
-import hashlib
-import json
 import os
 import re
 import sys
@@ -139,7 +142,7 @@ def _need_scalar(args, field):
 def cmd_hilbert(args):
     bp = load_input_pair(args)
     path = _cache_path(bp, args.max_degree)
-    cached = _cache_lookup(path)
+    cached = _cache_lookup(path, bp.dim, args.max_degree)
     if cached is not None:
         dims, total = cached
     else:
@@ -275,6 +278,8 @@ def cmd_verify(args):
 def _cache_key(bp, max_degree):
     """Hash of the braiding, the cutoff and the source of every module of
     the package, so an entry never outlives the code that computed it."""
+    import hashlib
+
     pkg = os.path.dirname(os.path.abspath(__file__))
     src = []
     for name in sorted(os.listdir(pkg)):
@@ -301,12 +306,15 @@ def _cache_path(bp, max_degree):
     return os.path.join(root, _cache_key(bp, max_degree) + ".json")
 
 
-def _cache_lookup(path):
-    """The cached (dims, total), or None on a miss.  Only an entry
-    of the shape ``_cache_store`` writes is a hit; anything else is
+def _cache_lookup(path, dim, max_degree):
+    """The cached (dims, total), or None on a miss.  Only an entry that
+    ``hilbert`` could have returned for a pair of dimension ``dim`` at the
+    cutoff ``max_degree`` is a hit (``_fits``); anything else is
     recomputed and overwritten."""
     if not path or not os.path.exists(path):
         return None
+    import json
+
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -315,10 +323,25 @@ def _cache_lookup(path):
     if not isinstance(data, dict):
         return None
     dims, total = data.get("dims"), data.get("total")
-    if (isinstance(dims, list) and all(type(v) is int for v in dims)
-            and (total is None or type(total) is int)):
-        return dims, total
-    return None
+    return (dims, total) if _fits(dims, total, dim, max_degree) else None
+
+
+def _fits(dims, total, dim, max_degree):
+    """Whether ``hilbert`` could return (dims, total) for a pair of
+    dimension ``dim`` at the cutoff ``max_degree``: int entries starting
+    1, dim (just 1 at cutoff 0), positive up to an optional final 0, which
+    ends the series and makes total its sum; without that 0, one entry for
+    each degree through the cutoff and total None."""
+    if not (isinstance(dims, list) and dims
+            and all(type(v) is int for v in dims)):
+        return False
+    finite = dims[-1] == 0
+    return (dims[:2] == [1, dim][:max_degree + 1]
+            and min(dims[:-1], default=1) > 0 and dims[-1] >= 0
+            and (len(dims) <= max_degree + 1 if finite
+                 else len(dims) == max_degree + 1)
+            and (type(total) is int and total == sum(dims) if finite
+                 else total is None))
 
 
 def _cache_store(path, dims, total):
@@ -326,6 +349,8 @@ def _cache_store(path, dims, total):
     the new one, and an unwritable directory only costs the cache."""
     if not path:
         return
+    import json
+
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
@@ -338,11 +363,13 @@ def _cache_store(path, dims, total):
 
 # ---------------------------------------------------------------------------
 
-# built on the first call rather than at import, which stays cheap, and
-# reused by later calls in the same process: each parse starts from a fresh
-# namespace
+# built, and argparse imported, on the first call rather than at import,
+# which stays cheap, and reused by later calls in the same process: each
+# parse starts from a fresh namespace
 @cache
 def build_parser():
+    import argparse
+
     top = argparse.ArgumentParser(
         prog="nichols",
         description="Exact Nichols algebra computations for braided pairs "

@@ -18,12 +18,13 @@ from nichols.algebra import (
     nilpotency_order,
     relations,
 )
-from nichols.braids import apply_elt, sigma_pass, symmetrizer, verify_identity
+from nichols.braids import apply_elt, sigma_pass, verify_identity
 from nichols.identities import all_identities, standard_suite
 from nichols.linalg import Echelon, encode_word
 from nichols.scalars import ONE, integer, one, order, root_of_unity
 from nichols.rank2 import analyze, cartan, is_qls
 from nichols import pairs, quandles
+from braid_oracles import symmetrizer
 
 
 def report(number, elapsed, budget, detail):

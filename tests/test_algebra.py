@@ -15,8 +15,7 @@ from nichols.algebra import (
     nilpotency_order,
     relations,
 )
-from nichols.braids import (apply_elt, sigma_pass, symmetrizer, t1_apply,
-                            t_shuffle)
+from nichols.braids import apply_elt, sigma_pass, t1_apply, t_shuffle
 from nichols.linalg import Echelon, InvalidInput, encode_word, vec_add_into
 from nichols.scalars import (
     ONE,
@@ -29,6 +28,7 @@ from nichols.scalars import (
     root_of_unity,
 )
 from nichols import algebra, pairs
+from braid_oracles import symmetrizer
 from test_engine_oracle import columns_built, left
 from test_pairs import memo_short_of_a_kernel
 

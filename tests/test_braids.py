@@ -12,21 +12,17 @@ from nichols.braids import (
     GroupAlgElt,
     Relabelling,
     apply_elt,
-    block,
     d_elt,
     matsumoto_section,
     perm_inv,
     perm_length,
     perm_mul,
     r_binomials,
-    r_elt,
     shuffles,
     sigma_pass,
-    symmetrizer,
     symmetrizer_apply,
     t1_apply,
     t_shuffle,
-    transposition,
     u_elt,
     verify_identity,
 )
@@ -34,6 +30,7 @@ from nichols.identities import Product, all_identities, standard_suite
 from nichols.linalg import encode_word, invert_square
 from nichols.scalars import ONE, ZERO, field, integer, one, root_of_unity
 from nichols import cli, pairs
+from braid_oracles import block, r_elt, symmetrizer, transposition
 
 
 def brute_lex_least_reduced(p):

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import shutil
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from nichols import cli, identities
+from nichols import algebra, cli, identities
 from nichols.braids import GroupAlgElt
 from nichols.cli import main
 from nichols.fileio import dump_pair
@@ -415,6 +416,119 @@ def test_unwritable_cache_dir_is_skipped(tmp_path, capsys, monkeypatch):
                        "--max-degree", "6")
     assert code == 0
     assert "total: 12" in out
+
+
+# an entry that hilbert could not have returned for v3(-1) at cutoff 6:
+# the parent's memo printed the first as "dims: 1 2" and "total: 99"
+FORGED = {
+    "cut-short": {"dims": [1, 2], "total": 99},
+    "wrong-total": {"dims": [1, 3, 4, 3, 1, 0], "total": 13},
+    "no-total": {"dims": [1, 3, 4, 3, 1, 0], "total": None},
+    "float-total": {"dims": [1, 3, 4, 3, 1, 0], "total": 12.0},
+    "two-zeros": {"dims": [1, 3, 4, 3, 1, 0, 0], "total": 12},
+    "inner-zero": {"dims": [1, 3, 0, 3, 1, 0], "total": 8},
+    "negative": {"dims": [1, 3, -4, 3, 1, 0], "total": 4},
+    "wrong-dim": {"dims": [1, 4, 4, 3, 1, 0], "total": 13},
+    "wrong-first": {"dims": [2, 3, 4, 3, 1, 0], "total": 13},
+    "bool-entry": {"dims": [True, 3, 4, 3, 1, 0], "total": 12},
+    "open-short": {"dims": [1, 3, 4, 3, 1, 1], "total": None},
+    "open-long": {"dims": [1, 3, 4, 3, 1, 1, 1, 1], "total": None},
+    "empty": {"dims": [], "total": None},
+}
+
+
+@pytest.mark.parametrize("entry", FORGED.values(), ids=FORGED)
+def test_a_cache_entry_that_does_not_fit_is_recomputed(entry, tmp_path,
+                                                       capsys, monkeypatch):
+    monkeypatch.setenv("NICHOLS_CACHE_DIR", str(tmp_path))
+    args = ("hilbert", "--builtin", "v3", "--q", "-1", "--max-degree", "6")
+    _, first, _ = run(capsys, *args)
+    [path] = tmp_path.iterdir()
+    path.write_text(json.dumps(entry))
+    code, again, err = run(capsys, *args)
+    assert (code, again, err) == (0, first, "")
+    assert "dims: 1 3 4 3 1 0" in again and "total: 12" in again
+    assert json.loads(path.read_text()) == {"dims": [1, 3, 4, 3, 1, 0],
+                                            "total": 12}
+
+
+def test_every_series_hilbert_returns_fits_its_cutoff():
+    # the check rejects no true entry: finite and open series, at every
+    # cutoff from 0 past the top degree, and none at another cutoff or
+    # for another dimension
+    for bp in (pairs.v3(integer(-1)), pairs.v3(root_of_unity(3, 1)),
+               pairs.diagonal([[integer(-1)]])):
+        for n in range(8):
+            res = algebra.hilbert(bp, n)
+            assert cli._fits(res.dims, res.total, bp.dim, n), (bp, n)
+            if n:
+                assert not cli._fits(res.dims, res.total, bp.dim + 1, n)
+            if res.total is None:
+                assert not cli._fits(res.dims, None, bp.dim, n + 1)
+            else:
+                assert not cli._fits(res.dims, res.total, bp.dim,
+                                     len(res.dims) - 2)
+
+
+# run in a new interpreter: the standard modules that importing nichols
+# and one cli.main call add (whatever site loaded does not count), then
+# the hilbert calls the run made.  The result is written with repr, as
+# json is one of the modules looked for
+FRESH_RUN = """
+import sys
+before = set(sys.modules)
+import nichols, nichols.cli
+imported = sorted(set(sys.modules) - before)
+calls = []
+real = nichols.algebra.hilbert
+nichols.algebra.hilbert = lambda *args: calls.append(args) or real(*args)
+before = set(sys.modules)
+code = nichols.cli.main(sys.argv[1:])
+ran = sorted(set(sys.modules) - before)
+print(repr((code, imported, ran, len(calls))))
+"""
+
+
+def fresh_run(argv, cache_dir=None):
+    """(output lines, exit code, modules the import added, modules the
+    call added, hilbert calls) of ``cli.main(argv)`` in a new interpreter
+    with ``src`` on its path, NICHOLS_CACHE_DIR set to ``cache_dir`` or
+    removed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    env.pop("NICHOLS_CACHE_DIR", None)
+    if cache_dir is not None:
+        env["NICHOLS_CACHE_DIR"] = str(cache_dir)
+    proc = subprocess.run([sys.executable, "-c", FRESH_RUN, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    *out, last = proc.stdout.splitlines()
+    code, imported, ran, calls = ast.literal_eval(last)
+    return out, code, set(imported), set(ran), calls
+
+
+HILBERT_V3 = ["hilbert", "--builtin", "v3", "--q", "-1", "--max-degree", "6"]
+
+
+def test_only_the_memo_and_the_parser_load_hashlib_json_and_argparse(
+        tmp_path):
+    out, code, imported, ran, calls = fresh_run(HILBERT_V3)
+    assert code == 0 and out[:2] == ["dims: 1 3 4 3 1 0", "total: 12"]
+    assert calls == 1
+    assert imported & {"hashlib", "_hashlib", "json", "argparse"} == set()
+    assert "argparse" in ran
+    assert ran & {"hashlib", "_hashlib", "json"} == set()
+    # with the memo on, the first call computes and writes the entry, the
+    # second reads it, and each loads what the memo reads
+    cached = []
+    for expect_calls in (1, 0):
+        got, code, imported, ran, calls = fresh_run(HILBERT_V3, tmp_path)
+        assert (got, code, calls) == (out, 0, expect_calls)
+        assert imported & {"hashlib", "json", "argparse"} == set()
+        assert {"hashlib", "json"} <= ran
+        cached.append(sorted(p.name for p in tmp_path.iterdir()))
+    assert cached[0] == cached[1] and len(cached[0]) == 1
+    assert cached[0][0].endswith(".json")
 
 
 def test_v4_builtin(capsys):

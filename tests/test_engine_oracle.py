@@ -469,7 +469,8 @@ def test_normal_words_and_rules_match_their_recorded_digest(build, top,
     for n, w, col, copy in built:
         assert w // bp.dim in cache._degrees[n - 2].phis
         assert col == copy == cache._normal_form(n - 1, w)
-    assert set(vars(cache)) == {"bp", "field", "_by_last", "_degrees"}
+    assert set(vars(cache)) == {"bp", "field", "_by_last", "_degrees",
+                                "_counted"}
     assert not any(hasattr(cache, name) for name in (
         "_right", "_right_multiplications", "_betas", "_lefts", "_phis",
         "_rules", "_reduced", "_tensor", "relation_bases", "_rewriting",
@@ -586,7 +587,8 @@ def test_degrees_past_a_zero_component_leave_nothing_behind():
         assert relations(bp, n, cache) == []
     assert degree_basis(bp, 10 ** 6, cache) == []
     assert len(cache._degrees) == 6
-    assert set(vars(cache)) == {"bp", "field", "_by_last", "_degrees"}
+    assert set(vars(cache)) == {"bp", "field", "_by_last", "_degrees",
+                                "_counted"}
     assert all(deg.relations is None for deg in cache._degrees)
     assert [deg.tensor is None for deg in cache._degrees] == [False] + [
         True] * 5
@@ -596,14 +598,24 @@ def test_degrees_past_a_zero_component_leave_nothing_behind():
 def test_each_record_keeps_what_its_degree_computed():
     # after hilbert every record below the cutoff holds its echelon,
     # Phi-vectors, rules and stats; the last degree of v3(zeta_3), counted
-    # by block orbits, appends none.  Tensor rows are filled on request for
-    # degrees 1..n only, and relations on their degree alone
+    # by block orbits, appends none, and its stats end the list of stats
+    # until the degree is computed in full.  Tensor rows are filled on
+    # request for degrees 1..n only, and relations on their degree alone
     bp = v3_z3()
     cache = GradedComputation(bp)
     assert hilbert(bp, 5, cache).dims == [1, 3, 9, 21, 50, 111]
     degrees = cache._degrees
     assert len(degrees) == 5
-    assert cache.stats == [deg.stats for deg in degrees]
+    *stored, counted = cache.stats
+    assert stored == [deg.stats for deg in degrees]
+    assert counted is cache._counted
+    assert type(counted) is DegreeStats
+    assert (counted.degree, counted.rank) == (5, 111)
+    # the count inserts the candidates of one block of each orbit
+    assert counted.candidates == sum(min(len(words) for _, words in orbit)
+                                     for orbit in cache._block_orbits(5))
+    assert counted.candidates < len(cache._candidate_words(5))
+    assert counted.nonzeros > 0 and counted.columns > 0
     assert cache.bases == [deg.ech for deg in degrees]
     for n, deg in enumerate(degrees):
         assert type(deg.stats) is DegreeStats and deg.stats.degree == n
@@ -621,6 +633,22 @@ def test_each_record_keeps_what_its_degree_computed():
     assert [deg.relations is None for deg in degrees] == [True] * 4 + [
         False]
     assert relations(bp, 4, cache) is got is degrees[4].relations
+    assert cache.stats[-1] is counted
+    # degree 5 in full: its record's stats replace the count's
+    assert cache.dim(5) == 111
+    assert cache.stats == [deg.stats for deg in degrees]
+    assert cache.stats[5].candidates == len(cache._candidate_words(5)) == (
+        len(degrees[5].phis) + len(degrees[5].rules))
+    # v4(-1, -1) to degree 6: rank 802 from 219 candidates of the identity
+    # block and 200 of one of the three blocks conjugate to each other
+    bp = v4_m1_m1()
+    cache = GradedComputation(bp)
+    assert hilbert(bp, 6, cache).dims[-1] == 802
+    assert [sorted(len(words) for _, words in orbit)
+            for orbit in cache._block_orbits(6)] == [[219], [200, 200, 202]]
+    assert len(cache.stats) == 7
+    assert cache.stats[6] is cache._counted
+    assert cache.stats[6][:3] == (6, 419, 802)
     with pytest.raises(AttributeError):
         cache.bases = []
     with pytest.raises(AttributeError):

@@ -83,7 +83,7 @@ def test_package_imports_only_the_standard_library(path):
 
 
 # package definitions that no reachable package code reads, each with the
-# caller outside the package that keeps it (ROADMAP items 1, 2, 11 and 17)
+# caller outside the package that keeps it (ROADMAP items 1, 2, 11 and 15)
 ALLOWED = {
     "groups.cyclic": "group builder for item 2's non-abelian enumeration",
     "groups.dihedral": "group builder for item 2's non-abelian enumeration",
@@ -103,12 +103,6 @@ ALLOWED = {
                              "differential; waits on item 1",
     "linalg.Echelon.nullspace": "a span of bench/spans.py and a test "
                                 "oracle; waits on item 1",
-    "braids.symmetrizer": "test oracle: the full symmetrizer as a sum of "
-                          "braid words",
-    "braids.r_elt": "test oracle: R^j_i expanded, against its binomials",
-    "braids.block": "test oracle: symmetrizers side by side on the strands",
-    "braids.transposition": "test oracle: permutations as products of "
-                            "adjacent transpositions",
     "fileio.dump_pair": "the pair-file writer; CI writes the Aff(7,3) pair "
                         "file with it",
     "quandles.Cochain2.constant": "constant cocycles, for item 2's sweep "
@@ -123,12 +117,6 @@ ALLOWED = {
                           "build tensor vectors",
     "algebra.GradedComputation.stats": "the per-degree cost records that "
                                        "item 11's --stats prints",
-    "braids.GroupAlgElt.shifted": "read only by the test oracle "
-                                  "braids.block; moves into the tests with "
-                                  "it (item 17)",
-    "braids.all_permutations": "read only by the test oracle "
-                               "braids.symmetrizer; moves into the tests "
-                               "with it (item 17)",
     "fileio.dump_crossed_set": "part of the pair-file writer dump_pair",
     "fileio.dump_cochain": "part of the pair-file writer dump_pair",
     "fileio._dump_table": "part of the pair-file writer dump_pair",
