@@ -64,9 +64,14 @@ def parse_scalar_arg(text):
     return -value if sign < 0 else value
 
 
-def load_input_pair(args):
+def _one_source(args):
+    """Refuse a command given both a builtin and a file to read."""
     if getattr(args, "builtin", None) and getattr(args, "file", None):
         raise CliError("give either --builtin or --file, not both", EXIT_PARSE)
+
+
+def load_input_pair(args):
+    _one_source(args)
     try:
         if getattr(args, "file", None):
             with open(args.file) as fh:
@@ -230,6 +235,7 @@ def cmd_quandle(args):
 
 
 def _load_crossed_set(args):
+    _one_source(args)
     try:
         if args.file:
             with open(args.file) as fh:

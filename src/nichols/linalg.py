@@ -325,23 +325,24 @@ def smith_normal_form(rows, cols):
     """Invariant factors of an integer matrix with ``cols`` columns, given
     as sparse rows: a sequence of dicts {column: nonzero integer}, which is
     not modified.  Returns the nonzero invariant factors d1 | d2 | ..., all
-    positive, found by unimodular row and column operations in two phases.
+    positive, found by unimodular row and column operations in one sparse
+    elimination.
 
-    Unit elimination works on sparse rows.  While an entry +-1 remains, it
-    pivots on one: in a column with the fewest entries, the shortest row
-    with a unit there.  Integer row operations clear the column, and the
-    pivot row and column are dropped with factor 1.  That is exact: once
-    the column is cleared, the column operations that would clear the
-    pivot row touch that row alone.  Units go first because a unit divides
-    every entry: each step drops a row and a column with no division
-    remainder, and the sparse choice keeps the fill-in of the other rows
-    small.  The coboundary matrices of crossed sets have two or four
-    entries +-1 per row; on the dihedral crossed sets of up to 12 elements
-    and the S4 classes this phase leaves at most six columns.
-
-    The remainder holds no unit.  It is compacted to a dense block and
-    diagonalized by least-entry pivoting, and ``divisibility_chain`` turns
-    its diagonal into d1 | d2 | ....
+    Each step pivots on an entry a: while an entry +-1 remains, on one in
+    a column with the fewest entries, in the shortest row with a unit
+    there (a unit divides every entry, and the sparse choice keeps the
+    fill-in of the other rows small); else on an entry of least absolute
+    value, so the multiples added stay small.  Row operations take every
+    other entry x of the pivot column to x mod a.  Once the column holds
+    the pivot alone, column operations change the pivot row only, taking
+    each other entry y of it to y mod a.  A nonzero remainder, smaller
+    than |a|, leaves the pivot in place for a later step; else the pivot
+    row and column are dropped with the factor |a|.  A unit pivot always
+    drops.  The coboundary matrices of crossed sets have two or four
+    entries +-1 per row, so most steps are unit steps; on the dihedral
+    crossed sets of up to 12 elements and the S4 classes at most six
+    columns are left for the others.  ``divisibility_chain`` turns the
+    factors into d1 | d2 | ..., the units kept out of it.
     """
     # sparse rows by index, and for each column the rows with an entry in it
     srows = {i: dict(r) for i, r in enumerate(rows) if r}
@@ -354,19 +355,25 @@ def smith_normal_form(rows, cols):
     counts = [(len(w), j) for j, w in enumerate(where) if w]
     heapq.heapify(counts)
     units = 0
-    while True:
+    factors = []
+    while srows:
         pivot = _unit_pivot(srows, where, counts)
         if pivot is None:
-            break
-        p, c = pivot
-        prow = srows.pop(p)
-        for j in prow:
-            where[j].discard(p)
-        # the pivot is +-1, its own inverse: row i -= row[c] * u * prow
-        u = prow[c]
+            _, p, c = min((abs(x), i, j) for i, row in srows.items()
+                          for j, x in row.items())
+        else:
+            p, c = pivot
+        prow = srows[p]
+        a = prow[c]
+        # the columns whose entries change, read before the column
+        # operations below take some of them out of the pivot row
+        touched = list(prow)
+        # row i -= (row[c] // a) * prow, which leaves row[c] mod a
         for i in list(where[c]):
+            if i == p:
+                continue
             row = srows[i]
-            f = row[c] * u
+            f = row[c] // a
             for j, x in prow.items():
                 y = row.get(j, 0) - f * x
                 if y:
@@ -378,15 +385,27 @@ def smith_normal_form(rows, cols):
                     where[j].discard(i)
             if not row:
                 del srows[i]
-        # only the pivot row's columns changed their entries
-        for j in prow:
+        # with the pivot alone in its column, column j -= (y // a) * column c
+        # changes only the pivot row's y, to y mod a
+        if len(where[c]) == 1:
+            for j in touched:
+                y = prow[j] % a
+                if y:
+                    prow[j] = y
+                elif j != c:
+                    del prow[j]
+                    where[j].discard(p)
+            if len(prow) == 1:
+                del srows[p]
+                where[c].clear()
+                if a in (1, -1):
+                    units += 1
+                else:
+                    factors.append(abs(a))
+        for j in touched:
             if where[j]:
                 heapq.heappush(counts, (len(where[j]), j))
-        units += 1
-    keep = [j for j in range(cols) if where[j]]
-    rest = [[row.get(j, 0) for j in keep] for row in srows.values()]
-    return [1] * units + divisibility_chain(
-        _diagonalize(rest, len(rest), len(keep)))
+    return [1] * units + divisibility_chain(factors)
 
 
 def _unit_pivot(srows, where, counts):
@@ -417,58 +436,6 @@ def _unit_pivot(srows, where, counts):
     for entry in passed:
         heapq.heappush(counts, entry)
     return found
-
-
-def _diagonalize(a, rows, cols):
-    """Absolute values of the diagonal that unimodular row and column
-    operations leave on the dense matrix ``a`` (changed in place), not yet
-    a divisibility chain."""
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-
-    def col_add(dst, src, k):
-        for r in a:
-            r[dst] += k * r[src]
-
-    def row_add(dst, src, k):
-        ra, rs = a[dst], a[src]
-        for idx in range(cols):
-            ra[idx] += k * rs[idx]
-
-    t = 0
-    while t < min(rows, cols):
-        # pivot on an entry of least absolute value in the remaining block,
-        # so the multiples added to other rows and columns stay small; a
-        # unit cannot be beaten
-        pi = pj = -1
-        best = 0
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = abs(a[i][j])
-                if x and (not best or x < best):
-                    pi, pj, best = i, j, x
-                    if x == 1:
-                        break
-            if best == 1:
-                break
-        if pi < 0:
-            break
-        a[t], a[pi] = a[pi], a[t]
-        col_swap(t, pj)
-        p = a[t][t]
-        for i in range(t + 1, rows):
-            if a[i][t]:
-                row_add(i, t, -(a[i][t] // p))
-        for j in range(t + 1, cols):
-            if a[t][j]:
-                col_add(j, t, -(a[t][j] // p))
-        # a nonzero remainder is a smaller pivot for the next round
-        if (all(a[i][t] == 0 for i in range(t + 1, rows))
-                and all(a[t][j] == 0 for j in range(t + 1, cols))):
-            t += 1
-    return [abs(a[i][i]) for i in range(t)]
 
 
 def divisibility_chain(values):

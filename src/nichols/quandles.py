@@ -238,10 +238,12 @@ def cohomology(xset, n, modulus):
     factors of delta^n and b_i those of delta^(n-1), H^n(X; Z) is
     Z^(|X|^n - #a - #b) plus the Z/b_i, and the torsion of H^(n+1)(X; Z) is
     the sum of the Z/a_i; both functors send Z/k to Z/gcd(k, m).  Only the
-    two differentials, as sparse rows, go through ``smith_normal_form``:
-    the orders of the resulting sum of cyclic groups become invariant
-    factors through ``divisibility_chain``, and the trivial factors 1 it
-    leaves are dropped.
+    two differentials, as sparse rows, go through ``smith_normal_form``,
+    one sparse elimination: it pivots on the entries +-1 of the
+    coboundaries while any is left, then on least entries.  The orders of
+    the resulting sum of cyclic groups become invariant factors through
+    ``divisibility_chain``, and the trivial factors 1 it leaves are
+    dropped.
     """
     if modulus < 2:
         raise ValueError("modulus must be at least 2")

@@ -12,7 +12,7 @@ import pytest
 from nichols import algebra, cli, identities
 from nichols.braids import GroupAlgElt
 from nichols.cli import main
-from nichols.fileio import dump_pair
+from nichols.fileio import dump_crossed_set, dump_pair
 from nichols.identities import standard_suite
 from nichols.scalars import integer, parse_scalar, rational, root_of_unity
 from nichols import pairs, quandles
@@ -116,6 +116,30 @@ def test_parse_failure_exit_codes(capsys, tmp_path):
         err = capsys.readouterr().err
         assert info.value.code == 2
         assert err == "error: max-order must be at least 1\n"
+
+
+def test_builtin_and_file_together_are_refused(capsys, tmp_path):
+    # neither source wins: the pair commands and quandle h1 and h2 exit 2
+    # before they read the file
+    refused = (2, "", "error: give either --builtin or --file, not both\n")
+    pair = tmp_path / "v3.bp"
+    pair.write_text(dump_pair(pairs.v3(integer(-1))))
+    assert run(capsys, "hilbert", "--builtin", "v3", "--q", "-1",
+               "--file", str(pair), "--max-degree", "3") == refused
+    # the S4 transpositions, whose H^2 over Z/12 is Z/2 + Z/12, and
+    # dihedral3, whose H^2 over Z/12 is Z/12
+    s4 = symmetric(4)
+    t = next(x for x in s4.elements()
+             if s4.mul(x, x) == s4.identity
+             and len(conjugacy_class(s4, x)) == 6)
+    xs = tmp_path / "s4-transpositions.xs"
+    xs.write_text(dump_crossed_set(quandles.conjugation_crossed_set(s4, [t])))
+    for which in ("h1", "h2"):
+        assert run(capsys, "quandle", which, "--builtin", "dihedral3",
+                   "--file", str(xs), "--modulus", "12") == refused
+    code, out, _ = run(capsys, "quandle", "h2", "--file", str(xs),
+                       "--modulus", "12")
+    assert (code, out) == (0, "factors: 2 12\n")
 
 
 def test_verify_must_check_a_pair_and_an_identity(capsys):

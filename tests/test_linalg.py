@@ -498,6 +498,54 @@ def test_smith_normal_form_without_unit_elimination():
     assert mat == [[1, 2], [2, 1]]
 
 
+def _sparse_integer_matrix(rng, rows, cols, values):
+    """A dense ``rows`` x ``cols`` matrix whose rows hold two to four
+    entries drawn from ``values``, as sparse as a coboundary's rows."""
+    mat = []
+    for _ in range(rows):
+        row = [0] * cols
+        for j in rng.sample(range(cols), rng.randint(2, min(4, cols))):
+            row[j] = rng.choice(values)
+        mat.append(row)
+    return mat
+
+
+def test_smith_normal_form_of_sparse_matrices_with_non_unit_entries():
+    # the size of the non-unit blocks of delta^2 (554 x 4 on dihedral12,
+    # 72 x 6 on the S4 3-cycles); without +-1 every pivot is a least
+    # entry, with it the units leave the non-unit pivots a few columns
+    rng = random.Random(37)
+    with_units = (1, -1, 2, -2, 3, -3, 4, -4, 6, -6)
+    for values in (with_units, with_units[2:]):
+        for _ in range(30):
+            rows, cols = rng.randint(20, 80), rng.randint(3, 10)
+            mat = _sparse_integer_matrix(rng, rows, cols, values)
+            assert _snf(mat, rows, cols) == \
+                _dense_smith_normal_form(mat, rows, cols), mat
+        for _ in range(30):
+            rows, cols = rng.randint(2, 8), rng.randint(3, 8)
+            mat = _sparse_integer_matrix(rng, rows, cols, values)
+            got = _snf(mat, rows, cols)
+            assert got == _dense_smith_normal_form(mat, rows, cols), mat
+            assert _agrees_with_sympy(got, mat), mat
+
+
+def test_smith_normal_form_pivots_again_on_a_remainder():
+    # the least entry 4 leaves the remainder 10 mod 4 = 2 in its column,
+    # which pivots next; once column 0 holds that 2 alone, the column
+    # operation leaves -3 mod 2 = 1 in its row, and that unit pivots
+    # before anything is dropped (|det| = 24)
+    assert _snf([[4, 6], [10, 9]], 2, 2) == [1, 24]
+    # the least entry 4 clears its column at once and leaves 6 mod 4 = 2
+    # in its row; that 2 pivots next and leaves -3 mod 2 = 1 in its
+    # column (|det| = 12)
+    assert _snf([[4, 6], [8, 9]], 2, 2) == [1, 12]
+    for mat in ([[4, 6], [10, 9]], [[4, 6], [8, 9]]):
+        got = _snf(mat, 2, 2)
+        assert got == _dense_smith_normal_form(mat, 2, 2), mat
+        assert _agrees_with_sympy(got, mat), mat
+
+
 def test_smith_normal_form_of_empty_and_zero_matrices():
     assert _snf([], 0, 0) == []
     assert _snf([], 0, 3) == []
@@ -540,10 +588,11 @@ def _det(mat):
 
 
 def _dense_smith_normal_form(mat, rows, cols):
-    """The dense least-entry Smith normal form the sparse one replaced,
-    kept as the oracle: ``mat`` is a list of ``rows`` lists of length
-    ``cols``; it is copied.  Returns the nonzero invariant factors
-    d1 | d2 | ..., all positive."""
+    """The dense least-entry Smith normal form, the oracle: ``mat`` is a
+    list of ``rows`` lists of length ``cols``; it is copied.  Returns the
+    nonzero invariant factors d1 | d2 | ..., all positive.  It is the only
+    dense elimination left, and shares no code with the package's sparse
+    one."""
     a = [list(r) for r in mat]
 
     def col_swap(i, j):
